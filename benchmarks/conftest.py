@@ -8,6 +8,7 @@ entry point.  Runs are memoised in a process-wide cache
 Figures 2 and 3) share application executions.
 """
 
+import os
 import sys
 from pathlib import Path
 
@@ -30,6 +31,19 @@ def pytest_addoption(parser):
         default=False,
         help="sweep small/medium/large instead of small/medium",
     )
+
+
+@pytest.fixture(scope="session")
+def bench_dir(tmp_path_factory) -> Path:
+    """Where the throughput benchmarks write their ``BENCH_*.json`` records:
+    ``$OMPDATAPERF_BENCH_DIR`` when set (created if missing), otherwise a
+    fresh temporary directory, so a test run never writes into the tree."""
+    configured = os.environ.get("OMPDATAPERF_BENCH_DIR")
+    if not configured:
+        return tmp_path_factory.mktemp("bench-records")
+    path = Path(configured)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -3,9 +3,10 @@
 Benchmarks every detector on both representations of the same trace — the
 object-based reference path over dataclass event lists and the vectorised
 columnar fast path — verifies the findings are identical, and writes a
-machine-readable throughput record to ``BENCH_detectors.json`` in the repo
-root.  The acceptance bar for the columnar backbone is an aggregate speedup
-of at least 5x over the object path.
+machine-readable throughput record to ``BENCH_detectors.json`` under
+``$OMPDATAPERF_BENCH_DIR`` (default: a fresh temp dir).  The acceptance
+bar for the columnar backbone is an aggregate speedup of at least 5x over
+the object path.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -126,7 +126,7 @@ def test_unused_transfers_throughput(traces):
     assert record["num_findings"] > 0
 
 
-def test_aggregate_speedup_and_write_record(traces):
+def test_aggregate_speedup_and_write_record(traces, bench_dir):
     assert len(_RESULTS) == 5, "per-detector benchmarks must run first"
     columnar, trace = traces
     total_object = sum(r["object_seconds"] for r in _RESULTS.values())
@@ -147,7 +147,7 @@ def test_aggregate_speedup_and_write_record(traces):
             "speedup": aggregate_speedup,
         },
     }
-    out_path = Path(__file__).resolve().parent.parent / "BENCH_detectors.json"
+    out_path = bench_dir / "BENCH_detectors.json"
     out_path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
     assert aggregate_speedup >= MIN_AGGREGATE_SPEEDUP, (

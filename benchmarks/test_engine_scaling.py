@@ -5,7 +5,8 @@ single-scan pipeline, thread-partitioned folds, process-partitioned
 folds, and the distributed coordinator/worker engine (loopback worker
 processes leasing tasks from a local-dir queue) — at 1, 2 and 4 workers,
 verifies the findings stay bit-identical to the serial path, and writes a
-machine-readable record to ``BENCH_engine.json`` in the repo root.  The
+machine-readable record to ``BENCH_engine.json`` under
+``$OMPDATAPERF_BENCH_DIR`` (default: a fresh temp dir).  The
 distributed leg measures the queue protocol's overhead against the
 process pool it functionally supersedes: same partitions, same folds,
 plus blob leases, heartbeats and worker start-up.
@@ -36,7 +37,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -99,7 +99,7 @@ def _findings(report):
     )
 
 
-def test_engine_scaling_and_write_record(store):
+def test_engine_scaling_and_write_record(store, bench_dir):
     t0 = time.perf_counter()
     serial_report = analyze_stream(store)
     serial_seconds = time.perf_counter() - t0
@@ -184,7 +184,7 @@ def test_engine_scaling_and_write_record(store):
         "engines": results,
     }
     _RECORD.update(record)
-    out_path = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+    out_path = bench_dir / "BENCH_engine.json"
     out_path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
     peak_workers = max(WORKER_COUNTS)

@@ -5,7 +5,8 @@ every engine, so the *generator* and the *hostile-layout* analysis path
 both need a tracked throughput record.  Measures events/sec for
 :func:`make_hostile_trace`, for writing the shard-boundary-hostile store
 layout (random cuts, mixed formats, spliced empty shards), and for
-analysing that layout serially — written to ``BENCH_hostile.json`` for the
+analysing that layout serially — written to ``BENCH_hostile.json`` under
+``$OMPDATAPERF_BENCH_DIR`` (default: a fresh temp dir) for the
 benchmark-regression gate.
 
 Env knobs: ``OMPDATAPERF_BENCH_HOSTILE_EVENTS`` (default 300000) and
@@ -38,7 +39,7 @@ MIN_GENERATE_RATE = float(
 )
 
 
-def test_hostile_generation_and_analysis_throughput():
+def test_hostile_generation_and_analysis_throughput(bench_dir):
     started = perf_counter()
     trace = make_hostile_trace(NUM_EVENTS, seed=SEED)
     generate_seconds = perf_counter() - started
@@ -76,7 +77,7 @@ def test_hostile_generation_and_analysis_throughput():
         "analyze_columnar_seconds": analyze_columnar_seconds,
         "hostile_layout_overhead": analyze_store_seconds / analyze_columnar_seconds,
     }
-    out_path = Path(__file__).resolve().parent.parent / "BENCH_hostile.json"
+    out_path = bench_dir / "BENCH_hostile.json"
     out_path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
     rate = record["generate_events_per_sec"]

@@ -3,7 +3,8 @@
 Replays the 1M-event synthetic trace through the sharded store and the
 incremental streaming detectors at several shard sizes, verifies the
 findings are bit-identical to the in-memory columnar path, and writes a
-machine-readable record to ``BENCH_streaming.json`` in the repo root.
+machine-readable record to ``BENCH_streaming.json`` under
+``$OMPDATAPERF_BENCH_DIR`` (default: a fresh temp dir).
 
 Three claims are measured and enforced:
 
@@ -26,7 +27,6 @@ import json
 import os
 import time
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -240,7 +240,7 @@ def test_shard_format_legs_open_latency_and_throughput(trace, tmp_path_factory):
     )
 
 
-def test_streaming_memory_below_in_memory_and_write_record(trace, stores):
+def test_streaming_memory_below_in_memory_and_write_record(trace, stores, bench_dir):
     assert "streaming" in _RECORD, "throughput benchmark must run first"
     store = stores[DEFAULT_SHARD_EVENTS]
 
@@ -277,7 +277,7 @@ def test_streaming_memory_below_in_memory_and_write_record(trace, stores):
         "min_odpf_streaming_ratio": MIN_ODPF_STREAMING_RATIO,
         **_RECORD,
     }
-    out_path = Path(__file__).resolve().parent.parent / "BENCH_streaming.json"
+    out_path = bench_dir / "BENCH_streaming.json"
     out_path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
     assert streaming_peak < in_memory_peak, (

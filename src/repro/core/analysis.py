@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from time import perf_counter
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.core.detectors.duplicates import (
     DuplicateTransferPass,
-    count_redundant_transfers,
+    duplicate_transfers_part,
     find_duplicate_transfers,
-    find_duplicate_transfers_columnar,
 )
 from repro.core.detectors.findings import (
     DuplicateTransferGroup,
@@ -21,25 +20,24 @@ from repro.core.detectors.findings import (
 )
 from repro.core.detectors.repeated_allocs import (
     RepeatedAllocationPass,
-    count_redundant_allocations,
     find_repeated_allocations,
-    find_repeated_allocations_columnar,
+    repeated_allocations_part,
 )
 from repro.core.detectors.roundtrips import (
     RoundTripPass,
-    count_round_trips,
     find_round_trips,
-    find_round_trips_columnar,
+    round_trips_part,
 )
+from repro.core.detectors.table import FindingTable
 from repro.core.detectors.unused_allocs import (
     UnusedAllocationPass,
     find_unused_allocations,
-    find_unused_allocations_columnar,
+    unused_allocations_part,
 )
 from repro.core.detectors.unused_transfers import (
     UnusedTransferPass,
     find_unused_transfers,
-    find_unused_transfers_columnar,
+    unused_transfers_part,
 )
 from repro.core.engine import PassSpec, resolve_engine
 from repro.core.potential import OptimizationPotential, estimate_potential
@@ -91,17 +89,39 @@ class IssueCounts:
 
 @dataclass
 class AnalysisReport:
-    """Aggregated result of running all five detectors on one trace."""
+    """Aggregated result of running all five detectors on one trace.
+
+    ``findings`` is the columnar :class:`FindingTable` the counts, the
+    potential and the rendered report are computed from; the per-category
+    attributes (``duplicate_groups`` …) are finding-object views of it,
+    built from its gathered columns on first access and cached.
+    """
 
     trace: TraceLike
     counts: IssueCounts
-    duplicate_groups: list[DuplicateTransferGroup]
-    round_trip_groups: list[RoundTripGroup]
-    repeated_alloc_groups: list[RepeatedAllocationGroup]
-    unused_allocations: list[UnusedAllocation]
-    unused_transfers: list[UnusedTransfer]
+    findings: FindingTable
     potential: OptimizationPotential
     debug_info: Optional[DebugInfoRegistry] = None
+
+    @property
+    def duplicate_groups(self) -> list[DuplicateTransferGroup]:
+        return self.findings.objects("duplicate_transfers")
+
+    @property
+    def round_trip_groups(self) -> list[RoundTripGroup]:
+        return self.findings.objects("round_trips")
+
+    @property
+    def repeated_alloc_groups(self) -> list[RepeatedAllocationGroup]:
+        return self.findings.objects("repeated_allocations")
+
+    @property
+    def unused_allocations(self) -> list[UnusedAllocation]:
+        return self.findings.objects("unused_allocations")
+
+    @property
+    def unused_transfers(self) -> list[UnusedTransfer]:
+        return self.findings.objects("unused_transfers")
 
     @property
     def has_issues(self) -> bool:
@@ -132,9 +152,7 @@ class StreamAnalysisReport(AnalysisReport):
     timings travel with the findings.
 
     ``findings_by_pass`` exposes the per-pass findings as a mapping keyed
-    by detector name.  The report also still unpacks like the historic
-    five-element findings list (``dup, rt, ra, ua, ut = report``) for one
-    deprecation cycle; sequence access warns once per process.
+    by detector name.
     """
 
     #: Registry name of the engine that ran the folds (e.g. "distributed").
@@ -158,32 +176,6 @@ class StreamAnalysisReport(AnalysisReport):
             "unused_transfers": self.unused_transfers,
         }
 
-    # -- deprecated sequence shim (one cycle) -------------------------- #
-    def _findings_list(self) -> list[list]:
-        from repro.core.engine import _warn_deprecated_once
-
-        _warn_deprecated_once(
-            "stream-report-sequence",
-            "treating the analyze_stream result as a findings list is "
-            "deprecated; use report.findings_by_pass (or the named "
-            "report attributes) instead",
-        )
-        return list(self.findings_by_pass.values())
-
-    def __len__(self) -> int:
-        return len(self._findings_list())
-
-    def __iter__(self) -> Iterator[list]:
-        return iter(self._findings_list())
-
-    def __getitem__(self, key):
-        return self._findings_list()[key]
-
-    def __bool__(self) -> bool:
-        # Defined so truthiness does not route through the deprecated
-        # sequence shim's __len__.
-        return True
-
 
 def analyze_trace(
     trace: Trace | ColumnarTrace,
@@ -200,29 +192,25 @@ def analyze_trace(
     num_devices = max(trace.num_devices, 1)
 
     if isinstance(trace, ColumnarTrace):
-        duplicate_groups = find_duplicate_transfers_columnar(trace)
-        round_trip_groups = find_round_trips_columnar(trace)
-        repeated_alloc_groups = find_repeated_allocations_columnar(trace)
-        unused_allocs = find_unused_allocations_columnar(trace, num_devices)
-        unused_txs = find_unused_transfers_columnar(trace, num_devices)
+        parts = [
+            duplicate_transfers_part(trace),
+            round_trips_part(trace),
+            repeated_allocations_part(trace),
+            unused_allocations_part(trace, num_devices),
+            unused_transfers_part(trace, num_devices),
+        ]
+        findings = FindingTable.gather(parts, trace)
     else:
         data_ops = trace.data_op_events
         targets = trace.target_events
-        duplicate_groups = find_duplicate_transfers(data_ops)
-        round_trip_groups = find_round_trips(data_ops)
-        repeated_alloc_groups = find_repeated_allocations(data_ops)
-        unused_allocs = find_unused_allocations(targets, data_ops, num_devices)
-        unused_txs = find_unused_transfers(targets, data_ops, num_devices)
-
-    return _assemble_report(
-        trace,
-        duplicate_groups,
-        round_trip_groups,
-        repeated_alloc_groups,
-        unused_allocs,
-        unused_txs,
-        debug_info,
-    )
+        findings = FindingTable.from_findings((
+            find_duplicate_transfers(data_ops),
+            find_round_trips(data_ops),
+            find_repeated_allocations(data_ops),
+            find_unused_allocations(targets, data_ops, num_devices),
+            find_unused_transfers(targets, data_ops, num_devices),
+        ))
+    return _assemble_report(trace, findings, debug_info)
 
 
 def analyze_stream(
@@ -287,19 +275,10 @@ def analyze_stream(
         PassSpec(UnusedTransferPass, {"num_devices": num_devices}),
     )
     run_started = perf_counter()
-    results = eng.run(specs, stream, jobs=jobs)
+    findings = eng.run(specs, stream, jobs=jobs)
     engine_seconds = perf_counter() - run_started
-    duplicate_groups, round_trip_groups, repeated_alloc_groups, unused_allocs, unused_txs = results
 
-    report = _assemble_report(
-        trace_like_view(stream),
-        duplicate_groups,
-        round_trip_groups,
-        repeated_alloc_groups,
-        unused_allocs,
-        unused_txs,
-        debug_info,
-    )
+    report = _assemble_report(trace_like_view(stream), findings, debug_info)
     wall = perf_counter() - started
     from repro.core.engine import engine_registry_name
 
@@ -317,36 +296,13 @@ def analyze_stream(
 
 def _assemble_report(
     trace: TraceLike,
-    duplicate_groups,
-    round_trip_groups,
-    repeated_alloc_groups,
-    unused_allocs,
-    unused_txs,
+    findings: FindingTable,
     debug_info: Optional[DebugInfoRegistry],
 ) -> AnalysisReport:
-    counts = IssueCounts(
-        duplicate_transfers=count_redundant_transfers(duplicate_groups),
-        round_trips=count_round_trips(round_trip_groups),
-        repeated_allocations=count_redundant_allocations(repeated_alloc_groups),
-        unused_allocations=len(unused_allocs),
-        unused_transfers=len(unused_txs),
-    )
-    potential = estimate_potential(
-        trace,
-        duplicate_groups=duplicate_groups,
-        round_trip_groups=round_trip_groups,
-        repeated_alloc_groups=repeated_alloc_groups,
-        unused_allocations=unused_allocs,
-        unused_transfers=unused_txs,
-    )
     return AnalysisReport(
         trace=trace,
-        counts=counts,
-        duplicate_groups=duplicate_groups,
-        round_trip_groups=round_trip_groups,
-        repeated_alloc_groups=repeated_alloc_groups,
-        unused_allocations=unused_allocs,
-        unused_transfers=unused_txs,
-        potential=potential,
+        counts=IssueCounts(*findings.issue_counts()),
+        findings=findings,
+        potential=estimate_potential(trace, findings=findings),
         debug_info=debug_info,
     )

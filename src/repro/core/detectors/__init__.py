@@ -21,6 +21,11 @@ partition-mergeable — independent workers fold disjoint shard ranges and
 the carries combine losslessly (see :mod:`repro.core.engine`).  The
 four-way differential property test holds every path, on every execution
 engine, to bit-identical findings.
+
+The report path never holds finding objects: the columnar and streaming
+paths emit :class:`~repro.core.detectors.table.FindingPart` rows that one
+shared gather turns into a :class:`~repro.core.detectors.table.FindingTable`
+(see :mod:`repro.core.detectors.table`).
 """
 
 from repro.core.detectors.findings import (
@@ -51,6 +56,7 @@ from repro.core.detectors.unused_allocs import (
     find_unused_allocations_columnar,
     find_unused_allocations_streaming,
 )
+from repro.core.detectors.table import FindingPart, FindingTable
 from repro.core.detectors.unused_transfers import (
     find_unused_transfers,
     find_unused_transfers_columnar,
@@ -59,6 +65,8 @@ from repro.core.detectors.unused_transfers import (
 
 __all__ = [
     "DuplicateTransferGroup",
+    "FindingPart",
+    "FindingTable",
     "RepeatedAllocationGroup",
     "RoundTripGroup",
     "RoundTripPair",

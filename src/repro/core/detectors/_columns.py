@@ -1,16 +1,14 @@
 """Shared column operations for the vectorised detector fast paths.
 
 Everything here is representation-level plumbing the five detectors have in
-common: composite-key grouping in first-occurrence order and the
-columnar alloc/delete pairing that Algorithms 3 and 4
-both start from.  The helpers return *row indices* into the columnar store;
-the detectors materialise object events only for the rows that end up in
-findings, which is what makes the fast paths fast.
+common: composite-key factorisation and the columnar alloc/delete pairing
+that Algorithms 3 and 4 both start from.  The helpers return *row indices*
+into the columnar store; the detectors emit findings as rows too
+(:class:`~repro.core.detectors.table.FindingPart`), which is what makes the
+fast paths fast.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
@@ -33,39 +31,6 @@ def key_ids(*columns: np.ndarray) -> np.ndarray:
         width = int(inv.max()) + 1 if inv.size else 1
         _, ids = np.unique(ids * width + inv, return_inverse=True)
     return ids
-
-
-def group_rows_by_key(*columns: np.ndarray, min_size: int = 1) -> Iterator[np.ndarray]:
-    """Group row indices ``0..n-1`` by composite key.
-
-    Yields one index array per distinct key with at least ``min_size``
-    members, in order of each key's first occurrence; indices inside a
-    group are ascending (i.e. the original — chronological — order is
-    preserved), matching how the object detectors build their
-    ``dict``-of-``list`` groupings.  Detectors that only care about keys
-    with two or more members pass ``min_size=2``, which skips the (usually
-    overwhelming) singleton keys without building an array for each.
-    """
-    n = len(columns[0])
-    if n == 0:
-        return
-    ids = key_ids(*columns)
-    if min_size > 1:
-        counts = np.bincount(ids)
-        rows = np.flatnonzero(counts[ids] >= min_size)
-        if rows.size == 0:
-            return
-        ids = ids[rows]
-    else:
-        rows = np.arange(n, dtype=np.int64)
-    order = np.argsort(ids, kind="stable")
-    sorted_rows = rows[order]
-    sorted_ids = ids[order]
-    boundaries = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
-    groups = np.split(sorted_rows, boundaries)
-    first_occurrence = np.fromiter((g[0] for g in groups), dtype=np.int64, count=len(groups))
-    for gi in np.argsort(first_occurrence, kind="stable"):
-        yield groups[gi]
 
 
 def first_index_reaching(sorted_running_max: np.ndarray, thresholds: np.ndarray) -> np.ndarray:

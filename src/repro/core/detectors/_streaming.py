@@ -6,14 +6,15 @@ small carry state and never hold a whole trace.  The carries they share:
 * :class:`GrowArray` / :class:`ColumnBuffer` — append-only NumPy storage
   (amortised doubling / chunk list) for per-device cursors and compact
   column captures.
-* :class:`CompositeKeyCounter` — the streaming twin of
-  :func:`repro.core.detectors._columns.group_rows_by_key`: a lexsorted
-  key table tracking, per distinct composite key, the cumulative member
-  count, the smallest global position observed and that row's payload.
-  Folding a batch reports which rows belong to keys that have reached the
-  group threshold, which is all the duplicate/repeated-allocation
-  detectors need to collect group members as positions (events are only
-  materialised for findings, in one targeted pass at the end).
+* :class:`CompositeKeyCounter` — the streaming twin of the columnar
+  paths' key grouping (:func:`repro.core.detectors._columns.key_ids`): a
+  lexsorted key table tracking, per distinct composite key, the
+  cumulative member count, the smallest global position observed and that
+  row's payload.  Folding a batch reports which rows belong to keys that
+  have reached the group threshold, which is all the
+  duplicate/repeated-allocation detectors need to collect group members
+  as positions (events are only read for findings, in one shared gather
+  at the end).
 * :class:`StreamingAllocPairer` — the streaming twin of
   :func:`repro.events.records.get_alloc_delete_pairs`: carries the open
   allocations across batch boundaries and emits completed
@@ -41,10 +42,11 @@ independent workers and combine only small carry states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from repro.core.detectors.table import FindingPart
 from repro.events.columnar import CODE_ALLOC, CODE_DELETE, ColumnarTrace
 
 
@@ -768,8 +770,10 @@ class StreamingPass:
 
     ``fold`` consumes one columnar batch (with the global data-op row
     offset of its first row) and updates the carry; ``finalize`` closes the
-    carry and materialises findings — it may re-scan the stream, but only
-    the shards that contain finding rows.  A pass instance is single-use.
+    carry and returns the findings as a
+    :class:`~repro.core.detectors.table.FindingPart` over gpos — it never
+    reads the stream again (the engines gather the rows of every pass in
+    one scan).  A pass instance is single-use.
 
     Passes are *partition-mergeable*: ``a.merge(b)``, where ``a`` folded an
     earlier contiguous batch range and ``b`` the immediately following one,
@@ -797,50 +801,23 @@ class StreamingPass:
     def merge(self, other: "StreamingPass") -> None:
         raise NotImplementedError
 
-    def finalize(self, stream):
+    def finalize(self) -> FindingPart:
         raise NotImplementedError
 
 
-def run_streaming_pass(pass_: StreamingPass, stream) -> list:
-    """Drive one pass over a stream: the ``find_*_streaming`` entry point."""
+def fold_batches(passes: Sequence[StreamingPass], batches: Iterable[ColumnarTrace]) -> None:
+    """Fold every pass over ONE scan: each batch is handed to all passes."""
     offset = 0
-    for batch in stream.batches():
-        pass_.fold(batch, offset)
-        offset += batch.num_data_op_events
-    return pass_.finalize(stream)
-
-
-def run_streaming_passes(passes: Sequence[StreamingPass], stream, *, jobs: int = 1) -> list:
-    """Drive several passes over ONE scan of the stream.
-
-    Each shard is loaded once and handed to every pass — the single-pass,
-    multi-fold shape of the streaming pipeline.  With ``jobs > 1`` the scan
-    becomes a two-stage pipeline: a prefetch thread decodes the next shard
-    while the folds consume the current one (decode releases the GIL), and
-    the finalizes — whose targeted materialisation scans are independent —
-    run concurrently on a thread pool.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    offset = 0
-    if jobs == 1:
-        for batch in stream.batches():
-            for pass_ in passes:
-                pass_.fold(batch, offset)
-            offset += batch.num_data_op_events
-        return [pass_.finalize(stream) for pass_ in passes]
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.events.stream import prefetch_batches
-
-    for batch in prefetch_batches(stream, depth=min(jobs, 4)):
+    for batch in batches:
         for pass_ in passes:
             pass_.fold(batch, offset)
         offset += batch.num_data_op_events
-    with ThreadPoolExecutor(max_workers=min(jobs, len(passes))) as pool:
-        futures = [pool.submit(pass_.finalize, stream) for pass_ in passes]
-        return [future.result() for future in futures]
+
+
+def run_streaming_pass(pass_: StreamingPass, stream) -> FindingPart:
+    """Drive one pass over a stream: the ``find_*_streaming`` core."""
+    fold_batches((pass_,), stream.batches())
+    return pass_.finalize()
 
 
 def first_missing_hash_seq(batch: ColumnarTrace, idx: np.ndarray) -> Optional[int]:

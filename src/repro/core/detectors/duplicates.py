@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.detectors._columns import group_rows_by_key
+from repro.core.detectors._columns import key_ids
 from repro.core.detectors._streaming import (
     ColumnBuffer,
     CompositeKeyCounter,
@@ -23,10 +23,13 @@ from repro.core.detectors._streaming import (
     run_streaming_pass,
 )
 from repro.core.detectors.findings import DuplicateTransferGroup
+from repro.core.detectors.table import FindingPart, part_objects
 from repro.events.columnar import ColumnarTrace
 from repro.events.protocol import EventStream
 from repro.events.records import DataOpEvent
 from repro.events.stream import materialize_data_op_events
+
+CATEGORY = "duplicate_transfers"
 
 
 def find_duplicate_transfers(
@@ -92,10 +95,16 @@ def find_duplicate_transfers_columnar(
     """Vectorised Algorithm 1 over a columnar trace.
 
     Produces findings identical to :func:`find_duplicate_transfers` run over
-    the object events (the object implementation is the reference oracle):
-    the grouping is a masked select plus one ``np.unique`` pass, and object
-    events are materialised only for the rows that appear in findings.
+    the object events (the object implementation is the reference oracle);
+    object events are materialised only for the rows in findings.
     """
+    part = duplicate_transfers_part(trace, min_bytes=min_bytes)
+    return part_objects(part, materialize_data_op_events(trace, part.labels()))
+
+
+def duplicate_transfers_part(trace: ColumnarTrace, *, min_bytes: int = 0) -> FindingPart:
+    """The columnar fast path's findings as a :class:`FindingPart` over the
+    trace's row indices: a masked select plus one key factorisation."""
     if min_bytes < 0:
         raise ValueError("min_bytes cannot be negative")
 
@@ -104,7 +113,7 @@ def find_duplicate_transfers_columnar(
         mask &= trace.do_nbytes >= min_bytes
     idx = np.flatnonzero(mask)
     if idx.size == 0:
-        return []
+        return FindingPart.empty(CATEGORY)
 
     missing = ~trace.do_has_content_hash[idx]
     if missing.any():
@@ -113,25 +122,16 @@ def find_duplicate_transfers_columnar(
 
     hashes = trace.do_content_hash[idx]
     dests = trace.do_dest_device_num[idx]
-    member_lists = list(group_rows_by_key(hashes, dests, min_size=2))
-    if not member_lists:
-        return []
-    # One bulk materialisation for every event implicated in any group.
-    flat_rows = idx[np.concatenate(member_lists)]
-    events = trace.data_op_events_at(flat_rows)
-    groups: list[DuplicateTransferGroup] = []
-    offset = 0
-    for members in member_lists:
-        group_events = tuple(events[offset : offset + members.size])
-        offset += members.size
-        groups.append(
-            DuplicateTransferGroup(
-                content_hash=int(hashes[members[0]]),
-                dest_device_num=int(dests[members[0]]),
-                events=group_events,
-            )
-        )
-    return groups
+    ids = key_ids(hashes, dests)
+    grouped = np.flatnonzero(np.bincount(ids)[ids] >= 2)
+    return FindingPart.grouped(
+        CATEGORY,
+        idx[grouped],
+        ids[grouped],
+        idx[grouped],
+        content_hash=hashes[grouped],
+        dest_device_num=dests[grouped],
+    )
 
 
 class DuplicateTransferPass(StreamingPass):
@@ -143,8 +143,9 @@ class DuplicateTransferPass(StreamingPass):
     the native tool's hash map — plus the positions of members of keys
     that reached the group threshold (O(findings)).  When a key crosses
     from one member to two, its retained first position is pulled into the
-    member set, so no rescan is needed for counting; events are
-    materialised once at finalize, only for the rows in findings.
+    member set, so no rescan is needed for counting; finalize emits the
+    members as a :class:`FindingPart` (events are gathered once, for all
+    passes, by the engine).
     """
 
     def __init__(self, *, min_bytes: int = 0) -> None:
@@ -213,35 +214,19 @@ class DuplicateTransferPass(StreamingPass):
             self._hash.append(km.promoted_keys[0])
             self._dest.append(km.promoted_keys[1])
 
-    def finalize(self, stream) -> list[DuplicateTransferGroup]:
-        all_gpos = self._gpos.concat()
-        if all_gpos.size == 0:
-            return []
-        all_group = self._group.concat()
-        all_hash = self._hash.concat()
-        all_dest = self._dest.concat()
-
-        order = np.lexsort((all_gpos, all_group))
-        events = materialize_data_op_events(stream, all_gpos)
-
-        # Members grouped by stable key uid, chronological inside each
-        # group; groups emitted in order of their first (earliest) member,
-        # matching the oracle's first-occurrence ordering.
-        keyed: list[tuple[int, DuplicateTransferGroup]] = []
-        sorted_group = all_group[order]
-        boundaries = np.flatnonzero(sorted_group[1:] != sorted_group[:-1]) + 1
-        for member_rows in np.split(order, boundaries):
-            group_events = tuple(events[int(all_gpos[i])] for i in member_rows)
-            keyed.append((
-                int(all_gpos[member_rows[0]]),
-                DuplicateTransferGroup(
-                    content_hash=int(all_hash[member_rows[0]]),
-                    dest_device_num=int(all_dest[member_rows[0]]),
-                    events=group_events,
-                ),
-            ))
-        keyed.sort(key=lambda pair: pair[0])
-        return [group for _, group in keyed]
+    def finalize(self) -> FindingPart:
+        """Members grouped by stable key uid, chronological inside each
+        group; groups in order of their first (earliest) member, matching
+        the oracle's first-occurrence ordering."""
+        gpos = self._gpos.concat()
+        return FindingPart.grouped(
+            CATEGORY,
+            gpos,
+            self._group.concat(),
+            gpos,
+            content_hash=self._hash.concat(),
+            dest_device_num=self._dest.concat(),
+        )
 
 
 def find_duplicate_transfers_streaming(
@@ -250,7 +235,8 @@ def find_duplicate_transfers_streaming(
     min_bytes: int = 0,
 ) -> list[DuplicateTransferGroup]:
     """Incremental Algorithm 1 over an event stream (one shard at a time)."""
-    return run_streaming_pass(DuplicateTransferPass(min_bytes=min_bytes), stream)
+    part = run_streaming_pass(DuplicateTransferPass(min_bytes=min_bytes), stream)
+    return part_objects(part, materialize_data_op_events(stream, part.labels()))
 
 
 def count_redundant_transfers(groups: Sequence[DuplicateTransferGroup]) -> int:

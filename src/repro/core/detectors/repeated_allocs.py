@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.detectors._columns import alloc_delete_pair_rows, group_rows_by_key
+from repro.core.detectors._columns import alloc_delete_pair_rows, key_ids
 from repro.core.detectors._streaming import (
     ColumnBuffer,
     CompositeKeyCounter,
@@ -26,10 +26,13 @@ from repro.core.detectors._streaming import (
     run_streaming_pass,
 )
 from repro.core.detectors.findings import RepeatedAllocationGroup
+from repro.core.detectors.table import FindingPart, part_objects
 from repro.events.columnar import ColumnarTrace
 from repro.events.protocol import EventStream
 from repro.events.records import AllocationPair, DataOpEvent, get_alloc_delete_pairs
 from repro.events.stream import materialize_data_op_events
+
+CATEGORY = "repeated_allocations"
 
 
 def find_repeated_allocations(
@@ -97,51 +100,37 @@ def find_repeated_allocations_columnar(
     :class:`AllocationPair` objects are materialised only for the groups
     that qualify as repeats.
     """
-    alloc_rows, delete_rows = alloc_delete_pair_rows(trace)
-    if alloc_rows.size == 0:
-        return []
+    part = repeated_allocations_part(trace, require_deletion=require_deletion)
+    return part_objects(part, materialize_data_op_events(trace, part.labels()))
 
+
+def repeated_allocations_part(
+    trace: ColumnarTrace, *, require_deletion: bool = True
+) -> FindingPart:
+    """The columnar fast path's findings as a :class:`FindingPart` over the
+    trace's row indices."""
+    alloc_rows, delete_rows = alloc_delete_pair_rows(trace)
     if require_deletion:
         keep = delete_rows >= 0
         alloc_rows = alloc_rows[keep]
         delete_rows = delete_rows[keep]
-        if alloc_rows.size == 0:
-            return []
+    if alloc_rows.size == 0:
+        return FindingPart.empty(CATEGORY)
 
     host_addr = trace.do_src_addr[alloc_rows]
     device = trace.do_dest_device_num[alloc_rows]
     nbytes = trace.do_nbytes[alloc_rows]
-
-    member_lists = list(group_rows_by_key(host_addr, device, nbytes, min_size=2))
-    if not member_lists:
-        return []
-    # One bulk materialisation for every pair implicated in any group.
-    flat = np.concatenate(member_lists)
-    alloc_events = trace.data_op_events_at(alloc_rows[flat])
-    flat_deletes = delete_rows[flat]
-    delete_events = iter(trace.data_op_events_at(flat_deletes[flat_deletes >= 0]))
-    pairs = [
-        AllocationPair(
-            alloc_event=alloc_events[k],
-            delete_event=next(delete_events) if flat_deletes[k] >= 0 else None,
-        )
-        for k in range(flat.size)
-    ]
-
-    groups: list[RepeatedAllocationGroup] = []
-    offset = 0
-    for members in member_lists:
-        allocations = tuple(pairs[offset : offset + members.size])
-        offset += members.size
-        groups.append(
-            RepeatedAllocationGroup(
-                host_addr=int(host_addr[members[0]]),
-                device_num=int(device[members[0]]),
-                nbytes=int(nbytes[members[0]]),
-                allocations=allocations,
-            )
-        )
-    return groups
+    ids = key_ids(host_addr, device, nbytes)
+    grouped = np.flatnonzero(np.bincount(ids)[ids] >= 2)
+    return FindingPart.grouped(
+        CATEGORY,
+        np.column_stack((alloc_rows[grouped], delete_rows[grouped])),
+        ids[grouped],
+        alloc_rows[grouped],
+        host_addr=host_addr[grouped],
+        device_num=device[grouped],
+        nbytes=nbytes[grouped],
+    )
 
 
 class RepeatedAllocationPass(StreamingPass):
@@ -152,7 +141,7 @@ class RepeatedAllocationPass(StreamingPass):
     ``(host address, device, size)`` mapping keys, holding count and first
     pair per key.  Completed pairs are counted as their deletes arrive;
     pairs of keys that reached two members are kept as position pairs
-    (O(findings)) and materialised once at finalize.
+    (O(findings)) and emitted as a :class:`FindingPart` at finalize.
     """
 
     def __init__(self, *, require_deletion: bool = True) -> None:
@@ -229,51 +218,22 @@ class RepeatedAllocationPass(StreamingPass):
             self._nbytes.append(km.promoted_keys[2])
         self._count(stitched)
 
-    def finalize(self, stream) -> list[RepeatedAllocationGroup]:
+    def finalize(self) -> FindingPart:
+        """Pairs grouped by stable key uid, alloc-ordered inside each
+        group; groups in order of their earliest counted pair, matching
+        the oracle's first-qualifying-pair ordering."""
         if not self.require_deletion:
             self._count(self._pairer.finalize())
-
         alloc_gpos = self._alloc.concat()
-        if alloc_gpos.size == 0:
-            return []
-        delete_gpos = self._delete.concat()
-        group_uid = self._group.concat()
-        host = self._host.concat()
-        dev = self._dev.concat()
-        nbytes = self._nbytes.concat()
-
-        order = np.lexsort((alloc_gpos, group_uid))
-        needed = np.concatenate([alloc_gpos, delete_gpos[delete_gpos >= 0]])
-        events = materialize_data_op_events(stream, needed)
-
-        # Pairs grouped by stable key uid, alloc-ordered inside each group;
-        # groups emitted in order of their earliest counted pair, matching
-        # the oracle's first-qualifying-pair ordering.
-        keyed: list[tuple[int, RepeatedAllocationGroup]] = []
-        sorted_group = group_uid[order]
-        boundaries = np.flatnonzero(sorted_group[1:] != sorted_group[:-1]) + 1
-        for member_rows in np.split(order, boundaries):
-            allocations = tuple(
-                AllocationPair(
-                    alloc_event=events[int(alloc_gpos[i])],
-                    delete_event=(
-                        events[int(delete_gpos[i])] if delete_gpos[i] >= 0 else None
-                    ),
-                )
-                for i in member_rows
-            )
-            head = member_rows[0]
-            keyed.append((
-                int(alloc_gpos[head]),
-                RepeatedAllocationGroup(
-                    host_addr=int(host[head]),
-                    device_num=int(dev[head]),
-                    nbytes=int(nbytes[head]),
-                    allocations=allocations,
-                ),
-            ))
-        keyed.sort(key=lambda pair: pair[0])
-        return [group for _, group in keyed]
+        return FindingPart.grouped(
+            CATEGORY,
+            np.column_stack((alloc_gpos, self._delete.concat())),
+            self._group.concat(),
+            alloc_gpos,
+            host_addr=self._host.concat(),
+            device_num=self._dev.concat(),
+            nbytes=self._nbytes.concat(),
+        )
 
 
 def find_repeated_allocations_streaming(
@@ -282,9 +242,8 @@ def find_repeated_allocations_streaming(
     require_deletion: bool = True,
 ) -> list[RepeatedAllocationGroup]:
     """Incremental Algorithm 3 over an event stream."""
-    return run_streaming_pass(
-        RepeatedAllocationPass(require_deletion=require_deletion), stream
-    )
+    part = run_streaming_pass(RepeatedAllocationPass(require_deletion=require_deletion), stream)
+    return part_objects(part, materialize_data_op_events(stream, part.labels()))
 
 
 def count_redundant_allocations(groups: Sequence[RepeatedAllocationGroup]) -> int:

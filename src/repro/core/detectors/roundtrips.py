@@ -31,10 +31,13 @@ from repro.core.detectors._streaming import (
     run_streaming_pass,
 )
 from repro.core.detectors.findings import RoundTripGroup, RoundTripPair
+from repro.core.detectors.table import FindingPart, part_objects
 from repro.events.columnar import ColumnarTrace
 from repro.events.protocol import EventStream
 from repro.events.records import DataOpEvent
 from repro.events.stream import materialize_data_op_events
+
+CATEGORY = "round_trips"
 
 
 def find_round_trips(
@@ -125,31 +128,32 @@ def find_round_trips_columnar(
     algorithm (no trip, no pop), so skipping it is exact; in realistic
     traces candidates are a small fraction of all transfers.
     """
+    part = round_trips_part(trace, require_chronological=require_chronological)
+    return part_objects(part, materialize_data_op_events(trace, part.labels()))
+
+
+def round_trips_part(trace: ColumnarTrace, *, require_chronological: bool = True) -> FindingPart:
+    """The columnar fast path's findings as a :class:`FindingPart` over the
+    trace's row indices."""
     tr = np.flatnonzero(trace.transfer_mask())
     if tr.size == 0:
-        return []
+        return FindingPart.empty(CATEGORY)
     missing = ~trace.do_has_content_hash[tr]
     if missing.any():
         seq = int(trace.do_seq[tr[np.flatnonzero(missing)[0]]])
         raise ValueError(f"transfer event seq={seq} is missing its content hash")
 
-    group_order, round_trips = _match_trips(
-        trace.do_content_hash[tr],
-        trace.do_src_device_num[tr],
-        trace.do_dest_device_num[tr],
-        trace.do_start_time[tr],
-        trace.do_end_time[tr],
-        require_chronological=require_chronological,
+    return _trips_part(
+        tr,
+        *_match_trips(
+            trace.do_content_hash[tr],
+            trace.do_src_device_num[tr],
+            trace.do_dest_device_num[tr],
+            trace.do_start_time[tr],
+            trace.do_end_time[tr],
+            require_chronological=require_chronological,
+        ),
     )
-
-    # One bulk materialisation for every leg of every recorded trip.
-    legs: list[int] = []
-    for key in group_order:
-        for i, j in round_trips[key]:
-            legs.append(i)
-            legs.append(j)
-    events = trace.data_op_events_at(tr[np.asarray(legs, dtype=np.int64)])
-    return _build_groups(group_order, round_trips, lambda cursor: events[cursor])
 
 
 def _match_trips(
@@ -160,99 +164,111 @@ def _match_trips(
     end: np.ndarray,
     *,
     require_chronological: bool,
-) -> tuple[list[tuple[int, int, int]], dict[tuple[int, int, int], list[tuple[int, int]]]]:
+) -> tuple[list[int], list[int], list[int], list[tuple[int, int, int]]]:
     """The queue-matching core of Algorithm 2 over transfer leg arrays.
 
-    Returns the trip-group keys in first-completion order and, per key, the
-    recorded trips as ``(outbound, return)`` index pairs into the inputs.
-    Shared by the columnar fast path (indices into the transfer subset) and
-    the streaming variant (global positions).
+    Returns, per recorded trip in recording order, its group number,
+    outbound index and return index (indices into the inputs), plus the
+    ``(hash, src, dst)`` key of every group — groups are numbered in
+    first-completion order.  Shared by the columnar fast path and the
+    streaming variant.
 
     Only *candidate* transfers — those whose payload is ever received back
-    by their source device — enter the Python loop, and only their columns
-    are unboxed to lists; the full-width arrays (``start`` for arbitrary
-    return legs, the receipt queue) stay NumPy, so memory stays O(transfers
-    × 8 B) instead of O(transfers × boxed objects).
+    by their source device — enter the Python loop, and only the receipt
+    queues some candidate looks up are built: everything else stays NumPy,
+    so memory stays O(transfers × 8 B) plus boxed values for the few
+    transfers the loop can touch.
     """
-    # Intern the (hash, device) keys: hashes are factorised once, devices
-    # are small, so the composite is exact int64 arithmetic; one pooled
-    # ``np.unique`` compacts the rx/tx key spaces together.
+    # Intern the (hash, device) keys: hashes are factorised once and
+    # devices are small, so ``hash_id * width + device`` is an exact key id.
     _, hash_id = np.unique(hashes, return_inverse=True)
     width = int(max(int(src.max()), int(dst.max()))) + 1
-    pooled = np.concatenate([
-        hash_id * width + src.astype(np.int64),
-        hash_id * width + dst.astype(np.int64),
-    ])
-    uniq, inv = np.unique(pooled, return_inverse=True)
-    del pooled
-    n = hashes.size
-    rx_id, tx_id = inv[:n], inv[n:]
-    num_keys = uniq.size
-
-    # Receipt queues: for key k, positions queue_order[queue_start[k] + head].
-    queue_order = np.argsort(tx_id, kind="stable")
-    queue_len = np.bincount(tx_id, minlength=num_keys)
-    queue_start = np.concatenate(([0], np.cumsum(queue_len)[:-1]))
+    rx_id = hash_id * width + src  # the key a return leg of the transfer carries
+    tx_id = hash_id * width + dst  # the key the transfer itself is a receipt of
+    num_keys = (int(hash_id.max()) + 1) * width
 
     # A transfer is a candidate iff some receipt carries its (hash, src) key.
-    candidates = np.flatnonzero((queue_len > 0)[rx_id])
+    candidates = np.flatnonzero(np.bincount(tx_id, minlength=num_keys)[rx_id] > 0)
+    looked_up = np.zeros(num_keys, dtype=bool)
+    looked_up[rx_id[candidates]] = True
+    num_looked_up = int(looked_up.sum())
+    compact = np.full(num_keys, -1, dtype=np.int64)
+    compact[looked_up] = np.arange(num_looked_up)
+
+    # Receipt queues of the looked-up keys: for key k, the receipts are
+    # queue[queue_start[k] + head], chronological within the key.
+    receipts = np.flatnonzero(looked_up[tx_id])
+    receipt_key = compact[tx_id[receipts]]
+    queue = receipts[np.argsort(receipt_key, kind="stable")]
+    queue_len = np.bincount(receipt_key, minlength=num_looked_up)
+    queue_start = np.concatenate(([0], np.cumsum(queue_len)[:-1]))
 
     cand_end = end[candidates].tolist()
     cand_hash = hashes[candidates].tolist()
     cand_src = src[candidates].tolist()
     cand_dst = dst[candidates].tolist()
-    cand_rx = rx_id[candidates].tolist()
-    cand_tx = tx_id[candidates].tolist()
+    cand_rx = compact[rx_id[candidates]].tolist()
+    # -1: no candidate ever reads this transfer's receipt queue, so its
+    # pop is unobservable and skipped.
+    cand_tx = compact[tx_id[candidates]].tolist()
+    queue_list = queue.tolist()
+    queue_start_time = start[queue].tolist()
     qstart_list = queue_start.tolist()
     len_list = queue_len.tolist()
-    heads = [0] * num_keys
+    heads = [0] * len(len_list)
 
-    round_trips: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-    group_order: list[tuple[int, int, int]] = []
+    group_of: dict[tuple[int, int, int], int] = {}
+    group_keys: list[tuple[int, int, int]] = []
+    trip_group: list[int] = []
+    trip_tx: list[int] = []
+    trip_rx: list[int] = []
 
     for k, i in enumerate(candidates.tolist()):
         rx_key = cand_rx[k]
         head = heads[rx_key]
         if head >= len_list[rx_key]:
             continue  # every receipt of this key has been consumed
-        j = int(queue_order[qstart_list[rx_key] + head])
-        if require_chronological and start[j] < cand_end[k]:
+        at = qstart_list[rx_key] + head
+        if require_chronological and queue_start_time[at] < cand_end[k]:
             continue
+        j = queue_list[at]
 
         trip_key = (cand_hash[k], cand_src[k], cand_dst[k])
-        trips = round_trips.get(trip_key)
-        if trips is None:
-            trips = round_trips[trip_key] = []
-            group_order.append(trip_key)
-        trips.append((i, j))
+        group = group_of.get(trip_key)
+        if group is None:
+            group = group_of[trip_key] = len(group_keys)
+            group_keys.append(trip_key)
+        trip_group.append(group)
+        trip_tx.append(i)
+        trip_rx.append(j)
 
         tx_key = cand_tx[k]
-        if heads[tx_key] < len_list[tx_key]:
+        if tx_key >= 0 and heads[tx_key] < len_list[tx_key]:
             heads[tx_key] += 1  # popleft: the outbound leg is consumed
 
-    return group_order, round_trips
+    return trip_group, trip_tx, trip_rx, group_keys
 
 
-def _build_groups(group_order, round_trips, event_at) -> list[RoundTripGroup]:
-    groups: list[RoundTripGroup] = []
-    cursor = 0
-    for key in group_order:
-        content_hash, src_device_num, dest_device_num = key
-        trips = []
-        for _ in round_trips[key]:
-            trips.append(
-                RoundTripPair(tx_event=event_at(cursor), rx_event=event_at(cursor + 1))
-            )
-            cursor += 2
-        groups.append(
-            RoundTripGroup(
-                content_hash=content_hash,
-                src_device_num=src_device_num,
-                dest_device_num=dest_device_num,
-                trips=tuple(trips),
-            )
-        )
-    return groups
+def _trips_part(labels: np.ndarray, trip_group, trip_tx, trip_rx, group_keys) -> FindingPart:
+    """Trips grouped by key (recording order inside a group, groups in
+    first-completion order), with ``labels`` mapping match indices to
+    row labels."""
+    if not group_keys:
+        return FindingPart.empty(CATEGORY)
+    group = np.asarray(trip_group, dtype=np.int64)
+    order = np.argsort(group, kind="stable")
+    tx = labels[np.asarray(trip_tx, dtype=np.int64)[order]]
+    rx = labels[np.asarray(trip_rx, dtype=np.int64)[order]]
+    sizes = np.bincount(group, minlength=len(group_keys))
+    hashes, srcs, dsts = zip(*group_keys)
+    return FindingPart.build(
+        CATEGORY,
+        np.column_stack((tx, rx)),
+        np.concatenate(([0], np.cumsum(sizes))),
+        content_hash=hashes,
+        src_device_num=srcs,
+        dest_device_num=dsts,
+    )
 
 
 class RoundTripPass(StreamingPass):
@@ -265,8 +281,7 @@ class RoundTripPass(StreamingPass):
     (hash, devices, start/end, position): ~40 bytes per transfer and no
     Python objects, versus the full event record either batch path holds
     in memory.  The match loop runs once at finalize over the compact
-    arrays, and only the legs of recorded trips are materialised, in one
-    targeted pass over the shards that contain them.
+    arrays and emits the legs of recorded trips as a :class:`FindingPart`.
     """
 
     def __init__(self, *, require_chronological: bool = True) -> None:
@@ -309,26 +324,20 @@ class RoundTripPass(StreamingPass):
         self._end.absorb(other._end)
         self._gpos.absorb(other._gpos)
 
-    def finalize(self, stream) -> list[RoundTripGroup]:
+    def finalize(self) -> FindingPart:
         if self._gpos.size == 0:
-            return []
-        gpos = self._gpos.concat()
-        group_order, round_trips = _match_trips(
-            self._hash.concat(),
-            self._src.concat(),
-            self._dst.concat(),
-            self._start.concat(),
-            self._end.concat(),
-            require_chronological=self.require_chronological,
+            return FindingPart.empty(CATEGORY)
+        return _trips_part(
+            self._gpos.concat(),
+            *_match_trips(
+                self._hash.concat(),
+                self._src.concat(),
+                self._dst.concat(),
+                self._start.concat(),
+                self._end.concat(),
+                require_chronological=self.require_chronological,
+            ),
         )
-
-        legs: list[int] = []
-        for key in group_order:
-            for i, j in round_trips[key]:
-                legs.append(int(gpos[i]))
-                legs.append(int(gpos[j]))
-        events = materialize_data_op_events(stream, np.asarray(legs, dtype=np.int64))
-        return _build_groups(group_order, round_trips, lambda cursor: events[legs[cursor]])
 
 
 def find_round_trips_streaming(
@@ -337,9 +346,8 @@ def find_round_trips_streaming(
     require_chronological: bool = True,
 ) -> list[RoundTripGroup]:
     """Incremental Algorithm 2 over an event stream."""
-    return run_streaming_pass(
-        RoundTripPass(require_chronological=require_chronological), stream
-    )
+    part = run_streaming_pass(RoundTripPass(require_chronological=require_chronological), stream)
+    return part_objects(part, materialize_data_op_events(stream, part.labels()))
 
 
 def count_round_trips(groups: Sequence[RoundTripGroup]) -> int:

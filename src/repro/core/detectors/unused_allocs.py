@@ -24,6 +24,7 @@ from repro.core.detectors._streaming import (
     run_streaming_pass,
 )
 from repro.core.detectors.findings import UnusedAllocation
+from repro.core.detectors.table import FindingPart, part_objects
 from repro.events.columnar import ColumnarTrace
 from repro.events.protocol import EventStream
 from repro.events.records import (
@@ -33,6 +34,8 @@ from repro.events.records import (
     get_alloc_delete_pairs,
 )
 from repro.events.stream import materialize_data_op_events
+
+CATEGORY = "unused_allocations"
 
 
 def find_unused_allocations(
@@ -111,6 +114,18 @@ def find_unused_allocations_columnar(
     list, to a ``searchsorted`` over the running maximum of kernel end
     times; the lifetime-overlap test is then a single vectorised compare.
     """
+    part = unused_allocations_part(trace, num_devices, trace_end=trace_end)
+    return part_objects(part, materialize_data_op_events(trace, part.labels()))
+
+
+def unused_allocations_part(
+    trace: ColumnarTrace,
+    num_devices: Optional[int] = None,
+    *,
+    trace_end: Optional[float] = None,
+) -> FindingPart:
+    """The columnar fast path's findings as a :class:`FindingPart` over the
+    trace's row indices, device by device."""
     if num_devices is None:
         num_devices = trace.num_devices
     if num_devices < 1:
@@ -118,7 +133,7 @@ def find_unused_allocations_columnar(
 
     alloc_rows, delete_rows = alloc_delete_pair_rows(trace)
     if alloc_rows.size == 0:
-        return []
+        return FindingPart.empty(CATEGORY)
 
     if trace_end is None:
         trace_end = 0.0
@@ -140,7 +155,7 @@ def find_unused_allocations_columnar(
     kernel_start = trace.tgt_start_time[kmask]
     kernel_end = trace.tgt_end_time[kmask]
 
-    unused: list[UnusedAllocation] = []
+    found: list[np.ndarray] = []
     for dev_idx in range(num_devices):
         on_device = np.flatnonzero(device == dev_idx)
         if on_device.size == 0:
@@ -158,18 +173,9 @@ def find_unused_allocations_columnar(
             unused_mask = (cursor == k_start.size) | (
                 k_start[clamped] > life_end[on_device]
             )
-        hits = on_device[np.flatnonzero(unused_mask)]
-        alloc_events = trace.data_op_events_at(alloc_rows[hits])
-        deleted = delete_rows[hits]
-        delete_events = trace.data_op_events_at(deleted[deleted >= 0])
-        delete_iter = iter(delete_events)
-        for k in range(hits.size):
-            pair = AllocationPair(
-                alloc_event=alloc_events[k],
-                delete_event=next(delete_iter) if deleted[k] >= 0 else None,
-            )
-            unused.append(UnusedAllocation(pair=pair))
-    return unused
+        found.append(on_device[np.flatnonzero(unused_mask)])
+    hits = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+    return FindingPart.build(CATEGORY, np.column_stack((alloc_rows[hits], delete_rows[hits])))
 
 
 class UnusedAllocationPass(StreamingPass):
@@ -329,7 +335,7 @@ class UnusedAllocationPass(StreamingPass):
             for dev in range(self.num_devices):
                 self._decide(dev, final=False)
 
-    def finalize(self, stream) -> list[UnusedAllocation]:
+    def finalize(self) -> FindingPart:
         num_devices = self.num_devices
         trace_end = self.trace_end if self.trace_end is not None else self._folded_end
         open_pairs = self._pairer.finalize()
@@ -350,29 +356,13 @@ class UnusedAllocationPass(StreamingPass):
         for dev in range(num_devices):
             self._decide(dev, final=True)
 
-        per_device: list[tuple[np.ndarray, np.ndarray]] = []
-        needed: list[np.ndarray] = []
+        found: list[np.ndarray] = []
         for dev in range(num_devices):
             alloc_gpos = self._found_alloc[dev].concat()
             delete_gpos = self._found_delete[dev].concat()
             order = np.argsort(alloc_gpos, kind="stable")
-            alloc_gpos, delete_gpos = alloc_gpos[order], delete_gpos[order]
-            per_device.append((alloc_gpos, delete_gpos))
-            needed.append(alloc_gpos)
-            needed.append(delete_gpos[delete_gpos >= 0])
-        events = materialize_data_op_events(stream, np.concatenate(needed))
-
-        unused: list[UnusedAllocation] = []
-        for alloc_gpos, delete_gpos in per_device:
-            for k in range(alloc_gpos.size):
-                pair = AllocationPair(
-                    alloc_event=events[int(alloc_gpos[k])],
-                    delete_event=(
-                        events[int(delete_gpos[k])] if delete_gpos[k] >= 0 else None
-                    ),
-                )
-                unused.append(UnusedAllocation(pair=pair))
-        return unused
+            found.append(np.column_stack((alloc_gpos[order], delete_gpos[order])))
+        return FindingPart.build(CATEGORY, np.concatenate(found))
 
 
 def find_unused_allocations_streaming(
@@ -384,9 +374,8 @@ def find_unused_allocations_streaming(
     """Incremental Algorithm 4 over an event stream."""
     if num_devices is None:
         num_devices = stream.num_devices
-    return run_streaming_pass(
-        UnusedAllocationPass(num_devices, trace_end=trace_end), stream
-    )
+    part = run_streaming_pass(UnusedAllocationPass(num_devices, trace_end=trace_end), stream)
+    return part_objects(part, materialize_data_op_events(stream, part.labels()))
 
 
 def count_unused_allocations(findings: Sequence[UnusedAllocation]) -> int:

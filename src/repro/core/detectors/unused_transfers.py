@@ -23,10 +23,13 @@ from repro.core.detectors._streaming import (
     run_streaming_pass,
 )
 from repro.core.detectors.findings import UnusedTransfer
+from repro.core.detectors.table import FindingPart, part_objects
 from repro.events.columnar import ColumnarTrace
 from repro.events.protocol import EventStream
 from repro.events.records import DataOpEvent, TargetEvent
 from repro.events.stream import materialize_data_op_events
+
+CATEGORY = "unused_transfers"
 
 
 def find_unused_transfers(
@@ -102,6 +105,15 @@ def find_unused_transfers_columnar(
     that triggered it (the overwriting transfer, or the transfer itself for
     the after-last-kernel case), matching the oracle's output order.
     """
+    part = unused_transfers_part(trace, num_devices)
+    return part_objects(part, materialize_data_op_events(trace, part.labels()))
+
+
+def unused_transfers_part(
+    trace: ColumnarTrace, num_devices: Optional[int] = None
+) -> FindingPart:
+    """The columnar fast path's findings as a :class:`FindingPart` over the
+    trace's row indices, device by device."""
     if num_devices is None:
         num_devices = trace.num_devices
     if num_devices < 1:
@@ -114,7 +126,8 @@ def find_unused_transfers_columnar(
     kernel_start = trace.tgt_start_time[kmask]
     kernel_end = trace.tgt_end_time[kmask]
 
-    unused: list[UnusedTransfer] = []
+    found_rows: list[np.ndarray] = []
+    found_overwritten: list[np.ndarray] = []
     for dev_idx in range(num_devices):
         tr = np.flatnonzero(tmask & (dest == dev_idx))
         if tr.size == 0:
@@ -151,10 +164,8 @@ def find_unused_transfers_columnar(
         # each reported when its successor lands.
         cand = np.flatnonzero(is_candidate)
         report_at: list[np.ndarray] = [np.flatnonzero(after_last)]
-        found_rows: list[np.ndarray] = [tr[after_last]]
-        reasons: list[np.ndarray] = [
-            np.full(int(after_last.sum()), False)  # False => "after_last_kernel"
-        ]
+        rows: list[np.ndarray] = [tr[after_last]]
+        overwritten: list[np.ndarray] = [np.zeros(int(after_last.sum()), dtype=bool)]
         if cand.size:
             order = np.lexsort((cand, tx_addr[cand], epoch[cand]))
             e_sorted = epoch[cand][order]
@@ -162,22 +173,19 @@ def find_unused_transfers_columnar(
             p_sorted = cand[order]
             same = (e_sorted[1:] == e_sorted[:-1]) & (a_sorted[1:] == a_sorted[:-1])
             report_at.append(p_sorted[1:][same])
-            found_rows.append(tr[p_sorted[:-1][same]])
-            reasons.append(np.full(int(same.sum()), True))  # True => "overwritten"
+            rows.append(tr[p_sorted[:-1][same]])
+            overwritten.append(np.ones(int(same.sum()), dtype=bool))
 
-        all_report = np.concatenate(report_at)
-        all_rows = np.concatenate(found_rows)
-        all_overwritten = np.concatenate(reasons)
-        emit = np.argsort(all_report, kind="stable")
-        events = trace.data_op_events_at(all_rows[emit])
-        for k, event in zip(emit, events):
-            unused.append(
-                UnusedTransfer(
-                    event=event,
-                    reason="overwritten" if all_overwritten[k] else "after_last_kernel",
-                )
-            )
-    return unused
+        emit = np.argsort(np.concatenate(report_at), kind="stable")
+        found_rows.append(np.concatenate(rows)[emit])
+        found_overwritten.append(np.concatenate(overwritten)[emit])
+    if not found_rows:
+        return FindingPart.empty(CATEGORY)
+    return FindingPart.build(
+        CATEGORY,
+        np.concatenate(found_rows),
+        overwritten=np.concatenate(found_overwritten),
+    )
 
 
 class _DeviceTransferState:
@@ -393,21 +401,13 @@ class UnusedTransferPass(StreamingPass):
             if self.eager:
                 mine.classify()
 
-    def finalize(self, stream) -> list[UnusedTransfer]:
+    def finalize(self) -> FindingPart:
         per_device = [state.finish() for state in self._states]
-        needed = np.concatenate([event for _, event, _ in per_device])
-        events = materialize_data_op_events(stream, needed)
-
-        unused: list[UnusedTransfer] = []
-        for _, event_gpos, overwritten in per_device:
-            for k in range(event_gpos.size):
-                unused.append(
-                    UnusedTransfer(
-                        event=events[int(event_gpos[k])],
-                        reason="overwritten" if overwritten[k] else "after_last_kernel",
-                    )
-                )
-        return unused
+        return FindingPart.build(
+            CATEGORY,
+            np.concatenate([event for _, event, _ in per_device]),
+            overwritten=np.concatenate([overwritten for _, _, overwritten in per_device]),
+        )
 
 
 def find_unused_transfers_streaming(
@@ -417,7 +417,8 @@ def find_unused_transfers_streaming(
     """Incremental Algorithm 5 over an event stream."""
     if num_devices is None:
         num_devices = stream.num_devices
-    return run_streaming_pass(UnusedTransferPass(num_devices), stream)
+    part = run_streaming_pass(UnusedTransferPass(num_devices), stream)
+    return part_objects(part, materialize_data_op_events(stream, part.labels()))
 
 
 def count_unused_transfers(findings: Sequence[UnusedTransfer]) -> int:

@@ -114,6 +114,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.core.carrycodec import CarryCodecError, decode_carries, encode_carries
+from repro.core.detectors.table import FindingTable
 from repro.core.engine import (
     ENGINES,
     PartitionTask,
@@ -128,7 +129,6 @@ from repro.core.engine import (
     partition_tasks,
 )
 from repro.core.pool import open_store_cached
-from repro.events.shardcache import SharedShardCache, direct_map_preferred
 from repro.events.stream import StreamPartition
 from repro.events.transport import (
     ShardTransport,
@@ -890,7 +890,7 @@ class DistributedEngine:
         self.stats: dict = {}
 
     # ------------------------------------------------------------------ #
-    def run(self, specs, stream, *, jobs: int = 1) -> list:
+    def run(self, specs, stream, *, jobs: int = 1) -> FindingTable:
         _check_jobs(jobs)
         from repro.events.store import ShardedTraceStore
 
@@ -983,22 +983,9 @@ class DistributedEngine:
             if scratch_dir is not None:
                 shutil.rmtree(scratch_dir, ignore_errors=True)
 
-        # The five finalizes each rescan shards; a coordinator-owned shard
-        # cache makes them decode each shard once between them.  A store
-        # whose shards are all directly mappable flat payloads needs no
-        # cache at all — every rescan is an O(1) map of the store file.
-        if all(
-            direct_map_preferred(stream.transport, shard.format)
-            for shard in stream.shards
-        ):
-            return _finalize_all(merged, stream, jobs)
-        cache = SharedShardCache()
-        stream.attach_shard_cache(cache)
-        try:
-            return _finalize_all(merged, stream, jobs)
-        finally:
-            stream.attach_shard_cache(None)
-            cache.cleanup(stream.num_shards)
+        # The finalizes never read the store; the one shared gather loads
+        # each shard holding a finding row exactly once.
+        return _finalize_all(merged, stream, jobs)
 
     # ------------------------------------------------------------------ #
     def _open_queue(self) -> ShardTransport:

@@ -24,9 +24,8 @@ stream.  How those folds execute is this module's job, behind one
   :class:`PartitionTask`, the pass specs) and the folded carry states —
   small, picklable — ever cross the process boundary.  The store can
   therefore live behind *any* transport (a local directory, a zip
-  archive, an object store), and the finalize-side materialisation scans
-  run on the same worker pool, so a process-engine run stays off the
-  parent's GIL end to end.
+  archive, an object store).  The finalizes run on the same worker pool;
+  the parent then gathers the finding rows in one targeted scan.
 
 A fourth backend lives in :mod:`repro.core.distributed`:
 ``DistributedEngine`` speaks the same partition→fold→merge→finalize shape
@@ -56,9 +55,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Protocol, Sequence, runtime_checkable
 
-from repro.core.detectors._streaming import StreamingPass, run_streaming_passes
+from repro.core.detectors._streaming import StreamingPass, fold_batches
+from repro.core.detectors.table import FindingPart, FindingTable
 from repro.events.protocol import EventStream
-from repro.events.stream import StreamPartition, partition_stream
+from repro.events.stream import StreamPartition, partition_stream, prefetch_batches
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,10 @@ class ExecutionEngine(Protocol):
 
     def run(
         self, specs: Sequence[PassSpec], stream: EventStream, *, jobs: int = 1
-    ) -> list:
+    ) -> FindingTable:
         """Fold every spec's pass over ``stream`` and return the finalized
-        findings, one entry per spec, identical to a sequential fold."""
+        findings (one table part per spec, gathered), identical to a
+        sequential fold."""
         ...
 
 
@@ -242,8 +243,6 @@ def _fold_partition(
     heartbeat carry progress, not just liveness (warm-pool counters, the
     distributed worker's beat blobs).
     """
-    from repro.events.stream import prefetch_batches
-
     passes = [spec.build(eager=False) for spec in specs]
     offset = partition.data_op_offset
     for batch in prefetch_batches(partition, depth=2):
@@ -266,29 +265,40 @@ def _merge_partition_carries(chains: list[list[StreamingPass]]) -> list[Streamin
 
 def _finalize_all(
     passes: Sequence[StreamingPass], stream: EventStream, jobs: int
-) -> list:
-    """Finalize every pass; concurrently when jobs allow.
+) -> FindingTable:
+    """Finalize every pass (concurrently when jobs allow), then read the
+    rows their findings reference in one shared gather.
 
-    Finalizes are independent (each may re-scan only the shards holding
-    its finding rows), exactly like the serial pipeline's parallel
-    finalize stage.
+    Finalizes are independent and never read the stream; the gather
+    loads each shard holding a finding row exactly once.
     """
     if jobs <= 1 or len(passes) <= 1:
-        return [pass_.finalize(stream) for pass_ in passes]
-    with ThreadPoolExecutor(max_workers=min(jobs, len(passes))) as pool:
-        futures = [pool.submit(pass_.finalize, stream) for pass_ in passes]
-        return [future.result() for future in futures]
+        parts = [pass_.finalize() for pass_ in passes]
+    else:
+        with ThreadPoolExecutor(max_workers=min(jobs, len(passes))) as pool:
+            parts = list(pool.map(lambda pass_: pass_.finalize(), passes))
+    return FindingTable.gather(parts, stream)
 
 
 class SerialEngine:
-    """One sequential scan, all folds on the calling thread (the default)."""
+    """One sequential scan, all folds on the calling thread (the default).
+
+    Each shard is loaded once and handed to every pass.  With ``jobs > 1``
+    a prefetch thread decodes the next shard while the folds consume the
+    current one (decode releases the GIL), and the finalizes run
+    concurrently on a thread pool.
+    """
 
     name = "serial"
 
-    def run(self, specs, stream, *, jobs: int = 1) -> list:
+    def run(self, specs, stream, *, jobs: int = 1) -> FindingTable:
         _check_jobs(jobs)
         passes = [spec.build() for spec in specs]
-        return run_streaming_passes(passes, stream, jobs=jobs)
+        if jobs == 1:
+            fold_batches(passes, stream.batches())
+        else:
+            fold_batches(passes, prefetch_batches(stream, depth=min(jobs, 4)))
+        return _finalize_all(passes, stream, jobs)
 
 
 class ThreadEngine:
@@ -296,7 +306,7 @@ class ThreadEngine:
 
     name = "thread"
 
-    def run(self, specs, stream, *, jobs: int = 1) -> list:
+    def run(self, specs, stream, *, jobs: int = 1) -> FindingTable:
         _check_jobs(jobs)
         parts = partition_stream(stream, jobs)
         if len(parts) <= 1:
@@ -374,17 +384,6 @@ def fold_store_task(
     return _fold_partition(pass_specs, partition)
 
 
-def _finalize_store_pass(spec: dict, pass_: StreamingPass):
-    """Process-worker entry point: run one pass's finalize against the store.
-
-    Finalize may re-scan the shards holding finding rows (targeted
-    materialisation); running it here keeps that scan — the last
-    GIL-bound stage of an analysis — off the parent process.  The merged
-    carry travels in, the finished findings travel out.
-    """
-    return pass_.finalize(_open_store_from_spec(spec))
-
-
 def _process_context():
     # fork keeps worker start-up (and the numpy import) off the critical
     # path, but it is only dependable on Linux — forked children crash in
@@ -422,9 +421,9 @@ class ProcessEngine:
     * carries travel as :mod:`repro.core.carrycodec` payloads, not
       pickles.
 
-    Finalize runs on the same pool (merged carries shipped out once more)
-    so the materialisation scans — the last GIL-bound stage — stay off
-    the parent process and hit the already-shared shards.
+    Finalize runs on the same pool (merged carries shipped out once more,
+    finding parts shipped back); the parent then runs the one shared
+    gather of the finding rows.
 
     With ``keep_pool=True`` the pool, the per-worker stores and the shard
     cache survive across ``run()`` calls (close with :meth:`close` or use
@@ -456,7 +455,7 @@ class ProcessEngine:
         self.stats: dict = {}
 
     # ------------------------------------------------------------------ #
-    def run(self, specs, stream, *, jobs: int = 1) -> list:
+    def run(self, specs, stream, *, jobs: int = 1) -> FindingTable:
         _check_jobs(jobs)
         from repro.events.store import ShardedTraceStore
 
@@ -497,10 +496,10 @@ class ProcessEngine:
                 for pass_ in merged
             ]
             finalize_results = pool.collect(finalize_jobs)
-            findings = [finalize_results[job][0] for job in finalize_jobs]
+            parts: list[FindingPart] = [finalize_results[job][0] for job in finalize_jobs]
             task_stats += [finalize_results[job][1] for job in finalize_jobs]
             self.stats = self._build_stats(task_stats, len(tasks), spawn_seconds_now)
-            return findings
+            return FindingTable.gather(parts, stream)
         except BaseException:
             # Any failure — a dead worker, a KeyboardInterrupt mid-merge —
             # tears the pool down and unlinks every shared segment, even

@@ -151,7 +151,7 @@ def _pool_worker(index: int, task_queue, result_queue, crash_after, progress) ->
                 )
             elif kind == _CMD_FINALIZE:
                 pass_ = decode_carries(command[4])[0]
-                payload = pass_.finalize(store)
+                payload = pass_.finalize()
             else:
                 raise RuntimeError(f"unknown pool command {kind!r}")
             wall = perf_counter() - started

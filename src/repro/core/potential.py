@@ -17,7 +17,9 @@ durations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.core.detectors.findings import (
     DuplicateTransferGroup,
@@ -26,8 +28,8 @@ from repro.core.detectors.findings import (
     UnusedAllocation,
     UnusedTransfer,
 )
+from repro.core.detectors.table import FindingTable
 from repro.events.protocol import TraceLike
-from repro.events.records import DataOpEvent
 
 
 @dataclass(frozen=True)
@@ -76,32 +78,6 @@ class OptimizationPotential:
         }
 
 
-def _collect_removable(
-    duplicate_groups: Sequence[DuplicateTransferGroup],
-    round_trip_groups: Sequence[RoundTripGroup],
-    repeated_alloc_groups: Sequence[RepeatedAllocationGroup],
-    unused_allocations: Sequence[UnusedAllocation],
-    unused_transfers: Sequence[UnusedTransfer],
-) -> dict[int, DataOpEvent]:
-    removable: dict[int, DataOpEvent] = {}
-
-    def add(events: Iterable[DataOpEvent]) -> None:
-        for event in events:
-            removable.setdefault(event.seq, event)
-
-    for group in duplicate_groups:
-        add(group.removable_events())
-    for group in round_trip_groups:
-        add(group.removable_events())
-    for group in repeated_alloc_groups:
-        add(group.removable_events())
-    for finding in unused_allocations:
-        add(finding.removable_events())
-    for finding in unused_transfers:
-        add(finding.removable_events())
-    return removable
-
-
 def estimate_potential(
     trace: TraceLike,
     *,
@@ -110,21 +86,36 @@ def estimate_potential(
     repeated_alloc_groups: Sequence[RepeatedAllocationGroup] = (),
     unused_allocations: Sequence[UnusedAllocation] = (),
     unused_transfers: Sequence[UnusedTransfer] = (),
+    findings: Optional[FindingTable] = None,
 ) -> OptimizationPotential:
-    """Estimate the optimization potential of a trace given its findings."""
-    removable = _collect_removable(
-        duplicate_groups,
-        round_trip_groups,
-        repeated_alloc_groups,
-        unused_allocations,
-        unused_transfers,
-    )
-    time_saved = sum(e.duration for e in removable.values())
-    bytes_saved = sum(e.nbytes for e in removable.values() if e.is_transfer)
+    """Estimate the optimization potential of a trace given its findings.
+
+    Pass the findings either as a :class:`FindingTable` (``findings``) or
+    as finding-object lists (adapted to one).  Removable events are
+    unioned by sequence number in first-occurrence order — categories in
+    pass order, each finding's ``removable_events()`` in order — and
+    their durations summed with the builtin ``sum`` in that order.
+    """
+    if findings is None:
+        findings = FindingTable.from_findings((
+            duplicate_groups,
+            round_trip_groups,
+            repeated_alloc_groups,
+            unused_allocations,
+            unused_transfers,
+        ))
+    events = findings.events
+    rows = findings.removable_rows()
+    _, first = np.unique(events.do_seq[rows], return_index=True)
+    rows = rows[np.sort(first)]
+    seqs = events.do_seq[rows].tolist()
+    time_saved = sum(findings.durations()[rows].tolist())
+    transfers = rows[events.transfer_mask()[rows]]
+    bytes_saved = sum(events.do_nbytes[transfers].tolist())
     return OptimizationPotential(
         measured_runtime=trace.runtime,
         predicted_time_saved=time_saved,
         predicted_bytes_saved=bytes_saved,
-        predicted_ops_saved=len(removable),
-        removable_event_seqs=frozenset(removable),
+        predicted_ops_saved=len(seqs),
+        removable_event_seqs=frozenset(seqs),
     )

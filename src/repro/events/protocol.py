@@ -63,7 +63,7 @@ class EventStream(Protocol):
 
     * **Re-iterable.**  Every call to :meth:`batches` returns a fresh
       iterator over the same shards; a detector may scan the stream more
-      than once (a counting fold plus a finding-materialisation pass).
+      than once (a counting fold plus the finding gather).
     * **Chronological.**  Concatenating the batches yields a valid trace:
       within each column group, start times are non-decreasing and sequence
       numbers ascend across batch boundaries — exactly what

@@ -360,7 +360,7 @@ class ShardedTraceStore:
         return self._stamp(batch)
 
     def load_batch(self, index: int) -> ColumnarTrace:
-        """Load one shard (random access for targeted materialisation)."""
+        """Load one shard (random access for the targeted finding gather)."""
         shard = self.shards[index]
         cache = self._shard_cache
         if cache is not None and not direct_map_preferred(self.transport, shard.format):

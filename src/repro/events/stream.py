@@ -16,10 +16,11 @@ This module provides the glue around that protocol —
 * :class:`StreamStats` / :class:`StreamView` fold aggregate statistics out
   of a stream without materialising events (the ``TraceLike`` facade the
   analysis report holds when it was produced from a stream), and
-* :func:`materialize_data_op_events` is the shared finding-materialisation
-  pass: given global data-op row positions collected by a streaming
-  detector, it re-scans only the batches that contain them and bulk-builds
-  the corresponding :class:`~repro.events.records.DataOpEvent` objects.
+* :func:`gather_data_op_rows` is the shared finding gather: given global
+  data-op row positions collected by the streaming detectors, it re-scans
+  only the batches that contain them and copies those rows into one small
+  columnar trace (:func:`materialize_data_op_events` builds
+  :class:`~repro.events.records.DataOpEvent` objects from it).
 
 Global positions ("gpos") are the coordinate system of the streaming
 detectors: the index a data-op row would have in the concatenation of every
@@ -533,49 +534,58 @@ def trace_like_view(stream_or_trace):
 
 
 # --------------------------------------------------------------------- #
-# Finding materialisation
+# Finding gather
 # --------------------------------------------------------------------- #
+def gather_data_op_rows(stream: EventStream, gpos: np.ndarray) -> ColumnarTrace:
+    """Copy the data-op rows at the given global positions into one trace.
+
+    ``gpos`` must be ascending and distinct; row ``k`` of the result is
+    the row at ``gpos[k]``, with every column — ``variable`` included.
+    Batches containing no requested row
+    are skipped entirely when the stream can enumerate its batch sizes
+    (``batch_row_counts`` / ``load_batch``, implemented by the sharded
+    store and the in-memory slicer), so an on-disk store loads each shard
+    holding a requested row exactly once and never reads the others.
+    """
+    needed = np.asarray(gpos, dtype=np.int64)
+    if np.any(needed[1:] <= needed[:-1]):
+        raise ValueError("gather positions must be ascending and distinct")
+    out = ColumnarTrace()
+    if needed.size == 0:
+        return out
+
+    def take(batch: ColumnarTrace, offset: int, n_do: int) -> None:
+        lo = int(np.searchsorted(needed, offset))
+        hi = int(np.searchsorted(needed, offset + n_do))
+        if hi > lo:
+            out.extend_from(batch.select_rows(needed[lo:hi] - offset, []))
+
+    counts = getattr(stream, "batch_row_counts", None)
+    loader = getattr(stream, "load_batch", None)
+    offset = 0
+    if counts is not None and loader is not None:
+        for index, (n_do, _n_tgt) in enumerate(counts()):
+            if np.searchsorted(needed, offset) < np.searchsorted(needed, offset + n_do):
+                take(loader(index), offset, n_do)
+            offset += n_do
+    else:
+        for batch in stream.batches():
+            take(batch, offset, batch.num_data_op_events)
+            offset += batch.num_data_op_events
+
+    if out.num_data_op_events != needed.size:
+        raise IndexError("stream ended before every requested row was found")
+    return out
+
+
 def materialize_data_op_events(
     stream: EventStream, gpos: np.ndarray
 ) -> Dict[int, DataOpEvent]:
     """Materialise the data-op events at the given global row positions.
 
-    Returns ``{gpos: event}``.  Batches containing no requested row are
-    skipped entirely when the stream can enumerate its batch sizes
-    (``batch_row_counts`` / ``load_batch``, implemented by the sharded
-    store and the in-memory slicer) — for an on-disk store that means the
-    untouched shards are never read.
+    Returns ``{gpos: event}``, built from one :func:`gather_data_op_rows`
+    pass (untouched shards are never read).
     """
     needed = np.unique(np.asarray(gpos, dtype=np.int64))
-    out: Dict[int, DataOpEvent] = {}
-    if needed.size == 0:
-        return out
-
-    counts = getattr(stream, "batch_row_counts", None)
-    loader = getattr(stream, "load_batch", None)
-    if counts is not None and loader is not None:
-        offset = 0
-        for index, (n_do, _n_tgt) in enumerate(counts()):
-            lo = int(np.searchsorted(needed, offset))
-            hi = int(np.searchsorted(needed, offset + n_do))
-            if hi > lo:
-                batch = loader(index)
-                local = needed[lo:hi] - offset
-                for pos, event in zip(needed[lo:hi], batch.data_op_events_at(local)):
-                    out[int(pos)] = event
-            offset += n_do
-    else:
-        offset = 0
-        for batch in stream.batches():
-            n_do = batch.num_data_op_events
-            lo = int(np.searchsorted(needed, offset))
-            hi = int(np.searchsorted(needed, offset + n_do))
-            if hi > lo:
-                local = needed[lo:hi] - offset
-                for pos, event in zip(needed[lo:hi], batch.data_op_events_at(local)):
-                    out[int(pos)] = event
-            offset += n_do
-
-    if len(out) != needed.size:
-        raise IndexError("stream ended before every requested row was found")
-    return out
+    rows = gather_data_op_rows(stream, needed)
+    return dict(zip(needed.tolist(), rows.data_op_events_at(np.arange(needed.size))))

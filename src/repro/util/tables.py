@@ -73,26 +73,32 @@ class Table:
             return f"{value:.3f}"
         return str(value)
 
+    def add_text_rows(self, rows: Iterable[list[str]]) -> None:
+        """Append rows whose cells are already text (no per-cell formatting)."""
+        for row in rows:
+            if len(row) != len(self.columns):
+                raise ValueError(
+                    f"row has {len(row)} cells but table has {len(self.columns)} columns"
+                )
+            self._rows.append(row)
+
     @property
     def rows(self) -> list[list[str]]:
         return [list(r) for r in self._rows]
 
     def render(self) -> str:
         widths = [len(c) for c in self.columns]
-        for row in self._rows:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-
-        def fmt_row(cells: Sequence[str]) -> str:
-            return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells)).rstrip()
+        for i, cells in enumerate(zip(*self._rows)):
+            widths[i] = max(widths[i], *map(len, cells))
+        # one left-aligned, space-padded field per column
+        template = "  ".join(f"{{:<{w}}}" for w in widths)
 
         lines: list[str] = []
         if self.title:
             lines.append(f"=== {self.title} ===")
-        lines.append(fmt_row(self.columns))
+        lines.append(template.format(*self.columns).rstrip())
         lines.append("  ".join("-" * w for w in widths))
-        for row in self._rows:
-            lines.append(fmt_row(row))
+        lines.extend(template.format(*row).rstrip() for row in self._rows)
         return "\n".join(lines)
 
     def to_records(self) -> list[dict[str, str]]:

@@ -93,7 +93,7 @@ def test_codec_round_trip_matches_pickle_path(shard_events, workers):
         report.unused_allocations,
         report.unused_transfers,
     ]
-    assert via_codec == serial
+    assert via_codec.to_objects() == serial
 
 
 _SCALARS = st.one_of(

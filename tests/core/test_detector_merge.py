@@ -33,12 +33,13 @@ from repro.core.detectors.unused_allocs import (
     UnusedAllocationPass,
     find_unused_allocations_streaming,
 )
+from repro.core.detectors.table import part_objects
 from repro.core.detectors.unused_transfers import (
     UnusedTransferPass,
     find_unused_transfers_streaming,
 )
 from repro.events.columnar import ColumnarTrace
-from repro.events.stream import as_event_stream
+from repro.events.stream import as_event_stream, materialize_data_op_events
 
 from tests.conftest import TraceBuilder
 
@@ -80,7 +81,8 @@ def _fold_partitioned(build, stream, cuts: tuple[int, ...]):
     head = partitions[0]
     for tail in partitions[1:]:
         head.merge(tail)
-    return head.finalize(stream)
+    part = head.finalize()
+    return part_objects(part, materialize_data_op_events(stream, part.labels()))
 
 
 def _assert_partitioned_matches(trace, shard_events: int, cuts: tuple[int, ...]):

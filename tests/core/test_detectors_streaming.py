@@ -262,32 +262,6 @@ def test_analyze_stream_returns_structured_report(builder):
         "unused_allocations", "unused_transfers",
     ]
     assert by_pass["duplicate_transfers"] == report.duplicate_groups
-    # Truthiness does not route through the deprecated sequence shim.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert bool(report)
-
-
-def test_analyze_stream_report_sequence_shim_warns_once(builder):
-    import warnings
-
-    from repro.core.engine import _DEPRECATION_WARNED
-
-    b = builder
-    b.alloc(0x100, 0xA000)
-    b.h2d(0x100, 0xA000, content_hash=7)
-    b.delete(0x100, 0xA000)
-    report = analyze_stream(_stream(b.build(), 2))
-
-    _DEPRECATION_WARNED.discard("stream-report-sequence")
-    with pytest.warns(DeprecationWarning, match="findings_by_pass"):
-        dup, rt, ra, ua, ut = report  # the historic 5-list unpack
-    assert dup == report.duplicate_groups
-    assert ut == report.unused_transfers
-    assert len(report) == 5
-    assert report[1] == report.round_trip_groups
-    # Single-warning policy: later sequence access stays silent.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        list(report)
-    assert caught == []
