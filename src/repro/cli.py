@@ -28,9 +28,7 @@ the CLI takes an application name plus options::
 
 ``--engine`` takes an engine spec string: a registry name optionally
 followed by ``:key=value,...`` engine options (the per-engine option
-tables live on each engine class's ``config_options``).  The older
-``--queue``/``--queue-timeout`` flags still work but are deprecated in
-favour of ``distributed:queue=...,run_timeout=...``.
+tables live on each engine class's ``config_options``).
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from repro.apps.registry import all_apps, get_app
 from repro.core.distributed import DistributedExecutionError
 from repro.core.engine import (
     EngineConfig,
-    _warn_deprecated_once,
     available_engines,
     resolve_engine,
 )
@@ -155,18 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "processes, 'distributed' leases partition tasks to workers "
                              "from a transport-backed queue; findings are identical for "
                              "every engine (default: serial)")
-    parser.add_argument("--queue", metavar="PATH", default=None,
-                        help="(deprecated: use --engine distributed:queue=PATH) "
-                             "with --engine distributed: coordinate over the task queue "
-                             "at PATH instead of spawning loopback workers; start "
-                             "workers anywhere with `ompdataperf worker --queue PATH` "
-                             "(they may be waiting before PATH exists)")
-    parser.add_argument("--queue-timeout", type=positive_number, default=None,
-                        metavar="SECONDS",
-                        help="(deprecated: use --engine distributed:run_timeout=SECONDS) "
-                             "with --engine distributed: fail with a clear error if the "
-                             "run does not complete within SECONDS — e.g. no worker ever "
-                             "attaches to --queue (default: wait forever)")
     parser.add_argument("--version", action="version", version=f"ompdataperf {__version__}")
     return parser
 
@@ -282,7 +267,7 @@ def build_worker_parser() -> argparse.ArgumentParser:
                     "marker.",
     )
     parser.add_argument("--queue", required=True, metavar="PATH",
-                        help="task queue location (the coordinator's --queue)")
+                        help="task queue location (the coordinator's distributed:queue=PATH)")
     parser.add_argument("--poll-interval", type=positive_number, default=0.5,
                         metavar="SECONDS",
                         help="how often to poll for new tasks (default: 0.5)")
@@ -641,11 +626,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"argument --engine: {exc}")
         return 2  # unreachable; parser.error raises SystemExit
 
-    if args.queue is not None and engine_config.name != "distributed":
-        parser.error("--queue only applies to --engine distributed")
-    if args.queue_timeout is not None and engine_config.name != "distributed":
-        parser.error("--queue-timeout only applies to --engine distributed")
-
     if args.list:
         print(_list_programs())
         return 0
@@ -689,38 +669,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Resolve the engine up front with degradation enabled: asking for
         # process workers on a machine that cannot profit from them (one
         # usable core, or no way to start workers) falls back to serial
-        # with a visible warning instead of oversubscribing.  The
-        # deprecated --queue/--queue-timeout flags fold into the parsed
-        # EngineConfig (workers=0 for an attach-mode queue because its
-        # workers were started elsewhere); the spec-string equivalents
-        # are distributed:queue=PATH and distributed:run_timeout=SECONDS.
-        engine_request = engine_config
-        deprecated_flags = []
-        if engine_config.name == "distributed" and (
-            args.queue is not None or args.queue_timeout is not None
-        ):
-            options = dict(engine_config.options)
-            if args.queue is not None:
-                deprecated_flags.append((
-                    "cli-queue-flag",
-                    "--queue is deprecated; use "
-                    "--engine distributed:queue=PATH instead",
-                ))
-                options.setdefault("queue", str(args.queue))
-                options.setdefault("workers", 0)
-            if args.queue_timeout is not None:
-                deprecated_flags.append((
-                    "cli-queue-timeout-flag",
-                    "--queue-timeout is deprecated; use "
-                    "--engine distributed:run_timeout=SECONDS instead",
-                ))
-                options.setdefault("run_timeout", args.queue_timeout)
-            engine_request = EngineConfig(name="distributed", options=options)
+        # with a visible warning instead of oversubscribing.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for key, message in deprecated_flags:
-                _warn_deprecated_once(key, message)
-            engine = resolve_engine(engine_request, jobs=args.jobs, degrade=True)
+            engine = resolve_engine(engine_config, jobs=args.jobs, degrade=True)
         if not args.quiet:
             for warning in caught:
                 print(f"warning: {warning.message}")

@@ -16,7 +16,8 @@ appear in carries:
 * the registered carry-bearing classes (grow arrays, column buffers,
   kernel cursors, composite-key counters, alloc pairers, per-device
   transfer state and the five detector passes), serialised as their
-  ``__dict__`` and restored without running ``__init__``.
+  ``__dict__`` and restored without running ``__init__`` (the key
+  counter's derived lookup index is dropped and rebuilt on first use).
 
 The format is deterministic (``encode(decode(encode(x))) == encode(x)``)
 and the decoded carries are bit-identical inputs to ``merge``/``finalize``:
@@ -77,7 +78,10 @@ def _make_default_restore(cls: Type) -> Callable[[Any], Any]:
                 f"got {type(state).__name__}"
             )
         obj = cls.__new__(cls)
-        obj.__dict__.update(state)
+        if hasattr(cls, "__setstate__"):
+            obj.__setstate__(state)
+        else:
+            obj.__dict__.update(state)
         return obj
 
     return restore
@@ -112,11 +116,16 @@ def _registry() -> Dict[str, Tuple[Type, Callable, Callable]]:
 
     table: Dict[str, Tuple[Type, Callable, Callable]] = {
         "GrowArray": (streaming.GrowArray, _growarray_state, growarray_restore),
+        # The key counter's __getstate__ drops its derived lookup index.
+        "CompositeKeyCounter": (
+            streaming.CompositeKeyCounter,
+            streaming.CompositeKeyCounter.__getstate__,
+            _make_default_restore(streaming.CompositeKeyCounter),
+        ),
     }
     for name, cls in (
         ("ColumnBuffer", streaming.ColumnBuffer),
         ("DeviceKernels", streaming.DeviceKernels),
-        ("CompositeKeyCounter", streaming.CompositeKeyCounter),
         ("StreamingAllocPairer", streaming.StreamingAllocPairer),
         ("DeviceTransferState", _DeviceTransferState),
         ("DuplicateTransferPass", DuplicateTransferPass),

@@ -8,9 +8,10 @@ small carry state and never hold a whole trace.  The carries they share:
   column captures.
 * :class:`CompositeKeyCounter` — the streaming twin of the columnar
   paths' key grouping (:func:`repro.core.detectors._columns.key_ids`): a
-  lexsorted key table tracking, per distinct composite key, the
-  cumulative member count, the smallest global position observed and that
-  row's payload.  Folding a batch reports which rows belong to keys that
+  key table tracking, per distinct composite key, the cumulative member
+  count, the smallest global position observed and that row's payload,
+  with a sorted packed-key index so each batch's keys are found by binary
+  search.  Folding a batch reports which rows belong to keys that
   have reached the group threshold, which is all the
   duplicate/repeated-allocation detectors need to collect group members
   as positions (events are only read for findings, in one shared gather
@@ -175,15 +176,16 @@ class KeyFold:
 class KeyMerge:
     """Result of merging two counters (:meth:`CompositeKeyCounter.merge`).
 
-    Merging reassigns dense uids; the two maps translate each side's old
-    uids (indexed by old uid, ``-1`` where unassigned) so member buffers
-    keyed on uids can be remapped with one vectorised lookup.  The
-    ``promoted_*`` arrays are the *retained singletons that crossed the
-    group threshold because of the merge*: a key counted once on a side
-    records no members (its single member lives in the table as
-    ``first``/``payload``); when the union reaches two members, those
-    retained rows must join the member set, exactly like the ``crossed``
-    recovery inside :meth:`CompositeKeyCounter.fold`.
+    The merged table keeps this side's uids and gives keys only the other
+    side held the next dense ones; the two maps translate each side's old
+    uids (indexed by old uid) so member buffers keyed on uids can be
+    remapped with one vectorised lookup.  The ``promoted_*`` arrays are the
+    *retained singletons that crossed the group threshold because of the
+    merge*: a key counted once on a side records no members (its single
+    member lives in the table as ``first``/``payload``); when the union
+    reaches two members, those retained rows must join the member set,
+    exactly like the ``crossed`` recovery inside
+    :meth:`CompositeKeyCounter.fold`.
     """
 
     uid_map_self: np.ndarray
@@ -195,8 +197,39 @@ class KeyMerge:
     promoted_keys: tuple[np.ndarray, ...]
 
 
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def pack_keys(cols: Sequence[np.ndarray]) -> np.ndarray:
+    """Order-preserving packed composite keys, one ``V{8 * len(cols)}`` row each.
+
+    Every key column becomes big-endian ``uint64`` bytes, with the sign bit
+    flipped on signed columns, so bytewise (``memcmp``) order of the packed
+    rows is exactly the lexicographic order of the columns (first column
+    most significant) — what a ``np.lexsort`` over them would give.
+    """
+    packed = np.empty((len(cols[0]), len(cols)), dtype=">u8")
+    for j, col in enumerate(cols):
+        if col.dtype.kind == "i":
+            packed[:, j] = col.astype(np.int64, copy=False).view(np.uint64) ^ _SIGN_BIT
+        elif col.dtype.kind in "ub":
+            packed[:, j] = col
+        else:
+            raise TypeError(f"key columns must be integers, got {col.dtype}")
+    return packed.view(f"V{8 * len(cols)}").ravel()
+
+
 class CompositeKeyCounter:
-    """Incremental composite-key statistics with a lexsorted NumPy table.
+    """Incremental composite-key statistics in NumPy columns.
+
+    A key's uid is its row in the per-key storage: key columns, member
+    count, smallest gpos and that row's payload, appended when the key is
+    first seen and updated in place after that.  Lookups go through a
+    sorted index of packed keys (:func:`pack_keys`) and their uids: one
+    ``np.searchsorted`` per batch finds the batch's keys, and new keys are
+    spliced in with ``np.insert``.  The index is derived state — it is left
+    out of the carry (``__getstate__``) and rebuilt on first use after a
+    decode.
 
     Carry is O(distinct keys) at a few dozen bytes each — the same
     asymptotics as the object detectors' hash maps, but with no per-key
@@ -205,27 +238,84 @@ class CompositeKeyCounter:
     """
 
     def __init__(self) -> None:
-        self._keys: Optional[tuple[np.ndarray, ...]] = None
-        self._count = np.empty(0, dtype=np.int64)
-        self._first = np.empty(0, dtype=np.int64)
-        self._uid = np.empty(0, dtype=np.int64)
-        self._next_uid = 0
-        self._payload: Optional[np.ndarray] = None
+        self._keys: Optional[tuple[GrowArray, ...]] = None
+        self._count = GrowArray(np.int64)
+        self._first = GrowArray(np.int64)
+        self._payload: Optional[GrowArray] = None
+        #: (sorted packed keys, uid of each) — derived, never carried
+        self._index: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_index"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._index = None
 
     @property
     def num_keys(self) -> int:
         return self._count.size
 
-    @staticmethod
-    def _group_boundaries(cols: Sequence[np.ndarray], order: np.ndarray) -> np.ndarray:
-        boundary = np.ones(order.size, dtype=bool)
-        if order.size > 1:
-            same = np.ones(order.size - 1, dtype=bool)
-            for col in cols:
-                sorted_col = col[order]
-                same &= sorted_col[1:] == sorted_col[:-1]
-            boundary[1:] = ~same
-        return boundary
+    def _sorted_index(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._index is None:
+            cols = tuple(grow.view() for grow in self._keys)
+            order = np.lexsort(cols[::-1])
+            self._index = (pack_keys(cols)[order], order.astype(np.int64))
+        return self._index
+
+    def _track_payload(self) -> None:
+        if self._payload is None:
+            self._payload = GrowArray(np.int64)
+            self._payload.extend(np.zeros(self.num_keys, dtype=np.int64))
+
+    def _absorb(self, cols, packed, count, first, payload):
+        """Fold distinct keys, sorted by ``packed``, into the table.
+
+        ``count``/``first``/``payload`` are the incoming side's statistics
+        per key.  Returns each key's uid and the table's count, first and
+        payload as they stood before (the incoming values for new keys).
+        """
+        if self._keys is None:
+            self._keys = tuple(GrowArray(col.dtype) for col in cols)
+            self._index = (packed[:0], np.empty(0, dtype=np.int64))
+        table, table_uid = self._sorted_index()
+        pos = np.searchsorted(table, packed)
+        found = pos < table.size
+        found[found] = table[pos[found]] == packed[found]
+        new = ~found
+
+        uid = np.empty(packed.size, dtype=np.int64)
+        old = table_uid[pos[found]]
+        uid[found] = old
+        fresh = np.arange(self.num_keys, self.num_keys + int(new.sum()), dtype=np.int64)
+        uid[new] = fresh
+
+        t_count = self._count.view()
+        t_first = self._first.view()
+        prior_count = np.zeros(packed.size, dtype=np.int64)
+        prior_count[found] = t_count[old]
+        prior_first = first.copy()
+        prior_first[found] = t_first[old]
+        prior_payload = payload.copy()
+        t_count[old] += count[found]
+        # The payload follows whichever side holds the smaller first gpos.
+        take = first[found] < prior_first[found]
+        t_first[old[take]] = first[found][take]
+        if self._payload is not None:
+            t_payload = self._payload.view()
+            prior_payload[found] = t_payload[old]
+            t_payload[old[take]] = payload[found][take]
+            self._payload.extend(payload[new])
+
+        for grow, col in zip(self._keys, cols):
+            grow.extend(col[new])
+        self._count.extend(count[new])
+        self._first.extend(first[new])
+        at = pos[new]
+        self._index = (np.insert(table, at, packed[new]), np.insert(table_uid, at, fresh))
+        return uid, prior_count, prior_first, prior_payload
 
     def fold(
         self,
@@ -238,129 +328,37 @@ class CompositeKeyCounter:
         if n == 0:
             empty = np.empty(0, dtype=np.int64)
             return KeyFold(empty, empty, empty, empty, empty, empty, empty, empty)
-        if payload is not None and self._payload is None:
-            self._payload = np.zeros(self._count.size, dtype=np.int64)
-        track_payload = self._payload is not None
-        if track_payload and payload is None:
+        if payload is None:
             payload = np.zeros(n, dtype=np.int64)
+        else:
+            self._track_payload()
 
         # Batch-local uniques: sort by key columns, gpos as tiebreak, so the
         # first row of each run carries the batch-minimal gpos.
         order = np.lexsort((gpos, *reversed(cols)))
-        boundary = self._group_boundaries(cols, order)
+        packed = pack_keys(cols)[order]
+        boundary = np.ones(n, dtype=bool)
+        boundary[1:] = packed[1:] != packed[:-1]
         starts = np.flatnonzero(boundary)
-        group_id = np.cumsum(boundary) - 1
         inverse = np.empty(n, dtype=np.int64)
-        inverse[order] = group_id
+        inverse[order] = np.cumsum(boundary) - 1
 
-        u_cols = tuple(col[order][starts] for col in cols)
-        u_count = np.diff(np.append(starts, n)).astype(np.int64)
-        u_first = gpos[order][starts].astype(np.int64)
-        u_payload = (
-            payload[order][starts].astype(np.int64)
-            if track_payload
-            else np.zeros(len(starts), dtype=np.int64)
+        heads = order[starts]
+        u_count = np.diff(np.append(starts, n))
+        u_first = gpos[heads].astype(np.int64)
+        u_payload = payload[heads].astype(np.int64)
+        uid, prior_count, prior_first, prior_payload = self._absorb(
+            tuple(col[heads] for col in cols), packed[starts], u_count, u_first, u_payload
         )
-
-        if self._keys is None:
-            self._keys = u_cols
-            self._count = u_count
-            self._first = u_first
-            self._uid = np.arange(len(starts), dtype=np.int64)
-            self._next_uid = len(starts)
-            if track_payload:
-                self._payload = u_payload
-            prior = np.zeros(len(starts), dtype=np.int64)
-            return KeyFold(
-                inverse, prior, u_count.copy(), u_first.copy(), u_payload,
-                self._uid.copy(), u_first.copy(), u_payload.copy(),
-            )
-
-        # Merge the batch uniques into the table (both sides key-sorted; a
-        # lexsort of the concatenation keeps the code simple, and the table
-        # being nearly sorted keeps it cheap).
-        m_cols = tuple(np.concatenate([t, u]) for t, u in zip(self._keys, u_cols))
-        tag = np.concatenate([
-            np.zeros(self._count.size, dtype=np.int8),
-            np.ones(len(starts), dtype=np.int8),
-        ])
-        m_count = np.concatenate([self._count, u_count])
-        m_first = np.concatenate([self._first, u_first])
-        fresh_uids = self._next_uid + np.arange(len(starts), dtype=np.int64)
-        self._next_uid += len(starts)
-        m_uid = np.concatenate([self._uid, fresh_uids])
-
-        morder = np.lexsort((tag, *reversed(m_cols)))
-        mboundary = self._group_boundaries(m_cols, morder)
-        run_starts = np.flatnonzero(mboundary)
-        run_id = np.cumsum(mboundary) - 1
-        m = morder.size
-
-        count_sorted = m_count[morder]
-        first_sorted = m_first[morder]
-        uid_sorted = m_uid[morder]
-        new_count = np.add.reduceat(count_sorted, run_starts)
-        new_first = np.minimum.reduceat(first_sorted, run_starts)
-        # Table entries sort before batch entries (the tag), so the run
-        # head is the pre-existing key when there is one: its uid, first
-        # and payload are the key's stable identity and prior state.
-        new_uid = uid_sorted[run_starts]
-        prior_first = first_sorted[run_starts]
-        del count_sorted
-
-        # Runs have at most two entries (table + batch); the payload follows
-        # whichever entry holds the smaller first-gpos.
-        run_len = np.diff(np.append(run_starts, m))
-        second = run_starts + 1
-        two = run_len == 2
-        pick = run_starts.copy()
-        pick[two] = np.where(
-            first_sorted[np.minimum(second, m - 1)][two] < first_sorted[run_starts][two],
-            second[two],
-            run_starts[two],
-        )
-        del first_sorted
-        if track_payload:
-            payload_sorted = np.concatenate([self._payload, u_payload])[morder]
-            new_payload = payload_sorted[pick]
-            prior_payload = payload_sorted[run_starts]
-        else:
-            new_payload = np.zeros(run_starts.size, dtype=np.int64)
-            prior_payload = new_payload
-
-        self._keys = tuple(col[morder][run_starts] for col in m_cols)
-        del m_cols
-        self._count = new_count.astype(np.int64)
-        self._first = new_first
-        self._uid = new_uid
-        if track_payload:
-            self._payload = new_payload
-
-        # Map each batch key to its merged run; batch entries appear in the
-        # merged order in the same sorted order as the batch's own uniques.
-        batch_runs = run_id[np.flatnonzero(tag[morder] == 1)]
-        total_count = new_count[batch_runs]
-        prior_count = total_count - u_count
         return KeyFold(
             inverse,
-            prior_count.astype(np.int64),
-            total_count.astype(np.int64),
-            new_first[batch_runs],
-            new_payload[batch_runs],
-            new_uid[batch_runs],
-            prior_first[batch_runs],
-            prior_payload[batch_runs],
-        )
-
-    def _empty_merge(self, num_other_uids: int) -> KeyMerge:
-        empty = np.empty(0, dtype=np.int64)
-        return KeyMerge(
-            uid_map_self=np.arange(self._next_uid, dtype=np.int64),
-            uid_map_other=np.arange(num_other_uids, dtype=np.int64),
-            promoted_gpos=empty,
-            promoted_payload=empty,
-            promoted_uid=empty,
-            promoted_keys=(),
+            prior_count,
+            prior_count + u_count,
+            self._first.view()[uid],
+            self._payload.view()[uid] if self._payload is not None else u_payload,
+            uid,
+            prior_first,
+            prior_payload,
         )
 
     def merge(self, other: "CompositeKeyCounter") -> KeyMerge:
@@ -370,94 +368,55 @@ class CompositeKeyCounter:
         folded the earlier range does not matter — counts add, first
         positions take the minimum, and the payload follows the entry with
         the smaller first, so the merged table equals the sequential fold
-        of both row sets in any order.  Returns the uid translation maps
-        and the threshold promotions (see :class:`KeyMerge`).
+        of both row sets in any order.  This table's uids are kept; keys
+        only ``other`` held get fresh ones.  Returns the uid translation
+        maps and the threshold promotions (see :class:`KeyMerge`).
         """
-        if other._keys is None:
-            return self._empty_merge(other._next_uid)
-        if self._keys is None:
-            self._keys = other._keys
-            self._count = other._count
-            self._first = other._first
-            self._uid = other._uid
-            self._next_uid = other._next_uid
-            self._payload = other._payload
-            return self._empty_merge(other._next_uid)
+        num_self = self.num_keys
+        empty = np.empty(0, dtype=np.int64)
+        if self._keys is None or other._keys is None:
+            if self._keys is None:
+                self.__dict__.update(other.__dict__)
+            return KeyMerge(
+                uid_map_self=np.arange(num_self, dtype=np.int64),
+                uid_map_other=np.arange(other.num_keys, dtype=np.int64),
+                promoted_gpos=empty,
+                promoted_payload=empty,
+                promoted_uid=empty,
+                promoted_keys=(),
+            )
 
-        track = self._payload is not None or other._payload is not None
-        n_s, n_o = self._count.size, other._count.size
-        m_cols = tuple(np.concatenate([a, b]) for a, b in zip(self._keys, other._keys))
-        tag = np.concatenate([
-            np.zeros(n_s, dtype=np.int8), np.ones(n_o, dtype=np.int8),
-        ])
-        m_count = np.concatenate([self._count, other._count])
-        m_first = np.concatenate([self._first, other._first])
-        s_payload = (
-            self._payload if self._payload is not None
-            else np.zeros(n_s, dtype=np.int64)
+        o_packed, o_uid = other._sorted_index()
+        o_cols = tuple(grow.view()[o_uid] for grow in other._keys)
+        o_count = other._count.view()[o_uid]
+        o_first = other._first.view()[o_uid]
+        if other._payload is not None:
+            self._track_payload()
+            o_payload = other._payload.view()[o_uid]
+        else:
+            o_payload = np.zeros(o_uid.size, dtype=np.int64)
+        uid, prior_count, prior_first, prior_payload = self._absorb(
+            o_cols, o_packed, o_count, o_first, o_payload
         )
-        o_payload = (
-            other._payload if other._payload is not None
-            else np.zeros(n_o, dtype=np.int64)
-        )
-        m_payload = np.concatenate([s_payload, o_payload])
-        m_uid = np.concatenate([self._uid, other._uid])
+        uid_map_other = np.empty(o_uid.size, dtype=np.int64)
+        uid_map_other[o_uid] = uid
 
-        morder = np.lexsort((tag, *reversed(m_cols)))
-        boundary = self._group_boundaries(m_cols, morder)
-        run_starts = np.flatnonzero(boundary)
-        run_id = np.cumsum(boundary) - 1
-        m = morder.size
-
-        count_sorted = m_count[morder]
-        first_sorted = m_first[morder]
-        payload_sorted = m_payload[morder]
-        new_count = np.add.reduceat(count_sorted, run_starts).astype(np.int64)
-        new_first = np.minimum.reduceat(first_sorted, run_starts)
-
-        # Runs have at most two entries (one per side); the payload follows
-        # whichever entry holds the smaller first-gpos, as in fold().
-        run_len = np.diff(np.append(run_starts, m))
-        second = run_starts + 1
-        two = run_len == 2
-        pick = run_starts.copy()
-        pick[two] = np.where(
-            first_sorted[np.minimum(second, m - 1)][two] < first_sorted[run_starts][two],
-            second[two],
-            run_starts[two],
-        )
-        new_payload = payload_sorted[pick]
-
-        # Dense fresh uids (the run ids); translate each side's old uids.
-        uid_sorted = m_uid[morder]
-        tag_sorted = tag[morder]
-        uid_map_self = np.full(self._next_uid, -1, dtype=np.int64)
-        uid_map_other = np.full(other._next_uid, -1, dtype=np.int64)
-        from_self = tag_sorted == 0
-        uid_map_self[uid_sorted[from_self]] = run_id[from_self]
-        uid_map_other[uid_sorted[~from_self]] = run_id[~from_self]
-
-        # Retained singletons whose run now has two or more members.
-        promote = (count_sorted == 1) & (new_count[run_id] >= 2)
-        promoted_keys = (
-            tuple(col[morder][promote] for col in m_cols) if promote.any() else ()
-        )
-        promoted = KeyMerge(
-            uid_map_self=uid_map_self,
+        # Retained singletons (either side) whose key now has two members.
+        total = prior_count + o_count
+        mine = (prior_count == 1) & (total >= 2)
+        theirs = (o_count == 1) & (total >= 2)
+        return KeyMerge(
+            uid_map_self=np.arange(num_self, dtype=np.int64),
             uid_map_other=uid_map_other,
-            promoted_gpos=first_sorted[promote],
-            promoted_payload=payload_sorted[promote],
-            promoted_uid=run_id[promote],
-            promoted_keys=promoted_keys,
+            promoted_gpos=np.concatenate([prior_first[mine], o_first[theirs]]),
+            promoted_payload=np.concatenate([prior_payload[mine], o_payload[theirs]]),
+            promoted_uid=np.concatenate([uid[mine], uid[theirs]]),
+            promoted_keys=(
+                tuple(np.concatenate([col[mine], col[theirs]]) for col in o_cols)
+                if mine.any() or theirs.any()
+                else ()
+            ),
         )
-
-        self._keys = tuple(col[morder][run_starts] for col in m_cols)
-        self._count = new_count
-        self._first = new_first
-        self._uid = np.arange(run_starts.size, dtype=np.int64)
-        self._next_uid = run_starts.size
-        self._payload = new_payload if track else None
-        return promoted
 
 
 def merge_uid_buffers(

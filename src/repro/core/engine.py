@@ -136,18 +136,6 @@ def _opt_str(text: str) -> str:
     return text
 
 
-#: Deprecated call shapes warn exactly once per process, keyed by shape
-#: (the single-warning policy of the EngineConfig migration).
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _warn_deprecated_once(key: str, message: str) -> None:
-    if key in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """One parsed engine request: a registry name plus typed options.

@@ -177,7 +177,7 @@ def test_rejects_zip_archive_queue(store, tmp_path):
 
 
 def test_run_timeout_gives_clear_failure(store, tmp_path):
-    """Attach mode with no workers: --queue-timeout/run_timeout converts
+    """Attach mode with no workers: run_timeout converts
     an otherwise-silent forever-wait into a clear failure."""
     engine = DistributedEngine(
         queue=tmp_path / "abandoned-queue", workers=0,

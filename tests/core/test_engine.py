@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.core.analysis import analyze_stream, analyze_trace
@@ -316,15 +314,3 @@ def test_engine_config_option_tables_cover_constructors():
         params = inspect.signature(engine_cls.__init__).parameters
         for option in engine_config_options(name):
             assert option in params, f"{name}:{option}"
-
-
-def test_deprecation_warnings_fire_once():
-    from repro.core.engine import _DEPRECATION_WARNED, _warn_deprecated_once
-
-    _DEPRECATION_WARNED.discard("test-key-once")
-    with pytest.warns(DeprecationWarning, match="old shape"):
-        _warn_deprecated_once("test-key-once", "old shape")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        _warn_deprecated_once("test-key-once", "old shape")
-    assert caught == []

@@ -267,24 +267,27 @@ def test_unknown_engine_rejected():
 
 
 def test_queue_requires_distributed_engine(capsys):
+    """The queue and its deadline are distributed-engine spec options;
+    other engines reject them, and the analyse command has no flags."""
+    for spec, option in (("process:queue=some.queue", "queue"),
+                         ("serial:run_timeout=5", "run_timeout")):
+        with pytest.raises(SystemExit):
+            main(["hotspot", "--size", "small", "-q", "--stream", "--engine", spec])
+        assert f"unknown option {option!r}" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["hotspot", "--size", "small", "-q", "--stream",
-              "--engine", "process", "--queue", "some.queue"])
-    assert "--engine distributed" in capsys.readouterr().err
-    with pytest.raises(SystemExit):
-        main(["hotspot", "--size", "small", "-q", "--stream",
-              "--engine", "serial", "--queue-timeout", "5"])
-    assert "--engine distributed" in capsys.readouterr().err
+              "--engine", "distributed", "--queue", "some.queue"])
+    assert "unrecognized arguments: --queue" in capsys.readouterr().err
 
 
 def test_queue_timeout_fails_clearly_when_no_worker_attaches(tmp_path, capsys):
-    """Attach mode with no workers must not hang: --queue-timeout turns
+    """Attach mode with no workers must not hang: run_timeout turns
     the wait into a clear CLI error naming the reason."""
+    queue = tmp_path / "nobody.queue"
     with pytest.raises(SystemExit):
         main(["hotspot", "--size", "small", "-q", "--stream",
-              "--engine", "distributed",
-              "--queue", str(tmp_path / "nobody.queue"),
-              "--queue-timeout", "0.5", "--jobs", "2", "--shard-events", "4"])
+              "--engine", f"distributed:queue={queue},workers=0,run_timeout=0.5",
+              "--jobs", "2", "--shard-events", "4"])
     err = capsys.readouterr().err
     assert "distributed run failed" in err and "did not complete" in err
 
@@ -537,32 +540,6 @@ def test_engine_spec_distributed_loopback(capsys):
     out = capsys.readouterr().out
     assert "info: distributed:" in out
     assert "speculative" in out
-
-
-def test_queue_flag_deprecation_single_warning(tmp_path, capsys):
-    from repro.core.engine import _DEPRECATION_WARNED
-
-    queue = tmp_path / "dep.queue"
-    _DEPRECATION_WARNED.discard("cli-queue-flag")
-    # workers=0 attach mode with a run_timeout so the run fails fast —
-    # the deprecation warning must appear before the queue ever fills.
-    with pytest.raises(SystemExit):
-        main(["hotspot", "--size", "small", "--stream",
-              "--shard-events", "8", "--jobs", "2",
-              "--engine", "distributed:run_timeout=0.5,poll_interval=0.05",
-              "--queue", str(queue)])
-    first = capsys.readouterr().out
-    assert "--queue is deprecated" in first
-    # Single-warning policy: a second invocation stays silent.
-    import shutil
-
-    shutil.rmtree(queue, ignore_errors=True)
-    with pytest.raises(SystemExit):
-        main(["hotspot", "--size", "small", "--stream",
-              "--shard-events", "8", "--jobs", "2",
-              "--engine", "distributed:run_timeout=0.5,poll_interval=0.05",
-              "--queue", str(queue)])
-    assert "--queue is deprecated" not in capsys.readouterr().out
 
 
 def test_queue_status_subcommand(tmp_path, capsys):
