@@ -148,8 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "'distributed:claim_batch=4,lease_timeout=10,speculate=on' "
                              "or 'distributed:queue=run.queue'); 'serial' scans once on "
                              "one thread, 'thread' folds event-balanced partitions on "
-                             "--jobs threads, 'process' folds them on --jobs worker "
-                             "processes, 'distributed' leases partition tasks to workers "
+                             "--jobs threads, 'process' runs each of the five passes "
+                             "as one task on up to --jobs worker processes, "
+                             "'distributed' leases partition tasks to workers "
                              "from a transport-backed queue; findings are identical for "
                              "every engine (default: serial)")
     parser.add_argument("--version", action="version", version=f"ompdataperf {__version__}")

@@ -237,13 +237,17 @@ def analyze_stream(
     * ``"thread"`` — ``jobs`` worker threads each fold a contiguous,
       event-balanced partition of the stream; the partition carries merge
       left to right.  Decode parallelises, folds stay GIL-bound.
-    * ``"process"`` — the same partitioned shape with process workers that
-      re-open the store from its picklable transport spec and return only
-      their carries (folds *and* finalizes run on the worker pool), which
-      is what lets the GIL-bound work scale across cores (requires a
-      :class:`~repro.events.store.ShardedTraceStore`, over any transport).
-    * ``"distributed"`` — the same shape again with workers fed from a
-      transport-backed task queue (:mod:`repro.core.distributed`), which
+    * ``"process"`` — pass-sharded process workers: each of the five
+      passes is one task on ``min(jobs, 5)`` workers, which re-open the
+      store from its picklable transport spec, run the serial fold and
+      finalize for their pass, and return only its finding part — no
+      partitioning, no carries, no merge.  It scales to at most five
+      workers and is bounded by the heaviest pass (duplicates, ~40% of
+      the fold on a findings-sparse trace); requires a
+      :class:`~repro.events.store.ShardedTraceStore`, over any transport.
+    * ``"distributed"`` — the thread engine's partitioned shape with
+      process workers fed from a transport-backed task queue
+      (:mod:`repro.core.distributed`), which
       is what lets the fold work leave the machine entirely: by default
       the coordinator spawns ``jobs`` loopback worker processes over a
       scratch queue, or it attaches to an existing queue whose workers

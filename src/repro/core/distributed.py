@@ -3,10 +3,10 @@
 :class:`DistributedEngine` is the fourth execution backend
 (``analyze_stream(engine="distributed")``, ``--engine distributed``) and
 the first whose workers need not share a machine with the coordinator.
-It speaks the exact partition→fold→merge→finalize shape of the process
+It speaks the exact partition→fold→merge→finalize shape of the thread
 engine, but the partition tasks live as **leased blobs on a shard
-transport** (:mod:`repro.events.transport`) instead of in an in-process
-pool — a local directory for tests and loopback runs, an object store
+transport** (:mod:`repro.events.transport`) instead of in threads — a
+local directory for tests and loopback runs, an object store
 wherever a real deployment wants the queue to live.  (The *store* may
 additionally sit in a zip archive; the *queue* may not — a zip archive
 serializes every mutation through a whole-archive rewrite, so concurrent

@@ -14,33 +14,34 @@ stream.  How those folds execute is this module's job, behind one
   per-partition carries then merge left to right.  Shard decode releases
   the GIL, so load overlaps fold — but the folds themselves stay
   GIL-bound, which is the ceiling this backend cannot pass.
-* :class:`ProcessEngine` — the same partition/fold/merge/finalize shape
-  with *process* workers, which is what lets the fold work scale past one
-  core.  Workers receive a picklable **transport spec**, not events: each
-  rebuilds the shard transport
-  (:func:`~repro.events.transport.transport_from_spec`), opens the
-  :class:`~repro.events.store.ShardedTraceStore` through it and folds its
-  shard range locally, so only the spawn arguments (a spec, a
-  :class:`PartitionTask`, the pass specs) and the folded carry states —
-  small, picklable — ever cross the process boundary.  The store can
-  therefore live behind *any* transport (a local directory, a zip
-  archive, an object store).  The finalizes run on the same worker pool;
-  the parent then gathers the finding rows in one targeted scan.
+* :class:`ProcessEngine` — *pass-sharded* process workers, which is what
+  lets the fold work leave the GIL.  The five detectors are independent
+  folds over one trace, so each pass is one pool task: the worker
+  re-opens the store from its picklable **transport spec**
+  (:func:`~repro.events.transport.transport_from_spec`), folds that one
+  pass over the whole stream exactly as the serial engine would, and
+  finalizes it in place.  Only the spec, the pass recipe and the
+  finished :class:`~repro.core.detectors.table.FindingPart` cross the
+  process boundary — no carries, no merge.  The store can live behind
+  *any* transport (a local directory, a zip archive, an object store);
+  the parent then gathers the finding rows in one targeted scan.  It
+  scales to at most five workers and is bounded by the heaviest pass.
 
 A fourth backend lives in :mod:`repro.core.distributed`:
-``DistributedEngine`` speaks the same partition→fold→merge→finalize shape
-across *machines*, with partition tasks leased from a transport-backed
-queue instead of submitted to an in-process pool.  It shares this
-module's task vocabulary — :class:`PartitionTask`,
-:func:`partition_tasks`, :func:`fold_store_task` — and registers itself
+``DistributedEngine`` speaks the thread engine's
+partition→fold→merge→finalize shape across *machines*, with partition
+tasks leased from a transport-backed queue instead of handed to threads.
+It shares this module's task vocabulary — :class:`PartitionTask`,
+:func:`partition_tasks`, :func:`_fold_partition` — and registers itself
 in :data:`ENGINES` on import (``repro.core`` imports it, so the registry
 is always complete).
 
-All three produce bit-identical findings: partition workers fold with
-``eager=False`` (classification deferred until the carries merge), and the
-per-detector ``merge`` contracts reconstruct exactly the carry a
-sequential fold would have built (see ``docs/architecture.md`` for the
-contract table).  Engines are resolved by name through :data:`ENGINES` /
+All of them produce bit-identical findings.  The process engine runs the
+serial fold per pass; partition workers fold with ``eager=False``
+(classification deferred until the carries merge), and the per-detector
+``merge`` contracts reconstruct exactly the carry a sequential fold would
+have built (see ``docs/architecture.md`` for the contract table).
+Engines are resolved by name through :data:`ENGINES` /
 :func:`resolve_engine`, which is what the ``--engine`` CLI flag and the
 ``engine=`` keyword of ``analyze_stream`` speak.
 """
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.core.detectors._streaming import StreamingPass, fold_batches
-from repro.core.detectors.table import FindingPart, FindingTable
+from repro.core.detectors.table import FindingTable
 from repro.events.protocol import EventStream
 from repro.events.stream import StreamPartition, partition_stream, prefetch_batches
 
@@ -318,9 +319,8 @@ class PartitionTask:
     """One schedulable unit of fold work: a contiguous shard range.
 
     The picklable twin of :class:`~repro.events.stream.StreamPartition`
-    that does not hold the stream itself — what crosses a process
-    boundary (the process engine's spawn arguments) or lands in a task
-    queue (one blob per task, for the distributed engine).  ``index`` is
+    that does not hold the stream itself — what lands in the distributed
+    engine's task queue (one blob per task).  ``index`` is
     the task's position in partition order, which is the order the folded
     carries must merge back in.
     """
@@ -338,7 +338,7 @@ def partition_tasks(store, n: int) -> list[PartitionTask]:
     Mirrors :meth:`~repro.events.store.ShardedTraceStore.partitions` but
     returns the detached task records.  The degenerate cases — one
     partition or an unpartitionable stream — come back as the empty list,
-    which every engine treats as "run serially".
+    which the distributed engine treats as "run serially".
     """
     parts = store.partitions(n)
     if len(parts) <= 1:
@@ -355,23 +355,6 @@ def partition_tasks(store, n: int) -> list[PartitionTask]:
     ]
 
 
-def fold_store_task(
-    spec: dict, task: PartitionTask, pass_specs: tuple
-) -> list[StreamingPass]:
-    """Worker entry point: open the store from its spec, fold one task.
-
-    Runs wherever the scheduling engine put it — a process-pool worker, a
-    distributed worker on another machine — and everything it touches
-    beyond the arguments is read through the rebuilt transport; only the
-    folded carries return.
-    """
-    store = _open_store_from_spec(spec)
-    partition = StreamPartition(
-        store, task.lo, task.hi, task.data_op_offset, task.num_events
-    )
-    return _fold_partition(pass_specs, partition)
-
-
 def _process_context():
     # fork keeps worker start-up (and the numpy import) off the critical
     # path, but it is only dependable on Linux — forked children crash in
@@ -386,32 +369,35 @@ def _process_context():
 
 
 class ProcessEngine:
-    """Partitioned folds on a *warm* pool of worker processes.
+    """Pass-sharded folds on a *warm* pool of worker processes.
 
-    The only backend whose fold work scales past one core — and the only
-    one with a requirement on the stream: it must be a
+    The only backend whose fold work runs off the GIL — and the only one
+    with a requirement on the stream: it must be a
     :class:`~repro.events.store.ShardedTraceStore` (over any transport),
     because workers re-open it from its transport spec rather than
     receive events.
 
-    The per-task constants the old spawn-per-run submission paid are all
-    amortised here:
+    Each pass spec is one pool task, handed out dynamically over
+    ``min(jobs, len(specs))`` workers: the worker folds that pass from
+    the stream head with the serial code path (eager classification),
+    finalizes it, and returns only its finding part; the parent then runs
+    the one shared gather of the finding rows.  Nothing is partitioned,
+    so no carry is shipped or merged, and a one-shard store parallelises
+    as well as a large one.  The cost is the ceiling: at most five
+    workers, and a run is bounded by its heaviest pass (duplicates, ~40%
+    of the fold on a findings-sparse trace).  Cross-machine scale stays
+    with the partitioned distributed engine.
+
+    The per-task constants are amortised:
 
     * workers come from a :class:`~repro.core.pool.WarmWorkerPool` — each
-      process spawns once and folds many partitions (the store is cut
-      into ``jobs * tasks_per_worker`` tasks, so reuse happens within a
-      single run, not only across runs);
+      process spawns once and runs many passes;
     * each worker opens the store once and keeps it across tasks;
     * decoded shards are published to a
       :class:`~repro.events.shardcache.SharedShardCache` so every shard
       blob is parsed exactly once across the whole pool, everything else
-      reading zero-copy views;
-    * carries travel as :mod:`repro.core.carrycodec` payloads, not
-      pickles.
-
-    Finalize runs on the same pool (merged carries shipped out once more,
-    finding parts shipped back); the parent then runs the one shared
-    gather of the finding rows.
+      reading zero-copy views (local ``.odpf`` shards are mapped in place
+      instead).
 
     With ``keep_pool=True`` the pool, the per-worker stores and the shard
     cache survive across ``run()`` calls (close with :meth:`close` or use
@@ -422,17 +408,11 @@ class ProcessEngine:
     name = "process"
 
     #: Options addressable from an ``EngineConfig`` spec string
-    #: (``"process:keep_pool=on,tasks_per_worker=8"``).
-    config_options = {
-        "keep_pool": _opt_bool,
-        "tasks_per_worker": _opt_int,
-    }
+    #: (``"process:keep_pool=on"``).
+    config_options = {"keep_pool": _opt_bool}
 
-    def __init__(self, *, keep_pool: bool = False, tasks_per_worker: int = 4) -> None:
-        if tasks_per_worker < 1:
-            raise ValueError("tasks_per_worker must be at least 1")
+    def __init__(self, *, keep_pool: bool = False) -> None:
         self.keep_pool = keep_pool
-        self.tasks_per_worker = tasks_per_worker
         self._pool = None
         self._cache = None
         self._cache_key = None
@@ -454,42 +434,22 @@ class ProcessEngine:
                 "(shard_trace / `ompdataperf trace shard`) or use the "
                 "serial or thread engine"
             )
-        # Oversubscribe partitions over workers: task count is what warm
-        # reuse amortises against.  jobs == 1 keeps its historical meaning
-        # (no partitioning — run serially).
-        requested = jobs if jobs == 1 else jobs * self.tasks_per_worker
-        tasks = partition_tasks(stream, requested)
-        if not tasks:
+        if jobs == 1:
             if not self.keep_pool:
                 self.close()
             return self._run_degraded_serial(specs, stream, jobs)
-        specs = tuple(specs)
         spec = stream.transport.spec()
         try:
-            pool, spawn_seconds_now = self._ensure_pool(min(jobs, len(tasks)))
+            pool, spawn_seconds_now = self._ensure_pool(min(jobs, len(specs)))
             cache_spec = self._ensure_cache(stream)
-            fold_jobs = {
-                pool.submit_fold(spec, cache_spec, task, specs): task
-                for task in tasks
-            }
-            results = pool.collect(fold_jobs)
-            ordered = sorted(fold_jobs, key=lambda job: fold_jobs[job].index)
-            from repro.core.carrycodec import decode_carries, encode_carries
-
-            chains = [decode_carries(results[job][0]) for job in ordered]
-            task_stats = [results[job][1] for job in ordered]
-            merged = _merge_partition_carries(chains)
-            finalize_jobs = [
-                pool.submit_finalize(spec, cache_spec, encode_carries([pass_]))
-                for pass_ in merged
-            ]
-            finalize_results = pool.collect(finalize_jobs)
-            parts: list[FindingPart] = [finalize_results[job][0] for job in finalize_jobs]
-            task_stats += [finalize_results[job][1] for job in finalize_jobs]
-            self.stats = self._build_stats(task_stats, len(tasks), spawn_seconds_now)
-            return FindingTable.gather(parts, stream)
+            job_ids = [pool.submit_pass(spec, cache_spec, p) for p in specs]
+            results = pool.collect(job_ids)
+            self.stats = self._build_stats(
+                [results[job][1] for job in job_ids], pool.num_workers, spawn_seconds_now
+            )
+            return FindingTable.gather([results[job][0] for job in job_ids], stream)
         except BaseException:
-            # Any failure — a dead worker, a KeyboardInterrupt mid-merge —
+            # Any failure — a dead worker, a KeyboardInterrupt mid-gather —
             # tears the pool down and unlinks every shared segment, even
             # in keep-pool mode: leaked /dev/shm entries are never an
             # acceptable failure mode.
@@ -499,8 +459,8 @@ class ProcessEngine:
             if not self.keep_pool:
                 self.close()
 
-    def _run_degraded_serial(self, specs, stream, jobs: int) -> list:
-        """Serial fallback (``jobs == 1`` or an unpartitionable store).
+    def _run_degraded_serial(self, specs, stream, jobs: int) -> FindingTable:
+        """Serial fallback for ``jobs == 1``.
 
         Reports the same overhead breakdown as the pooled path by diffing
         the store's own counters around the run — so ``BENCH_engine.json``
@@ -551,9 +511,10 @@ class ProcessEngine:
         return self._pool, 0.0
 
     def _ensure_cache(self, stream) -> Optional[dict]:
+        from repro.core.pool import store_key
         from repro.events.shardcache import SharedShardCache
 
-        key = _store_identity(stream.transport.spec())
+        key = store_key(stream.transport.spec())
         if self._cache is not None and self._cache_key != key:
             self._close_cache()
         if self._cache is None:
@@ -563,7 +524,7 @@ class ProcessEngine:
         self._cache_shards = max(self._cache_shards, stream.num_shards)
         return self._cache.spec()
 
-    def _build_stats(self, task_stats, num_tasks: int, spawn_seconds: float) -> dict:
+    def _build_stats(self, task_stats, workers: int, spawn_seconds: float) -> dict:
         open_seconds = sum(s["open_seconds"] for s in task_stats)
         decode_seconds = sum(s["decode_seconds"] for s in task_stats)
         map_seconds = sum(s["map_seconds"] for s in task_stats)
@@ -572,8 +533,8 @@ class ProcessEngine:
         return {
             "spawn_count": self._spawned_total,
             "spawn_seconds": spawn_seconds,
-            "tasks": num_tasks,
-            "workers": len({s["worker"] for s in task_stats}),
+            "tasks": len(task_stats),
+            "workers": workers,
             "pool_reuse": sum(1 for s in task_stats if s["task_no"] > 1),
             "open_seconds": open_seconds,
             "decode_seconds": decode_seconds,
@@ -583,7 +544,7 @@ class ProcessEngine:
             "map_count": sum(s["map_count"] for s in task_stats),
             "fold_seconds": fold_seconds,
             "overhead_seconds": overhead,
-            "overhead_per_task": overhead / max(1, num_tasks),
+            "overhead_per_task": overhead / max(1, len(task_stats)),
         }
 
     def _close_pool(self) -> None:
@@ -608,16 +569,6 @@ class ProcessEngine:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def _store_identity(spec: dict):
-    """Hashable identity of a store's transport spec (cache invalidation)."""
-    kind = spec.get("kind")
-    if kind == "prefix":
-        return (kind, spec.get("prefix"), _store_identity(spec["inner"]))
-    if "path" in spec:
-        return (kind, str(spec["path"]))
-    return (kind, id(spec.get("transport")))
 
 
 #: Engine registry, keyed by the names the CLI exposes.  The distributed

@@ -1,21 +1,17 @@
 """Persistent warm worker pool for the process engine.
 
-``ProcessEngine`` used to build a fresh ``ProcessPoolExecutor`` per run
-and submit one spawn-shaped job per partition; every task then paid the
-full set of constants — process start-up, store reopen, shard re-decode —
-before folding a single event.  This module replaces that with a pool of
-long-lived worker processes:
+A pool of long-lived worker processes, each running whole detector
+passes handed out over one task queue:
 
-* each worker **spawns once** and then folds many partitions over a task
-  queue (oversubscribing partitions over workers is what makes the reuse
-  visible: ``tasks > workers`` means most tasks run on a warm worker);
+* each worker **spawns once** and then runs many passes (five passes
+  over fewer workers means most tasks run on a warm worker);
 * each worker **opens each store once**, keyed by its transport spec, and
   keeps it (plus its attached shared-shard cache) across tasks and across
   runs of a ``keep_pool=True`` engine;
-* carries cross the result queue as compact
-  :mod:`repro.core.carrycodec` payloads instead of pickles;
+* a task folds one pass from the stream head and finalizes it in place,
+  so only the finished finding part crosses the result queue;
 * every task reports an overhead breakdown (open / decode / map / fold
-  seconds, cache hits, which worker ran it) so ``BENCH_engine.json`` can
+  seconds, cache hits, the worker's task number) so ``BENCH_engine.json`` can
   show the constants falling even on machines where wall-clock speedup
   cannot.
 
@@ -35,18 +31,11 @@ import traceback
 from time import perf_counter
 from typing import Optional
 
-from repro.core.carrycodec import decode_carries, encode_carries
-from repro.core.engine import (
-    PartitionTask,
-    _fold_partition,
-    _open_store_from_spec,
-    _process_context,
-)
+from repro.core.detectors._streaming import fold_batches
+from repro.core.engine import PassSpec, _open_store_from_spec, _process_context
 from repro.events.shardcache import SharedShardCache, ensure_resource_tracker
-from repro.events.stream import StreamPartition
 
-_CMD_FOLD = "fold"
-_CMD_FINALIZE = "finalize"
+_CMD_PASS = "pass"
 _CMD_STOP = "stop"
 
 _OK = "ok"
@@ -113,7 +102,15 @@ def _attach_cache(store, cache_spec: Optional[dict], caches: dict) -> None:
     store.attach_shard_cache(cache)
 
 
-def _pool_worker(index: int, task_queue, result_queue, crash_after, progress) -> None:
+def _ticking(batches, tick):
+    """Pass ``batches`` through, calling ``tick(events)`` after each one
+    has been folded (the fold-position hook)."""
+    for batch in batches:
+        yield batch
+        tick(batch.num_data_op_events + batch.num_target_events)
+
+
+def _pool_worker(task_queue, result_queue, crash_after, progress) -> None:
     from repro.core.distributed import CRASH_EXIT_CODE
 
     stores: dict = {}
@@ -132,7 +129,6 @@ def _pool_worker(index: int, task_queue, result_queue, crash_after, progress) ->
             break
         job_id = command[1]
         try:
-            kind = command[0]
             store, open_seconds = open_store_cached(command[2], stores)
             _attach_cache(store, command[3], caches)
             decode0 = store.decode_seconds
@@ -141,24 +137,13 @@ def _pool_worker(index: int, task_queue, result_queue, crash_after, progress) ->
             map0 = store.map_seconds
             mapc0 = store.map_count
             started = perf_counter()
-            if kind == _CMD_FOLD:
-                task, pass_specs = command[4], command[5]
-                partition = StreamPartition(
-                    store, task.lo, task.hi, task.data_op_offset, task.num_events
-                )
-                payload = encode_carries(
-                    _fold_partition(pass_specs, partition, on_batch=tick_progress)
-                )
-            elif kind == _CMD_FINALIZE:
-                pass_ = decode_carries(command[4])[0]
-                payload = pass_.finalize()
-            else:
-                raise RuntimeError(f"unknown pool command {kind!r}")
+            pass_ = command[4].build()
+            fold_batches((pass_,), _ticking(store.batches(), tick_progress))
+            payload = pass_.finalize()
             wall = perf_counter() - started
             decode_seconds = store.decode_seconds - decode0
             map_seconds = store.map_seconds - map0
             stats = {
-                "worker": index,
                 "task_no": completed + 1,
                 "open_seconds": open_seconds,
                 "decode_seconds": decode_seconds,
@@ -180,7 +165,7 @@ def _pool_worker(index: int, task_queue, result_queue, crash_after, progress) ->
 
 
 class WarmWorkerPool:
-    """A fixed set of long-lived fold/finalize worker processes."""
+    """A fixed set of long-lived pass worker processes."""
 
     def __init__(self, num_workers: int, *, mp_context=None) -> None:
         if num_workers < 1:
@@ -205,7 +190,7 @@ class WarmWorkerPool:
             proc = ctx.Process(
                 target=_pool_worker,
                 args=(
-                    index, self._task_queue, self._result_queue, crash_after,
+                    self._task_queue, self._result_queue, crash_after,
                     self._progress[index],
                 ),
                 daemon=True,
@@ -240,24 +225,13 @@ class WarmWorkerPool:
         self._next_job += 1
         return job
 
-    def submit_fold(
-        self,
-        store_spec: dict,
-        cache_spec: Optional[dict],
-        task: PartitionTask,
-        pass_specs: tuple,
+    def submit_pass(
+        self, store_spec: dict, cache_spec: Optional[dict], pass_spec: PassSpec
     ) -> int:
-        """Queue one partition fold; returns the job id to collect on."""
+        """Queue one whole pass (fold + finalize); returns the job id to
+        collect on.  The job's payload is the pass's finding part."""
         return self._submit(
-            (_CMD_FOLD, self._new_job(), store_spec, cache_spec, task, pass_specs)
-        )
-
-    def submit_finalize(
-        self, store_spec: dict, cache_spec: Optional[dict], carry_payload: bytes
-    ) -> int:
-        """Queue one pass finalize (carry travels as a codec payload)."""
-        return self._submit(
-            (_CMD_FINALIZE, self._new_job(), store_spec, cache_spec, carry_payload)
+            (_CMD_PASS, self._new_job(), store_spec, cache_spec, pass_spec)
         )
 
     def collect(self, job_ids) -> dict:

@@ -165,6 +165,40 @@ def test_process_engine_over_non_local_transports(trace, tmp_path, destination):
     assert _findings(report) == expected
 
 
+@pytest.fixture(scope="module")
+def hostile_store(tmp_path_factory):
+    from repro.events.hostile import make_hostile_trace
+
+    path = tmp_path_factory.mktemp("hostile-store") / "trace.store"
+    return shard_trace(make_hostile_trace(3000, seed=11), path, shard_events=257)
+
+
+@pytest.mark.parametrize("jobs", [2, 8])
+def test_process_engine_renders_like_serial_on_hostile_trace(hostile_store, jobs):
+    """Each pass runs the serial fold on its worker, so the rendered
+    report and the potential estimate match the serial engine byte for
+    byte — also with more jobs than there are passes."""
+    serial = analyze_stream(hostile_store)
+    eng = ProcessEngine()
+    report = analyze_stream(hostile_store, engine=eng, jobs=jobs)
+    assert report.render() == serial.render()
+    assert report.potential.as_dict() == serial.potential.as_dict()
+    assert eng.stats["tasks"] == 5
+    assert eng.stats["workers"] == min(jobs, 5)
+
+
+def test_process_engine_runs_a_one_shard_store_on_the_pool(trace, tmp_path):
+    """Passes need no partitioning, so even a single shard goes to the
+    pool instead of degrading to a serial run."""
+    store = shard_trace(trace, tmp_path / "one.store", shard_events=10**9)
+    assert store.num_shards == 1
+    eng = ProcessEngine()
+    report = analyze_stream(store, engine=eng, jobs=2)
+    assert _findings(report) == _findings(analyze_trace(trace))
+    assert eng.stats["tasks"] == 5
+    assert eng.stats["workers"] == 2
+
+
 def test_thread_engine_over_object_store_transport(trace):
     remote = FakeObjectStoreTransport()
     store = shard_trace(trace, remote, shard_events=512)
@@ -297,10 +331,13 @@ def test_engine_config_build_and_resolve():
     assert engine.speculate is False
     assert engine.min_stall == 0.5
     # EngineConfig instances resolve too (what the CLI passes through).
-    config = EngineConfig.parse("process:keep_pool=on,tasks_per_worker=2")
+    config = EngineConfig.parse("process:keep_pool=on")
     built = resolve_engine(config)
     assert isinstance(built, ProcessEngine)
-    assert built.keep_pool is True and built.tasks_per_worker == 2
+    assert built.keep_pool is True
+    # The process engine shards by pass: there is no partition knob.
+    with pytest.raises(ValueError, match="unknown option 'tasks_per_worker'"):
+        EngineConfig.parse("process:keep_pool=on,tasks_per_worker=2")
 
 
 def test_engine_config_option_tables_cover_constructors():

@@ -72,7 +72,7 @@ def test_warm_pool_reuses_workers_across_runs(trace, store):
     assert first["spawn_count"] == 2
     assert second["spawn_count"] == 2
     assert second["spawn_seconds"] == 0.0
-    # Oversubscription makes reuse visible within a single run already…
+    # Five passes over two workers make reuse visible within one run…
     assert first["tasks"] > first["workers"]
     assert first["pool_reuse"] > 0
     # …and the second run runs entirely on warm workers with every shard
@@ -176,10 +176,10 @@ def test_no_segments_survive_worker_crash(store, monkeypatch):
 
 
 def test_no_segments_survive_keyboard_interrupt(store, monkeypatch):
-    def interrupt(chains):
+    def interrupt(parts, source):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(engine_mod, "_merge_partition_carries", interrupt)
+    monkeypatch.setattr(engine_mod.FindingTable, "gather", interrupt)
     eng = ProcessEngine(keep_pool=True)
     with pytest.raises(KeyboardInterrupt):
         analyze_stream(store, engine=eng, jobs=2)
@@ -212,21 +212,20 @@ def test_broken_cache_degrades_to_private_decode(trace):
 
 def test_fold_positions_track_worker_progress(store):
     """The per-worker shared counters advance with folded events: their
-    total equals the events of every folded partition (the warm-pool
-    analogue of the distributed beat's fold-position half)."""
-    from repro.core.engine import PassSpec, partition_tasks
+    total equals the stream's events times the passes folded (the
+    warm-pool analogue of the distributed beat's fold-position half)."""
     from repro.core.detectors.duplicates import DuplicateTransferPass
+    from repro.core.detectors.roundtrips import RoundTripPass
+    from repro.core.engine import PassSpec
     from repro.core.pool import WarmWorkerPool
 
-    tasks = partition_tasks(store, 4)
-    specs = (PassSpec(DuplicateTransferPass),)
+    specs = (PassSpec(DuplicateTransferPass), PassSpec(RoundTripPass))
     with WarmWorkerPool(2) as pool:
         assert pool.fold_positions() == [0, 0]
         jobs = [
-            pool.submit_fold(store.transport.spec(), None, task, specs)
-            for task in tasks
+            pool.submit_pass(store.transport.spec(), None, spec) for spec in specs
         ]
         pool.collect(jobs)
         positions = pool.fold_positions()
     assert len(positions) == 2
-    assert sum(positions) == sum(task.num_events for task in tasks)
+    assert sum(positions) == len(store) * len(specs)
