@@ -1,18 +1,22 @@
 """Detector throughput on a million-event synthetic trace.
 
 Benchmarks every detector on both representations of the same trace — the
-object-based reference path over dataclass event lists and the vectorised
-columnar fast path — verifies the findings are identical, and writes a
-machine-readable throughput record to ``BENCH_detectors.json`` under
-``$OMPDATAPERF_BENCH_DIR`` (default: a fresh temp dir).  The acceptance
-bar for the columnar backbone is an aggregate speedup of at least 5x over
-the object path.
+object-based reference oracle over dataclass event lists and the streaming
+pass over the columnar trace as one batch — verifies the findings are
+identical, and writes a machine-readable throughput record to
+``BENCH_detectors.json`` under ``$OMPDATAPERF_BENCH_DIR`` (default: a fresh
+temp dir).  The acceptance bar for the columnar path is an aggregate
+speedup of at least 5x over the object path.  The columnar side runs in
+well under a second, where one scheduling hiccup can swamp a single
+sample, so it is timed as the median of ``COLUMNAR_RUNS`` runs (every
+sample is recorded).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 
 import pytest
@@ -21,27 +25,28 @@ pytestmark = pytest.mark.slow  # 1M-event benchmark: skipped by -m "not slow"
 
 from repro.core.detectors.duplicates import (
     find_duplicate_transfers,
-    find_duplicate_transfers_columnar,
+    find_duplicate_transfers_streaming,
 )
 from repro.core.detectors.repeated_allocs import (
     find_repeated_allocations,
-    find_repeated_allocations_columnar,
+    find_repeated_allocations_streaming,
 )
-from repro.core.detectors.roundtrips import find_round_trips, find_round_trips_columnar
+from repro.core.detectors.roundtrips import find_round_trips, find_round_trips_streaming
 from repro.core.detectors.unused_allocs import (
     find_unused_allocations,
-    find_unused_allocations_columnar,
+    find_unused_allocations_streaming,
 )
 from repro.core.detectors.unused_transfers import (
     find_unused_transfers,
-    find_unused_transfers_columnar,
+    find_unused_transfers_streaming,
 )
 from repro.events.synth import make_synthetic_columnar_trace
 
 NUM_EVENTS = 1_000_000
-#: The acceptance bar on dedicated hardware is 5x.  Shared CI runners can
-#: suffer scheduling noise inside the (sub-second) columnar timing windows,
-#: so the bar is overridable there via the environment.
+#: Runs of the columnar side per detector; its time is their median.
+COLUMNAR_RUNS = 5
+#: The acceptance bar on dedicated hardware is 5x.  Shared CI runners are
+#: slower and noisier, so the bar is overridable there via the environment.
 MIN_AGGREGATE_SPEEDUP = float(os.environ.get("OMPDATAPERF_BENCH_MIN_SPEEDUP", "5.0"))
 
 _RESULTS: dict[str, dict] = {}
@@ -62,16 +67,20 @@ def _measure(label, traces, object_path, columnar_path):
     object_findings = object_path(trace)
     object_seconds = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    columnar_findings = columnar_path(columnar)
-    columnar_seconds = time.perf_counter() - t0
+    columnar_samples = []
+    for _ in range(COLUMNAR_RUNS):
+        t0 = time.perf_counter()
+        columnar_findings = columnar_path(columnar)
+        columnar_samples.append(time.perf_counter() - t0)
+        assert columnar_findings == object_findings, (
+            f"{label}: columnar findings differ from the object oracle"
+        )
+    columnar_seconds = statistics.median(columnar_samples)
 
-    assert columnar_findings == object_findings, (
-        f"{label}: columnar findings differ from the object oracle"
-    )
     record = {
         "object_seconds": object_seconds,
         "columnar_seconds": columnar_seconds,
+        "columnar_samples": columnar_samples,
         "object_events_per_sec": total_events / object_seconds,
         "columnar_events_per_sec": total_events / columnar_seconds,
         "speedup": object_seconds / columnar_seconds,
@@ -85,7 +94,7 @@ def test_duplicates_throughput(traces):
     record = _measure(
         "duplicates", traces,
         lambda t: find_duplicate_transfers(t.data_op_events),
-        find_duplicate_transfers_columnar,
+        find_duplicate_transfers_streaming,
     )
     assert record["num_findings"] > 0
 
@@ -94,7 +103,7 @@ def test_roundtrips_throughput(traces):
     record = _measure(
         "roundtrips", traces,
         lambda t: find_round_trips(t.data_op_events),
-        find_round_trips_columnar,
+        find_round_trips_streaming,
     )
     assert record["num_findings"] > 0
 
@@ -103,7 +112,7 @@ def test_repeated_allocs_throughput(traces):
     record = _measure(
         "repeated_allocs", traces,
         lambda t: find_repeated_allocations(t.data_op_events),
-        find_repeated_allocations_columnar,
+        find_repeated_allocations_streaming,
     )
     assert record["num_findings"] > 0
 
@@ -112,7 +121,7 @@ def test_unused_allocs_throughput(traces):
     record = _measure(
         "unused_allocs", traces,
         lambda t: find_unused_allocations(t.target_events, t.data_op_events, t.num_devices),
-        lambda c: find_unused_allocations_columnar(c, c.num_devices),
+        lambda c: find_unused_allocations_streaming(c, c.num_devices),
     )
     assert record["num_findings"] > 0
 
@@ -121,7 +130,7 @@ def test_unused_transfers_throughput(traces):
     record = _measure(
         "unused_transfers", traces,
         lambda t: find_unused_transfers(t.target_events, t.data_op_events, t.num_devices),
-        lambda c: find_unused_transfers_columnar(c, c.num_devices),
+        lambda c: find_unused_transfers_streaming(c, c.num_devices),
     )
     assert record["num_findings"] > 0
 

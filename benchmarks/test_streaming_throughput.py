@@ -14,7 +14,8 @@ Three claims are measured and enforced:
 * **Streaming throughput.**  At the default shard size the five
   incremental detector passes (one scan of the store, fold + finalize)
   reach at least ``MIN_STREAMING_RATIO`` of the in-memory columnar
-  throughput (load the whole store, run the vectorised detectors).
+  throughput (load the whole store, run the detectors over it as one
+  batch).
 * **Streaming analysis memory.**  The streaming path peaks below the
   in-memory path; what remains is the shard buffer plus the detector
   carries (key tables, pending legs — see ``docs/architecture.md``),
@@ -31,11 +32,11 @@ import tracemalloc
 import pytest
 
 from repro.core.analysis import analyze_stream
-from repro.core.detectors.duplicates import find_duplicate_transfers_columnar
-from repro.core.detectors.repeated_allocs import find_repeated_allocations_columnar
-from repro.core.detectors.roundtrips import find_round_trips_columnar
-from repro.core.detectors.unused_allocs import find_unused_allocations_columnar
-from repro.core.detectors.unused_transfers import find_unused_transfers_columnar
+from repro.core.detectors.duplicates import find_duplicate_transfers_streaming
+from repro.core.detectors.repeated_allocs import find_repeated_allocations_streaming
+from repro.core.detectors.roundtrips import find_round_trips_streaming
+from repro.core.detectors.unused_allocs import find_unused_allocations_streaming
+from repro.core.detectors.unused_transfers import find_unused_transfers_streaming
 from repro.events.store import TraceWriter, shard_trace
 from repro.events.stream import DEFAULT_SHARD_EVENTS, iter_trace_slices
 from repro.events.synth import make_synthetic_columnar_trace
@@ -79,12 +80,13 @@ def stores(trace, tmp_path_factory):
 
 
 def _run_columnar(full):
+    """The five detectors over the whole in-memory trace as one batch."""
     return (
-        find_duplicate_transfers_columnar(full),
-        find_round_trips_columnar(full),
-        find_repeated_allocations_columnar(full),
-        find_unused_allocations_columnar(full, full.num_devices),
-        find_unused_transfers_columnar(full, full.num_devices),
+        find_duplicate_transfers_streaming(full),
+        find_round_trips_streaming(full),
+        find_repeated_allocations_streaming(full),
+        find_unused_allocations_streaming(full, full.num_devices),
+        find_unused_transfers_streaming(full, full.num_devices),
     )
 
 
@@ -144,7 +146,7 @@ def test_streaming_matches_columnar_and_measures_throughput(trace, stores):
         report = analyze_stream(stores[shard_events])
         seconds = time.perf_counter() - t0
         assert _report_findings(report) == expected, (
-            f"streaming findings differ from the columnar oracle at "
+            f"streaming findings differ from the in-memory one-batch run at "
             f"shard_events={shard_events}"
         )
         per_shard[str(shard_events)] = {
@@ -173,8 +175,8 @@ def test_shard_format_legs_open_latency_and_throughput(trace, tmp_path_factory):
     Three measurements per format: time to open the store and materialise
     its first shard (the decode-vs-mmap difference in isolation), the
     full streaming analysis throughput, and its ratio against the
-    same-format in-memory path (load the whole store, run the vectorised
-    detectors).  The gated claim compares across formats: streaming the
+    same-format in-memory path (load the whole store, run the detectors
+    over it as one batch).  The gated claim compares across formats: streaming the
     flat ``.odpf`` store must be at least as fast as streaming the legacy
     ``.npz`` store it replaces (``ratio_vs_npz_streaming >= 1.0`` — the
     decode cost is gone and nothing replaced it), and mmapping the first

@@ -6,11 +6,7 @@ from dataclasses import dataclass, field, fields
 from time import perf_counter
 from typing import Optional
 
-from repro.core.detectors.duplicates import (
-    DuplicateTransferPass,
-    duplicate_transfers_part,
-    find_duplicate_transfers,
-)
+from repro.core.detectors.duplicates import DuplicateTransferPass, find_duplicate_transfers
 from repro.core.detectors.findings import (
     DuplicateTransferGroup,
     RepeatedAllocationGroup,
@@ -21,25 +17,18 @@ from repro.core.detectors.findings import (
 from repro.core.detectors.repeated_allocs import (
     RepeatedAllocationPass,
     find_repeated_allocations,
-    repeated_allocations_part,
 )
-from repro.core.detectors.roundtrips import (
-    RoundTripPass,
-    find_round_trips,
-    round_trips_part,
-)
+from repro.core.detectors.roundtrips import RoundTripPass, find_round_trips
 from repro.core.detectors.table import FindingTable
 from repro.core.detectors.unused_allocs import (
     UnusedAllocationPass,
     find_unused_allocations,
-    unused_allocations_part,
 )
 from repro.core.detectors.unused_transfers import (
     UnusedTransferPass,
     find_unused_transfers,
-    unused_transfers_part,
 )
-from repro.core.engine import PassSpec, resolve_engine
+from repro.core.engine import PassSpec, SerialEngine, resolve_engine
 from repro.core.potential import OptimizationPotential, estimate_potential
 from repro.dwarf.debuginfo import DebugInfoRegistry
 from repro.events.columnar import ColumnarTrace
@@ -184,22 +173,17 @@ def analyze_trace(
 ) -> AnalysisReport:
     """Run Algorithms 1–5 over a trace and estimate the optimization potential.
 
-    Both trace representations are accepted: a columnar trace is analysed
-    through the vectorised detector fast paths, an object trace through the
-    reference implementations.  The findings are identical either way (the
+    Both trace representations are accepted, one per implementation of the
+    algorithms: a columnar trace is one batch of an event stream, folded by
+    the same streaming passes as :func:`analyze_stream` on the serial
+    engine; an object trace goes through the object oracles, the paper's
+    reference semantics.  The findings are identical either way (the
     differential property test holds the two paths to bit-identical output).
     """
     num_devices = max(trace.num_devices, 1)
 
     if isinstance(trace, ColumnarTrace):
-        parts = [
-            duplicate_transfers_part(trace),
-            round_trips_part(trace),
-            repeated_allocations_part(trace),
-            unused_allocations_part(trace, num_devices),
-            unused_transfers_part(trace, num_devices),
-        ]
-        findings = FindingTable.gather(parts, trace)
+        findings = SerialEngine().run(_pass_specs(num_devices), trace)
     else:
         data_ops = trace.data_op_events
         targets = trace.target_events
@@ -269,15 +253,7 @@ def analyze_stream(
         raise ValueError("jobs must be at least 1")
     started = perf_counter()
     eng = resolve_engine(engine)
-    num_devices = max(stream.num_devices, 1)
-
-    specs = (
-        PassSpec(DuplicateTransferPass),
-        PassSpec(RoundTripPass),
-        PassSpec(RepeatedAllocationPass),
-        PassSpec(UnusedAllocationPass, {"num_devices": num_devices}),
-        PassSpec(UnusedTransferPass, {"num_devices": num_devices}),
-    )
+    specs = _pass_specs(max(stream.num_devices, 1))
     run_started = perf_counter()
     findings = eng.run(specs, stream, jobs=jobs)
     engine_seconds = perf_counter() - run_started
@@ -295,6 +271,17 @@ def analyze_stream(
             "engine_seconds": engine_seconds,
             "overhead_seconds": max(0.0, wall - engine_seconds),
         },
+    )
+
+
+def _pass_specs(num_devices: int) -> tuple[PassSpec, ...]:
+    """The five detector passes, in report order."""
+    return (
+        PassSpec(DuplicateTransferPass),
+        PassSpec(RoundTripPass),
+        PassSpec(RepeatedAllocationPass),
+        PassSpec(UnusedAllocationPass, {"num_devices": num_devices}),
+        PassSpec(UnusedTransferPass, {"num_devices": num_devices}),
     )
 
 

@@ -12,19 +12,20 @@ The detectors deliberately consume only information available through the
 OMPT EMI callbacks (timestamps, device numbers, addresses, sizes, content
 hashes); none of them require memory-access instrumentation.
 
-Every algorithm ships in three equivalent implementations: the object-based
-reference oracle (``find_*``), the vectorised columnar fast path
-(``find_*_columnar``) and the incremental streaming variant
-(``find_*_streaming``) that folds an event stream shard by shard in
-O(carry) memory.  The streaming passes are additionally
-partition-mergeable — independent workers fold disjoint shard ranges and
-the carries combine losslessly (see :mod:`repro.core.engine`).  The
-four-way differential property test holds every path, on every execution
-engine, to bit-identical findings.
+Every algorithm ships in two implementations.  The object-based reference
+oracle (``find_*``) follows the paper's pseudocode over event dataclasses;
+the streaming pass (``*Pass``, driven by ``find_*_streaming``) folds an
+event stream batch by batch in O(carry) memory and is the one fast path —
+an in-memory :class:`~repro.events.columnar.ColumnarTrace` is simply a
+stream of one batch.  The passes are additionally partition-mergeable:
+independent workers fold disjoint shard ranges and the carries combine
+losslessly (see :mod:`repro.core.engine`).  The differential property
+test holds the oracle, the one-batch stream, the multi-batch stream and
+every execution engine to bit-identical findings.
 
-The report path never holds finding objects: the columnar and streaming
-paths emit :class:`~repro.core.detectors.table.FindingPart` rows that one
-shared gather turns into a :class:`~repro.core.detectors.table.FindingTable`
+The report path never holds finding objects: the streaming passes emit
+:class:`~repro.core.detectors.table.FindingPart` rows that one shared
+gather turns into a :class:`~repro.core.detectors.table.FindingTable`
 (see :mod:`repro.core.detectors.table`).
 """
 
@@ -38,28 +39,23 @@ from repro.core.detectors.findings import (
 )
 from repro.core.detectors.duplicates import (
     find_duplicate_transfers,
-    find_duplicate_transfers_columnar,
     find_duplicate_transfers_streaming,
 )
 from repro.core.detectors.roundtrips import (
     find_round_trips,
-    find_round_trips_columnar,
     find_round_trips_streaming,
 )
 from repro.core.detectors.repeated_allocs import (
     find_repeated_allocations,
-    find_repeated_allocations_columnar,
     find_repeated_allocations_streaming,
 )
 from repro.core.detectors.unused_allocs import (
     find_unused_allocations,
-    find_unused_allocations_columnar,
     find_unused_allocations_streaming,
 )
 from repro.core.detectors.table import FindingPart, FindingTable
 from repro.core.detectors.unused_transfers import (
     find_unused_transfers,
-    find_unused_transfers_columnar,
     find_unused_transfers_streaming,
 )
 
@@ -73,18 +69,13 @@ __all__ = [
     "UnusedAllocation",
     "UnusedTransfer",
     "find_duplicate_transfers",
-    "find_duplicate_transfers_columnar",
     "find_duplicate_transfers_streaming",
     "find_round_trips",
-    "find_round_trips_columnar",
     "find_round_trips_streaming",
     "find_repeated_allocations",
-    "find_repeated_allocations_columnar",
     "find_repeated_allocations_streaming",
     "find_unused_allocations",
-    "find_unused_allocations_columnar",
     "find_unused_allocations_streaming",
     "find_unused_transfers",
-    "find_unused_transfers_columnar",
     "find_unused_transfers_streaming",
 ]

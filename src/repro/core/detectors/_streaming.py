@@ -6,8 +6,8 @@ small carry state and never hold a whole trace.  The carries they share:
 * :class:`GrowArray` / :class:`ColumnBuffer` — append-only NumPy storage
   (amortised doubling / chunk list) for per-device cursors and compact
   column captures.
-* :class:`CompositeKeyCounter` — the streaming twin of the columnar
-  paths' key grouping (:func:`repro.core.detectors._columns.key_ids`): a
+* :class:`CompositeKeyCounter` — the streaming form of the oracles'
+  ``dict`` from composite key to group: a
   key table tracking, per distinct composite key, the cumulative member
   count, the smallest global position observed and that row's payload,
   with a sorted packed-key index so each batch's keys are found by binary
@@ -170,6 +170,8 @@ class KeyFold:
     prior_first_gpos: np.ndarray
     #: payload of the row at ``prior_first_gpos``
     prior_payload: np.ndarray
+    #: the key columns of each batch key
+    keys: tuple[np.ndarray, ...]
 
 
 @dataclass
@@ -279,7 +281,17 @@ class CompositeKeyCounter:
         """
         if self._keys is None:
             self._keys = tuple(GrowArray(col.dtype) for col in cols)
-            self._index = (packed[:0], np.empty(0, dtype=np.int64))
+        if not self.num_keys:
+            # Every key is new, and the sorted incoming keys are the index.
+            uid = np.arange(packed.size, dtype=np.int64)
+            for grow, col in zip(self._keys, cols):
+                grow.extend(col)
+            self._count.extend(count)
+            self._first.extend(first)
+            if self._payload is not None:
+                self._payload.extend(payload)
+            self._index = (packed, uid)
+            return uid, np.zeros(packed.size, dtype=np.int64), first, payload
         table, table_uid = self._sorted_index()
         pos = np.searchsorted(table, packed)
         found = pos < table.size
@@ -327,7 +339,7 @@ class CompositeKeyCounter:
         n = len(gpos)
         if n == 0:
             empty = np.empty(0, dtype=np.int64)
-            return KeyFold(empty, empty, empty, empty, empty, empty, empty, empty)
+            return KeyFold(empty, empty, empty, empty, empty, empty, empty, empty, ())
         if payload is None:
             payload = np.zeros(n, dtype=np.int64)
         else:
@@ -336,19 +348,23 @@ class CompositeKeyCounter:
         # Batch-local uniques: sort by key columns, gpos as tiebreak, so the
         # first row of each run carries the batch-minimal gpos.
         order = np.lexsort((gpos, *reversed(cols)))
-        packed = pack_keys(cols)[order]
-        boundary = np.ones(n, dtype=bool)
-        boundary[1:] = packed[1:] != packed[:-1]
+        sorted_cols = [col[order] for col in cols]
+        boundary = np.empty(n, dtype=bool)
+        boundary[0] = True
+        np.not_equal(sorted_cols[0][1:], sorted_cols[0][:-1], out=boundary[1:])
+        for col in sorted_cols[1:]:
+            boundary[1:] |= col[1:] != col[:-1]
         starts = np.flatnonzero(boundary)
         inverse = np.empty(n, dtype=np.int64)
         inverse[order] = np.cumsum(boundary) - 1
 
         heads = order[starts]
+        keys = tuple(col[starts] for col in sorted_cols)
         u_count = np.diff(np.append(starts, n))
         u_first = gpos[heads].astype(np.int64)
         u_payload = payload[heads].astype(np.int64)
         uid, prior_count, prior_first, prior_payload = self._absorb(
-            tuple(col[heads] for col in cols), packed[starts], u_count, u_first, u_payload
+            keys, pack_keys(keys), u_count, u_first, u_payload
         )
         return KeyFold(
             inverse,
@@ -359,6 +375,7 @@ class CompositeKeyCounter:
             uid,
             prior_first,
             prior_payload,
+            keys,
         )
 
     def merge(self, other: "CompositeKeyCounter") -> KeyMerge:

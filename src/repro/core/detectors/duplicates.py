@@ -13,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.detectors._columns import key_ids
 from repro.core.detectors._streaming import (
     ColumnBuffer,
     CompositeKeyCounter,
@@ -24,7 +23,6 @@ from repro.core.detectors._streaming import (
 )
 from repro.core.detectors.findings import DuplicateTransferGroup
 from repro.core.detectors.table import FindingPart, part_objects
-from repro.events.columnar import ColumnarTrace
 from repro.events.protocol import EventStream
 from repro.events.records import DataOpEvent
 from repro.events.stream import materialize_data_op_events
@@ -87,57 +85,10 @@ def find_duplicate_transfers(
     return groups
 
 
-def find_duplicate_transfers_columnar(
-    trace: ColumnarTrace,
-    *,
-    min_bytes: int = 0,
-) -> list[DuplicateTransferGroup]:
-    """Vectorised Algorithm 1 over a columnar trace.
-
-    Produces findings identical to :func:`find_duplicate_transfers` run over
-    the object events (the object implementation is the reference oracle);
-    object events are materialised only for the rows in findings.
-    """
-    part = duplicate_transfers_part(trace, min_bytes=min_bytes)
-    return part_objects(part, materialize_data_op_events(trace, part.labels()))
-
-
-def duplicate_transfers_part(trace: ColumnarTrace, *, min_bytes: int = 0) -> FindingPart:
-    """The columnar fast path's findings as a :class:`FindingPart` over the
-    trace's row indices: a masked select plus one key factorisation."""
-    if min_bytes < 0:
-        raise ValueError("min_bytes cannot be negative")
-
-    mask = trace.transfer_mask()
-    if min_bytes:
-        mask &= trace.do_nbytes >= min_bytes
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return FindingPart.empty(CATEGORY)
-
-    missing = ~trace.do_has_content_hash[idx]
-    if missing.any():
-        seq = int(trace.do_seq[idx[np.flatnonzero(missing)[0]]])
-        raise ValueError(f"transfer event seq={seq} is missing its content hash")
-
-    hashes = trace.do_content_hash[idx]
-    dests = trace.do_dest_device_num[idx]
-    ids = key_ids(hashes, dests)
-    grouped = np.flatnonzero(np.bincount(ids)[ids] >= 2)
-    return FindingPart.grouped(
-        CATEGORY,
-        idx[grouped],
-        ids[grouped],
-        idx[grouped],
-        content_hash=hashes[grouped],
-        dest_device_num=dests[grouped],
-    )
-
-
 class DuplicateTransferPass(StreamingPass):
     """Incremental Algorithm 1: fold shards, finalize to groups.
 
-    Findings are identical to the batch implementations.  Carry state is a
+    Findings are identical to the object oracle.  Carry state is a
     :class:`CompositeKeyCounter` over ``(hash, destination device)`` —
     count and first position per distinct key, the streaming analogue of
     the native tool's hash map — plus the positions of members of keys
@@ -175,23 +126,21 @@ class DuplicateTransferPass(StreamingPass):
         gpos = offset + idx
         fold = self._counter.fold((hashes, dests), gpos)
 
-        qualified = fold.total_count[fold.inverse] >= 2
-        if qualified.any():
+        grouped = fold.total_count >= 2
+        qualified = np.flatnonzero(grouped[fold.inverse])
+        if qualified.size:
             self._gpos.append(gpos[qualified])
-            self._group.append(fold.key_uid[fold.inverse][qualified])
+            self._group.append(fold.key_uid[fold.inverse[qualified]])
             self._hash.append(hashes[qualified])
             self._dest.append(dests[qualified])
-        crossed = (fold.prior_count == 1) & (fold.total_count >= 2)
+        crossed = grouped & (fold.prior_count == 1)
         if crossed.any():
             # The key's single retained member (counted while the key was
             # still a singleton) joins the group now.
             self._gpos.append(fold.prior_first_gpos[crossed])
             self._group.append(fold.key_uid[crossed])
-            # recover the key columns from any batch member of the key
-            _, first_row_of_key = np.unique(fold.inverse, return_index=True)
-            representative = first_row_of_key[np.flatnonzero(crossed)]
-            self._hash.append(hashes[representative])
-            self._dest.append(dests[representative])
+            self._hash.append(fold.keys[0][crossed])
+            self._dest.append(fold.keys[1][crossed])
 
     def merge(self, other: "DuplicateTransferPass") -> None:
         """Absorb a pass folded over a disjoint row range.

@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.detectors._columns import alloc_delete_pair_rows, key_ids
 from repro.core.detectors._streaming import (
     ColumnBuffer,
     CompositeKeyCounter,
@@ -27,7 +26,6 @@ from repro.core.detectors._streaming import (
 )
 from repro.core.detectors.findings import RepeatedAllocationGroup
 from repro.core.detectors.table import FindingPart, part_objects
-from repro.events.columnar import ColumnarTrace
 from repro.events.protocol import EventStream
 from repro.events.records import AllocationPair, DataOpEvent, get_alloc_delete_pairs
 from repro.events.stream import materialize_data_op_events
@@ -87,52 +85,6 @@ def find_repeated_allocations(
     return groups
 
 
-def find_repeated_allocations_columnar(
-    trace: ColumnarTrace,
-    *,
-    require_deletion: bool = True,
-) -> list[RepeatedAllocationGroup]:
-    """Vectorised Algorithm 3 over a columnar trace.
-
-    Findings are identical to :func:`find_repeated_allocations` over the
-    object events (the reference oracle).  Alloc/delete pairing and the
-    ``(host address, device, size)`` grouping both run as array passes;
-    :class:`AllocationPair` objects are materialised only for the groups
-    that qualify as repeats.
-    """
-    part = repeated_allocations_part(trace, require_deletion=require_deletion)
-    return part_objects(part, materialize_data_op_events(trace, part.labels()))
-
-
-def repeated_allocations_part(
-    trace: ColumnarTrace, *, require_deletion: bool = True
-) -> FindingPart:
-    """The columnar fast path's findings as a :class:`FindingPart` over the
-    trace's row indices."""
-    alloc_rows, delete_rows = alloc_delete_pair_rows(trace)
-    if require_deletion:
-        keep = delete_rows >= 0
-        alloc_rows = alloc_rows[keep]
-        delete_rows = delete_rows[keep]
-    if alloc_rows.size == 0:
-        return FindingPart.empty(CATEGORY)
-
-    host_addr = trace.do_src_addr[alloc_rows]
-    device = trace.do_dest_device_num[alloc_rows]
-    nbytes = trace.do_nbytes[alloc_rows]
-    ids = key_ids(host_addr, device, nbytes)
-    grouped = np.flatnonzero(np.bincount(ids)[ids] >= 2)
-    return FindingPart.grouped(
-        CATEGORY,
-        np.column_stack((alloc_rows[grouped], delete_rows[grouped])),
-        ids[grouped],
-        alloc_rows[grouped],
-        host_addr=host_addr[grouped],
-        device_num=device[grouped],
-        nbytes=nbytes[grouped],
-    )
-
-
 class RepeatedAllocationPass(StreamingPass):
     """Incremental Algorithm 3: fold pairs, finalize to groups.
 
@@ -166,15 +118,16 @@ class RepeatedAllocationPass(StreamingPass):
         fold = self._counter.fold(
             (host, dev, nbytes), pairs.alloc_gpos, payload=pairs.delete_gpos
         )
-        qualified = fold.total_count[fold.inverse] >= 2
-        if qualified.any():
+        grouped = fold.total_count >= 2
+        qualified = np.flatnonzero(grouped[fold.inverse])
+        if qualified.size:
             self._alloc.append(pairs.alloc_gpos[qualified])
             self._delete.append(pairs.delete_gpos[qualified])
-            self._group.append(fold.key_uid[fold.inverse][qualified])
+            self._group.append(fold.key_uid[fold.inverse[qualified]])
             self._host.append(host[qualified])
             self._dev.append(dev[qualified])
             self._nbytes.append(nbytes[qualified])
-        crossed = (fold.prior_count == 1) & (fold.total_count >= 2)
+        crossed = grouped & (fold.prior_count == 1)
         if crossed.any():
             # Recover the key's single retained pair — the one counted
             # while the key was still a singleton (NOT the post-merge
@@ -183,11 +136,9 @@ class RepeatedAllocationPass(StreamingPass):
             self._alloc.append(fold.prior_first_gpos[crossed])
             self._delete.append(fold.prior_payload[crossed])
             self._group.append(fold.key_uid[crossed])
-            _, first_row_of_key = np.unique(fold.inverse, return_index=True)
-            representative = first_row_of_key[np.flatnonzero(crossed)]
-            self._host.append(host[representative])
-            self._dev.append(dev[representative])
-            self._nbytes.append(nbytes[representative])
+            self._host.append(fold.keys[0][crossed])
+            self._dev.append(fold.keys[1][crossed])
+            self._nbytes.append(fold.keys[2][crossed])
 
     def fold(self, batch, offset: int) -> None:
         self._count(self._pairer.fold(batch, offset))

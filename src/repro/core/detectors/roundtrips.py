@@ -32,7 +32,6 @@ from repro.core.detectors._streaming import (
 )
 from repro.core.detectors.findings import RoundTripGroup, RoundTripPair
 from repro.core.detectors.table import FindingPart, part_objects
-from repro.events.columnar import ColumnarTrace
 from repro.events.protocol import EventStream
 from repro.events.records import DataOpEvent
 from repro.events.stream import materialize_data_op_events
@@ -108,54 +107,6 @@ def find_round_trips(
     return groups
 
 
-def find_round_trips_columnar(
-    trace: ColumnarTrace,
-    *,
-    require_chronological: bool = True,
-) -> list[RoundTripGroup]:
-    """Vectorised Algorithm 2 over a columnar trace.
-
-    The queue semantics of the object implementation (the reference oracle)
-    are inherently sequential — a recorded trip pops the oldest receipt of
-    its outbound key, which changes what later transfers can match — so the
-    match loop itself cannot be replaced by array ops without changing the
-    findings.  What *can* be vectorised is the work that dominates: the
-    ``(hash, device)`` keys of all transfers are interned into integer ids
-    with one ``np.unique`` pass, per-key receipt queues become slices of one
-    argsort, and the Python loop then only visits *candidate* transfers —
-    those whose payload is ever received back by their source device.  A
-    transfer with no matching receipt key has no side effects in the object
-    algorithm (no trip, no pop), so skipping it is exact; in realistic
-    traces candidates are a small fraction of all transfers.
-    """
-    part = round_trips_part(trace, require_chronological=require_chronological)
-    return part_objects(part, materialize_data_op_events(trace, part.labels()))
-
-
-def round_trips_part(trace: ColumnarTrace, *, require_chronological: bool = True) -> FindingPart:
-    """The columnar fast path's findings as a :class:`FindingPart` over the
-    trace's row indices."""
-    tr = np.flatnonzero(trace.transfer_mask())
-    if tr.size == 0:
-        return FindingPart.empty(CATEGORY)
-    missing = ~trace.do_has_content_hash[tr]
-    if missing.any():
-        seq = int(trace.do_seq[tr[np.flatnonzero(missing)[0]]])
-        raise ValueError(f"transfer event seq={seq} is missing its content hash")
-
-    return _trips_part(
-        tr,
-        *_match_trips(
-            trace.do_content_hash[tr],
-            trace.do_src_device_num[tr],
-            trace.do_dest_device_num[tr],
-            trace.do_start_time[tr],
-            trace.do_end_time[tr],
-            require_chronological=require_chronological,
-        ),
-    )
-
-
 def _match_trips(
     hashes: np.ndarray,
     src: np.ndarray,
@@ -170,11 +121,13 @@ def _match_trips(
     Returns, per recorded trip in recording order, its group number,
     outbound index and return index (indices into the inputs), plus the
     ``(hash, src, dst)`` key of every group — groups are numbered in
-    first-completion order.  Shared by the columnar fast path and the
-    streaming variant.
+    first-completion order.
 
-    Only *candidate* transfers — those whose payload is ever received back
-    by their source device — enter the Python loop, and only the receipt
+    The oracle's queue semantics are inherently sequential (a recorded
+    trip pops the oldest receipt of its outbound key), so the loop stays;
+    but a transfer with no matching receipt key has no side effects there,
+    so only *candidate* transfers — those whose payload is ever received
+    back by their source device — enter the Python loop, and only the receipt
     queues some candidate looks up are built: everything else stays NumPy,
     so memory stays O(transfers × 8 B) plus boxed values for the few
     transfers the loop can touch.
@@ -279,7 +232,7 @@ class RoundTripPass(StreamingPass):
     for a later outbound leg — so the carry here is inherently the pending
     legs themselves.  They are folded shard by shard into six flat arrays
     (hash, devices, start/end, position): ~40 bytes per transfer and no
-    Python objects, versus the full event record either batch path holds
+    Python objects, versus the full event record the object oracle holds
     in memory.  The match loop runs once at finalize over the compact
     arrays and emits the legs of recorded trips as a :class:`FindingPart`.
     """

@@ -15,7 +15,7 @@ unused_allocations     (alloc, delete or -1)       —
 unused_transfers       (transfer,)                 overwritten
 =====================  ==========================  ==========================
 
-The streaming passes' ``finalize`` and the columnar detectors emit parts;
+The streaming passes' ``finalize`` emits parts;
 :meth:`FindingTable.gather` then reads every referenced row of all five
 parts in *one* targeted pass over the source (each shard loaded at most
 once) into a small :class:`~repro.events.columnar.ColumnarTrace`, and

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.detectors._columns import alloc_delete_pair_rows, first_index_reaching
 from repro.core.detectors._streaming import (
     ColumnBuffer,
     DeviceKernels,
@@ -25,7 +24,6 @@ from repro.core.detectors._streaming import (
 )
 from repro.core.detectors.findings import UnusedAllocation
 from repro.core.detectors.table import FindingPart, part_objects
-from repro.events.columnar import ColumnarTrace
 from repro.events.protocol import EventStream
 from repro.events.records import (
     AllocationPair,
@@ -97,85 +95,6 @@ def find_unused_allocations(
             if tgt_idx == len(kernels) or kernels[tgt_idx].start_time > life_end:
                 unused.append(UnusedAllocation(pair=pair))
     return unused
-
-
-def find_unused_allocations_columnar(
-    trace: ColumnarTrace,
-    num_devices: Optional[int] = None,
-    *,
-    trace_end: Optional[float] = None,
-) -> list[UnusedAllocation]:
-    """Vectorised Algorithm 4 over a columnar trace.
-
-    Findings are identical to :func:`find_unused_allocations` over the
-    object events (the reference oracle).  The object algorithm's cursor —
-    "advance while the kernel ends before the lifetime starts" — resolves,
-    for the non-decreasing lifetime starts of a chronological allocation
-    list, to a ``searchsorted`` over the running maximum of kernel end
-    times; the lifetime-overlap test is then a single vectorised compare.
-    """
-    part = unused_allocations_part(trace, num_devices, trace_end=trace_end)
-    return part_objects(part, materialize_data_op_events(trace, part.labels()))
-
-
-def unused_allocations_part(
-    trace: ColumnarTrace,
-    num_devices: Optional[int] = None,
-    *,
-    trace_end: Optional[float] = None,
-) -> FindingPart:
-    """The columnar fast path's findings as a :class:`FindingPart` over the
-    trace's row indices, device by device."""
-    if num_devices is None:
-        num_devices = trace.num_devices
-    if num_devices < 1:
-        raise ValueError("num_devices must be at least 1")
-
-    alloc_rows, delete_rows = alloc_delete_pair_rows(trace)
-    if alloc_rows.size == 0:
-        return FindingPart.empty(CATEGORY)
-
-    if trace_end is None:
-        trace_end = 0.0
-        if trace.num_data_op_events:
-            trace_end = max(trace_end, float(trace.do_end_time.max()))
-        if trace.num_target_events:
-            trace_end = max(trace_end, float(trace.tgt_end_time.max()))
-
-    life_start = trace.do_start_time[alloc_rows]
-    life_end = np.where(
-        delete_rows >= 0,
-        trace.do_end_time[np.maximum(delete_rows, 0)],
-        trace_end,
-    )
-    device = trace.do_dest_device_num[alloc_rows]
-
-    kmask = trace.kernel_mask()
-    kernel_device = trace.tgt_device_num[kmask]
-    kernel_start = trace.tgt_start_time[kmask]
-    kernel_end = trace.tgt_end_time[kmask]
-
-    found: list[np.ndarray] = []
-    for dev_idx in range(num_devices):
-        on_device = np.flatnonzero(device == dev_idx)
-        if on_device.size == 0:
-            continue
-        k_sel = kernel_device == dev_idx
-        k_start = kernel_start[k_sel]
-        k_end = kernel_end[k_sel]
-        if k_start.size == 0:
-            unused_mask = np.ones(on_device.size, dtype=bool)
-        else:
-            cursor = first_index_reaching(
-                np.maximum.accumulate(k_end), life_start[on_device]
-            )
-            clamped = np.minimum(cursor, k_start.size - 1)
-            unused_mask = (cursor == k_start.size) | (
-                k_start[clamped] > life_end[on_device]
-            )
-        found.append(on_device[np.flatnonzero(unused_mask)])
-    hits = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
-    return FindingPart.build(CATEGORY, np.column_stack((alloc_rows[hits], delete_rows[hits])))
 
 
 class UnusedAllocationPass(StreamingPass):

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.detectors._columns import first_index_reaching
 from repro.core.detectors._streaming import (
     ColumnBuffer,
     DeviceKernels,
@@ -24,7 +23,6 @@ from repro.core.detectors._streaming import (
 )
 from repro.core.detectors.findings import UnusedTransfer
 from repro.core.detectors.table import FindingPart, part_objects
-from repro.events.columnar import ColumnarTrace
 from repro.events.protocol import EventStream
 from repro.events.records import DataOpEvent, TargetEvent
 from repro.events.stream import materialize_data_op_events
@@ -84,108 +82,6 @@ def find_unused_transfers(
                 # far may have been read concurrently, so drop all candidates.
                 candidates.clear()
     return unused
-
-
-def find_unused_transfers_columnar(
-    trace: ColumnarTrace,
-    num_devices: Optional[int] = None,
-) -> list[UnusedTransfer]:
-    """Vectorised Algorithm 5 over a columnar trace.
-
-    Findings are identical to :func:`find_unused_transfers` over the object
-    events (the reference oracle).  The sequential candidate map decomposes
-    into array passes: the kernel cursor of each transfer is a
-    ``searchsorted`` over the running maximum of kernel end times; the
-    candidate map is cleared exactly when the cursor advances or a transfer
-    overlaps a running kernel, so those clearing points cut the transfer
-    sequence into *epochs*; and within an epoch a candidate is overwritten
-    iff a later candidate in the same epoch shares its source address —
-    which one ``lexsort`` by ``(epoch, address, position)`` exposes as
-    adjacent rows.  A finding is reported at the position of the transfer
-    that triggered it (the overwriting transfer, or the transfer itself for
-    the after-last-kernel case), matching the oracle's output order.
-    """
-    part = unused_transfers_part(trace, num_devices)
-    return part_objects(part, materialize_data_op_events(trace, part.labels()))
-
-
-def unused_transfers_part(
-    trace: ColumnarTrace, num_devices: Optional[int] = None
-) -> FindingPart:
-    """The columnar fast path's findings as a :class:`FindingPart` over the
-    trace's row indices, device by device."""
-    if num_devices is None:
-        num_devices = trace.num_devices
-    if num_devices < 1:
-        raise ValueError("num_devices must be at least 1")
-
-    tmask = trace.transfer_mask()
-    dest = trace.do_dest_device_num
-    kmask = trace.kernel_mask()
-    kernel_device = trace.tgt_device_num[kmask]
-    kernel_start = trace.tgt_start_time[kmask]
-    kernel_end = trace.tgt_end_time[kmask]
-
-    found_rows: list[np.ndarray] = []
-    found_overwritten: list[np.ndarray] = []
-    for dev_idx in range(num_devices):
-        tr = np.flatnonzero(tmask & (dest == dev_idx))
-        if tr.size == 0:
-            continue
-        tx_start = trace.do_start_time[tr]
-        tx_addr = trace.do_src_addr[tr]
-
-        k_sel = kernel_device == dev_idx
-        k_start = kernel_start[k_sel]
-        k_end = kernel_end[k_sel]
-        num_kernels = k_start.size
-
-        if num_kernels == 0:
-            cursor = np.zeros(tr.size, dtype=np.int64)
-        else:
-            cursor = first_index_reaching(np.maximum.accumulate(k_end), tx_start)
-        after_last = cursor == num_kernels
-        if num_kernels:
-            clamped = np.minimum(cursor, num_kernels - 1)
-            is_candidate = ~after_last & (k_start[clamped] > tx_start)
-        else:
-            is_candidate = np.zeros(tr.size, dtype=bool)
-        overlaps_kernel = ~after_last & ~is_candidate
-
-        # Epochs: the candidate map survives between consecutive transfers
-        # unless the kernel cursor advanced or the previous transfer
-        # overlapped a running kernel (both clear it).
-        boundary = np.empty(tr.size, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (cursor[1:] != cursor[:-1]) | overlaps_kernel[:-1]
-        epoch = np.cumsum(boundary)
-
-        # Overwritten candidates: same (epoch, address), all but the last,
-        # each reported when its successor lands.
-        cand = np.flatnonzero(is_candidate)
-        report_at: list[np.ndarray] = [np.flatnonzero(after_last)]
-        rows: list[np.ndarray] = [tr[after_last]]
-        overwritten: list[np.ndarray] = [np.zeros(int(after_last.sum()), dtype=bool)]
-        if cand.size:
-            order = np.lexsort((cand, tx_addr[cand], epoch[cand]))
-            e_sorted = epoch[cand][order]
-            a_sorted = tx_addr[cand][order]
-            p_sorted = cand[order]
-            same = (e_sorted[1:] == e_sorted[:-1]) & (a_sorted[1:] == a_sorted[:-1])
-            report_at.append(p_sorted[1:][same])
-            rows.append(tr[p_sorted[:-1][same]])
-            overwritten.append(np.ones(int(same.sum()), dtype=bool))
-
-        emit = np.argsort(np.concatenate(report_at), kind="stable")
-        found_rows.append(np.concatenate(rows)[emit])
-        found_overwritten.append(np.concatenate(overwritten)[emit])
-    if not found_rows:
-        return FindingPart.empty(CATEGORY)
-    return FindingPart.build(
-        CATEGORY,
-        np.concatenate(found_rows),
-        overwritten=np.concatenate(found_overwritten),
-    )
 
 
 class _DeviceTransferState:
@@ -331,11 +227,21 @@ class _DeviceTransferState:
 class UnusedTransferPass(StreamingPass):
     """Incremental Algorithm 5: fold kernels and transfers per device.
 
-    The oracle's candidate map decomposes exactly as in the columnar fast
-    path — kernel-cursor epochs with a last-write-per-address rule — but
-    here the epochs are folded shard by shard: each device carries its
-    kernel cursor base, the transfers no kernel has reached yet, and the
-    open epoch's surviving candidates (see :class:`_DeviceTransferState`).
+    The oracle's sequential candidate map decomposes into array passes.
+    The kernel cursor of each transfer is a ``searchsorted`` over the
+    running maximum of kernel end times; the candidate map is cleared
+    exactly when the cursor advances or a transfer overlaps a running
+    kernel, so those clearing points cut the transfers into *epochs*; and
+    within an epoch a candidate is overwritten iff a later candidate in the
+    same epoch shares its source address — which one ``lexsort`` by
+    ``(epoch, address, position)`` exposes as adjacent rows.  A finding is
+    reported at the position of the transfer that triggered it (the
+    overwriting transfer, or the transfer itself for the after-last-kernel
+    case), matching the oracle's output order.
+
+    The epochs are folded shard by shard: each device carries its kernel
+    cursor base, the transfers no kernel has reached yet, and the open
+    epoch's surviving candidates (see :class:`_DeviceTransferState`).
     Everything classified is discarded immediately unless it is a finding.
 
     Classification depends on the *complete* kernel prefix: a partition

@@ -868,6 +868,15 @@ class DistributedEngine:
             raise ValueError("min_stall must be positive")
         if hints_interval <= 0:
             raise ValueError("hints_interval must be positive")
+        if poll_interval <= 0:
+            raise ValueError("poll_interval must be positive")
+        if workers is not None and workers < 0:
+            raise ValueError("workers cannot be negative")
+        if workers == 0 and queue is None:
+            raise ValueError(
+                "workers=0 spawns no worker, so it needs an attached queue "
+                "that external workers serve"
+            )
         self.queue = queue
         self.workers = workers
         self.worker_mode = worker_mode

@@ -1,10 +1,11 @@
 """Hostile-trace differential fuzzing: every transport × every engine.
 
 The correctness spine of this reproduction is the differential oracle —
-object, columnar, streaming, partitioned-engine and distributed analysis
-must agree bit for bit.  The hypothesis suite holds that over *small*
-generated traces; this module drives the same oracle over
-:mod:`repro.events.hostile` adversarial traces, written out with
+object oracle, one-batch streaming passes, multi-batch streaming,
+partitioned-engine and distributed analysis must agree bit for bit.  The
+hypothesis suite holds that over *small* generated traces; this module
+drives the same oracle over :mod:`repro.events.hostile` adversarial
+traces, written out with
 shard-boundary-hostile layouts (random cut sizes, mixed shard formats,
 spliced empty shards), across every transport × engine combination:
 
@@ -63,7 +64,7 @@ DEFAULT_CASES = 5
 DEFAULT_MAX_EVENTS = 20_000
 
 #: Above this event count the object-mode oracle leg is skipped (it
-#: materialises per-event dataclasses; the columnar baseline stands in).
+#: materialises per-event dataclasses; the one-batch baseline stands in).
 DEFAULT_ORACLE_LIMIT = 60_000
 
 BASE_TRANSPORTS = ("local", "zip", "fake-object-store")
@@ -254,10 +255,11 @@ def run_fuzz_sweep(
     """Run the five-way differential oracle over hostile traces.
 
     For each seeded case: generate an adversarial trace, validate it,
-    establish the columnar baseline (cross-checked against the object-mode
-    oracle when small enough), check the in-memory streaming leg, then
-    write the trace as a shard-boundary-hostile store on every transport
-    and compare every engine's analysis against the baseline.  Mismatches
+    establish the baseline by analysing the columnar trace as one batch
+    (cross-checked against the object-mode oracle when small enough),
+    check the in-memory streaming leg, then write the trace as a
+    shard-boundary-hostile store on every transport and compare every
+    engine's analysis against the baseline.  Mismatches
     and crashes are recorded with the single command that reproduces them.
     """
     transports = tuple(transports) if transports else default_transports()
@@ -306,7 +308,7 @@ def run_fuzz_sweep(
                 if mismatch:
                     fail(
                         case, "", "", "object-oracle",
-                        f"columnar disagrees with object oracle on {mismatch}",
+                        f"one-batch passes disagree with object oracle on {mismatch}",
                     )
             except Exception:
                 fail(case, "", "", "object-oracle", traceback.format_exc(limit=3))

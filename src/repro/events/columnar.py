@@ -210,8 +210,8 @@ class ColumnarTrace:
 
     The class intentionally mirrors the read API of :class:`Trace`
     (``data_op_events``, ``transfers()``, ``summary()``, ``save()`` …) so
-    that existing consumers keep working, while the detectors' fast paths
-    reach the raw columns through the ``do_*`` / ``tgt_*`` views.  Object
+    that existing consumers keep working, while the detectors' streaming
+    passes reach the raw columns through the ``do_*`` / ``tgt_*`` views.  Object
     events are materialised lazily and cached; any append invalidates the
     cache.
     """

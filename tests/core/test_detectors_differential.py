@@ -1,26 +1,32 @@
-"""Differential property test: object vs columnar vs streaming vs engines.
+"""Differential property test: object oracle vs streaming passes vs engines.
 
-Every detector has three implementations — the object-based reference
-oracle, the vectorised columnar fast path, and the incremental streaming
-variant that folds an event stream shard by shard — and the streaming
-variant additionally runs on four execution engines (serial scan,
-thread-partitioned, process-partitioned over an on-disk store, and the
-distributed coordinator/worker engine leasing tasks from a transport
-queue).  For any well-formed trace every path must return *identical*
-findings (same finding objects, in the same order, holding equal events),
-for every shard size and partition count.  Hypothesis generates random
-multi-device mapping histories plus a shard size (and worker count) and
-the tests assert equality detector by detector, plus at the aggregated
-analysis level, five ways: object, columnar, streaming, partition-merged
-engine execution, and queue-fed distributed execution.
+Every detector has two implementations — the object-based reference
+oracle and the incremental streaming pass — and the pass is checked over
+an in-memory columnar trace as ONE batch and over the same trace cut into
+random shards, which are independent legs (a single fold never crosses a
+batch boundary).  The streaming pass additionally runs on four execution
+engines (serial scan, thread-partitioned, process-partitioned over an
+on-disk store, and the distributed coordinator/worker engine leasing
+tasks from a transport queue).  For any well-formed trace every path must
+return *identical* findings (same finding objects, in the same order,
+holding equal events), for every shard size and partition count.
+Hypothesis generates random multi-device mapping histories plus a shard
+size (and worker count) and the tests assert equality detector by
+detector, plus at the aggregated analysis level: object, one batch,
+multi-batch stream, partition-merged engine execution, and queue-fed
+distributed execution.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import re
 import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,27 +34,22 @@ from repro.core.analysis import analyze_stream, analyze_trace
 from repro.core.distributed import DistributedEngine
 from repro.core.detectors.duplicates import (
     find_duplicate_transfers,
-    find_duplicate_transfers_columnar,
     find_duplicate_transfers_streaming,
 )
 from repro.core.detectors.repeated_allocs import (
     find_repeated_allocations,
-    find_repeated_allocations_columnar,
     find_repeated_allocations_streaming,
 )
 from repro.core.detectors.roundtrips import (
     find_round_trips,
-    find_round_trips_columnar,
     find_round_trips_streaming,
 )
 from repro.core.detectors.unused_allocs import (
     find_unused_allocations,
-    find_unused_allocations_columnar,
     find_unused_allocations_streaming,
 )
 from repro.core.detectors.unused_transfers import (
     find_unused_transfers,
-    find_unused_transfers_columnar,
     find_unused_transfers_streaming,
 )
 from repro.events.columnar import ColumnarTrace
@@ -124,23 +125,23 @@ def test_all_detectors_identical_across_representations(trace, shard_events):
     n = trace.num_devices
 
     expected = find_duplicate_transfers(data_ops)
-    assert expected == find_duplicate_transfers_columnar(ct)
+    assert expected == find_duplicate_transfers_streaming(ct)
     assert expected == find_duplicate_transfers_streaming(stream)
 
     expected = find_round_trips(data_ops)
-    assert expected == find_round_trips_columnar(ct)
+    assert expected == find_round_trips_streaming(ct)
     assert expected == find_round_trips_streaming(stream)
 
     expected = find_repeated_allocations(data_ops)
-    assert expected == find_repeated_allocations_columnar(ct)
+    assert expected == find_repeated_allocations_streaming(ct)
     assert expected == find_repeated_allocations_streaming(stream)
 
     expected = find_unused_allocations(targets, data_ops, n)
-    assert expected == find_unused_allocations_columnar(ct, n)
+    assert expected == find_unused_allocations_streaming(ct, n)
     assert expected == find_unused_allocations_streaming(stream, n)
 
     expected = find_unused_transfers(targets, data_ops, n)
-    assert expected == find_unused_transfers_columnar(ct, n)
+    assert expected == find_unused_transfers_streaming(ct, n)
     assert expected == find_unused_transfers_streaming(stream, n)
 
 
@@ -149,7 +150,7 @@ def test_all_detectors_identical_across_representations(trace, shard_events):
 def test_duplicate_min_bytes_threshold_identical(trace, min_bytes, shard_events):
     ct = ColumnarTrace.from_trace(trace)
     expected = find_duplicate_transfers(trace.data_op_events, min_bytes=min_bytes)
-    assert expected == find_duplicate_transfers_columnar(ct, min_bytes=min_bytes)
+    assert expected == find_duplicate_transfers_streaming(ct, min_bytes=min_bytes)
     assert expected == find_duplicate_transfers_streaming(
         as_event_stream(ct, shard_events), min_bytes=min_bytes
     )
@@ -160,7 +161,7 @@ def test_duplicate_min_bytes_threshold_identical(trace, min_bytes, shard_events)
 def test_roundtrip_nonchronological_mode_identical(trace, shard_events):
     ct = ColumnarTrace.from_trace(trace)
     expected = find_round_trips(trace.data_op_events, require_chronological=False)
-    assert expected == find_round_trips_columnar(ct, require_chronological=False)
+    assert expected == find_round_trips_streaming(ct, require_chronological=False)
     assert expected == find_round_trips_streaming(
         as_event_stream(ct, shard_events), require_chronological=False
     )
@@ -171,7 +172,7 @@ def test_roundtrip_nonchronological_mode_identical(trace, shard_events):
 def test_repeated_allocs_keep_undeleted_mode_identical(trace, shard_events):
     ct = ColumnarTrace.from_trace(trace)
     expected = find_repeated_allocations(trace.data_op_events, require_deletion=False)
-    assert expected == find_repeated_allocations_columnar(ct, require_deletion=False)
+    assert expected == find_repeated_allocations_streaming(ct, require_deletion=False)
     assert expected == find_repeated_allocations_streaming(
         as_event_stream(ct, shard_events), require_deletion=False
     )
@@ -189,8 +190,27 @@ def _assert_reports_equal(obj_report, report):
 
 
 @settings(max_examples=40, deadline=None)
-@given(mapping_traces(), _SHARDS, _WORKERS)
-def test_full_analysis_identical_across_representations(trace, shard_events, workers):
+@given(mapping_traces(), _SHARDS, _WORKERS, st.randoms(use_true_random=False))
+def test_full_analysis_identical_across_representations(trace, shard_events, workers, rng):
+    # Negative first: a transfer without its content hash fails both paths
+    # with the same message, naming the same event.
+    broken = ColumnarTrace.from_trace(trace)
+    transfers = np.flatnonzero(broken.transfer_mask())
+    if transfers.size:
+        row = rng.choice(transfers.tolist())
+        broken.do_has_content_hash[row] = False
+        # Event construction rejects a hashless transfer, so unhash a copy.
+        hashless = copy.copy(trace.data_op_events[row])
+        object.__setattr__(hashless, "content_hash", None)
+        data_ops = list(trace.data_op_events)
+        data_ops[row] = hashless
+        broken_objects = dataclasses.replace(trace, data_op_events=data_ops)
+        message = f"transfer event seq={hashless.seq} is missing its content hash"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            analyze_trace(broken_objects)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            analyze_trace(broken)
+
     obj_report = analyze_trace(trace)
     col_report = analyze_trace(ColumnarTrace.from_trace(trace))
     stream = as_event_stream(ColumnarTrace.from_trace(trace), shard_events)

@@ -127,6 +127,21 @@ def test_engine_parameter_validation():
         DistributedEngine(lease_timeout=0)
     with pytest.raises(ValueError, match="max_attempts"):
         DistributedEngine(max_attempts=0)
+    # A self-hosted run with no worker, or a negative worker count, would
+    # only ever end at run_timeout; a non-positive poll interval would fail
+    # mid-run after the queue is published.
+    with pytest.raises(ValueError, match="workers cannot be negative"):
+        DistributedEngine(workers=-1)
+    with pytest.raises(ValueError, match="workers cannot be negative"):
+        DistributedEngine(queue="somewhere", workers=-1)
+    with pytest.raises(ValueError, match="workers=0"):
+        DistributedEngine(workers=0)
+    with pytest.raises(ValueError, match="poll_interval"):
+        DistributedEngine(poll_interval=0)
+    with pytest.raises(ValueError, match="poll_interval"):
+        DistributedEngine(poll_interval=-1)
+    # Attach mode with no spawned worker stays valid.
+    assert DistributedEngine(queue="somewhere", workers=0).workers == 0
 
 
 def test_requires_sharded_store(trace):

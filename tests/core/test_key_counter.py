@@ -107,6 +107,7 @@ class Oracle:
             assert fold.total_count[slot] == stats[0]
             assert fold.first_gpos[slot] == stats[1]
             assert fold.first_payload[slot] == stats[2]
+            assert tuple(int(col[slot]) for col in fold.keys) == key
             if prior:
                 assert fold.key_uid[slot] == prior[3]
                 assert fold.prior_first_gpos[slot] == prior[1]
