@@ -15,7 +15,6 @@ produced from a single instrumented run plus an uninstrumented one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.events.columnar import ColumnarTrace
@@ -33,18 +32,6 @@ from repro.ompt.callbacks import (
     TargetSubmitRecord,
 )
 from repro.ompt.interface import OmptInterface
-
-
-@dataclass
-class _PendingTarget:
-    """Bookkeeping for a target region between its BEGIN and END records."""
-
-    kind: TargetKind
-    device_num: int
-    codeptr_ra: Optional[int]
-    begin_time: float
-    name: Optional[str] = None
-    kernel_interval: Optional[tuple[float, float]] = None
 
 
 class TraceCollector:
@@ -80,19 +67,25 @@ class TraceCollector:
     ) -> None:
         self.hasher: Hasher = get_hasher(hasher) if isinstance(hasher, str) else hasher
         self.overhead_model = overhead_model
+        #: the model is frozen, so the per-endpoint cost is read once here
+        self._record_seconds = 0.0 if overhead_model is None else overhead_model.record_time()
         self.auditor: Optional[CollisionAuditor] = (
             CollisionAuditor(self.hasher) if audit_collisions else None
         )
-        #: events land directly in the structure-of-arrays store: appending
-        #: a row into preallocated columns is the Python analogue of the
-        #: native tool's fixed-size-record append (no per-event objects).
-        #: With a writer attached the sink is the bounded shard buffer
-        #: instead, and ``self.trace`` stays empty.
+        #: events land directly in the structure-of-arrays store: each
+        #: append queues one row tuple, and the rows settle into the columns
+        #: in bulk (at the latest when a shard is flushed) — the Python
+        #: analogue of the native tool's fixed-size-record append.  With a
+        #: writer attached the sink is the bounded shard buffer instead, and
+        #: ``self.trace`` stays empty.
         self.trace = ColumnarTrace(num_devices=0)
         self.writer = writer
         self._sink = writer if writer is not None else self.trace
         self._interface: Optional[OmptInterface] = None
-        self._pending_targets: dict[int, _PendingTarget] = {}
+        #: BEGIN record of every open target region, by target id
+        self._pending_targets: dict[int, TargetRecord] = {}
+        #: kernel execution interval of open regions that submitted one
+        self._kernel_intervals: dict[int, tuple[float, float]] = {}
         self._next_seq = 0
         self._initialized_devices: set[int] = set()
         self.finalized = False
@@ -119,18 +112,8 @@ class TraceCollector:
     # ------------------------------------------------------------------ #
     def _seq(self) -> int:
         seq = self._next_seq
-        self._next_seq += 1
+        self._next_seq = seq + 1
         return seq
-
-    def _record_cost(self) -> float:
-        if self.overhead_model is None:
-            return 0.0
-        return self.overhead_model.record_time()
-
-    def _hash_cost(self, nbytes: int) -> float:
-        if self.overhead_model is None:
-            return 0.0
-        return self.overhead_model.hash_time(nbytes)
 
     # ------------------------------------------------------------------ #
     # Callbacks
@@ -144,55 +127,51 @@ class TraceCollector:
         return 0.0
 
     def _on_target(self, record: TargetRecord) -> float:
+        target_id = record.target_id
         if record.endpoint is Endpoint.BEGIN:
-            self._pending_targets[record.target_id] = _PendingTarget(
-                kind=record.kind,
-                device_num=record.device_num,
-                codeptr_ra=record.codeptr_ra,
-                begin_time=record.time,
-                name=record.name,
-            )
-            return self._record_cost()
+            self._pending_targets[target_id] = record
+            self._kernel_intervals.pop(target_id, None)
+            return self._record_seconds
 
-        pending = self._pending_targets.pop(record.target_id, None)
-        if pending is None:
+        begin = self._pending_targets.pop(target_id, None)
+        kernel_interval = self._kernel_intervals.pop(target_id, None)
+        if begin is None:
             # An END without a BEGIN should not happen; tolerate it quietly
             # the way a defensive native tool would.
-            return self._record_cost()
+            return self._record_seconds
 
-        if pending.kind is TargetKind.TARGET:
+        if begin.kind is TargetKind.TARGET and kernel_interval is not None:
             # The event the detectors care about is the kernel execution
             # interval (from the submit callback); fall back to the region
             # interval if the runtime never submitted a kernel.
-            start, end = pending.kernel_interval or (pending.begin_time, record.time)
+            start, end = kernel_interval
         else:
-            start, end = pending.begin_time, record.time
+            start, end = begin.time, record.time
 
+        # Positional, in ColumnarTrace.append_target's column order.
         self._sink.append_target(
-            seq=self._seq(),
-            kind=pending.kind,
-            device_num=pending.device_num,
-            start_time=start,
-            end_time=end,
-            codeptr=pending.codeptr_ra,
-            target_id=record.target_id,
-            name=pending.name,
+            self._seq(), begin.kind, begin.device_num, start, end,
+            begin.codeptr_ra, target_id, begin.name,
         )
-        return self._record_cost()
+        return self._record_seconds
 
     def _on_target_submit(self, record: TargetSubmitRecord) -> float:
-        if record.endpoint is Endpoint.END:
-            pending = self._pending_targets.get(record.target_id)
-            if pending is not None and record.start_time is not None:
-                pending.kernel_interval = (record.start_time, record.end_time or record.time)
-        return self._record_cost()
+        if (
+            record.endpoint is Endpoint.END
+            and record.start_time is not None
+            and record.target_id in self._pending_targets
+        ):
+            self._kernel_intervals[record.target_id] = (
+                record.start_time, record.end_time or record.time
+            )
+        return self._record_seconds
 
     def _on_target_data_op(self, record: TargetDataOpRecord) -> float:
         if record.endpoint is Endpoint.BEGIN:
-            return self._record_cost()
+            return self._record_seconds
 
         content_hash: Optional[int] = None
-        overhead = self._record_cost()
+        overhead = self._record_seconds
         if record.optype.is_transfer:
             payload = record.payload
             if payload is None:
@@ -203,24 +182,16 @@ class TraceCollector:
                 content_hash = self.hasher.hash(payload)
             self.hashed_bytes += record.bytes
             self.hashed_payloads += 1
-            overhead += self._hash_cost(record.bytes)
+            if self.overhead_model is not None:
+                overhead += self.overhead_model.hash_time(record.bytes)
 
-        start = record.start_time if record.start_time is not None else record.time
-        end = record.end_time if record.end_time is not None else record.time
+        start = record.time if record.start_time is None else record.start_time
+        end = record.time if record.end_time is None else record.end_time
+        # Positional, in ColumnarTrace.append_data_op's column order.
         self._sink.append_data_op(
-            seq=self._seq(),
-            kind=record.optype,
-            src_device_num=record.src_device_num,
-            dest_device_num=record.dest_device_num,
-            src_addr=record.src_addr,
-            dest_addr=record.dest_addr,
-            nbytes=record.bytes,
-            start_time=start,
-            end_time=end,
-            content_hash=content_hash,
-            codeptr=record.codeptr_ra,
-            target_id=record.target_id,
-            variable=record.variable,
+            self._seq(), record.optype, record.src_device_num, record.dest_device_num,
+            record.src_addr, record.dest_addr, record.bytes, start, end,
+            content_hash, record.codeptr_ra, record.target_id, record.variable,
         )
         return overhead
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from types import CodeType
 from typing import Optional
 
 #: Synthetic text-segment base; codeptr values look like plausible return
@@ -39,6 +40,9 @@ class DebugInfoRegistry:
         self.stripped = stripped
         self._by_location: dict[SourceLocation, int] = {}
         self._by_codeptr: dict[int, SourceLocation] = {}
+        #: (id(code object), line) of a registered caller frame -> (the code
+        #: object, its codeptr); holding the code object keeps its id unique
+        self._by_frame: dict[tuple[int, int], tuple[CodeType, int]] = {}
         self._next = _TEXT_BASE
 
     def __len__(self) -> int:
@@ -63,20 +67,30 @@ class DebugInfoRegistry:
 
         This is how application call sites (the ``#pragma omp target`` lines
         of the simulated benchmarks) become code pointers without the
-        applications having to pass explicit labels.
+        applications having to pass explicit labels.  A call site seen
+        before is answered from its frame's code object and line, without
+        building its :class:`SourceLocation` again.
         """
+        subpackages = tuple(m + "." for m in skip_modules)
         frame = inspect.currentframe()
         try:
             candidate = frame.f_back if frame is not None else None
             while candidate is not None:
                 module = candidate.f_globals.get("__name__", "")
-                if not any(module == m or module.startswith(m + ".") for m in skip_modules):
+                if module not in skip_modules and not module.startswith(subpackages):
                     if module != __name__:
-                        return self.register(
-                            file=candidate.f_code.co_filename,
+                        code = candidate.f_code
+                        key = (id(code), candidate.f_lineno)
+                        known = self._by_frame.get(key)
+                        if known is not None:
+                            return known[1]
+                        codeptr = self.register(
+                            file=code.co_filename,
                             line=candidate.f_lineno,
-                            function=candidate.f_code.co_name,
+                            function=code.co_name,
                         )
+                        self._by_frame[key] = (code, codeptr)
+                        return codeptr
                 candidate = candidate.f_back
         finally:
             del frame

@@ -12,8 +12,10 @@ the interpreter.
 
 Three contracts matter:
 
-* **O(1) append.**  The collector appends one event per OMPT callback;
-  columns grow by amortised doubling, so appends never reallocate per event.
+* **O(1) append.**  The collector appends one event per OMPT callback as
+  a queued row tuple; queued rows settle into the columns in bulk (one
+  conversion per column) on the next read, and columns grow by amortised
+  doubling, so appends never touch numpy per event.
 * **Zero-copy column views.**  ``do_start_time`` and friends return NumPy
   slices of the backing buffers (no copies); detectors run masked selects,
   ``np.unique`` and ``np.searchsorted`` over them directly.
@@ -98,6 +100,10 @@ CODE_DELETE = _DATA_OP_CODE_OF[DataOpKind.DELETE]
 CODE_TARGET = _TARGET_CODE_OF[TargetKind.TARGET]
 
 _INITIAL_CAPACITY = 64
+#: Queued rows settle on their own once this many wait: a queued row tuple
+#: costs several times its settled 72 B, so this bounds the queue's memory
+#: on large shards and long in-memory traces.
+_MAX_PENDING_ROWS = 4096
 
 # (column name, dtype) of the data-op column group, in binary-format order.
 _DATA_OP_COLUMNS: tuple[tuple[str, type], ...] = (
@@ -133,43 +139,82 @@ _TARGET_COLUMNS: tuple[tuple[str, type], ...] = (
 
 
 class _ColumnGroup:
-    """A bundle of parallel arrays with amortised-doubling growth."""
+    """A bundle of parallel arrays with amortised-doubling growth.
+
+    ``append_row`` only queues the row's tuple (values in column-spec
+    order); the first read of the columns, or a full queue, settles every
+    queued row at once, with one ``np.array`` conversion per column.  A row
+    numpy cannot store (a negative address, an integer past 64 bits)
+    therefore raises at that read — at the latest when the collector's
+    shard is flushed — and the failed settle leaves the settled and the
+    queued rows as they were.  ``size`` always counts both.
+    """
 
     def __init__(self, columns: Sequence[tuple[str, type]]) -> None:
         self._spec = tuple(columns)
         self.size = 0
         self._capacity = 0
-        self._arrays: dict[str, np.ndarray] = {
+        self._columns: dict[str, np.ndarray] = {
             name: np.empty(0, dtype=dtype) for name, dtype in self._spec
         }
+        self._pending: list[tuple] = []
+
+    @property
+    def _arrays(self) -> dict[str, np.ndarray]:
+        """The backing arrays, with every queued row settled into them."""
+        if self._pending:
+            self._settle()
+        return self._columns
+
+    def _settle(self) -> None:
+        pending = self._pending
+        # Convert every column before touching the arrays, so a row numpy
+        # rejects leaves the group unchanged.
+        converted = [
+            np.array(column, dtype=dtype)
+            for column, (_, dtype) in zip(zip(*pending), self._spec)
+        ]
+        lo = self.size - len(pending)
+        if lo == 0:
+            # The common case (a fresh shard buffer): adopt the conversions.
+            self._columns = {name: col for (name, _), col in zip(self._spec, converted)}
+            self._capacity = self.size
+        else:
+            if self.size > self._capacity:
+                self._grow_to(self.size)
+            for (name, _), col in zip(self._spec, converted):
+                self._columns[name][lo : self.size] = col
+        self._pending = []
 
     def _grow_to(self, capacity: int) -> None:
         new_capacity = max(self._capacity * 2, _INITIAL_CAPACITY)
         while new_capacity < capacity:
             new_capacity *= 2
+        live = self.size - len(self._pending)
         for name, dtype in self._spec:
             fresh = np.empty(new_capacity, dtype=dtype)
-            fresh[: self.size] = self._arrays[name][: self.size]
-            self._arrays[name] = fresh
+            fresh[:live] = self._columns[name][:live]
+            self._columns[name] = fresh
         self._capacity = new_capacity
 
-    def append_row(self, **values) -> None:
-        if self.size == self._capacity:
-            self._grow_to(self.size + 1)
-        i = self.size
-        arrays = self._arrays
-        for name, value in values.items():
-            arrays[name][i] = value
-        self.size = i + 1
+    def append_row(self, row: tuple) -> None:
+        """Queue one row: a tuple of values in column-spec order."""
+        pending = self._pending
+        pending.append(row)
+        self.size += 1
+        if len(pending) >= _MAX_PENDING_ROWS:
+            self._settle()
 
     def extend_columns(self, length: int, **columns) -> None:
         if length == 0:
             return
+        if self._pending:
+            self._settle()
         if self.size + length > self._capacity:
             self._grow_to(self.size + length)
         lo, hi = self.size, self.size + length
         for name, _ in self._spec:
-            self._arrays[name][lo:hi] = columns[name]
+            self._columns[name][lo:hi] = columns[name]
         self.size = hi
 
     def adopt_columns(self, length: int, **columns) -> None:
@@ -188,7 +233,7 @@ class _ColumnGroup:
             arr = np.ascontiguousarray(columns[name], dtype=dtype)
             if arr.shape != (length,):
                 raise ValueError(f"column {name!r} has wrong length")
-            self._arrays[name] = arr
+            self._columns[name] = arr
         self.size = length
         self._capacity = length
 
@@ -202,6 +247,8 @@ class _ColumnGroup:
 
     @property
     def capacity(self) -> int:
+        if self._pending:
+            self._settle()
         return self._capacity
 
 
@@ -380,7 +427,6 @@ class ColumnarTrace:
     # ------------------------------------------------------------------ #
     def append_data_op(
         self,
-        *,
         seq: int,
         kind: DataOpKind,
         src_device_num: int,
@@ -395,36 +441,39 @@ class ColumnarTrace:
         target_id: Optional[int] = None,
         variable: Optional[str] = None,
     ) -> None:
-        """Append one data-op row (same invariants as :class:`DataOpEvent`)."""
+        """Append one data-op row (same invariants as :class:`DataOpEvent`).
+
+        The arguments follow the column order, so the collector passes them
+        positionally: binding keywords costs more than queueing the row.
+        """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         if end_time < start_time:
             raise ValueError("event ends before it starts")
         if kind.is_transfer and content_hash is None:
             raise ValueError("transfer events must carry a content hash")
-        self._data_ops.append_row(
-            seq=seq,
-            kind=_DATA_OP_CODE_OF[kind],
-            src_device_num=src_device_num,
-            dest_device_num=dest_device_num,
-            src_addr=src_addr,
-            dest_addr=dest_addr,
-            nbytes=nbytes,
-            start_time=start_time,
-            end_time=end_time,
-            content_hash=0 if content_hash is None else content_hash,
-            has_content_hash=content_hash is not None,
-            codeptr=0 if codeptr is None else codeptr,
-            has_codeptr=codeptr is not None,
-            target_id=0 if target_id is None else target_id,
-            has_target_id=target_id is not None,
-        )
+        self._data_ops.append_row((
+            seq,
+            _DATA_OP_CODE_OF[kind],
+            src_device_num,
+            dest_device_num,
+            src_addr,
+            dest_addr,
+            nbytes,
+            start_time,
+            end_time,
+            0 if content_hash is None else content_hash,
+            content_hash is not None,
+            0 if codeptr is None else codeptr,
+            codeptr is not None,
+            0 if target_id is None else target_id,
+            target_id is not None,
+        ))
         self._do_variables.append(variable)
         self._do_cache = None
 
     def append_target(
         self,
-        *,
         seq: int,
         kind: TargetKind,
         device_num: int,
@@ -434,20 +483,21 @@ class ColumnarTrace:
         target_id: Optional[int] = None,
         name: Optional[str] = None,
     ) -> None:
-        """Append one target row (same invariants as :class:`TargetEvent`)."""
+        """Append one target row (same invariants as :class:`TargetEvent`);
+        positional like :meth:`append_data_op`."""
         if end_time < start_time:
             raise ValueError("event ends before it starts")
-        self._targets.append_row(
-            seq=seq,
-            kind=_TARGET_CODE_OF[kind],
-            device_num=device_num,
-            start_time=start_time,
-            end_time=end_time,
-            codeptr=0 if codeptr is None else codeptr,
-            has_codeptr=codeptr is not None,
-            target_id=0 if target_id is None else target_id,
-            has_target_id=target_id is not None,
-        )
+        self._targets.append_row((
+            seq,
+            _TARGET_CODE_OF[kind],
+            device_num,
+            start_time,
+            end_time,
+            0 if codeptr is None else codeptr,
+            codeptr is not None,
+            0 if target_id is None else target_id,
+            target_id is not None,
+        ))
         self._tgt_names.append(name)
         self._tgt_cache = None
 

@@ -32,6 +32,10 @@ class DataOpKind(enum.Enum):
     ASSOCIATE = "associate"
     DISASSOCIATE = "disassociate"
 
+    #: Members are singletons: identity hashing (in C) is equivalent to
+    #: ``Enum.__hash__`` and keeps the collector's per-event kind lookups cheap.
+    __hash__ = object.__hash__
+
     @property
     def is_transfer(self) -> bool:
         return self in (DataOpKind.TRANSFER_TO_DEVICE, DataOpKind.TRANSFER_FROM_DEVICE)
@@ -52,6 +56,8 @@ class TargetKind(enum.Enum):
     ENTER_DATA = "enter_data"
     EXIT_DATA = "exit_data"
     UPDATE = "update"
+
+    __hash__ = object.__hash__
 
     @property
     def executes_kernel(self) -> bool:

@@ -797,16 +797,23 @@ class TraceWriter:
         if self.closed:
             raise ValueError("writer is closed")
 
-    def append_data_op(self, **kwargs) -> None:
-        self._check_open()
-        self._buffer.append_data_op(**kwargs)
-        if len(self._buffer) >= self.shard_events:
+    # The two appends are the collector's per-event path: the buffer only
+    # queues the row (its rows settle into columns when it is flushed), and
+    # positional arguments pass through without building a keyword dict.
+    def append_data_op(self, *args, **kwargs) -> None:
+        if self.closed:
+            raise ValueError("writer is closed")
+        buffer = self._buffer
+        buffer.append_data_op(*args, **kwargs)
+        if len(buffer) >= self.shard_events:
             self.flush()
 
-    def append_target(self, **kwargs) -> None:
-        self._check_open()
-        self._buffer.append_target(**kwargs)
-        if len(self._buffer) >= self.shard_events:
+    def append_target(self, *args, **kwargs) -> None:
+        if self.closed:
+            raise ValueError("writer is closed")
+        buffer = self._buffer
+        buffer.append_target(*args, **kwargs)
+        if len(buffer) >= self.shard_events:
             self.flush()
 
     def write_batch(self, batch: ColumnarTrace) -> None:

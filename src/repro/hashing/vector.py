@@ -55,6 +55,9 @@ class VectorHash64(Hasher):
     #: reuse the table cyclically, offset by a block counter, which keeps the
     #: table small without making lane positions interchangeable.
     _TABLE_SIZE = 4096
+    #: full 4096-lane blocks mixed per numpy call on long payloads: 16 blocks
+    #: (512 KiB of lanes) keep the scratch buffer cache-sized.
+    _CHUNK_BLOCKS = 16
 
     def __init__(self) -> None:
         stream = np.empty(self._TABLE_SIZE, dtype=np.uint64)
@@ -64,6 +67,8 @@ class VectorHash64(Hasher):
             # Force odd multipliers so the per-lane multiply is a bijection.
             stream[i] = np.uint64(x | 1)
         self._multipliers = stream
+        #: per-block salts ``splitmix64(block_start) | 1``, grown on demand
+        self._salts = np.empty((0, 1), dtype=np.uint64)
 
     def hash_bytes(self, data: bytes, seed: int = 0) -> int:
         return self._hash_buffer(np.frombuffer(data, dtype=np.uint8), len(data), seed)
@@ -76,42 +81,58 @@ class VectorHash64(Hasher):
         raw = as_bytes(data)
         return self._hash_buffer(np.frombuffer(raw, dtype=np.uint8), len(raw), seed)
 
+    def _block_salts(self, blocks: int) -> np.ndarray:
+        """Salts of the first ``blocks`` blocks, as a column for broadcasting."""
+        salts = self._salts
+        if salts.shape[0] < blocks:
+            salts = np.array(
+                [_splitmix64(b * self._TABLE_SIZE) | 1 for b in range(blocks)],
+                dtype=np.uint64,
+            ).reshape(-1, 1)
+            self._salts = salts
+        return salts[:blocks]
+
     def _hash_buffer(self, buf: np.ndarray, length: int, seed: int) -> int:
         if length == 0:
             return _splitmix64(seed & _MASK64)
 
+        table = self._TABLE_SIZE
+        mults = self._multipliers
         n_lanes = length // 8
-        acc = np.uint64(0)
-        err = np.seterr(over="ignore")
-        try:
-            if n_lanes:
-                lanes = buf[: n_lanes * 8].view("<u8")
-                mults = self._multipliers
-                if n_lanes <= self._TABLE_SIZE:
-                    mixed = lanes * mults[:n_lanes]
-                else:
-                    mixed = np.empty(n_lanes, dtype=np.uint64)
-                    for block_start in range(0, n_lanes, self._TABLE_SIZE):
-                        block_end = min(block_start + self._TABLE_SIZE, n_lanes)
-                        block_salt = np.uint64(_splitmix64(block_start) | 1)
-                        np.multiply(
-                            lanes[block_start:block_end] ^ block_salt,
-                            mults[: block_end - block_start],
-                            out=mixed[block_start:block_end],
-                        )
-                # Two independent folds so that lane reordering changes the result.
-                xor_fold = np.bitwise_xor.reduce(mixed)
-                sum_fold = np.add.reduce(mixed, dtype=np.uint64)
-                acc = xor_fold ^ np.uint64(_splitmix64(int(sum_fold)))
+        acc = 0
+        if n_lanes:
+            lanes = buf[: n_lanes * 8].view("<u8")
+            # Two independent folds so that lane reordering changes the
+            # result.  Both are associative (xor, and sum mod 2**64), so a
+            # payload is folded chunk by chunk into Python ints.
+            if n_lanes <= table:
+                mixed = lanes * mults[:n_lanes]
+                xor_fold = int(np.bitwise_xor.reduce(mixed))
+                sum_fold = int(np.add.reduce(mixed))
+            else:
+                # Lane i of block b is mixed as (lane ^ salt[b]) * mults[i];
+                # full blocks go through as rows of a (blocks, 4096) matrix.
+                full = n_lanes // table
+                blocks = lanes[: full * table].reshape(full, table)
+                salts = self._block_salts(full + 1)
+                scratch = np.empty((min(full, self._CHUNK_BLOCKS), table), dtype=np.uint64)
+                xor_fold = sum_fold = 0
+                for lo in range(0, full, self._CHUNK_BLOCKS):
+                    hi = min(lo + self._CHUNK_BLOCKS, full)
+                    mixed = scratch[: hi - lo]
+                    np.bitwise_xor(blocks[lo:hi], salts[lo:hi], out=mixed)
+                    np.multiply(mixed, mults, out=mixed)
+                    xor_fold ^= int(np.bitwise_xor.reduce(mixed, axis=None))
+                    sum_fold += int(np.add.reduce(mixed, axis=None))
+                rest = n_lanes - full * table
+                if rest:
+                    mixed = (lanes[full * table :] ^ salts[full]) * mults[:rest]
+                    xor_fold ^= int(np.bitwise_xor.reduce(mixed))
+                    sum_fold += int(np.add.reduce(mixed))
+            acc = xor_fold ^ _splitmix64(sum_fold & _MASK64)
 
-            tail = buf[n_lanes * 8 :]
-            tail_word = 0
-            if tail.size:
-                tail_word = int.from_bytes(tail.tobytes(), "little")
-        finally:
-            np.seterr(**err)
-
-        h = int(acc) ^ ((length * _GOLDEN) & _MASK64) ^ (seed & _MASK64)
+        tail_word = int.from_bytes(buf[n_lanes * 8 :].tobytes(), "little")
+        h = acc ^ ((length * _GOLDEN) & _MASK64) ^ (seed & _MASK64)
         h = _splitmix64(h)
         h = _splitmix64(h ^ tail_word)
         return h & _MASK64

@@ -11,13 +11,17 @@ simulator-specific additions:
 ``start_time`` / ``end_time``
     The END record carries the authoritative operation timestamps from the
     virtual clock (a native tool would read a monotonic clock itself).
+
+The records are immutable named tuples: the runtime builds one per
+callback endpoint, so construction is on the ingest hot path, and a tuple
+is the cheapest immutable record Python offers (the analogue of the
+native tool's fixed-size callback arguments).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,6 +37,10 @@ class CallbackType(enum.Enum):
     TARGET_DATA_OP_EMI = "ompt_callback_target_data_op_emi"
     TARGET_SUBMIT_EMI = "ompt_callback_target_submit_emi"
 
+    #: Members are singletons, so identity hashing (in C) is equivalent to
+    #: ``Enum.__hash__`` and keeps the per-dispatch dict lookups cheap.
+    __hash__ = object.__hash__
+
 
 class Endpoint(enum.Enum):
     """``ompt_scope_endpoint_t``: whether the record marks a begin or an end."""
@@ -41,8 +49,7 @@ class Endpoint(enum.Enum):
     END = "end"
 
 
-@dataclass(frozen=True)
-class TargetRecord:
+class TargetRecord(NamedTuple):
     """`ompt_callback_target_emi` payload: a target region begins or ends."""
 
     endpoint: Endpoint
@@ -54,8 +61,7 @@ class TargetRecord:
     name: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class TargetSubmitRecord:
+class TargetSubmitRecord(NamedTuple):
     """``ompt_callback_target_submit_emi`` payload: a kernel launch."""
 
     endpoint: Endpoint
@@ -69,8 +75,7 @@ class TargetSubmitRecord:
     end_time: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class TargetDataOpRecord:
+class TargetDataOpRecord(NamedTuple):
     """``ompt_callback_target_data_op_emi`` payload: one data-mapping operation."""
 
     endpoint: Endpoint

@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.apps.base import AppVariant, ProblemSize
+from repro.apps.registry import get_app
 from repro.core.analysis import analyze_trace
 from repro.core.collector import TraceCollector
 from repro.core.overhead import OverheadModel, overhead_accumulation_rate, space_overhead_bytes
 from repro.core.profiler import OMPDataPerf, run_uninstrumented
-from repro.events.records import DataOpKind, TargetKind
+from repro.events.columnar import ColumnarTrace
+from repro.events.records import DataOpEvent, DataOpKind, TargetEvent, TargetKind
+from repro.events.store import TraceWriter, merge_shards
+from repro.events.trace import Trace
+from repro.hashing import DEFAULT_HASHER, get_hasher
 from repro.omp.mapping import to, tofrom
 from repro.omp.runtime import OffloadRuntime
+from repro.ompt.callbacks import CallbackType, Endpoint
 from repro.ompt.interface import OmptInterface
 
 
@@ -106,6 +113,115 @@ class TestCollector:
         collector = TraceCollector()
         trace, _ = self._run(collector)
         assert overhead_accumulation_rate(trace) > 0.0
+
+
+
+class _ReferenceTool:
+    """An independent OMPT tool: builds object events straight from the
+    records and hashes each payload's bytes (the oracle for the collector's
+    tuple-record, deferred-settle, chunked-hash ingest path)."""
+
+    def __init__(self) -> None:
+        self.hasher = get_hasher(DEFAULT_HASHER)
+        self.trace = Trace(num_devices=0)
+        self.devices: set[int] = set()
+        self.begins: dict = {}
+        self.kernels: dict = {}
+
+    def initialize(self, interface: OmptInterface) -> None:
+        interface.set_callback(CallbackType.DEVICE_INITIALIZE, self.devices.add)
+        interface.set_callback(CallbackType.TARGET_EMI, self.on_target)
+        interface.set_callback(CallbackType.TARGET_SUBMIT_EMI, self.on_submit)
+        interface.set_callback(CallbackType.TARGET_DATA_OP_EMI, self.on_data_op)
+
+    def finalize(self) -> None:
+        pass
+
+    def _seq(self) -> int:
+        return len(self.trace.data_op_events) + len(self.trace.target_events)
+
+    def on_target(self, record) -> None:
+        if record.endpoint is Endpoint.BEGIN:
+            self.begins[record.target_id] = record
+            return
+        begin = self.begins.pop(record.target_id)
+        interval = self.kernels.pop(record.target_id, None)
+        if begin.kind is TargetKind.TARGET and interval is not None:
+            start, end = interval
+        else:
+            start, end = begin.time, record.time
+        self.trace.target_events.append(TargetEvent(
+            seq=self._seq(), kind=begin.kind, device_num=begin.device_num,
+            start_time=start, end_time=end, codeptr=begin.codeptr_ra,
+            target_id=record.target_id, name=begin.name,
+        ))
+
+    def on_submit(self, record) -> None:
+        if record.endpoint is Endpoint.END and record.start_time is not None:
+            self.kernels[record.target_id] = (record.start_time, record.end_time or record.time)
+
+    def on_data_op(self, record) -> None:
+        if record.endpoint is Endpoint.BEGIN:
+            return
+        content_hash = None
+        if record.optype.is_transfer:
+            content_hash = self.hasher.hash_bytes(record.payload.tobytes())
+        self.trace.data_op_events.append(DataOpEvent(
+            seq=self._seq(), kind=record.optype,
+            src_device_num=record.src_device_num, dest_device_num=record.dest_device_num,
+            src_addr=record.src_addr, dest_addr=record.dest_addr, nbytes=record.bytes,
+            start_time=record.start_time, end_time=record.end_time,
+            content_hash=content_hash, codeptr=record.codeptr_ra,
+            target_id=record.target_id, variable=record.variable,
+        ))
+
+
+_DATA_OP_COLUMN_NAMES = (
+    "seq", "kind", "src_device_num", "dest_device_num", "src_addr", "dest_addr",
+    "nbytes", "start_time", "end_time", "content_hash", "has_content_hash",
+    "codeptr", "has_codeptr", "target_id", "has_target_id",
+)
+_TARGET_COLUMN_NAMES = (
+    "seq", "kind", "device_num", "start_time", "end_time",
+    "codeptr", "has_codeptr", "target_id", "has_target_id",
+)
+
+
+class TestIngestDifferential:
+    """The writer-backed collector and an object-event reference tool watch
+    one run through one interface; the store must hold exactly its rows."""
+
+    @pytest.mark.parametrize("shard_events", [7, 4096])
+    @pytest.mark.parametrize("app", ["bfs", "hotspot", "lud", "resize-omp"])
+    def test_store_matches_reference_tool(self, tmp_path, app, shard_events):
+        bench = get_app(app)
+        size, variant = ProblemSize.parse("small"), AppVariant.BASELINE
+        name = bench.program_name(size, variant)
+        ompt = OmptInterface()
+        writer = TraceWriter(tmp_path / "run.store", shard_events=shard_events, program_name=name)
+        collector = ompt.connect_tool(TraceCollector(writer=writer))
+        reference = ompt.connect_tool(_ReferenceTool())
+        rt = OffloadRuntime(ompt=ompt, program_name=name)
+        bench.build_program(size, variant)(rt)
+        total = rt.finish()
+        store = collector.finish_store(total_runtime=total, program_name=name)
+
+        reference.trace.num_devices = len(reference.devices)
+        expected = ColumnarTrace.from_trace(reference.trace)
+        merged = merge_shards(store)
+        assert expected.num_data_op_events > 0 and expected.num_target_events > 0
+        assert merged.num_devices == expected.num_devices
+        assert merged.program_name == name
+        for column in _DATA_OP_COLUMN_NAMES:
+            np.testing.assert_array_equal(
+                merged.do_column(column), expected.do_column(column), err_msg=column
+            )
+        for column in _TARGET_COLUMN_NAMES:
+            np.testing.assert_array_equal(
+                merged.tgt_column(column), expected.tgt_column(column), err_msg=column
+            )
+        assert merged._do_variables == expected._do_variables
+        assert merged._tgt_names == expected._tgt_names
 
 
 class TestProfiler:

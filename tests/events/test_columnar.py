@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.events.columnar import (
+    _MAX_PENDING_ROWS,
     COLUMNAR_FORMAT_VERSION,
     ColumnarTrace,
     as_columnar,
@@ -119,18 +120,26 @@ class TestColumnsAndAppend:
         assert ct._data_ops.capacity <= 1024
 
     def test_append_enforces_event_invariants(self):
+        # The invariants raise at append time, before the row is queued.
         ct = ColumnarTrace()
-        with pytest.raises(ValueError):
-            ct.append_data_op(
-                seq=0, kind=DataOpKind.TRANSFER_TO_DEVICE, src_device_num=1,
-                dest_device_num=0, src_addr=0, dest_addr=0, nbytes=8,
-                start_time=0.0, end_time=1.0, content_hash=None,
-            )
+        bad_rows = (
+            dict(kind=DataOpKind.ALLOC, nbytes=-1, start_time=0.0, end_time=1.0),
+            dict(kind=DataOpKind.ALLOC, nbytes=8, start_time=1.0, end_time=0.0),
+            dict(kind=DataOpKind.TRANSFER_TO_DEVICE, nbytes=8, start_time=0.0, end_time=1.0),
+        )
+        for fields in bad_rows:
+            with pytest.raises(ValueError):
+                ct.append_data_op(
+                    seq=0, src_device_num=1, dest_device_num=0, src_addr=0,
+                    dest_addr=0, content_hash=None, **fields,
+                )
         with pytest.raises(ValueError):
             ct.append_target(
                 seq=0, kind=TargetKind.TARGET, device_num=0,
                 start_time=1.0, end_time=0.0,
             )
+        assert len(ct) == 0
+        assert ct.do_seq.size == 0 and ct.tgt_seq.size == 0
 
     def test_append_invalidates_object_cache(self):
         ct = ColumnarTrace.from_trace(_sample_trace())
@@ -159,6 +168,85 @@ class TestColumnsAndAppend:
         assert trace.end_time == pytest.approx(10.0)
         ct = ColumnarTrace.from_trace(trace)
         assert ct.end_time == pytest.approx(10.0)
+
+
+def _append_alloc(ct: ColumnarTrace, i: int, **overrides) -> None:
+    fields = dict(
+        seq=i, kind=DataOpKind.ALLOC, src_device_num=1, dest_device_num=0,
+        src_addr=0x100 + i, dest_addr=0xA00 + i, nbytes=64,
+        start_time=float(i), end_time=i + 0.5,
+    )
+    fields.update(overrides)
+    ct.append_data_op(**fields)
+
+
+#: Every way of reading a column group, each of which settles queued rows.
+_COLUMN_READS = {
+    "view": lambda ct: ct.do_src_addr,
+    "arrays": lambda ct: ct._data_ops._arrays,
+    "compact": lambda ct: ct._data_ops.compact(),
+    "capacity": lambda ct: ct._data_ops.capacity,
+    "extend_columns": lambda ct: ct.extend_from(ColumnarTrace.from_trace(_sample_trace())),
+    "object_events": lambda ct: ct.data_op_events,
+    "binary": lambda ct: ct.to_binary_bytes(),
+    "flat": lambda ct: ct.to_flat_payload(),
+}
+
+
+class TestDeferredSettle:
+    """Appends queue rows; a row numpy cannot store fails at the next read."""
+
+    @pytest.mark.parametrize("read", sorted(_COLUMN_READS))
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(src_addr=-1), dict(codeptr=1 << 64)],
+        ids=["negative-src-addr", "codeptr-2**64"],
+    )
+    def test_unstorable_row_raises_at_the_next_read(self, read, bad):
+        ct = ColumnarTrace()
+        _append_alloc(ct, 0)
+        with pytest.raises(OverflowError):
+            _append_alloc(ct, 1, **bad)
+            _COLUMN_READS[read](ct)
+
+    def test_failed_settle_leaves_settled_and_queued_rows_unchanged(self):
+        ct = ColumnarTrace()
+        for i in range(3):
+            _append_alloc(ct, i)
+        settled = {name: ct.do_column(name).copy() for name in ("seq", "src_addr", "codeptr")}
+        for i in range(3, 5):
+            _append_alloc(ct, i)
+        _append_alloc(ct, 5, src_addr=-1)
+        _append_alloc(ct, 6, codeptr=0x5555)
+        queued = list(ct._data_ops._pending)
+        for _ in range(2):  # a failed settle is repeatable: nothing moved
+            with pytest.raises(OverflowError):
+                ct.do_seq
+            assert ct.num_data_op_events == 7
+            assert ct._data_ops._pending == queued
+            columns = ct._data_ops._columns
+            for name, values in settled.items():
+                np.testing.assert_array_equal(columns[name][:3], values)
+
+    def test_settle_appends_to_settled_rows(self):
+        ct = ColumnarTrace()
+        for i in range(100):
+            _append_alloc(ct, i)
+            if i % 7 == 0:
+                assert ct.do_seq.tolist() == list(range(i + 1))
+        assert ct.do_seq.tolist() == list(range(100))
+        assert ct.do_src_addr.tolist() == [0x100 + i for i in range(100)]
+        assert not ct._data_ops._pending
+
+    def test_queue_settles_itself_when_full(self):
+        # The row queue stays bounded however long nothing reads the columns.
+        ct = ColumnarTrace()
+        n = 2 * _MAX_PENDING_ROWS + 5
+        for i in range(n):
+            _append_alloc(ct, i)
+            assert len(ct._data_ops._pending) < _MAX_PENDING_ROWS
+        assert ct.num_data_op_events == n
+        assert ct.do_seq.tolist() == list(range(n))
 
 
 class TestBinaryFormat:

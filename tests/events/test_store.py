@@ -352,6 +352,37 @@ def test_writer_bounds_buffer_and_cuts_shards(tmp_path):
     validate_stream(store)
 
 
+@pytest.mark.parametrize(
+    "bad", [dict(src_addr=-1), dict(codeptr=1 << 64)], ids=["negative-src-addr", "codeptr-2**64"]
+)
+def test_writer_writes_no_shard_after_a_failed_settle(tmp_path, bad):
+    # Rows settle into columns when the shard is flushed, so a row numpy
+    # cannot store raises there, and nothing of that shard reaches the store.
+    writer = TraceWriter(tmp_path / "w.store", shard_events=4, num_devices=1)
+
+    def append(i, **overrides):
+        fields = dict(
+            seq=i, kind=DataOpKind.ALLOC, src_device_num=1, dest_device_num=0,
+            src_addr=i, dest_addr=0x1000 + i, nbytes=64,
+            start_time=float(i), end_time=i + 0.5,
+        )
+        fields.update(overrides)
+        writer.append_data_op(**fields)
+
+    for i in range(3):
+        append(i)
+    with pytest.raises(OverflowError):
+        append(3, **bad)
+    assert writer.shards == []
+    assert writer.transport.list_blobs() == []
+    assert writer.buffered_events == 4
+    with pytest.raises(OverflowError):
+        writer.flush()
+    with pytest.raises(OverflowError):
+        writer.close()
+    assert writer.transport.list_blobs() == []
+
+
 def test_writer_close_is_idempotent_guard(tmp_path):
     writer = TraceWriter(tmp_path / "w.store", shard_events=4)
     writer.close()

@@ -1,5 +1,7 @@
 """Tests for the offload runtime simulator: mapping semantics, events, costs."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,23 @@ class TestOmptEmission:
         location = rt.debug_info.lookup(trace.target_events[0].codeptr)
         assert location is not None
         assert location.file.endswith("test_runtime.py")
+
+    def test_call_sites_resolve_to_their_own_lines(self, small_arrays):
+        # Call sites are memoised by frame: a site run again keeps its
+        # codeptr, and another site in the same function gets its own.
+        rt, collector = _instrumented_runtime()
+        a = small_arrays["a"]
+        lines = []
+        for _ in range(3):
+            lines.append(inspect.currentframe().f_lineno + 1)
+            rt.target(maps=[to(a)], reads=[a], kernel=None)
+        lines.append(inspect.currentframe().f_lineno + 1)
+        rt.target(maps=[to(a)], reads=[a], kernel=None)
+        total = rt.finish()
+        trace = collector.finish_trace(total_runtime=total)
+        codeptrs = [e.codeptr for e in trace.target_events]
+        assert codeptrs[0] == codeptrs[1] == codeptrs[2] != codeptrs[3]
+        assert [rt.debug_info.lookup(c).line for c in codeptrs] == lines
 
     def test_stripped_debug_info_degrades(self, small_arrays):
         rt, collector = _instrumented_runtime()
