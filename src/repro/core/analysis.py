@@ -35,6 +35,7 @@ from repro.events.columnar import ColumnarTrace
 from repro.events.protocol import EventStream, TraceLike
 from repro.events.stream import trace_like_view
 from repro.events.trace import Trace
+from repro.events.validation import ValidationPass
 
 
 @dataclass(frozen=True)
@@ -203,6 +204,7 @@ def analyze_stream(
     debug_info: Optional[DebugInfoRegistry] = None,
     jobs: int = 1,
     engine: str = "serial",
+    validate: bool = False,
 ) -> StreamAnalysisReport:
     """Run Algorithms 1–5 incrementally over an event stream.
 
@@ -225,8 +227,9 @@ def analyze_stream(
       passes is one task on ``min(jobs, 5)`` workers, which re-open the
       store from its picklable transport spec, run the serial fold and
       finalize for their pass, and return only its finding part — no
-      partitioning, no carries, no merge.  It scales to at most five
-      workers and is bounded by the heaviest pass (duplicates, ~40% of
+      partitioning, no carries, no merge (validation, when on, is one
+      more task).  It scales to at most five workers (six with
+      validation) and is bounded by the heaviest pass (duplicates, ~40% of
       the fold on a findings-sparse trace); requires a
       :class:`~repro.events.store.ShardedTraceStore`, over any transport.
     * ``"distributed"`` — the thread engine's partitioned shape with
@@ -246,6 +249,13 @@ def analyze_stream(
     :class:`~repro.core.distributed.DistributedEngine`).
     Output is identical for every engine and every ``jobs`` value.
 
+    With ``validate=True`` trace validation
+    (:class:`~repro.events.validation.ValidationPass`) joins the pass list
+    and runs in the same scan: an invalid stream raises
+    :class:`~repro.events.validation.TraceValidationError` with the
+    message of :func:`~repro.events.validation.validate_stream`, on every
+    engine, and returns no findings.
+
     Returns a :class:`StreamAnalysisReport`: the findings plus the
     engine's name, its final ``stats`` block, and wall/overhead timings.
     """
@@ -254,6 +264,12 @@ def analyze_stream(
     started = perf_counter()
     eng = resolve_engine(engine)
     specs = _pass_specs(max(stream.num_devices, 1))
+    if validate:
+        # Last in the list: every engine folds guards ahead of the
+        # detectors anyway, and the process engine, which hands tasks out
+        # in list order, best fills its workers with the short pass last.
+        check = {"num_devices": stream.num_devices, "total_runtime": stream.total_runtime}
+        specs = (*specs, PassSpec(ValidationPass, check))
     run_started = perf_counter()
     findings = eng.run(specs, stream, jobs=jobs)
     engine_seconds = perf_counter() - run_started

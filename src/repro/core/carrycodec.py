@@ -15,9 +15,10 @@ appear in carries:
 * NumPy arrays — dtype string + shape + raw contiguous buffer,
 * the registered carry-bearing classes (grow arrays, column buffers,
   kernel cursors, composite-key counters, alloc pairers, per-device
-  transfer state and the five detector passes), serialised as their
-  ``__dict__`` and restored without running ``__init__`` (the key
-  counter's derived lookup index is dropped and rebuilt on first use).
+  transfer state, the five detector passes and the validation pass),
+  serialised as their ``__dict__`` and restored without running
+  ``__init__`` (the key counter's derived lookup index is dropped and
+  rebuilt on first use).
 
 The format is deterministic (``encode(decode(encode(x))) == encode(x)``)
 and the decoded carries are bit-identical inputs to ``merge``/``finalize``:
@@ -108,6 +109,7 @@ def _registry() -> Dict[str, Tuple[Type, Callable, Callable]]:
         UnusedTransferPass,
         _DeviceTransferState,
     )
+    from repro.events.validation import ValidationPass
 
     def growarray_restore(state: Any) -> Any:
         grow = streaming.GrowArray(np.dtype(state["dtype"]))
@@ -133,6 +135,7 @@ def _registry() -> Dict[str, Tuple[Type, Callable, Callable]]:
         ("RepeatedAllocationPass", RepeatedAllocationPass),
         ("UnusedAllocationPass", UnusedAllocationPass),
         ("UnusedTransferPass", UnusedTransferPass),
+        ("ValidationPass", ValidationPass),
     ):
         table[name] = (cls, _default_state, _make_default_restore(cls))
     return table

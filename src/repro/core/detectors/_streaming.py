@@ -50,6 +50,10 @@ import numpy as np
 from repro.core.detectors.table import FindingPart
 from repro.events.columnar import CODE_ALLOC, CODE_DELETE, ColumnarTrace
 
+# Defined beside the stream protocol so trace validation (an events-layer
+# pass) can implement it too; the detector passes import it from here.
+from repro.events.protocol import StreamingPass
+
 
 class GrowArray:
     """A 1-D append-only NumPy array with amortised-doubling growth."""
@@ -741,53 +745,53 @@ class StreamingAllocPairer:
         return out
 
 
-class StreamingPass:
-    """One detector's incremental half: fold batches, merge, finalize.
+def fold_batches(
+    passes: Sequence[StreamingPass], batches: Iterable[ColumnarTrace], offset: int = 0
+) -> None:
+    """Fold every pass over ONE scan: each batch is handed to all passes.
 
-    ``fold`` consumes one columnar batch (with the global data-op row
-    offset of its first row) and updates the carry; ``finalize`` closes the
-    carry and returns the findings as a
-    :class:`~repro.core.detectors.table.FindingPart` over gpos — it never
-    reads the stream again (the engines gather the rows of every pass in
-    one scan).  A pass instance is single-use.
-
-    Passes are *partition-mergeable*: ``a.merge(b)``, where ``a`` folded an
-    earlier contiguous batch range and ``b`` the immediately following one,
-    leaves ``a`` holding the carry a single sequential fold over both
-    ranges would have produced (``b`` must not be reused).  The execution
-    engines fold disjoint shard ranges on independent workers and merge
-    the carries left to right.
-
-    ``eager`` controls whether a pass may *classify* events against carry
-    state that is only correct from the start of the stream (the
-    kernel-cursor verdicts of the two unused-pattern passes).  The default
-    ``True`` is right for a sequential fold over the whole stream; a pass
-    folding a partition that does not start at the stream head MUST run
-    with ``eager=False`` — it defers classification by buffering, and the
-    deferred work happens when the carry is merged into an earlier one (or
-    at finalize).  Order-insensitive passes ignore the flag.
+    ``offset`` is the gpos of the first batch's first data-op row.  Guard
+    passes fold each batch first; once one has failed, the other passes
+    stop folding (their preconditions no longer hold) while the guards
+    fold on to the end of the stream, so their report is complete.
     """
-
-    #: classify eagerly during folds (only valid from the stream head)
-    eager: bool = True
-
-    def fold(self, batch: ColumnarTrace, offset: int) -> None:
-        raise NotImplementedError
-
-    def merge(self, other: "StreamingPass") -> None:
-        raise NotImplementedError
-
-    def finalize(self) -> FindingPart:
-        raise NotImplementedError
-
-
-def fold_batches(passes: Sequence[StreamingPass], batches: Iterable[ColumnarTrace]) -> None:
-    """Fold every pass over ONE scan: each batch is handed to all passes."""
-    offset = 0
+    guards = [pass_ for pass_ in passes if pass_.guard]
+    others = [pass_ for pass_ in passes if not pass_.guard]
     for batch in batches:
-        for pass_ in passes:
+        for guard in guards:
+            guard.fold(batch, offset)
+        if others and any(guard.failed for guard in guards):
+            others = []
+        for pass_ in others:
             pass_.fold(batch, offset)
         offset += batch.num_data_op_events
+
+
+def merge_passes(head: Sequence[StreamingPass], tail: Sequence[StreamingPass]) -> None:
+    """Merge ``tail``'s carries (the next partition) into ``head``'s, pass
+    by pass.
+
+    Guards merge first; once the merged guard has failed, the other passes
+    are not merged (the run raises at :func:`check_guards`, and a
+    detector's merge must not run over carries of an invalid stream).
+    """
+    for target, source in zip(head, tail):
+        if target.guard:
+            target.merge(source)
+    if any(target.failed for target in head):
+        return
+    for target, source in zip(head, tail):
+        if not target.guard:
+            target.merge(source)
+
+
+def check_guards(passes: Sequence[StreamingPass]) -> list[StreamingPass]:
+    """Finalize the guard passes — raising if a check failed — and return
+    the other passes, whose results are safe to use from then on."""
+    for pass_ in passes:
+        if pass_.guard:
+            pass_.finalize()
+    return [pass_ for pass_ in passes if not pass_.guard]
 
 
 def run_streaming_pass(pass_: StreamingPass, stream) -> FindingPart:

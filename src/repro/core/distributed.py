@@ -114,6 +114,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.core.carrycodec import CarryCodecError, decode_carries, encode_carries
+from repro.core.detectors._streaming import merge_passes
 from repro.core.detectors.table import FindingTable
 from repro.core.engine import (
     ENGINES,
@@ -717,8 +718,7 @@ class CarryFolder:
             # The run ending just below absorbs this chain (it precedes
             # this range chronologically, so it is the merge target).
             _, left_chain = self._hi_chain_by_lo.pop(left_lo)
-            for target, source in zip(left_chain, chain):
-                target.merge(source)
+            merge_passes(left_chain, chain)
             chain = left_chain
             lo = left_lo
         right = self._hi_chain_by_lo.pop(index + 1, None)
@@ -726,8 +726,7 @@ class CarryFolder:
             # This chain absorbs the run starting just above.
             right_hi, right_chain = right
             self._lo_by_hi.pop(right_hi, None)
-            for target, source in zip(chain, right_chain):
-                target.merge(source)
+            merge_passes(chain, right_chain)
             hi = right_hi
         self._hi_chain_by_lo[lo] = (hi, chain)
         self._lo_by_hi[hi] = lo

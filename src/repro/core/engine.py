@@ -2,8 +2,9 @@
 
 :func:`repro.core.analysis.analyze_stream` runs five
 :class:`~repro.core.detectors._streaming.StreamingPass` folds over one
-stream.  How those folds execute is this module's job, behind one
-:class:`ExecutionEngine` protocol with three backends:
+stream, plus the trace-validation guard pass when validating.  How those
+folds execute is this module's job, behind one :class:`ExecutionEngine`
+protocol with three backends:
 
 * :class:`SerialEngine` — the sequential single-scan pipeline: every shard
   is loaded once and handed to all five folds on the calling thread
@@ -56,7 +57,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Protocol, Sequence, runtime_checkable
 
-from repro.core.detectors._streaming import StreamingPass, fold_batches
+from repro.core.detectors._streaming import (
+    StreamingPass,
+    check_guards,
+    fold_batches,
+    merge_passes,
+)
 from repro.core.detectors.table import FindingTable
 from repro.events.protocol import EventStream
 from repro.events.stream import StreamPartition, partition_stream, prefetch_batches
@@ -217,6 +223,14 @@ def engine_config_options(name: str) -> Mapping:
     return getattr(engine_cls, "config_options", {})
 
 
+def _ticking(batches, tick):
+    """Pass ``batches`` through, calling ``tick(events)`` after each one
+    has been folded (the fold-position hook)."""
+    for batch in batches:
+        yield batch
+        tick(batch.num_data_op_events + batch.num_target_events)
+
+
 def _fold_partition(
     specs: Sequence[PassSpec], partition: StreamPartition, on_batch=None
 ) -> list[StreamingPass]:
@@ -233,13 +247,10 @@ def _fold_partition(
     distributed worker's beat blobs).
     """
     passes = [spec.build(eager=False) for spec in specs]
-    offset = partition.data_op_offset
-    for batch in prefetch_batches(partition, depth=2):
-        for pass_ in passes:
-            pass_.fold(batch, offset)
-        offset += batch.num_data_op_events
-        if on_batch is not None:
-            on_batch(batch.num_data_op_events + batch.num_target_events)
+    batches = prefetch_batches(partition, depth=2)
+    if on_batch is not None:
+        batches = _ticking(batches, on_batch)
+    fold_batches(passes, batches, partition.data_op_offset)
     return passes
 
 
@@ -247,20 +258,21 @@ def _merge_partition_carries(chains: list[list[StreamingPass]]) -> list[Streamin
     """Left-fold the per-partition carries into the first partition's."""
     head = chains[0]
     for tail in chains[1:]:
-        for target, source in zip(head, tail):
-            target.merge(source)
+        merge_passes(head, tail)
     return head
 
 
 def _finalize_all(
     passes: Sequence[StreamingPass], stream: EventStream, jobs: int
 ) -> FindingTable:
-    """Finalize every pass (concurrently when jobs allow), then read the
-    rows their findings reference in one shared gather.
+    """Check the guards, finalize every other pass (concurrently when jobs
+    allow), then read the rows their findings reference in one shared
+    gather.
 
     Finalizes are independent and never read the stream; the gather
     loads each shard holding a finding row exactly once.
     """
+    passes = check_guards(passes)
     if jobs <= 1 or len(passes) <= 1:
         parts = [pass_.finalize() for pass_ in passes]
     else:
@@ -381,9 +393,12 @@ class ProcessEngine:
     ``min(jobs, len(specs))`` workers: the worker folds that pass from
     the stream head with the serial code path (eager classification),
     finalizes it, and returns only its finding part; the parent then runs
-    the one shared gather of the finding rows.  Nothing is partitioned,
-    so no carry is shipped or merged, and a one-shard store parallelises
-    as well as a large one.  The cost is the ceiling: at most five
+    the one shared gather of the finding rows.  A guard spec (trace
+    validation) is one more task whose worker returns the folded guard
+    itself: the parent waits for it first and finalizes it, so a failed
+    check raises its own error ahead of any detector task's.  Nothing is
+    partitioned, so no carry is shipped or merged, and a one-shard store
+    parallelises as well as a large one.  The cost is the ceiling: at most five
     workers, and a run is bounded by its heaviest pass (duplicates, ~40%
     of the fold on a findings-sparse trace).  Cross-machine scale stays
     with the partitioned distributed engine.
@@ -443,11 +458,17 @@ class ProcessEngine:
             pool, spawn_seconds_now = self._ensure_pool(min(jobs, len(specs)))
             cache_spec = self._ensure_cache(stream)
             job_ids = [pool.submit_pass(spec, cache_spec, p) for p in specs]
-            results = pool.collect(job_ids)
+            guard_jobs = [job for job, p in zip(job_ids, specs) if p.cls.guard]
+            # The guards' verdict comes first: a detector task that failed
+            # on an invalid stream must not hide the validation error.
+            results = pool.collect(guard_jobs)
+            check_guards([results[job][0] for job in guard_jobs])
+            pass_jobs = [job for job in job_ids if job not in results]
+            results.update(pool.collect(pass_jobs))
             self.stats = self._build_stats(
                 [results[job][1] for job in job_ids], pool.num_workers, spawn_seconds_now
             )
-            return FindingTable.gather([results[job][0] for job in job_ids], stream)
+            return FindingTable.gather([results[job][0] for job in pass_jobs], stream)
         except BaseException:
             # Any failure — a dead worker, a KeyboardInterrupt mid-gather —
             # tears the pool down and unlinks every shared segment, even

@@ -9,7 +9,9 @@ passes handed out over one task queue:
   keeps it (plus its attached shared-shard cache) across tasks and across
   runs of a ``keep_pool=True`` engine;
 * a task folds one pass from the stream head and finalizes it in place,
-  so only the finished finding part crosses the result queue;
+  so only the finished finding part crosses the result queue (a guard
+  pass — trace validation — crosses as itself, for the parent to
+  finalize);
 * every task reports an overhead breakdown (open / decode / map / fold
   seconds, cache hits, the worker's task number) so ``BENCH_engine.json`` can
   show the constants falling even on machines where wall-clock speedup
@@ -32,7 +34,7 @@ from time import perf_counter
 from typing import Optional
 
 from repro.core.detectors._streaming import fold_batches
-from repro.core.engine import PassSpec, _open_store_from_spec, _process_context
+from repro.core.engine import PassSpec, _open_store_from_spec, _process_context, _ticking
 from repro.events.shardcache import SharedShardCache, ensure_resource_tracker
 
 _CMD_PASS = "pass"
@@ -102,14 +104,6 @@ def _attach_cache(store, cache_spec: Optional[dict], caches: dict) -> None:
     store.attach_shard_cache(cache)
 
 
-def _ticking(batches, tick):
-    """Pass ``batches`` through, calling ``tick(events)`` after each one
-    has been folded (the fold-position hook)."""
-    for batch in batches:
-        yield batch
-        tick(batch.num_data_op_events + batch.num_target_events)
-
-
 def _pool_worker(task_queue, result_queue, crash_after, progress) -> None:
     from repro.core.distributed import CRASH_EXIT_CODE
 
@@ -139,7 +133,7 @@ def _pool_worker(task_queue, result_queue, crash_after, progress) -> None:
             started = perf_counter()
             pass_ = command[4].build()
             fold_batches((pass_,), _ticking(store.batches(), tick_progress))
-            payload = pass_.finalize()
+            payload = pass_ if pass_.guard else pass_.finalize()
             wall = perf_counter() - started
             decode_seconds = store.decode_seconds - decode0
             map_seconds = store.map_seconds - map0
@@ -177,6 +171,8 @@ class WarmWorkerPool:
         self._task_queue = ctx.Queue()
         self._result_queue = ctx.Queue()
         self._next_job = 0
+        #: job id -> result message, for results no collect() has taken yet
+        self._settled: dict = {}
         self._closed = False
         crash_after = _crash_after_from_env()
         started = perf_counter()
@@ -229,32 +225,34 @@ class WarmWorkerPool:
         self, store_spec: dict, cache_spec: Optional[dict], pass_spec: PassSpec
     ) -> int:
         """Queue one whole pass (fold + finalize); returns the job id to
-        collect on.  The job's payload is the pass's finding part."""
+        collect on.  The job's payload is the pass's finding part, or the
+        folded pass itself for a guard."""
         return self._submit(
             (_CMD_PASS, self._new_job(), store_spec, cache_spec, pass_spec)
         )
 
     def collect(self, job_ids) -> dict:
-        """Wait for every job; ``{job_id: (payload, stats)}``.
+        """Wait for the given jobs; ``{job_id: (payload, stats)}``.
 
-        Raises ``RuntimeError`` when a worker reports a failure or dies
-        with results still outstanding (the warm-pool analogue of
+        Results of other jobs that land meanwhile are kept for a later
+        ``collect``, so a caller can wait for one job ahead of the rest.
+        Raises ``RuntimeError`` when one of the given jobs failed, or a
+        worker dies with results outstanding (the warm-pool analogue of
         ``BrokenProcessPool``).
         """
-        pending = set(job_ids)
-        results: dict = {}
-        while pending:
+        while not self._settled.keys() >= set(job_ids):
             try:
                 message = self._result_queue.get(timeout=_POLL_SECONDS)
             except queue_mod.Empty:
                 self._check_alive()
                 continue
-            status, job_id = message[0], message[1]
-            if status == _ERR:
+            self._settled[message[1]] = message
+        results: dict = {}
+        for job_id in job_ids:
+            message = self._settled.pop(job_id)
+            if message[0] == _ERR:
                 raise RuntimeError(f"warm pool worker failed:\n{message[2]}")
-            if job_id in pending:
-                pending.discard(job_id)
-                results[job_id] = (message[2], message[3])
+            results[job_id] = (message[2], message[3])
         return results
 
     def _check_alive(self) -> None:

@@ -33,7 +33,13 @@ from repro.events.columnar import ColumnarTrace
 from repro.events.store import ShardedTraceStore, TraceWriter
 from repro.events.stream import DEFAULT_SHARD_EVENTS
 from repro.events.trace import Trace
-from repro.events.validation import validate_stream, validate_trace
+from repro.events.validation import validate_trace
+
+# Stream validation runs as a pass inside the analysis scan, so this module
+# never calls ``validate_stream``; it stays importable from here because the
+# repository benchmark's traced run wraps ``repro.core.profiler.validate_stream``
+# by name.
+from repro.events.validation import validate_stream  # noqa: F401
 from repro.hashing import DEFAULT_HASHER
 from repro.hashing.base import Hasher
 from repro.omp.costmodel import CostModel
@@ -220,10 +226,12 @@ class OMPDataPerf:
         store = collector.finish_store(
             total_runtime=total_runtime, program_name=program_name
         )
-        if self.validate:
-            validate_stream(store)
         analysis = analyze_stream(
-            store, debug_info=runtime.debug_info, jobs=jobs, engine=engine
+            store,
+            debug_info=runtime.debug_info,
+            jobs=jobs,
+            engine=engine,
+            validate=self.validate,
         )
         return StreamingProfileResult(
             store=store,
@@ -253,11 +261,14 @@ class OMPDataPerf:
         jobs: int = 1,
         engine: str = "serial",
     ) -> StreamAnalysisReport:
-        """Offline incremental analysis of an event stream (sharded store)."""
-        if self.validate:
-            validate_stream(stream)
+        """Offline incremental analysis of an event stream (sharded store).
+
+        With ``validate`` on (the default) the stream is validated in the
+        same scan as the detector folds; an invalid stream raises
+        :class:`~repro.events.validation.TraceValidationError`.
+        """
         return analyze_stream(
-            stream, debug_info=debug_info, jobs=jobs, engine=engine
+            stream, debug_info=debug_info, jobs=jobs, engine=engine, validate=self.validate
         )
 
 

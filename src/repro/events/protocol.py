@@ -13,6 +13,10 @@ re-iterable sequence of columnar batches (shards) in chronological order.
 :meth:`ColumnarTrace.batches` implements it trivially (one batch), and the
 ``find_*_streaming`` detector variants consume it with O(carry) memory
 instead of O(trace).
+
+:class:`StreamingPass` is the consumer side: one fold over a stream's
+batches.  The five detector passes (:mod:`repro.core.detectors`) and trace
+validation (:class:`repro.events.validation.ValidationPass`) implement it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Protocol, Sequence, runtim
 from repro.events.records import DataOpEvent, TargetEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.detectors.table import FindingPart
     from repro.events.columnar import ColumnarTrace
 
 
@@ -79,6 +84,57 @@ class EventStream(Protocol):
     total_runtime: Optional[float]
 
     def batches(self) -> Iterator["ColumnarTrace"]: ...
+
+
+class StreamingPass:
+    """One incremental fold over a stream: fold batches, merge, finalize.
+
+    ``fold`` consumes one columnar batch (with the global data-op row
+    offset of its first row) and updates the carry; ``finalize`` closes the
+    carry and returns the findings as a
+    :class:`~repro.core.detectors.table.FindingPart` over gpos — it never
+    reads the stream again (the engines gather the rows of every pass in
+    one scan).  A pass instance is single-use.
+
+    Passes are *partition-mergeable*: ``a.merge(b)``, where ``a`` folded an
+    earlier contiguous batch range and ``b`` the immediately following one,
+    leaves ``a`` holding the carry a single sequential fold over both
+    ranges would have produced (``b`` must not be reused).  The execution
+    engines fold disjoint shard ranges on independent workers and merge
+    the carries left to right.
+
+    ``eager`` controls whether a pass may *classify* events against carry
+    state that is only correct from the start of the stream (the
+    kernel-cursor verdicts of the two unused-pattern passes).  The default
+    ``True`` is right for a sequential fold over the whole stream; a pass
+    folding a partition that does not start at the stream head MUST run
+    with ``eager=False`` — it defers classification by buffering, and the
+    deferred work happens when the carry is merged into an earlier one (or
+    at finalize).  Order-insensitive passes ignore the flag.
+
+    A *guard* pass checks the stream against the other passes'
+    preconditions instead of detecting anything (trace validation).  The
+    engines fold each batch into the guards first and stop folding and
+    merging the other passes once a guard has ``failed``; a guard's
+    ``finalize`` raises on a failed check and returns ``None`` otherwise,
+    and runs before any other pass's result is used.
+    """
+
+    #: classify eagerly during folds (only valid from the stream head)
+    eager: bool = True
+    #: checks preconditions rather than detecting (see the class docstring)
+    guard: bool = False
+    #: a guard's check has already failed (never true for a detector)
+    failed: bool = False
+
+    def fold(self, batch: "ColumnarTrace", offset: int) -> None:
+        raise NotImplementedError
+
+    def merge(self, other: "StreamingPass") -> None:
+        raise NotImplementedError
+
+    def finalize(self) -> "FindingPart":
+        raise NotImplementedError
 
 
 def num_data_op_events(trace: TraceLike) -> int:

@@ -4,16 +4,20 @@ The detection algorithms require the event log to be chronologically ordered
 and internally consistent (Section 5 "Require: ... in chronological order").
 ``validate_trace`` enforces those preconditions so the detectors can assume
 them; it is also exercised heavily by the property-based tests.
+
+For event streams the checks are a streaming pass, :class:`ValidationPass`:
+the engines fold it in the same scan as the detector passes, and
+``validate_stream`` is a one-pass run of it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
-from repro.events.records import DataOpKind, TargetEvent
-from repro.events.trace import Trace
+from repro.events.protocol import StreamingPass
+from repro.events.records import DataOpKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.events.columnar import ColumnarTrace
@@ -130,67 +134,172 @@ def validate_trace(trace, *, strict: bool = True) -> list[str]:
 def validate_stream(stream: "EventStream", *, strict: bool = True) -> list[str]:
     """Validate an event stream shard by shard, in O(shard) memory.
 
-    Each batch runs through the columnar validation sweeps, and batch
-    boundaries are checked for the stream contract: per column group,
-    sequence numbers ascend and start times do not decrease across the
-    boundary.  Whole-trace properties that would need O(trace) state
-    (global sequence-number uniqueness, cross-shard live-address reuse)
-    are only enforced within each shard.
+    A one-pass run of :class:`ValidationPass` over ``stream.batches()``,
+    the same checks the engines fold alongside the detectors when
+    ``OMPDataPerf(validate=True)`` analyses a stream.  Each batch runs
+    through the columnar validation sweeps, and batch boundaries are
+    checked for the stream contract: per column group, sequence numbers
+    ascend and start times do not decrease across the boundary.  Problems
+    are reported per shard (``shard i: ...``) in stream order.
+    Whole-trace properties that would need O(trace) state (global
+    sequence-number uniqueness, cross-shard live-address reuse) are only
+    enforced within each shard.
     """
-    errors: list[str] = []
-    if stream.num_devices < 1:
-        errors.append("trace must describe at least one target device")
+    check = ValidationPass(stream.num_devices, stream.total_runtime)
+    for batch in stream.batches():
+        check.fold(batch, 0)
+    errors = check.errors()
+    if errors and strict:
+        raise TraceValidationError("; ".join(errors))
+    return errors
 
-    end_time = 0.0
-    prev_bounds: dict[str, tuple[int, float]] = {}
-    for batch_index, batch in enumerate(stream.batches()):
+
+#: A problem's slot orders the problems of one shard: 0 for the columnar
+#: sweeps, then each column group's shard-boundary checks.
+_BOUNDARY_SLOT = {"target": 1, "data-op": 2}
+
+
+def _boundary_problems(what: str, prev: tuple[int, float], seq: int, start: float) -> list[str]:
+    """Stream-contract problems where a shard whose first ``what`` event has
+    ``seq``/``start`` follows a shard ending at ``prev`` (last seq, max start)."""
+    last_seq, last_start = prev
+    problems = []
+    if seq <= last_seq:
+        problems.append(
+            f"{what} sequence numbers do not ascend across the "
+            f"shard boundary at seq={seq}"
+        )
+    if start < last_start:
+        problems.append(
+            f"{what} events are not in chronological order across "
+            f"the shard boundary at seq={seq}"
+        )
+    return problems
+
+
+class ValidationPass(StreamingPass):
+    """Stream validation as a guard pass (see :class:`StreamingPass`).
+
+    The carry is what crosses shard boundaries: per column group the first
+    event of the stream (``first_bounds``: shard index, seq, start) and the
+    last shard's bounds (``prev_bounds``: last seq, max start), the latest
+    end time, the shard count and the problems found so far as
+    ``(shard index, slot, message)``.  ``merge`` runs the boundary checks
+    between its side's last bounds and the next partition's first events,
+    so any partitioning reports what one sequential fold would.
+    ``finalize`` raises :class:`TraceValidationError` with exactly the
+    message of :func:`validate_stream`.
+    """
+
+    guard = True
+
+    def __init__(self, num_devices: int, total_runtime: Optional[float] = None) -> None:
         # The stream's device count is authoritative (a shard written early
         # in a run may predate later device initialisations), so per-batch
         # device-range checks run against it.
-        batch.num_devices = stream.num_devices
-        batch_errors = _validate_columnar(batch, strict=False)
+        self.num_devices = num_devices
+        self.total_runtime = total_runtime
+        self.num_batches = 0
+        self.end_time = 0.0
+        self.first_bounds: dict[str, tuple[int, int, float]] = {}
+        self.prev_bounds: dict[str, tuple[int, float]] = {}
+        self.problems: list[tuple[int, int, str]] = []
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.problems)
+
+    def fold(self, batch: "ColumnarTrace", offset: int) -> None:
+        index = self.num_batches
+        self.num_batches += 1
+        self.problems.extend(
+            (index, 0, problem)
+            for problem in _validate_columnar(batch, strict=False, num_devices=self.num_devices)
+        )
         for what, seqs, starts in (
             ("target", batch.tgt_seq, batch.tgt_start_time),
             ("data-op", batch.do_seq, batch.do_start_time),
         ):
             if seqs.size == 0:
                 continue
-            prev = prev_bounds.get(what)
-            if prev is not None:
-                last_seq, last_start = prev
-                if int(seqs[0]) <= last_seq:
-                    batch_errors.append(
-                        f"{what} sequence numbers do not ascend across the "
-                        f"shard boundary at seq={int(seqs[0])}"
-                    )
-                if float(starts[0]) < last_start:
-                    batch_errors.append(
-                        f"{what} events are not in chronological order across "
-                        f"the shard boundary at seq={int(seqs[0])}"
-                    )
-            prev_bounds[what] = (int(seqs[-1]), float(starts.max()))
-        end_time = max(end_time, batch.end_time)
-        errors.extend(f"shard {batch_index}: {e}" for e in batch_errors)
+            slot = _BOUNDARY_SLOT[what]
+            seq, start = int(seqs[0]), float(starts[0])
+            prev = self.prev_bounds.get(what)
+            if prev is None:
+                self.first_bounds[what] = (index, seq, start)
+            else:
+                self.problems.extend(
+                    (index, slot, problem)
+                    for problem in _boundary_problems(what, prev, seq, start)
+                )
+            self.prev_bounds[what] = (int(seqs[-1]), float(starts.max()))
+        self.end_time = max(self.end_time, batch.end_time)
 
-    total_runtime = stream.total_runtime
-    if total_runtime is not None and total_runtime + 1e-12 < end_time:
-        errors.append(
-            "total_runtime is earlier than the last recorded event "
-            f"({total_runtime} < {end_time})"
+    def merge(self, other: "ValidationPass") -> None:
+        shift = self.num_batches
+        for what, slot in _BOUNDARY_SLOT.items():
+            first = other.first_bounds.get(what)
+            if first is None:
+                continue
+            index, seq, start = first
+            prev = self.prev_bounds.get(what)
+            if prev is None:
+                self.first_bounds[what] = (index + shift, seq, start)
+            else:
+                self.problems.extend(
+                    (index + shift, slot, problem)
+                    for problem in _boundary_problems(what, prev, seq, start)
+                )
+        self.problems.extend(
+            (index + shift, slot, problem) for index, slot, problem in other.problems
         )
+        self.prev_bounds.update(other.prev_bounds)
+        self.num_batches += other.num_batches
+        self.end_time = max(self.end_time, other.end_time)
 
-    if errors and strict:
-        raise TraceValidationError("; ".join(errors))
-    return errors
+    def errors(self) -> list[str]:
+        """Every problem found, as :func:`validate_stream` reports them."""
+        errors: list[str] = []
+        if self.num_devices < 1:
+            errors.append("trace must describe at least one target device")
+        # Stable: problems of one shard and slot keep their fold order.
+        ordered = sorted(self.problems, key=lambda problem: problem[:2])
+        errors.extend(f"shard {index}: {problem}" for index, _, problem in ordered)
+        if self.total_runtime is not None and self.total_runtime + 1e-12 < self.end_time:
+            errors.append(
+                "total_runtime is earlier than the last recorded event "
+                f"({self.total_runtime} < {self.end_time})"
+            )
+        return errors
+
+    def finalize(self) -> None:
+        errors = self.errors()
+        if errors:
+            raise TraceValidationError("; ".join(errors))
 
 
-def _validate_columnar(trace: "ColumnarTrace", *, strict: bool) -> list[str]:
+def _duplicate_seqs(seqs: np.ndarray) -> Iterable[tuple[int, int]]:
+    """``(seq, repeats)`` for every sequence number occurring more than once."""
+    # Strictly ascending seqs (the normal case) hold no duplicate: skip
+    # the sort.
+    if seqs.size < 2 or bool(np.all(seqs[1:] > seqs[:-1])):
+        return ()
+    uniq, counts = np.unique(seqs, return_counts=True)
+    dup = counts > 1
+    return zip(uniq[dup].tolist(), (counts[dup] - 1).tolist())
+
+
+def _validate_columnar(
+    trace: "ColumnarTrace", *, strict: bool, num_devices: Optional[int] = None
+) -> list[str]:
     """Vectorised validation sweeps over a columnar trace's columns.
 
     The set of problems found (including multiplicities) matches the
     object validator; only the *ordering* of the returned problem list may
     differ, because the sweeps run check by check rather than event by
     event.  Valid traces return ``[]`` in both representations.
+    ``num_devices`` overrides the trace's own device count (a stream's
+    count is authoritative for its batches).
     """
     from repro.events.columnar import (
         CODE_ALLOC,
@@ -200,8 +309,10 @@ def _validate_columnar(trace: "ColumnarTrace", *, strict: bool) -> list[str]:
     )
 
     errors: list[str] = []
+    if num_devices is None:
+        num_devices = trace.num_devices
 
-    if trace.num_devices < 1:
+    if num_devices < 1:
         errors.append("trace must describe at least one target device")
 
     for what, starts, seqs in (
@@ -216,20 +327,17 @@ def _validate_columnar(trace: "ColumnarTrace", *, strict: bool) -> list[str]:
                     f"at seq={int(seqs[bad[0] + 1])}"
                 )
 
-    host = trace.host_device_num
-    valid_low, valid_high = 0, trace.num_devices - 1
+    host = num_devices  # OpenMP's initial-device number, as host_device_num
+    valid_low, valid_high = 0, num_devices - 1
 
     def _device_ok(devices: np.ndarray) -> np.ndarray:
         return ((devices >= valid_low) & (devices <= valid_high)) | (devices == host)
 
     tgt_seq = trace.tgt_seq
     if tgt_seq.size:
-        uniq, counts = np.unique(tgt_seq, return_counts=True)
-        for seq, count in zip(uniq[counts > 1], counts[counts > 1]):
+        for seq, repeats in _duplicate_seqs(tgt_seq):
             # One error per repeat occurrence, like the object validator.
-            errors.extend(
-                [f"duplicate target event sequence number {int(seq)}"] * (int(count) - 1)
-            )
+            errors.extend([f"duplicate target event sequence number {seq}"] * repeats)
         for i in np.flatnonzero(~_device_ok(trace.tgt_device_num)):
             errors.append(
                 f"target event seq={int(tgt_seq[i])} references unknown device "
@@ -238,11 +346,8 @@ def _validate_columnar(trace: "ColumnarTrace", *, strict: bool) -> list[str]:
 
     do_seq = trace.do_seq
     if do_seq.size:
-        uniq, counts = np.unique(do_seq, return_counts=True)
-        for seq, count in zip(uniq[counts > 1], counts[counts > 1]):
-            errors.extend(
-                [f"duplicate data-op event sequence number {int(seq)}"] * (int(count) - 1)
-            )
+        for seq, repeats in _duplicate_seqs(do_seq):
+            errors.extend([f"duplicate data-op event sequence number {seq}"] * repeats)
         for i in np.flatnonzero(~_device_ok(trace.do_src_device_num)):
             errors.append(
                 f"data-op seq={int(do_seq[i])} references unknown source device "
@@ -255,7 +360,9 @@ def _validate_columnar(trace: "ColumnarTrace", *, strict: bool) -> list[str]:
             )
 
         kind = trace.do_kind
-        transfer = (kind == CODE_TO_DEVICE) | (kind == CODE_FROM_DEVICE)
+        to_device = kind == CODE_TO_DEVICE
+        from_device = kind == CODE_FROM_DEVICE
+        transfer = to_device | from_device
         for i in np.flatnonzero(transfer & ~trace.do_has_content_hash):
             errors.append(f"transfer seq={int(do_seq[i])} is missing its content hash")
         for i in np.flatnonzero(
@@ -264,11 +371,9 @@ def _validate_columnar(trace: "ColumnarTrace", *, strict: bool) -> list[str]:
             errors.append(
                 f"transfer seq={int(do_seq[i])} has identical source and destination device"
             )
-        for i in np.flatnonzero((kind == CODE_TO_DEVICE) & (trace.do_dest_device_num == host)):
+        for i in np.flatnonzero(to_device & (trace.do_dest_device_num == host)):
             errors.append(f"transfer-to-device seq={int(do_seq[i])} targets the host device")
-        for i in np.flatnonzero(
-            (kind == CODE_FROM_DEVICE) & (trace.do_src_device_num == host)
-        ):
+        for i in np.flatnonzero(from_device & (trace.do_src_device_num == host)):
             errors.append(
                 f"transfer-from-device seq={int(do_seq[i])} originates from the host device"
             )
@@ -281,7 +386,8 @@ def _validate_columnar(trace: "ColumnarTrace", *, strict: bool) -> list[str]:
             is_alloc = kind[ad] == CODE_ALLOC
             dev = trace.do_dest_device_num[ad]
             addr = trace.do_dest_addr[ad]
-            order = np.lexsort((ad, addr, dev))
+            # Stable: events of one key stay in stream order.
+            order = np.lexsort((addr, dev))
             same_key = (dev[order][1:] == dev[order][:-1]) & (
                 addr[order][1:] == addr[order][:-1]
             )

@@ -1,0 +1,301 @@
+"""Trace validation folded into the analysis scan, negative cases first.
+
+``OMPDataPerf.analyze_stream`` validates a stream in the same scan as the
+five detector passes: :class:`~repro.events.validation.ValidationPass` is a
+guard pass that every engine folds ahead of the detectors.  Each case below
+breaks one validator rule in a multi-shard store, and every engine must
+refuse the store with exactly the message ``validate_stream`` gives, and
+return no findings.  Valid stores keep their findings, and the serial
+engine reads each shard once for fold and validation together.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core.analysis import analyze_stream
+from repro.core.detectors._streaming import (
+    StreamingPass,
+    check_guards,
+    fold_batches,
+    merge_passes,
+)
+from repro.core.detectors.table import FindingTable
+from repro.core.distributed import DistributedEngine
+from repro.core.engine import ProcessEngine
+from repro.core.profiler import OMPDataPerf
+from repro.events.columnar import CODE_ALLOC, ColumnarTrace
+from repro.events.store import ShardedTraceStore, TraceWriter
+from repro.events.stream import slice_bounds
+from repro.events.validation import TraceValidationError, ValidationPass, validate_stream
+
+from tests.conftest import TraceBuilder
+
+#: Events per shard: two blocks of alloc, h2d, kernel, d2h, delete.  A
+#: shard ``k`` holds data-op rows ``[8k, 8k + 8)`` and target rows
+#: ``[2k, 2k + 2)``.
+SHARD_EVENTS = 10
+BLOCKS = 12  # six shards
+
+
+def _base_trace() -> ColumnarTrace:
+    b = TraceBuilder()
+    for i in range(BLOCKS):
+        host, dev = 0x1000 + i * 0x100, 0xA000 + i * 0x100
+        b.alloc(host, dev)
+        b.h2d(host, dev, content_hash=i % 3)  # repeated payloads: findings
+        b.kernel()
+        b.d2h(host, dev, content_hash=i % 3)
+        b.delete(host, dev)
+    return ColumnarTrace.from_trace(b.build())
+
+
+def _write_store(ct: ColumnarTrace, path, bounds, total_runtime) -> ShardedTraceStore:
+    """One shard per bound, written as-is (no resharding, no checks)."""
+    writer = TraceWriter(path, shard_events=10**9, num_devices=ct.num_devices)
+    for bound in bounds:
+        writer.write_batch(ct.slice_rows(*bound))
+        writer.flush()
+    return writer.close(total_runtime=total_runtime, program_name="fused")
+
+
+def _store(path, corrupt=None, *, halve_runtime: bool = False) -> ShardedTraceStore:
+    ct = _base_trace()
+    bounds = slice_bounds(ct, SHARD_EVENTS)  # cut before corrupting seqs
+    if corrupt is not None:
+        corrupt(ct)
+    runtime = ct.end_time / 2.0 if halve_runtime else ct.total_runtime
+    return _write_store(ct, path, bounds, runtime)
+
+
+def _do(shard: int, row: int) -> int:
+    return 8 * shard + row
+
+
+def _out_of_order(ct):
+    ct.do_start_time[_do(1, 2)] = ct.do_start_time[_do(1, 1)] - 1e-6
+
+
+def _unknown_device(ct):
+    ct.do_dest_device_num[_do(2, 0)] = 7
+
+
+def _duplicate_seq(ct):
+    ct.do_seq[_do(2, 5)] = ct.do_seq[_do(2, 4)]
+
+
+def _live_address_reuse(ct):
+    ct.do_kind[_do(3, 3)] = CODE_ALLOC  # the delete becomes a second alloc
+
+
+def _same_device_transfer(ct):
+    ct.do_src_device_num[_do(1, 5)] = ct.do_dest_device_num[_do(1, 5)]
+
+
+def _missing_hash(ct):
+    ct.do_has_content_hash[_do(4, 1)] = False
+
+
+def _boundary_disorder(ct):
+    # Shard 3 is where a two-way partition of the six shards splits.
+    ct.do_start_time[_do(3, 0)] = ct.do_start_time[_do(3, 0) - 1] - 1e-6
+
+
+def _boundary_seq(ct):
+    ct.do_seq[_do(4, 0)] = ct.do_seq[_do(4, 0) - 1]
+
+
+def _target_boundary_disorder(ct):
+    ct.tgt_start_time[4] = ct.tgt_start_time[3] - 1e-6
+
+
+def _early_hash_late_boundary(ct):
+    ct.do_has_content_hash[_do(0, 1)] = False
+    ct.do_start_time[_do(5, 0)] = 0.0
+
+
+#: case -> (corruption, whether total_runtime is halved, text the
+#: validator must report)
+CASES = {
+    "out_of_order": (_out_of_order, False, ["data-op events are not in chronological order at"]),
+    "unknown_device": (_unknown_device, False, ["references unknown destination device 7"]),
+    "duplicate_seq": (_duplicate_seq, False, ["duplicate data-op event sequence number"]),
+    "live_address_reuse": (_live_address_reuse, False, ["reuses a live device address"]),
+    "same_device_transfer": (
+        _same_device_transfer, False, ["has identical source and destination device"],
+    ),
+    "missing_hash": (_missing_hash, False, ["is missing its content hash"]),
+    "total_runtime": (None, True, ["total_runtime is earlier than the last recorded event"]),
+    "boundary_disorder": (
+        _boundary_disorder, False,
+        ["shard 3: data-op events are not in chronological order across the shard boundary"],
+    ),
+    "boundary_seq": (
+        _boundary_seq, False,
+        ["shard 4: data-op sequence numbers do not ascend across the shard boundary"],
+    ),
+    "target_boundary_disorder": (
+        _target_boundary_disorder, False,
+        ["shard 2: target events are not in chronological order across the shard boundary"],
+    ),
+    "early_hash_late_boundary": (
+        _early_hash_late_boundary, False,
+        [
+            "shard 0: transfer seq=1 is missing its content hash",
+            "shard 5: data-op events are not in chronological order across the shard boundary",
+        ],
+    ),
+}
+
+
+@pytest.fixture(params=sorted(CASES))
+def invalid(request, tmp_path):
+    corrupt, halve_runtime, expected = CASES[request.param]
+    store = _store(tmp_path / "bad.store", corrupt, halve_runtime=halve_runtime)
+    assert store.num_shards == 6
+    problems = validate_stream(store, strict=False)
+    for text in expected:
+        assert any(text in problem for problem in problems), (text, problems)
+    return store, "; ".join(problems)
+
+
+#: name -> (engine factory, jobs)
+ENGINE_LEGS = {
+    "serial": (lambda: "serial", 1),
+    "thread": (lambda: "thread", 2),
+    "process": (lambda: "process", 2),
+    "distributed": (lambda: DistributedEngine(worker_mode="thread", poll_interval=0.05), 2),
+}
+
+
+@pytest.mark.parametrize("leg", sorted(ENGINE_LEGS))
+def test_invalid_store_raises_validate_stream_message(invalid, leg):
+    store, message = invalid
+    make_engine, jobs = ENGINE_LEGS[leg]
+    with pytest.raises(TraceValidationError) as info:
+        OMPDataPerf().analyze_stream(store, engine=make_engine(), jobs=jobs)
+    assert str(info.value) == message
+
+
+def test_loopback_process_workers_raise_both_errors(tmp_path):
+    """The distributed engine's default loopback worker processes ship the
+    validation carry through the codec; an early shard's missing hash and
+    a later boundary error both reach the message."""
+    store = _store(tmp_path / "bad.store", _early_hash_late_boundary)
+    message = "; ".join(validate_stream(store, strict=False))
+    with pytest.raises(TraceValidationError) as info:
+        OMPDataPerf().analyze_stream(store, engine=DistributedEngine(poll_interval=0.05), jobs=2)
+    assert str(info.value) == message
+
+
+def test_process_engine_prefers_validation_error_to_detector_error(tmp_path):
+    """A detector task folding the whole invalid store fails on its own
+    (the hashless transfer); the parent still raises the validation error."""
+    store = _store(tmp_path / "bad.store", _missing_hash)
+    with pytest.raises(RuntimeError, match="missing its content hash"):
+        analyze_stream(store, engine="process", jobs=2)  # no validation
+    with pytest.raises(TraceValidationError) as info:
+        OMPDataPerf().analyze_stream(store, engine="process", jobs=2)
+    assert str(info.value) == "; ".join(validate_stream(store, strict=False))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_merged_partition_carries_equal_one_fold(case, tmp_path):
+    corrupt, halve_runtime, _ = CASES[case]
+    store = _store(tmp_path / "bad.store", corrupt, halve_runtime=halve_runtime)
+    batches = list(store.batches())
+    expected = validate_stream(store, strict=False)
+    for split in range(len(batches) + 1):
+        sides = [ValidationPass(store.num_devices, store.total_runtime) for _ in range(2)]
+        fold_batches(sides[:1], batches[:split])
+        fold_batches(sides[1:], batches[split:])
+        sides[0].merge(sides[1])
+        assert sides[0].errors() == expected, split
+
+
+class _Recorder(StreamingPass):
+    """A detector stand-in that records which batches it folded."""
+
+    def __init__(self):
+        self.offsets: list[int] = []
+        self.merged = 0
+
+    def fold(self, batch, offset):
+        self.offsets.append(offset)
+
+    def merge(self, other):
+        self.merged += 1
+
+    def finalize(self):
+        raise AssertionError("a detector finalized over an invalid stream")
+
+
+def test_detectors_stop_folding_once_validation_failed(tmp_path):
+    store = _store(tmp_path / "bad.store", _duplicate_seq)  # fails in shard 2
+    guard, recorder = ValidationPass(store.num_devices, store.total_runtime), _Recorder()
+    fold_batches([recorder, guard], store.batches())
+    assert recorder.offsets == [0, 8]  # shards 0 and 1, not 2 onwards
+    assert guard.num_batches == store.num_shards
+    with pytest.raises(TraceValidationError):
+        check_guards([recorder, guard])
+
+
+def test_detector_carries_are_not_merged_after_validation_failed(tmp_path):
+    store = _store(tmp_path / "bad.store", _boundary_disorder)
+    batches = list(store.batches())
+    head = [ValidationPass(store.num_devices), _Recorder()]
+    tail = [ValidationPass(store.num_devices), _Recorder()]
+    fold_batches(head, batches[:3])
+    fold_batches(tail, batches[3:])
+    assert not head[0].failed and not tail[0].failed
+    merge_passes(head, tail)  # the boundary check fails inside the merge
+    assert head[0].failed
+    assert head[1].merged == 0
+
+
+def test_valid_store_findings_match_unvalidated_run(tmp_path):
+    store = _store(tmp_path / "ok.store")
+    assert validate_stream(store) == []
+    expected = analyze_stream(store).render()
+    for leg in sorted(ENGINE_LEGS):
+        make_engine, jobs = ENGINE_LEGS[leg]
+        report = OMPDataPerf().analyze_stream(store, engine=make_engine(), jobs=jobs)
+        assert report.render() == expected, leg
+
+
+def test_process_engine_runs_validation_as_one_more_task(tmp_path):
+    store = _store(tmp_path / "ok.store")
+    engine = ProcessEngine()
+    report = OMPDataPerf().analyze_stream(store, engine=engine, jobs=2)
+    assert report.engine_stats["tasks"] == 6
+    assert analyze_stream(store, engine=engine, jobs=2).engine_stats["tasks"] == 5
+
+
+def _count_loads(monkeypatch):
+    """Count every shard load, and the loads made before the finding gather."""
+    counts = {"loads": 0, "before_gather": None}
+    load_batch = ShardedTraceStore.load_batch
+    gather = FindingTable.gather.__func__
+
+    def counting_load(self, index):
+        counts["loads"] += 1
+        return load_batch(self, index)
+
+    def marking_gather(cls, parts, source):
+        counts["before_gather"] = counts["loads"]
+        return gather(cls, parts, source)
+
+    monkeypatch.setattr(ShardedTraceStore, "load_batch", counting_load)
+    monkeypatch.setattr(FindingTable, "gather", classmethod(marking_gather))
+    return counts
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_serial_analysis_scans_the_store_once(tmp_path, monkeypatch, validate):
+    store = _store(tmp_path / "ok.store")
+    counts = _count_loads(monkeypatch)
+    report = OMPDataPerf(validate=validate).analyze_stream(store)
+    assert report.counts.total > 0
+    gathered = counts["loads"] - counts["before_gather"]
+    assert counts["before_gather"] == store.num_shards  # one scan, not two
+    assert 0 < gathered <= store.num_shards

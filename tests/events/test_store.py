@@ -410,6 +410,12 @@ def test_late_device_count_is_manifest_authoritative(tmp_path):
     for batch in store.batches():
         assert batch.num_devices == 2
     validate_stream(store)  # must not flag stale per-shard device counts
+    # The same holds with validation folded into the analysis scan.
+    from repro.core.profiler import OMPDataPerf
+
+    for engine, jobs in (("serial", 1), ("process", 2)):
+        report = OMPDataPerf().analyze_stream(store, engine=engine, jobs=jobs)
+        assert report.counts.unused_allocations == 5
 
 
 def test_resharding_coalesces_small_shards(tmp_path):

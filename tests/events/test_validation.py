@@ -83,3 +83,57 @@ def test_zero_devices_detected():
     trace = Trace(num_devices=0)
     problems = validate_trace(trace, strict=False)
     assert any("at least one target device" in p for p in problems)
+
+
+@pytest.mark.parametrize(
+    "seqs",
+    [[0, 1, 2, 3, 4, 5], [0, 2, 2, 1, 2, 5], [5, 5, 5, 5, 5, 5], [3, 1, 3, 0, 1, 4]],
+)
+def test_columnar_duplicate_seqs_match_object_multiplicities(seqs):
+    """Strictly ascending seqs take the columnar fast path (no sort); any
+    other order must still report one problem per repeat occurrence."""
+    from collections import Counter
+
+    from repro.events.columnar import ColumnarTrace
+
+    b = TraceBuilder()
+    for i in range(3):
+        b.alloc(0x10 * i, 0xA0 * (i + 1))
+        b.kernel()
+    trace = b.build()
+    for event, seq in zip(trace.data_op_events + trace.target_events, seqs):
+        object.__setattr__(event, "seq", seq)
+    expected = validate_trace(trace, strict=False)
+    problems = validate_trace(ColumnarTrace.from_trace(trace), strict=False)
+    assert Counter(problems) == Counter(expected)
+    duplicates = [p for p in problems if p.startswith("duplicate")]
+    data_seqs, target_seqs = seqs[:3], seqs[3:]
+    repeats = (len(data_seqs) - len(set(data_seqs))) + (len(target_seqs) - len(set(target_seqs)))
+    assert len(duplicates) == repeats
+
+
+def test_validate_stream_uses_stream_device_count_without_mutating_batches():
+    """A shard flushed before a device initialised carries a stale device
+    count; validation checks against the stream's count and leaves the
+    batch (possibly a shared view the detectors fold next) untouched."""
+    from repro.events.columnar import ColumnarTrace
+    from repro.events.validation import validate_stream
+
+    b = TraceBuilder(num_devices=2)
+    b.alloc(0x1, 0xA, device=1)
+    batch = ColumnarTrace.from_trace(b.build())
+    batch.total_runtime = None
+    batch.num_devices = 1
+
+    class Stream:
+        num_devices = 2
+        program_name = None
+        total_runtime = None
+
+        def batches(self):
+            yield batch
+
+    assert validate_stream(Stream()) == []
+    assert batch.num_devices == 1
+    Stream.num_devices = 1  # the host becomes device 1, and 2 is unknown
+    assert any("unknown source device 2" in p for p in validate_stream(Stream(), strict=False))
