@@ -9,12 +9,12 @@ optimization-potential summary.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.dwarf.attribution import format_location
-from repro.util.tables import Table, format_bytes, format_seconds
+from repro.util.tables import Column, coded, format_bytes, format_seconds, render_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.analysis import AnalysisReport
@@ -26,60 +26,65 @@ def _percent_of_runtime(seconds: float, runtime: float) -> str:
     return f"{100.0 * seconds / runtime:.2f}%"
 
 
+def _timing_columns(wasted: np.ndarray, runtime: float) -> tuple[Column, Column]:
+    """The ``time (%)`` and ``wasted time`` columns of per-finding seconds.
+
+    ``0.0`` and ``-0.0`` share a distinct value but not a percentage
+    (``0.00%`` vs ``-0.00%``): the shared value is normalised to ``0.0`` and
+    negative zeros get a text of their own.
+    """
+    distinct, codes = np.unique(wasted, return_inverse=True)
+    seconds = (distinct + 0.0).tolist()  # -0.0 + 0.0 is 0.0
+    percents = [_percent_of_runtime(t, runtime) for t in seconds]
+    percents.append(_percent_of_runtime(-0.0, runtime))
+    negative_zero = (wasted == 0.0) & np.signbit(wasted)
+    return (
+        (percents, np.where(negative_zero, len(seconds), codes)),
+        ([format_seconds(t) for t in seconds], codes),
+    )
+
+
+def _location_column(report: "AnalysisReport", located: np.ndarray) -> Column:
+    """``format_location`` of each finding's attributing event, once per
+    distinct code pointer; events without one read ``<unknown location>``."""
+    events = report.findings.events
+    codeptrs = events.do_column("codeptr")[located]
+    present = events.do_column("has_codeptr")[located]
+    distinct, inverse = np.unique(codeptrs[present], return_inverse=True)
+    texts = [format_location(c, report.debug_info) for c in distinct.tolist()]
+    texts.append(format_location(None, report.debug_info))
+    codes = np.full(len(located), len(distinct), dtype=np.intp)
+    codes[present] = inverse
+    return texts, codes
+
+
 def _findings_section(
     report: "AnalysisReport",
     category: str,
     title: str,
-    columns: Sequence[str],
-    cells: Sequence[tuple[str, ...]],
+    headers: Sequence[str],
+    columns: Sequence[Column],
     located: np.ndarray,
     empty: str,
 ) -> str:
-    """One findings table, read straight from the finding columns.
+    """One findings table, rendered column by column from the finding columns.
 
-    ``cells[i]`` holds finding ``i``'s middle columns (as text) and
-    ``located[i]`` the event whose code pointer attributes it.  Rows are
-    listed by wasted time, largest first, ties in finding order (the
-    stable descending sort of ``sorted(..., reverse=True)``).
+    ``columns`` are the middle columns (one code per finding) and
+    ``located[i]`` the event whose code pointer attributes finding ``i``.
+    Rows are listed by wasted time, largest first, ties in finding order
+    (the stable descending sort of ``sorted(..., reverse=True)``).
     """
-    table = Table(["time (%)", "wasted time", *columns, "source location"], title=title)
-    findings = report.findings
-    wasted = findings.wasted_times(category)
-    if not wasted:
-        return table.render() + "\n" + empty
-    events = findings.events
-    codeptrs = events.do_column("codeptr")[located].tolist()
-    present = events.do_column("has_codeptr")[located].tolist()
-    locations: dict[Optional[int], str] = {}
-    timings: dict[float, tuple[str, str]] = {}
-    runtime = report.trace.runtime
-    rows = []
-    for i in sorted(range(len(wasted)), key=wasted.__getitem__, reverse=True):
-        codeptr = codeptrs[i] if present[i] else None
-        location = locations.get(codeptr)
-        if location is None:
-            location = locations[codeptr] = format_location(codeptr, report.debug_info)
-        seconds = wasted[i]
-        # zeros are never cached: 0.0 and -0.0 share a key but not a text
-        timing = timings.get(seconds) if seconds else None
-        if timing is None:
-            timing = (_percent_of_runtime(seconds, runtime), format_seconds(seconds))
-            if seconds:
-                timings[seconds] = timing
-        rows.append([*timing, *cells[i], location])
-    table.add_text_rows(rows)
-    return table.render()
-
-
-def _text(values: np.ndarray) -> list[str]:
-    return values.astype(str).tolist()
-
-
-def _sized_bytes(values: np.ndarray) -> list[str]:
-    """``format_bytes`` of every value, formatting each distinct value once."""
-    distinct, index = np.unique(values, return_inverse=True)
-    text = [format_bytes(n) for n in distinct.tolist()]
-    return [text[i] for i in index.tolist()]
+    headers = ["time (%)", "wasted time", *headers, "source location"]
+    # builtin-sum per-finding times, exactly as the finding objects sum them
+    wasted = np.asarray(report.findings.wasted_times(category), dtype=np.float64)
+    columns = [
+        *_timing_columns(wasted, report.trace.runtime),
+        *columns,
+        _location_column(report, located),
+    ]
+    order = np.argsort(-wasted, kind="stable")
+    text = render_columns(headers, [(texts, codes[order]) for texts, codes in columns], title)
+    return text if len(wasted) else text + "\n" + empty
 
 
 def render_duplicate_section(report: "AnalysisReport") -> str:
@@ -91,13 +96,11 @@ def render_duplicate_section(report: "AnalysisReport") -> str:
         "duplicate_transfers",
         "OpenMP Duplicate Target Data Transfer Analysis",
         ["count", "bytes", "dest device"],
-        list(
-            zip(
-                _text(part.sizes() - 1),
-                _sized_bytes(nbytes),
-                _text(part.keys["dest_device_num"]),
-            )
-        ),
+        [
+            coded(part.sizes() - 1, str),
+            coded(nbytes, format_bytes),
+            coded(part.keys["dest_device_num"], str),
+        ],
         part.rows[first + 1, 0],
         "No duplicate data transfers detected.",
     )
@@ -107,18 +110,23 @@ def render_round_trip_section(report: "AnalysisReport") -> str:
     part = report.findings.part("round_trips")
     first = part.offsets[:-1]
     nbytes = report.findings.events.do_nbytes[part.rows[first, 0]]
-    routes = [
-        f"dev{src} <-> dev{dst}"
-        for src, dst in zip(
-            part.keys["src_device_num"].tolist(), part.keys["dest_device_num"].tolist()
-        )
-    ]
+    sources, source_codes = np.unique(part.keys["src_device_num"], return_inverse=True)
+    dests, dest_codes = np.unique(part.keys["dest_device_num"], return_inverse=True)
+    sources, dests = sources.tolist(), dests.tolist()
+
+    def route(pair: int) -> str:
+        return f"dev{sources[pair // len(dests)]} <-> dev{dests[pair % len(dests)]}"
+
     return _findings_section(
         report,
         "round_trips",
         "OpenMP Round-Trip Target Data Transfer Analysis",
         ["trips", "bytes", "route"],
-        list(zip(_text(part.sizes()), _sized_bytes(nbytes), routes)),
+        [
+            coded(part.sizes(), str),
+            coded(nbytes, format_bytes),
+            coded(source_codes * len(dests) + dest_codes, route),
+        ],
         part.rows[first, 1],
         "No round-trip data transfers detected.",
     )
@@ -132,13 +140,11 @@ def render_repeated_alloc_section(report: "AnalysisReport") -> str:
         "repeated_allocations",
         "OpenMP Repeated Device Memory Allocation Analysis",
         ["count", "bytes", "device"],
-        list(
-            zip(
-                _text(part.sizes() - 1),
-                _sized_bytes(part.keys["nbytes"]),
-                _text(part.keys["device_num"]),
-            )
-        ),
+        [
+            coded(part.sizes() - 1, str),
+            coded(part.keys["nbytes"], format_bytes),
+            coded(part.keys["device_num"], str),
+        ],
         part.rows[first + 1, 0],
         "No repeated device memory allocations detected.",
     )
@@ -153,7 +159,10 @@ def render_unused_alloc_section(report: "AnalysisReport") -> str:
         "unused_allocations",
         "OpenMP Unused Device Memory Allocation Analysis",
         ["bytes", "device"],
-        list(zip(_sized_bytes(events.do_nbytes[allocs]), _text(events.do_dest_device_num[allocs]))),
+        [
+            coded(events.do_nbytes[allocs], format_bytes),
+            coded(events.do_dest_device_num[allocs], str),
+        ],
         allocs,
         "No unused device memory allocations detected.",
     )
@@ -163,21 +172,16 @@ def render_unused_transfer_section(report: "AnalysisReport") -> str:
     part = report.findings.part("unused_transfers")
     events = report.findings.events
     transfers = part.rows[:, 0]
-    reasons = [
-        "overwritten" if ow else "after_last_kernel" for ow in part.keys["overwritten"].tolist()
-    ]
     return _findings_section(
         report,
         "unused_transfers",
         "OpenMP Unused Data Transfer Analysis",
         ["bytes", "device", "reason"],
-        list(
-            zip(
-                _sized_bytes(events.do_nbytes[transfers]),
-                _text(events.do_dest_device_num[transfers]),
-                reasons,
-            )
-        ),
+        [
+            coded(events.do_nbytes[transfers], format_bytes),
+            coded(events.do_dest_device_num[transfers], str),
+            (["after_last_kernel", "overwritten"], part.keys["overwritten"].astype(np.intp)),
+        ],
         transfers,
         "No unused data transfers detected.",
     )

@@ -15,7 +15,9 @@ tests pin its contracts:
 * one analysis loads each shard at most twice (one fold scan, one gather);
 * the rendered report and the potential estimate of two fixed stores are
   byte-identical to what the object-holding findings produced before the
-  table existed (the sha256 pins below were recorded with that code).
+  table existed (the sha256 pins below were recorded with that code);
+* the rendered report of three applications, whose findings resolve to
+  ``file:line (function)`` through their debug info, is pinned the same way.
 """
 
 from __future__ import annotations
@@ -28,8 +30,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
+from repro.apps.base import AppVariant, ProblemSize
+from repro.apps.registry import get_app
 from repro.core.analysis import analyze_stream, analyze_trace
 from repro.core.detectors.table import CATEGORIES, FindingTable
+from repro.core.profiler import OMPDataPerf
+from repro.dwarf.debuginfo import DebugInfoRegistry
 from repro.events.columnar import ColumnarTrace
 from repro.events.hostile import make_hostile_trace
 from repro.events.store import ShardedTraceStore, shard_trace
@@ -200,3 +207,52 @@ def test_counts_come_from_the_table():
     assert [p.category for p in report.findings.parts] == list(CATEGORIES)
     assert counts["UA"] == len(report.unused_allocations)
     assert counts["DD"] == sum(g.num_redundant for g in report.duplicate_groups)
+
+
+#: app -> sha256 of ``OMPDataPerf().profile(...).analysis.render()`` at the
+#: small size, with the debug info's file names made checkout-independent
+#: (see :func:`_portable_debug_info`); recorded with the row-wise renderer.
+#: The text holds the apps' source line numbers, so editing an app's
+#: construct lines moves its pin.
+APP_GOLDEN = {
+    "bfs": "eb063ebc08790c14d338b1bcdeb6b02b9edff9bb89530855b67cd58da9f46632",
+    "hotspot": "c398c67f0bab3671ac83e98428a248edeefcf3bf2f344bf6f893425e6fd11d30",
+    "lud": "22ebb0b5d3d1467d2185d1496365b94b85622d86d07202a455a88756b96b26c3",
+}
+
+
+def _portable_debug_info(registry: DebugInfoRegistry) -> DebugInfoRegistry:
+    """``registry`` with the same code pointers, its files renamed so the
+    rendered text does not depend on where the package or Python lives.
+
+    Files inside the package become ``<repro>/…``; any other file (a
+    standard-library frame) keeps only its base name, at line 0, since its
+    line numbers move between Python versions.
+    """
+    root = Path(repro.__file__).parent
+    portable = DebugInfoRegistry()
+    for location in registry.locations():
+        # registering a known location answers its existing code pointer
+        codeptr = registry.register(location.file, location.line, location.function)
+        path = Path(location.file)
+        if path.is_relative_to(root):
+            file, line = f"<repro>/{path.relative_to(root).as_posix()}", location.line
+        else:
+            file, line = f"<external>/{path.name}", 0
+        assert portable.register(file, line, location.function) == codeptr
+    return portable
+
+
+@pytest.mark.parametrize("name", sorted(APP_GOLDEN))
+def test_app_report_text_with_debug_info_pinned(name):
+    app = get_app(name)
+    result = OMPDataPerf().profile(
+        app.build_program(ProblemSize.SMALL, AppVariant.BASELINE),
+        program_name=app.program_name(ProblemSize.SMALL, AppVariant.BASELINE),
+    )
+    report = result.analysis
+    report.debug_info = _portable_debug_info(report.debug_info)
+    text = report.render()
+    # every finding resolves to file:line (function); lud has none at small
+    assert ("<repro>/apps/" in text) == report.has_issues
+    assert _sha256(text) == APP_GOLDEN[name]

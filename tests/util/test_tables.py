@@ -45,11 +45,42 @@ class TestTable:
         t = Table(["name", "count"], title="demo")
         t.add_row(["bfs", 18])
         t.add_row(["babelstream", 499])
-        text = t.render()
-        lines = text.splitlines()
-        assert lines[0] == "=== demo ==="
-        assert "name" in lines[1] and "count" in lines[1]
-        assert len({len(line) >= len("name") for line in lines[1:]}) == 1
+        assert t.render() == (
+            "=== demo ===\n"
+            "name         count\n"
+            "-----------  -----\n"
+            "bfs          18\n"
+            "babelstream  499"
+        )
+
+    def test_float_cell_and_cell_wider_than_header(self):
+        t = Table(["x", "speedup", "app"])
+        t.add_row([1.5, 2.0, "lud"])
+        t.add_row([10, 12.3456, "resize-omp"])
+        assert t.render() == (
+            "x      speedup  app\n"
+            "-----  -------  ----------\n"
+            "1.500  2.000    lud\n"
+            "10     12.346   resize-omp"
+        )
+
+    def test_blank_trailing_cells_are_stripped_with_their_padding(self):
+        t = Table(["app", "note", "flag"])
+        t.add_row(["bfs", "slow", ""])
+        t.add_row(["hotspot", "", ""])
+        t.add_row(["lud", "x ", " "])
+        t.add_row(["b", "", "y"])
+        assert t.render().splitlines()[2:] == [
+            "bfs      slow",
+            "hotspot",
+            "lud      x",
+            "b              y",
+        ]
+
+    def test_zero_rows(self):
+        t = Table(["name", "count"], title="empty")
+        assert t.render() == "=== empty ===\nname  count\n----  -----"
+        assert t.rows == [] and t.to_records() == []
 
     def test_row_length_checked(self):
         t = Table(["a", "b"])
