@@ -26,7 +26,9 @@ small carry state and never hold a whole trace.  The carries they share:
 
 Positions are "gpos": the row index an event would have in the
 concatenation of every batch's data-op columns (see
-:mod:`repro.events.stream`).
+:mod:`repro.events.stream`).  No carry depends on where batch boundaries
+fall, which is what lets :func:`fold_batches` fold consecutive small
+shards as one coalesced batch.
 
 Every carry here is additionally *partition-mergeable*: two instances
 folded over adjacent gpos ranges combine losslessly into the instance a
@@ -42,8 +44,9 @@ independent workers and combine only small carry states.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -745,26 +748,80 @@ class StreamingAllocPairer:
         return out
 
 
+#: The detector passes fold consecutive small batches as one batch of at
+#: least this many events (data-op plus target rows): a fold pays a fixed
+#: cost per batch (a sort, a key-index splice, a few dozen NumPy calls), so
+#: collector-sized shards are folded in groups.
+FOLD_BATCH_EVENTS = 1 << 16
+
+
+@contextmanager
+def fold_batch_target(events: int) -> Iterator[None]:
+    """Run the enclosed scans with :data:`FOLD_BATCH_EVENTS` set to
+    ``events`` (``1`` folds every batch on its own).
+
+    The setting is process-wide and seen by threads and by worker
+    processes forked inside the block; spawned interpreters keep the
+    default.  The tests and the fuzz sweep use it to keep multi-batch
+    folds covered on traces smaller than the default target.
+    """
+    global FOLD_BATCH_EVENTS
+    saved, FOLD_BATCH_EVENTS = FOLD_BATCH_EVENTS, events
+    try:
+        yield
+    finally:
+        FOLD_BATCH_EVENTS = saved
+
+
+def _fold_group(passes: Sequence[StreamingPass], group: list, offset: int) -> None:
+    """Fold consecutive ``group`` batches into ``passes`` as one batch."""
+    if group:
+        batch = group[0] if len(group) == 1 else ColumnarTrace.concat(group)
+        for pass_ in passes:
+            pass_.fold(batch, offset)
+
+
 def fold_batches(
     passes: Sequence[StreamingPass], batches: Iterable[ColumnarTrace], offset: int = 0
 ) -> None:
-    """Fold every pass over ONE scan: each batch is handed to all passes.
+    """Fold every pass over ONE scan of ``batches``.
 
     ``offset`` is the gpos of the first batch's first data-op row.  Guard
-    passes fold each batch first; once one has failed, the other passes
-    stop folding (their preconditions no longer hold) while the guards
-    fold on to the end of the stream, so their report is complete.
+    passes fold each batch as it arrives.  The other passes fold
+    *coalesced* batches: consecutive batches are held until they reach
+    :data:`FOLD_BATCH_EVENTS` events, then folded as one
+    :meth:`ColumnarTrace.concat` at the gpos of the group's first batch.
+    A batch that reaches the target alone is folded as is, after the
+    group before it, so the scan holds O(max(batch, FOLD_BATCH_EVENTS))
+    events.  Once a guard has failed, the held group is dropped and the
+    other passes fold nothing more (their preconditions no longer hold),
+    while the guards fold on to the end of the stream, so their report is
+    complete.
     """
     guards = [pass_ for pass_ in passes if pass_.guard]
     others = [pass_ for pass_ in passes if not pass_.guard]
+    target = FOLD_BATCH_EVENTS
+    group: list[ColumnarTrace] = []
+    group_offset = group_events = 0
     for batch in batches:
         for guard in guards:
             guard.fold(batch, offset)
         if others and any(guard.failed for guard in guards):
-            others = []
-        for pass_ in others:
-            pass_.fold(batch, offset)
+            others, group = [], []
+        if others:
+            events = len(batch)
+            if events >= target:
+                _fold_group(others, group, group_offset)
+                group = []
+            if not group:
+                group_offset, group_events = offset, 0
+            group.append(batch)
+            group_events += events
+            if group_events >= target:
+                _fold_group(others, group, group_offset)
+                group = []
         offset += batch.num_data_op_events
+    _fold_group(others, group, group_offset)
 
 
 def merge_passes(head: Sequence[StreamingPass], tail: Sequence[StreamingPass]) -> None:

@@ -224,8 +224,13 @@ def engine_config_options(name: str) -> Mapping:
 
 
 def _ticking(batches, tick):
-    """Pass ``batches`` through, calling ``tick(events)`` after each one
-    has been folded (the fold-position hook)."""
+    """Pass ``batches`` through, calling ``tick(events)`` once the scan
+    asks for the next one (the fold-position hook).
+
+    ``fold_batches`` asks when a shard has been read and folded into the
+    guards; the detectors fold it with its coalesced group, so the tick
+    runs up to one group ahead of the detector folds.
+    """
     for batch in batches:
         yield batch
         tick(batch.num_data_op_events + batch.num_target_events)
@@ -241,10 +246,11 @@ def _fold_partition(
     fetch — an O(1) map for local ``.odpf`` shards, a byte read plus
     decode elsewhere — overlaps the current shard's fold.
 
-    ``on_batch`` (when given) is called after every folded batch with the
-    number of events it held — the fold-position hook that lets a worker's
-    heartbeat carry progress, not just liveness (warm-pool counters, the
-    distributed worker's beat blobs).
+    ``on_batch`` (when given) is called after every shard the scan reads
+    with the number of events it held — the fold-position hook that lets
+    a worker's heartbeat carry progress, not just liveness (warm-pool
+    counters, the distributed worker's beat blobs).  It runs up to one
+    coalesced group ahead of the detector folds (see :func:`_ticking`).
     """
     passes = [spec.build(eager=False) for spec in specs]
     batches = prefetch_batches(partition, depth=2)

@@ -21,7 +21,9 @@ transport                 store layout analysed
                           on s3
 ========================  ===================================================
 
-Each case derives entirely from one integer seed, so every failure is
+Each case derives entirely from one integer seed — including the
+detectors' coalescing target for its multi-batch legs (every shard its own
+fold, a few shards per fold, or the default) — so every failure is
 reproducible with a single command printed next to it::
 
     PYTHONPATH=src python -m repro.cli fuzz --seed <case_seed> --cases 1 \\
@@ -47,6 +49,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.analysis import analyze_stream, analyze_trace
+from repro.core.detectors._streaming import FOLD_BATCH_EVENTS, fold_batch_target
 from repro.core.distributed import DistributedEngine
 from repro.events.hostile import make_hostile_trace, write_hostile_store
 from repro.events.stream import as_event_stream
@@ -107,6 +110,9 @@ class FuzzCase:
     num_events: int
     min_shard_events: int
     max_shard_events: int
+    #: the detectors' coalescing target for the multi-batch legs: every
+    #: shard its own fold (1), a few shards per fold, or the default
+    fold_batch_events: int
 
     @classmethod
     def derive(cls, seed: int, max_events: int) -> "FuzzCase":
@@ -114,11 +120,16 @@ class FuzzCase:
         num_events = int(rng.integers(max(200, max_events // 4), max_events + 1))
         lo = int(rng.integers(16, 256))
         hi = int(rng.integers(2 * lo, max(2 * lo + 1, min(8192, num_events) + 1)))
+        # the regime cycles with the seed, so any three consecutive cases
+        # cover all three (seeds 0 and 1: per shard and a small target)
+        small = int(rng.integers(lo, max(lo, min(4 * hi, num_events // 2)) + 1))
+        fold = (1, small, FOLD_BATCH_EVENTS)[seed % 3]
         return cls(
             seed=seed,
             num_events=num_events,
             min_shard_events=lo,
             max_shard_events=hi,
+            fold_batch_events=fold,
         )
 
 
@@ -292,7 +303,8 @@ def run_fuzz_sweep(
     for case in derive_cases(seed, cases, max_events):
         say(
             f"case seed={case.seed}: {case.num_events} events, "
-            f"shard cuts {case.min_shard_events}..{case.max_shard_events}"
+            f"shard cuts {case.min_shard_events}..{case.max_shard_events}, "
+            f"fold target {case.fold_batch_events}"
         )
         try:
             trace = make_hostile_trace(case.num_events, seed=case.seed)
@@ -315,44 +327,47 @@ def run_fuzz_sweep(
         else:
             say(f"  (object oracle skipped above {oracle_limit} events)")
 
-        try:
-            stream = as_event_stream(trace, case.min_shard_events)
-            mismatch = diff_reports(baseline, analyze_stream(stream))
-            if mismatch:
-                fail(case, "", "", "streaming", f"streaming differs on {mismatch}")
-        except Exception:
-            fail(case, "", "", "streaming", traceback.format_exc(limit=3))
-
-        for kind in transports:
-            scratch = Path(tempfile.mkdtemp(prefix="ompdataperf-fuzz-"))
+        # the target is process-wide: the forked process workers and the
+        # distributed leg's worker threads fold at it too
+        with fold_batch_target(case.fold_batch_events):
             try:
+                stream = as_event_stream(trace, case.min_shard_events)
+                mismatch = diff_reports(baseline, analyze_stream(stream))
+                if mismatch:
+                    fail(case, "", "", "streaming", f"streaming differs on {mismatch}")
+            except Exception:
+                fail(case, "", "", "streaming", traceback.format_exc(limit=3))
+
+            for kind in transports:
+                scratch = Path(tempfile.mkdtemp(prefix="ompdataperf-fuzz-"))
                 try:
-                    store = write_hostile_store(
-                        trace,
-                        _store_destination(kind, scratch, run_id, case.seed),
-                        seed=case.seed,
-                        min_shard_events=case.min_shard_events,
-                        max_shard_events=case.max_shard_events,
-                    )
-                except Exception:
-                    fail(case, kind, "", f"{kind}:write", traceback.format_exc(limit=3))
-                    continue
-                for engine in engines:
-                    stage = f"{kind}:{engine}"
                     try:
-                        resolved = _engine_for(kind, engine, run_id, case.seed)
-                        result = analyze_stream(store, engine=resolved, jobs=2)
-                        mismatch = diff_reports(baseline, result)
-                        if mismatch:
-                            fail(
-                                case, kind, engine, stage,
-                                f"analysis differs on {mismatch}",
-                            )
-                        report.combos_checked += 1
+                        store = write_hostile_store(
+                            trace,
+                            _store_destination(kind, scratch, run_id, case.seed),
+                            seed=case.seed,
+                            min_shard_events=case.min_shard_events,
+                            max_shard_events=case.max_shard_events,
+                        )
                     except Exception:
-                        fail(case, kind, engine, stage, traceback.format_exc(limit=3))
-            finally:
-                shutil.rmtree(scratch, ignore_errors=True)
+                        fail(case, kind, "", f"{kind}:write", traceback.format_exc(limit=3))
+                        continue
+                    for engine in engines:
+                        stage = f"{kind}:{engine}"
+                        try:
+                            resolved = _engine_for(kind, engine, run_id, case.seed)
+                            result = analyze_stream(store, engine=resolved, jobs=2)
+                            mismatch = diff_reports(baseline, result)
+                            if mismatch:
+                                fail(
+                                    case, kind, engine, stage,
+                                    f"analysis differs on {mismatch}",
+                                )
+                            report.combos_checked += 1
+                        except Exception:
+                            fail(case, kind, engine, stage, traceback.format_exc(limit=3))
+                finally:
+                    shutil.rmtree(scratch, ignore_errors=True)
 
     if report_path is not None:
         path = Path(report_path)

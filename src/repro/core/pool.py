@@ -112,9 +112,10 @@ def _pool_worker(task_queue, result_queue, crash_after, progress) -> None:
     completed = 0
 
     def tick_progress(events: int) -> None:
-        # Lock-free on CPython: one writer per counter, readers tolerate
-        # a stale snapshot (the counter is a liveness/fold-position hint,
-        # not an accounting total).
+        # Ticks as each shard is read, up to one coalesced group ahead of
+        # the detector fold.  Lock-free on CPython: one writer per
+        # counter, readers tolerate a stale snapshot (the counter is a
+        # liveness/fold-position hint, not an accounting total).
         progress.value += events
 
     while True:
@@ -201,7 +202,8 @@ class WarmWorkerPool:
         return len(self._workers)
 
     def fold_positions(self) -> list[int]:
-        """Per-worker lifetime fold positions (events folded so far).
+        """Per-worker lifetime fold positions (events read by the scan so
+        far; a pass folds them at most one coalesced group later).
 
         Snapshots the shared counters without disturbing the workers;
         a counter that stops moving while its worker stays alive is the

@@ -62,12 +62,17 @@ class DebugInfoRegistry:
         self._by_codeptr[codeptr] = loc
         return codeptr
 
-    def register_caller(self, *, skip_modules: tuple[str, ...] = ("repro.omp", "repro.ompt")) -> int:
+    def register_caller(
+        self, *, skip_modules: tuple[str, ...] = ("repro.omp", "repro.ompt", "contextlib")
+    ) -> int:
         """Register the nearest stack frame outside the runtime simulator.
 
         This is how application call sites (the ``#pragma omp target`` lines
         of the simulated benchmarks) become code pointers without the
-        applications having to pass explicit labels.  A call site seen
+        applications having to pass explicit labels.  ``contextlib`` frames
+        are skipped too, so a construct entered by a ``with`` block (a
+        ``@contextmanager`` region such as ``runtime.target_data``) is
+        attributed to the application's ``with`` line.  A call site seen
         before is answered from its frame's code object and line, without
         building its :class:`SourceLocation` again.
         """

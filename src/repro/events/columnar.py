@@ -138,6 +138,19 @@ _TARGET_COLUMNS: tuple[tuple[str, type], ...] = (
 )
 
 
+class _ConcatColumns(dict):
+    """Column name -> array, each concatenated from the parts' columns on
+    its first lookup (what :meth:`ColumnarTrace.concat` builds on)."""
+
+    def __init__(self, parts: Sequence["_ColumnGroup"]) -> None:
+        super().__init__()
+        self._parts = parts
+
+    def __missing__(self, name: str) -> np.ndarray:
+        column = self[name] = np.concatenate([part.view(name) for part in self._parts])
+        return column
+
+
 class _ColumnGroup:
     """A bundle of parallel arrays with amortised-doubling growth.
 
@@ -216,6 +229,14 @@ class _ColumnGroup:
         for name, _ in self._spec:
             self._columns[name][lo:hi] = columns[name]
         self.size = hi
+
+    def adopt_parts(self, parts: Sequence["_ColumnGroup"]) -> None:
+        """Take the rows of ``parts``, in order, concatenating each column
+        on its first read.  Only valid on an empty group."""
+        if self.size:
+            raise ValueError("adopt_parts requires an empty column group")
+        self._columns = _ConcatColumns(parts)
+        self.size = self._capacity = sum(part.size for part in parts)
 
     def adopt_columns(self, length: int, **columns) -> None:
         """Take ownership of ready-made arrays without copying.
@@ -773,6 +794,25 @@ class ColumnarTrace:
         self._tgt_names.extend(other._tgt_names)
         self._do_cache = None
         self._tgt_cache = None
+
+    @classmethod
+    def concat(cls, batches: Sequence["ColumnarTrace"]) -> "ColumnarTrace":
+        """The rows of ``batches`` (at least one) as one trace, in order.
+
+        No column is copied up front: each is concatenated on its first
+        read, so a consumer pays only for the columns it reads.  Every
+        read (and any later append) equals
+        :func:`~repro.events.stream.merge_stream` over the same batches.
+        Like a shard, the result carries the first batch's
+        ``num_devices`` and ``program_name`` but no ``total_runtime``.
+        """
+        out = cls(num_devices=batches[0].num_devices, program_name=batches[0].program_name)
+        out._data_ops.adopt_parts([batch._data_ops for batch in batches])
+        out._targets.adopt_parts([batch._targets for batch in batches])
+        for batch in batches:
+            out._do_variables.extend(batch._do_variables)
+            out._tgt_names.extend(batch._tgt_names)
+        return out
 
     # ------------------------------------------------------------------ #
     # Conversion

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.detectors import _streaming
 from repro.events.records import DataOpEvent, DataOpKind, TargetEvent, TargetKind
 from repro.events.trace import Trace
 
@@ -108,6 +109,20 @@ class TraceBuilder:
 @pytest.fixture
 def builder() -> TraceBuilder:
     return TraceBuilder()
+
+
+#: Fold targets a multi-batch test runs at: every shard its own detector
+#: batch, a few shards coalesced per batch, and the default target, which
+#: no test trace reaches (each folds as one batch).
+FOLD_TARGETS = {"per-shard": 1, "small": 5, "default": _streaming.FOLD_BATCH_EVENTS}
+
+
+@pytest.fixture(params=sorted(FOLD_TARGETS))
+def fold_target(request):
+    """Run the test with the detectors' coalescing target patched."""
+    target = FOLD_TARGETS[request.param]
+    with _streaming.fold_batch_target(target):
+        yield target
 
 
 @pytest.fixture

@@ -31,6 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.analysis import analyze_stream, analyze_trace
+from repro.core.detectors._streaming import FOLD_BATCH_EVENTS, fold_batch_target
 from repro.core.distributed import DistributedEngine
 from repro.core.detectors.duplicates import (
     find_duplicate_transfers,
@@ -67,6 +68,12 @@ _STEP = st.sampled_from(["h2d", "d2h", "kernel", "remap", "idle", "double_h2d"])
 # Shard sizes for the streaming variants: exercise one-event shards, shards
 # cutting through the middle of a trace, and single-batch streams.
 _SHARDS = st.integers(min_value=1, max_value=40)
+
+# Detector fold targets for the multi-batch legs: per shard, a small target
+# that coalesces a few shards, and the default.
+_FOLD_TARGETS = st.one_of(
+    st.just(1), st.integers(min_value=2, max_value=64), st.just(FOLD_BATCH_EVENTS)
+)
 
 # Worker counts for the partitioned engines: serial degenerate case up to
 # more workers than most generated traces have shards.
@@ -116,66 +123,70 @@ def mapping_traces(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(mapping_traces(), _SHARDS)
-def test_all_detectors_identical_across_representations(trace, shard_events):
-    ct = ColumnarTrace.from_trace(trace)
-    stream = as_event_stream(ct, shard_events)
-    data_ops = trace.data_op_events
-    targets = trace.target_events
-    n = trace.num_devices
+@given(mapping_traces(), _SHARDS, _FOLD_TARGETS)
+def test_all_detectors_identical_across_representations(trace, shard_events, fold):
+    with fold_batch_target(fold):
+        ct = ColumnarTrace.from_trace(trace)
+        stream = as_event_stream(ct, shard_events)
+        data_ops = trace.data_op_events
+        targets = trace.target_events
+        n = trace.num_devices
 
-    expected = find_duplicate_transfers(data_ops)
-    assert expected == find_duplicate_transfers_streaming(ct)
-    assert expected == find_duplicate_transfers_streaming(stream)
+        expected = find_duplicate_transfers(data_ops)
+        assert expected == find_duplicate_transfers_streaming(ct)
+        assert expected == find_duplicate_transfers_streaming(stream)
 
-    expected = find_round_trips(data_ops)
-    assert expected == find_round_trips_streaming(ct)
-    assert expected == find_round_trips_streaming(stream)
+        expected = find_round_trips(data_ops)
+        assert expected == find_round_trips_streaming(ct)
+        assert expected == find_round_trips_streaming(stream)
 
-    expected = find_repeated_allocations(data_ops)
-    assert expected == find_repeated_allocations_streaming(ct)
-    assert expected == find_repeated_allocations_streaming(stream)
+        expected = find_repeated_allocations(data_ops)
+        assert expected == find_repeated_allocations_streaming(ct)
+        assert expected == find_repeated_allocations_streaming(stream)
 
-    expected = find_unused_allocations(targets, data_ops, n)
-    assert expected == find_unused_allocations_streaming(ct, n)
-    assert expected == find_unused_allocations_streaming(stream, n)
+        expected = find_unused_allocations(targets, data_ops, n)
+        assert expected == find_unused_allocations_streaming(ct, n)
+        assert expected == find_unused_allocations_streaming(stream, n)
 
-    expected = find_unused_transfers(targets, data_ops, n)
-    assert expected == find_unused_transfers_streaming(ct, n)
-    assert expected == find_unused_transfers_streaming(stream, n)
-
-
-@settings(max_examples=60, deadline=None)
-@given(mapping_traces(), st.integers(min_value=0, max_value=2048), _SHARDS)
-def test_duplicate_min_bytes_threshold_identical(trace, min_bytes, shard_events):
-    ct = ColumnarTrace.from_trace(trace)
-    expected = find_duplicate_transfers(trace.data_op_events, min_bytes=min_bytes)
-    assert expected == find_duplicate_transfers_streaming(ct, min_bytes=min_bytes)
-    assert expected == find_duplicate_transfers_streaming(
-        as_event_stream(ct, shard_events), min_bytes=min_bytes
-    )
+        expected = find_unused_transfers(targets, data_ops, n)
+        assert expected == find_unused_transfers_streaming(ct, n)
+        assert expected == find_unused_transfers_streaming(stream, n)
 
 
 @settings(max_examples=60, deadline=None)
-@given(mapping_traces(), _SHARDS)
-def test_roundtrip_nonchronological_mode_identical(trace, shard_events):
-    ct = ColumnarTrace.from_trace(trace)
-    expected = find_round_trips(trace.data_op_events, require_chronological=False)
-    assert expected == find_round_trips_streaming(ct, require_chronological=False)
-    assert expected == find_round_trips_streaming(
-        as_event_stream(ct, shard_events), require_chronological=False
-    )
+@given(mapping_traces(), st.integers(min_value=0, max_value=2048), _SHARDS, _FOLD_TARGETS)
+def test_duplicate_min_bytes_threshold_identical(trace, min_bytes, shard_events, fold):
+    with fold_batch_target(fold):
+        ct = ColumnarTrace.from_trace(trace)
+        expected = find_duplicate_transfers(trace.data_op_events, min_bytes=min_bytes)
+        assert expected == find_duplicate_transfers_streaming(ct, min_bytes=min_bytes)
+        assert expected == find_duplicate_transfers_streaming(
+            as_event_stream(ct, shard_events), min_bytes=min_bytes
+        )
 
 
 @settings(max_examples=60, deadline=None)
-@given(mapping_traces(), _SHARDS)
-def test_repeated_allocs_keep_undeleted_mode_identical(trace, shard_events):
-    ct = ColumnarTrace.from_trace(trace)
-    expected = find_repeated_allocations(trace.data_op_events, require_deletion=False)
-    assert expected == find_repeated_allocations_streaming(ct, require_deletion=False)
-    assert expected == find_repeated_allocations_streaming(
-        as_event_stream(ct, shard_events), require_deletion=False
-    )
+@given(mapping_traces(), _SHARDS, _FOLD_TARGETS)
+def test_roundtrip_nonchronological_mode_identical(trace, shard_events, fold):
+    with fold_batch_target(fold):
+        ct = ColumnarTrace.from_trace(trace)
+        expected = find_round_trips(trace.data_op_events, require_chronological=False)
+        assert expected == find_round_trips_streaming(ct, require_chronological=False)
+        assert expected == find_round_trips_streaming(
+            as_event_stream(ct, shard_events), require_chronological=False
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(mapping_traces(), _SHARDS, _FOLD_TARGETS)
+def test_repeated_allocs_keep_undeleted_mode_identical(trace, shard_events, fold):
+    with fold_batch_target(fold):
+        ct = ColumnarTrace.from_trace(trace)
+        expected = find_repeated_allocations(trace.data_op_events, require_deletion=False)
+        assert expected == find_repeated_allocations_streaming(ct, require_deletion=False)
+        assert expected == find_repeated_allocations_streaming(
+            as_event_stream(ct, shard_events), require_deletion=False
+        )
 
 
 def _assert_reports_equal(obj_report, report):
@@ -190,8 +201,10 @@ def _assert_reports_equal(obj_report, report):
 
 
 @settings(max_examples=40, deadline=None)
-@given(mapping_traces(), _SHARDS, _WORKERS, st.randoms(use_true_random=False))
-def test_full_analysis_identical_across_representations(trace, shard_events, workers, rng):
+@given(mapping_traces(), _SHARDS, _WORKERS, st.randoms(use_true_random=False), _FOLD_TARGETS)
+def test_full_analysis_identical_across_representations(
+    trace, shard_events, workers, rng, fold
+):
     # Negative first: a transfer without its content hash fails both paths
     # with the same message, naming the same event.
     broken = ColumnarTrace.from_trace(trace)
@@ -214,15 +227,16 @@ def test_full_analysis_identical_across_representations(trace, shard_events, wor
     obj_report = analyze_trace(trace)
     col_report = analyze_trace(ColumnarTrace.from_trace(trace))
     stream = as_event_stream(ColumnarTrace.from_trace(trace), shard_events)
-    stream_report = analyze_stream(stream)
-    thread_report = analyze_stream(stream, engine="thread", jobs=workers)
+    with fold_batch_target(fold):
+        stream_report = analyze_stream(stream)
+        thread_report = analyze_stream(stream, engine="thread", jobs=workers)
     for report in (col_report, stream_report, thread_report):
         _assert_reports_equal(obj_report, report)
 
 
 @settings(max_examples=25, deadline=None)
-@given(mapping_traces(), _SHARDS, _WORKERS)
-def test_process_engine_identical_over_stores(trace, shard_events, workers):
+@given(mapping_traces(), _SHARDS, _WORKERS, _FOLD_TARGETS)
+def test_process_engine_identical_over_stores(trace, shard_events, workers, fold):
     """The fourth way: process workers folding shard ranges of a real store.
 
     The trace goes to disk as a sharded store, the process engine folds
@@ -237,15 +251,16 @@ def test_process_engine_identical_over_stores(trace, shard_events, workers):
             Path(scratch) / "t.store",
             shard_events=shard_events,
         )
-        process_report = analyze_stream(store, engine="process", jobs=workers)
+        with fold_batch_target(fold):  # the forked workers inherit it
+            process_report = analyze_stream(store, engine="process", jobs=workers)
         _assert_reports_equal(obj_report, process_report)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
 
 @settings(max_examples=20, deadline=None)
-@given(mapping_traces(), _SHARDS, _WORKERS)
-def test_distributed_engine_identical_over_stores(trace, shard_events, workers):
+@given(mapping_traces(), _SHARDS, _WORKERS, _FOLD_TARGETS)
+def test_distributed_engine_identical_over_stores(trace, shard_events, workers, fold):
     """The fifth leg: coordinator/worker execution over a task queue.
 
     The trace goes to disk as a sharded store, a distributed coordinator
@@ -265,16 +280,17 @@ def test_distributed_engine_identical_over_stores(trace, shard_events, workers):
         engine = DistributedEngine(
             worker_mode="thread", poll_interval=0.01, run_timeout=120.0
         )
-        report = analyze_stream(store, engine=engine, jobs=workers)
+        with fold_batch_target(fold):
+            report = analyze_stream(store, engine=engine, jobs=workers)
         _assert_reports_equal(obj_report, report)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
 
 @settings(max_examples=15, deadline=None)
-@given(mapping_traces(), _SHARDS, _WORKERS)
+@given(mapping_traces(), _SHARDS, _WORKERS, _FOLD_TARGETS)
 def test_distributed_engine_identical_over_remote_transports(
-    trace, shard_events, workers
+    trace, shard_events, workers, fold
 ):
     """The fifth leg over non-local storage: the store's shards live in a
     zip archive or an S3-like object store, and for the latter the queue
@@ -290,9 +306,9 @@ def test_distributed_engine_identical_over_remote_transports(
         engine = DistributedEngine(
             worker_mode="thread", poll_interval=0.01, run_timeout=120.0
         )
-        _assert_reports_equal(
-            obj_report, analyze_stream(zip_store, engine=engine, jobs=workers)
-        )
+        with fold_batch_target(fold):
+            report = analyze_stream(zip_store, engine=engine, jobs=workers)
+        _assert_reports_equal(obj_report, report)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -308,14 +324,16 @@ def test_distributed_engine_identical_over_remote_transports(
         poll_interval=0.01,
         run_timeout=120.0,
     )
-    _assert_reports_equal(
-        obj_report, analyze_stream(remote_store, engine=engine, jobs=workers)
-    )
+    with fold_batch_target(fold):
+        report = analyze_stream(remote_store, engine=engine, jobs=workers)
+    _assert_reports_equal(obj_report, report)
 
 
 @settings(max_examples=25, deadline=None)
-@given(mapping_traces(), _SHARDS, _WORKERS)
-def test_process_engine_identical_over_remote_transport(trace, shard_events, workers):
+@given(mapping_traces(), _SHARDS, _WORKERS, _FOLD_TARGETS)
+def test_process_engine_identical_over_remote_transport(
+    trace, shard_events, workers, fold
+):
     """The fourth way again, with the store behind a non-local transport.
 
     The shards live in a fake object store (S3-like get/put/list), the
@@ -329,14 +347,17 @@ def test_process_engine_identical_over_remote_transport(trace, shard_events, wor
     store = shard_trace(
         ColumnarTrace.from_trace(trace), remote, shard_events=shard_events
     )
-    process_report = analyze_stream(store, engine="process", jobs=workers)
+    with fold_batch_target(fold):  # the forked workers inherit it
+        process_report = analyze_stream(store, engine="process", jobs=workers)
     _assert_reports_equal(obj_report, process_report)
 
 
 @settings(max_examples=20, deadline=None)
-@given(mapping_traces(), _SHARDS, _WORKERS, st.randoms(use_true_random=False))
+@given(
+    mapping_traces(), _SHARDS, _WORKERS, st.randoms(use_true_random=False), _FOLD_TARGETS
+)
 def test_incremental_merge_identical_under_adversarial_orders(
-    trace, shard_events, workers, rng
+    trace, shard_events, workers, rng, fold
 ):
     """The sixth leg: merge-as-they-land under adversarial arrival orders.
 
@@ -385,15 +406,16 @@ def test_incremental_merge_identical_under_adversarial_orders(
         )
 
         def chains():
-            return [
-                _fold_partition(
-                    specs,
-                    StreamPartition(
-                        store, t.lo, t.hi, t.data_op_offset, t.num_events
-                    ),
-                )
-                for t in tasks
-            ]
+            with fold_batch_target(fold):
+                return [
+                    _fold_partition(
+                        specs,
+                        StreamPartition(
+                            store, t.lo, t.hi, t.data_op_offset, t.num_events
+                        ),
+                    )
+                    for t in tasks
+                ]
 
         shuffled = list(range(len(tasks)))
         rng.shuffle(shuffled)

@@ -2,7 +2,10 @@
 
 The three-way differential property test covers random traces; these tests
 pin down the cross-shard mechanics — carries that must survive a shard
-boundary — plus the stream-level analysis entry point.
+boundary — plus the stream-level analysis entry point.  The shard-size
+sweeps run at every ``fold_target`` (see ``tests/conftest.py``), so the
+carries are crossed whether the detectors fold each shard alone or a few
+coalesced shards at a time.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ def _assert_all_shard_sizes(trace, finder, expected):
         assert got == expected, f"shard_events={shard_events}"
 
 
+@pytest.mark.usefixtures("fold_target")
 def test_duplicate_group_spanning_shards(builder):
     # Three receipts of the same payload, far apart: the key must cross the
     # two-member threshold mid-stream and recover its first occurrence.
@@ -76,6 +80,7 @@ def test_missing_hash_raises_in_streaming(builder):
         find_round_trips_streaming(as_event_stream(ct, 1))
 
 
+@pytest.mark.usefixtures("fold_target")
 def test_round_trip_legs_in_different_shards(builder):
     b = builder
     b.alloc(0x100, 0xA000)
@@ -91,6 +96,7 @@ def test_round_trip_legs_in_different_shards(builder):
     _assert_all_shard_sizes(trace, find_round_trips_streaming, expected)
 
 
+@pytest.mark.usefixtures("fold_target")
 def test_repeated_alloc_pair_spanning_shards(builder):
     # alloc in one shard, delete shards later; the same (addr, device, size)
     # key repeats, so the pairer's open-alloc carry and the counter's
@@ -108,6 +114,7 @@ def test_repeated_alloc_pair_spanning_shards(builder):
     _assert_all_shard_sizes(trace, find_repeated_allocations_streaming, expected)
 
 
+@pytest.mark.usefixtures("fold_target")
 def test_repeated_alloc_overlapping_lifetimes_deletes_across_shards(builder):
     # Two overlapping allocations of the same (host addr, device, size) key
     # whose deletes land in reverse order: the pairs complete out of alloc
@@ -128,6 +135,7 @@ def test_repeated_alloc_overlapping_lifetimes_deletes_across_shards(builder):
     _assert_all_shard_sizes(trace, find_repeated_allocations_streaming, expected)
 
 
+@pytest.mark.usefixtures("fold_target")
 def test_unused_alloc_decided_only_at_finalize(builder):
     # The second allocation's lifetime starts after the last kernel: its
     # cursor never resolves and it must fall out of finalize as unused.
@@ -145,6 +153,7 @@ def test_unused_alloc_decided_only_at_finalize(builder):
     )
 
 
+@pytest.mark.usefixtures("fold_target")
 def test_unused_transfer_epoch_spanning_shards(builder):
     # Two same-address transfers in one epoch (overwrite), separated so the
     # candidate map must survive a shard boundary, plus an after-last tail.

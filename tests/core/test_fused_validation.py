@@ -15,8 +15,10 @@ import pytest
 
 from repro.core.analysis import analyze_stream
 from repro.core.detectors._streaming import (
+    FOLD_BATCH_EVENTS,
     StreamingPass,
     check_guards,
+    fold_batch_target,
     fold_batches,
     merge_passes,
 )
@@ -218,10 +220,12 @@ class _Recorder(StreamingPass):
 
     def __init__(self):
         self.offsets: list[int] = []
+        self.ends: list[int] = []
         self.merged = 0
 
     def fold(self, batch, offset):
         self.offsets.append(offset)
+        self.ends.append(offset + batch.num_data_op_events)
 
     def merge(self, other):
         self.merged += 1
@@ -233,8 +237,24 @@ class _Recorder(StreamingPass):
 def test_detectors_stop_folding_once_validation_failed(tmp_path):
     store = _store(tmp_path / "bad.store", _duplicate_seq)  # fails in shard 2
     guard, recorder = ValidationPass(store.num_devices, store.total_runtime), _Recorder()
-    fold_batches([recorder, guard], store.batches())
+    with fold_batch_target(1):  # every shard its own detector batch
+        fold_batches([recorder, guard], store.batches())
     assert recorder.offsets == [0, 8]  # shards 0 and 1, not 2 onwards
+    assert guard.num_batches == store.num_shards
+    with pytest.raises(TraceValidationError):
+        check_guards([recorder, guard])
+
+
+@pytest.mark.parametrize("target", [2 * SHARD_EVENTS, FOLD_BATCH_EVENTS])
+def test_coalesced_detectors_fold_no_row_past_the_failed_shard(tmp_path, target):
+    """Coalesced, the detectors fold at most the groups completed before
+    the failing shard: the group holding it is dropped, nothing follows."""
+    store = _store(tmp_path / "bad.store", _duplicate_seq)  # fails in shard 2
+    guard, recorder = ValidationPass(store.num_devices, store.total_runtime), _Recorder()
+    with fold_batch_target(target):
+        fold_batches([recorder, guard], store.batches())
+    assert all(end <= _do(2, 0) for end in recorder.ends)
+    assert recorder.offsets == ([0] if target == 2 * SHARD_EVENTS else [])
     assert guard.num_batches == store.num_shards
     with pytest.raises(TraceValidationError):
         check_guards([recorder, guard])

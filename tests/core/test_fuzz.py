@@ -17,6 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import fuzz
+from repro.core.detectors import _streaming
 from repro.core.fuzz import (
     FuzzCase,
     derive_cases,
@@ -35,6 +36,37 @@ def test_case_derivation_is_deterministic_and_self_contained():
     # from that seed yields the identical case.
     assert derive_cases(101, 1, 5000)[0] == sweep[1]
     assert FuzzCase.derive(101, 5000) == sweep[1]
+
+
+def test_each_case_runs_its_seed_derived_fold_target(monkeypatch):
+    """The multi-batch legs fold at the case's coalescing target — every
+    shard alone, a few shards per fold, or the default — so ``--seed``
+    replays a coalescing failure too."""
+    targets = {c.fold_batch_events for c in derive_cases(0, 30, 5000)}
+    assert 1 in targets and _streaming.FOLD_BATCH_EVENTS in targets
+    assert any(1 < t < _streaming.FOLD_BATCH_EVENTS for t in targets)
+
+    real = fuzz.analyze_stream
+    seen: list[int] = []
+
+    def recording(stream, **kwargs):
+        seen.append(_streaming.FOLD_BATCH_EVENTS)
+        return real(stream, **kwargs)
+
+    monkeypatch.setattr(fuzz, "analyze_stream", recording)
+    default = _streaming.FOLD_BATCH_EVENTS
+    case = next(c for c in derive_cases(0, 30, 1200) if 1 < c.fold_batch_events < default)
+    report = run_fuzz_sweep(
+        seed=case.seed,
+        cases=1,
+        max_events=1200,
+        transports=("local",),
+        engines=("serial",),
+        say=lambda _line: None,
+    )
+    assert report.ok
+    assert seen == [case.fold_batch_events] * 2  # the stream and store legs
+    assert _streaming.FOLD_BATCH_EVENTS == default
 
 
 def test_small_sweep_is_clean(tmp_path):

@@ -261,6 +261,22 @@ class TestOmptEmission:
         assert codeptrs[0] == codeptrs[1] == codeptrs[2] != codeptrs[3]
         assert [rt.debug_info.lookup(c).line for c in codeptrs] == lines
 
+    def test_with_block_construct_resolves_to_the_with_line(self, small_arrays):
+        # target_data is a context manager: the frame between the runtime
+        # and the caller is contextlib's __enter__, which is skipped.
+        rt, collector = _instrumented_runtime()
+        a = small_arrays["a"]
+        line = inspect.currentframe().f_lineno + 1
+        with rt.target_data(to(a)):
+            pass
+        total = rt.finish()
+        trace = collector.finish_trace(total_runtime=total)
+        location = rt.debug_info.lookup(trace.target_events[0].codeptr)
+        assert location.file.endswith("test_runtime.py")
+        assert (location.line, location.function) == (
+            line, "test_with_block_construct_resolves_to_the_with_line"
+        )
+
     def test_stripped_debug_info_degrades(self, small_arrays):
         rt, collector = _instrumented_runtime()
         a = small_arrays["a"]
