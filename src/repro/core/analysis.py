@@ -223,15 +223,15 @@ def analyze_stream(
     * ``"thread"`` — ``jobs`` worker threads each fold a contiguous,
       event-balanced partition of the stream; the partition carries merge
       left to right.  Decode parallelises, folds stay GIL-bound.
-    * ``"process"`` — pass-sharded process workers: each of the five
-      passes is one task on ``min(jobs, 5)`` workers, which re-open the
-      store from its picklable transport spec, run the serial fold and
-      finalize for their pass, and return only its finding part — no
-      partitioning, no carries, no merge (validation, when on, is one
-      more task).  It scales to at most five workers (six with
-      validation) and is bounded by the heaviest pass (duplicates, ~40% of
-      the fold on a findings-sparse trace); requires a
-      :class:`~repro.events.store.ShardedTraceStore`, over any transport.
+    * ``"process"`` — pass groups on process workers: the passes are
+      split into ``min(jobs, passes)`` groups balanced by static per-pass
+      weights, and each worker re-opens the store from its picklable
+      transport spec, folds its whole group in ONE serial scan, finalizes
+      it and returns only the finding parts — no partitioning, no
+      carries, no merge (validation, when on, joins one group).  It
+      scales to one worker per pass and is bounded by its heaviest group;
+      requires a :class:`~repro.events.store.ShardedTraceStore`, over any
+      transport.
     * ``"distributed"`` — the thread engine's partitioned shape with
       process workers fed from a transport-backed task queue
       (:mod:`repro.core.distributed`), which
@@ -265,9 +265,6 @@ def analyze_stream(
     eng = resolve_engine(engine)
     specs = _pass_specs(max(stream.num_devices, 1))
     if validate:
-        # Last in the list: every engine folds guards ahead of the
-        # detectors anyway, and the process engine, which hands tasks out
-        # in list order, best fills its workers with the short pass last.
         check = {"num_devices": stream.num_devices, "total_runtime": stream.total_runtime}
         specs = (*specs, PassSpec(ValidationPass, check))
     run_started = perf_counter()

@@ -149,6 +149,14 @@ class ColumnBuffer:
             return np.empty(0, dtype=dtype if dtype is not None else np.int64)
         return np.concatenate(self._chunks)
 
+    def drain(self, dtype=None) -> np.ndarray:
+        """:meth:`concat`, then drop the chunks: a consuming read, so the
+        chunk list and its concatenation are not both kept alive."""
+        out = self.concat(dtype)
+        self._chunks = []
+        self.size = 0
+        return out
+
 
 # --------------------------------------------------------------------- #
 # Composite-key counting

@@ -99,6 +99,8 @@ class DuplicateTransferPass(StreamingPass):
     passes, by the engine).
     """
 
+    weight = 49
+
     def __init__(self, *, min_bytes: int = 0) -> None:
         if min_bytes < 0:
             raise ValueError("min_bytes cannot be negative")
@@ -167,14 +169,14 @@ class DuplicateTransferPass(StreamingPass):
         """Members grouped by stable key uid, chronological inside each
         group; groups in order of their first (earliest) member, matching
         the oracle's first-occurrence ordering."""
-        gpos = self._gpos.concat()
+        gpos = self._gpos.drain()
         return FindingPart.grouped(
             CATEGORY,
             gpos,
-            self._group.concat(),
+            self._group.drain(),
             gpos,
-            content_hash=self._hash.concat(),
-            dest_device_num=self._dest.concat(),
+            content_hash=self._hash.drain(),
+            dest_device_num=self._dest.drain(),
         )
 
 

@@ -96,6 +96,8 @@ class RepeatedAllocationPass(StreamingPass):
     (O(findings)) and emitted as a :class:`FindingPart` at finalize.
     """
 
+    weight = 40
+
     def __init__(self, *, require_deletion: bool = True) -> None:
         self.require_deletion = require_deletion
         self._pairer = StreamingAllocPairer(
@@ -175,15 +177,15 @@ class RepeatedAllocationPass(StreamingPass):
         the oracle's first-qualifying-pair ordering."""
         if not self.require_deletion:
             self._count(self._pairer.finalize())
-        alloc_gpos = self._alloc.concat()
+        alloc_gpos = self._alloc.drain()
         return FindingPart.grouped(
             CATEGORY,
-            np.column_stack((alloc_gpos, self._delete.concat())),
-            self._group.concat(),
+            np.column_stack((alloc_gpos, self._delete.drain())),
+            self._group.drain(),
             alloc_gpos,
-            host_addr=self._host.concat(),
-            device_num=self._dev.concat(),
-            nbytes=self._nbytes.concat(),
+            host_addr=self._host.drain(),
+            device_num=self._dev.drain(),
+            nbytes=self._nbytes.drain(),
         )
 
 

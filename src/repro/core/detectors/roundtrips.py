@@ -237,6 +237,8 @@ class RoundTripPass(StreamingPass):
     arrays and emits the legs of recorded trips as a :class:`FindingPart`.
     """
 
+    weight = 20
+
     def __init__(self, *, require_chronological: bool = True) -> None:
         self.require_chronological = require_chronological
         self._hash = ColumnBuffer()
@@ -281,13 +283,13 @@ class RoundTripPass(StreamingPass):
         if self._gpos.size == 0:
             return FindingPart.empty(CATEGORY)
         return _trips_part(
-            self._gpos.concat(),
+            self._gpos.drain(),
             *_match_trips(
-                self._hash.concat(),
-                self._src.concat(),
-                self._dst.concat(),
-                self._start.concat(),
-                self._end.concat(),
+                self._hash.drain(),
+                self._src.drain(),
+                self._dst.drain(),
+                self._start.drain(),
+                self._end.drain(),
                 require_chronological=self.require_chronological,
             ),
         )

@@ -118,6 +118,8 @@ class UnusedAllocationPass(StreamingPass):
     joined the pendings of every partition.
     """
 
+    weight = 22
+
     def __init__(
         self, num_devices: int, *, trace_end: Optional[float] = None
     ) -> None:
@@ -277,8 +279,8 @@ class UnusedAllocationPass(StreamingPass):
 
         found: list[np.ndarray] = []
         for dev in range(num_devices):
-            alloc_gpos = self._found_alloc[dev].concat()
-            delete_gpos = self._found_delete[dev].concat()
+            alloc_gpos = self._found_alloc[dev].drain()
+            delete_gpos = self._found_delete[dev].drain()
             order = np.argsort(alloc_gpos, kind="stable")
             found.append(np.column_stack((alloc_gpos[order], delete_gpos[order])))
         return FindingPart.build(CATEGORY, np.concatenate(found))

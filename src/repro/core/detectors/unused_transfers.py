@@ -217,9 +217,9 @@ class _DeviceTransferState:
             self.report.append(self.pend_gpos)
             self.event.append(self.pend_gpos)
             self.overwritten.append(np.zeros(self.pend_gpos.size, dtype=bool))
-        report = self.report.concat()
-        event = self.event.concat()
-        overwritten = self.overwritten.concat(dtype=bool)
+        report = self.report.drain()
+        event = self.event.drain()
+        overwritten = self.overwritten.drain(dtype=bool)
         order = np.argsort(report, kind="stable")
         return report[order], event[order], overwritten[order]
 
@@ -250,6 +250,8 @@ class UnusedTransferPass(StreamingPass):
     epoch then splices across the boundary at :meth:`merge` time and the
     deferred transfers classify against the joined cursor base.
     """
+
+    weight = 17
 
     def __init__(self, num_devices: int) -> None:
         if num_devices < 1:

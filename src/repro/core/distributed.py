@@ -177,14 +177,16 @@ CRASH_EXIT_CODE = 3
 #: progress), which is exactly the straggler speculation must rescue.
 STALL_ENV = "OMPDATAPERF_WORKER_STALL_AFTER_CLAIM"
 
-# Both patterns are end-anchored so that a transport's in-flight staging
+# All three patterns are end-anchored so that a transport's in-flight staging
 # files (LocalDirTransport publishes through `<name>.tmp-<pid>` +
 # os.replace) can never be mistaken for live queue blobs: a pending blob
 # ends with the bare task stem, a claim/beat/error blob with the stem
 # plus exactly one ".<worker-id>" segment (worker ids are sanitized to
-# [A-Za-z0-9_-], so they contain no further dots).
+# [A-Za-z0-9_-], so they contain no further dots), and a result batch
+# with "rb-<worker-id>-<seq>".
 _PENDING_NAME = re.compile(r"task-(\d{5})\.a(\d{3})$")
 _LEASED_NAME = re.compile(r"task-(\d{5})\.a(\d{3})\.[A-Za-z0-9_-]+$")
+_RESULT_BATCH_NAME = re.compile(r"results/rb-[A-Za-z0-9_-]+-\d{5,}")
 
 
 class DistributedExecutionError(RuntimeError):
@@ -241,6 +243,10 @@ def _parse_pending_name(name: str) -> Optional[tuple[int, int]]:
     if match is None:
         return None
     return int(match.group(1)), int(match.group(2))
+
+
+def _is_result_batch_name(name: str) -> bool:
+    return _RESULT_BATCH_NAME.fullmatch(name) is not None
 
 
 def _parse_leased_name(name: str) -> Optional[tuple[int, int]]:
@@ -386,7 +392,7 @@ class TaskQueue:
         return [
             name
             for name in list_blobs_under(self.transport, RESULT_PREFIX)
-            if name[len(RESULT_PREFIX):].startswith("rb-")
+            if _is_result_batch_name(name)
         ]
 
     def read_result_batch(self, name: str) -> list[tuple[int, bytes]]:
@@ -1191,7 +1197,7 @@ class DistributedEngine:
             batch_names: list[str] = []
             for name in names:
                 if name.startswith(RESULT_PREFIX):
-                    if name[len(RESULT_PREFIX):].startswith("rb-"):
+                    if _is_result_batch_name(name):
                         batch_names.append(name)
                 elif name.startswith(TASK_PREFIX):
                     parsed = _parse_pending_name(name)

@@ -15,18 +15,20 @@ protocol with three backends:
   per-partition carries then merge left to right.  Shard decode releases
   the GIL, so load overlaps fold — but the folds themselves stay
   GIL-bound, which is the ceiling this backend cannot pass.
-* :class:`ProcessEngine` — *pass-sharded* process workers, which is what
-  lets the fold work leave the GIL.  The five detectors are independent
-  folds over one trace, so each pass is one pool task: the worker
-  re-opens the store from its picklable **transport spec**
-  (:func:`~repro.events.transport.transport_from_spec`), folds that one
-  pass over the whole stream exactly as the serial engine would, and
-  finalizes it in place.  Only the spec, the pass recipe and the
-  finished :class:`~repro.core.detectors.table.FindingPart` cross the
+* :class:`ProcessEngine` — *pass groups* on process workers, which is
+  what lets the fold work leave the GIL.  The five detectors are
+  independent folds over one trace, so the passes are split into
+  ``min(jobs, passes)`` groups balanced by a static per-pass weight
+  (:func:`pass_groups`), and each worker gets one group: it re-opens the
+  store from its picklable **transport spec**
+  (:func:`~repro.events.transport.transport_from_spec`), folds its whole
+  group in ONE scan exactly as the serial engine would, and finalizes
+  the passes in place.  Only the spec, the pass recipes and the finished
+  :class:`~repro.core.detectors.table.FindingPart` objects cross the
   process boundary — no carries, no merge.  The store can live behind
   *any* transport (a local directory, a zip archive, an object store);
   the parent then gathers the finding rows in one targeted scan.  It
-  scales to at most five workers and is bounded by the heaviest pass.
+  scales to one worker per pass and is bounded by its heaviest group.
 
 A fourth backend lives in :mod:`repro.core.distributed`:
 ``DistributedEngine`` speaks the thread engine's
@@ -38,7 +40,7 @@ in :data:`ENGINES` on import (``repro.core`` imports it, so the registry
 is always complete).
 
 All of them produce bit-identical findings.  The process engine runs the
-serial fold per pass; partition workers fold with ``eager=False``
+serial fold per pass group; partition workers fold with ``eager=False``
 (classification deferred until the carries merge), and the per-detector
 ``merge`` contracts reconstruct exactly the carry a sequential fold would
 have built (see ``docs/architecture.md`` for the contract table).
@@ -373,6 +375,40 @@ def partition_tasks(store, n: int) -> list[PartitionTask]:
     ]
 
 
+def pass_groups(specs: Sequence[PassSpec], n: int) -> list[list[int]]:
+    """Split ``specs`` into ``min(n, len(specs))`` groups of spec indices.
+
+    Longest-processing-time first over each pass class's static
+    ``weight``: the heaviest spec not yet placed joins the lightest group
+    (the lower index on a tie; equal weights keep spec order), so the
+    split is deterministic and every group gets at least one spec.  Each
+    group lists its indices in spec order, and a group holding a guard
+    comes first, so its worker is the first one handed work.
+    """
+    n = min(n, len(specs))
+    order = sorted(range(len(specs)), key=lambda i: -specs[i].cls.weight)
+    groups: list[list[int]] = [[] for _ in range(n)]
+    loads = [0.0] * n
+    for index in order:
+        lightest = loads.index(min(loads))
+        groups[lightest].append(index)
+        loads[lightest] += specs[index].cls.weight
+    for group in groups:
+        group.sort()
+    groups.sort(key=lambda group: not any(specs[i].cls.guard for i in group))
+    return groups
+
+
+def _spec_payloads(groups, job_ids, results) -> dict:
+    """Spec index -> worker payload, for every group already collected."""
+    return {
+        index: payload
+        for group, job in zip(groups, job_ids)
+        if job in results
+        for index, payload in zip(group, results[job][0])
+    }
+
+
 def _process_context():
     # fork keeps worker start-up (and the numpy import) off the critical
     # path, but it is only dependable on Linux — forked children crash in
@@ -387,7 +423,7 @@ def _process_context():
 
 
 class ProcessEngine:
-    """Pass-sharded folds on a *warm* pool of worker processes.
+    """Pass-group folds on a *warm* pool of worker processes.
 
     The only backend whose fold work runs off the GIL — and the only one
     with a requirement on the stream: it must be a
@@ -395,24 +431,27 @@ class ProcessEngine:
     because workers re-open it from its transport spec rather than
     receive events.
 
-    Each pass spec is one pool task, handed out dynamically over
-    ``min(jobs, len(specs))`` workers: the worker folds that pass from
-    the stream head with the serial code path (eager classification),
-    finalizes it, and returns only its finding part; the parent then runs
-    the one shared gather of the finding rows.  A guard spec (trace
-    validation) is one more task whose worker returns the folded guard
-    itself: the parent waits for it first and finalizes it, so a failed
-    check raises its own error ahead of any detector task's.  Nothing is
-    partitioned, so no carry is shipped or merged, and a one-shard store
-    parallelises as well as a large one.  The cost is the ceiling: at most five
-    workers, and a run is bounded by its heaviest pass (duplicates, ~40%
-    of the fold on a findings-sparse trace).  Cross-machine scale stays
-    with the partitioned distributed engine.
+    The pass specs are split into ``min(jobs, len(specs))`` groups by
+    :func:`pass_groups`, and each worker runs one group task: it folds
+    every pass of its group in ONE scan from the stream head with the
+    serial code path (eager classification), finalizes them, and returns
+    only their finding parts; the parent puts the parts back in report
+    order and runs the one shared gather of the finding rows.  A guard
+    spec (trace validation) joins one of the groups, whose worker checks
+    it before finalizing the detectors beside it and returns the folded
+    guard itself.  That group is handed out first, and the parent collects
+    it and checks the guard before any other group, so a failed check
+    raises its own error ahead of any detector's.  Nothing is partitioned,
+    so no carry is shipped or merged, and a one-shard store parallelises
+    as well as a large one.  The cost is the ceiling: at most one worker
+    per pass, and a run is bounded by its heaviest group (at one pass per
+    worker, the duplicates pass).  Cross-machine scale stays with the
+    partitioned distributed engine.
 
     The per-task constants are amortised:
 
     * workers come from a :class:`~repro.core.pool.WarmWorkerPool` — each
-      process spawns once and runs many passes;
+      process spawns once and serves every run of a kept pool;
     * each worker opens the store once and keeps it across tasks;
     * decoded shards are published to a
       :class:`~repro.events.shardcache.SharedShardCache` so every shard
@@ -460,21 +499,29 @@ class ProcessEngine:
                 self.close()
             return self._run_degraded_serial(specs, stream, jobs)
         spec = stream.transport.spec()
+        groups = pass_groups(specs, jobs)
         try:
-            pool, spawn_seconds_now = self._ensure_pool(min(jobs, len(specs)))
+            pool, spawn_seconds_now = self._ensure_pool(len(groups))
             cache_spec = self._ensure_cache(stream)
-            job_ids = [pool.submit_pass(spec, cache_spec, p) for p in specs]
-            guard_jobs = [job for job, p in zip(job_ids, specs) if p.cls.guard]
-            # The guards' verdict comes first: a detector task that failed
-            # on an invalid stream must not hide the validation error.
-            results = pool.collect(guard_jobs)
-            check_guards([results[job][0] for job in guard_jobs])
-            pass_jobs = [job for job in job_ids if job not in results]
-            results.update(pool.collect(pass_jobs))
+            job_ids = [
+                pool.submit_group(worker, spec, cache_spec, [specs[i] for i in group])
+                for worker, group in enumerate(groups)
+            ]
+            # Guard groups come first: their verdict is checked before the
+            # other groups are collected, so a detector that failed on an
+            # invalid stream there cannot hide the validation error.
+            guarded = sum(any(specs[i].cls.guard for i in group) for group in groups)
+            results = pool.collect(job_ids[:guarded])
+            payloads = _spec_payloads(groups, job_ids, results)
+            check_guards([payloads[i] for i, p in enumerate(specs) if p.cls.guard])
+            results.update(pool.collect(job_ids[guarded:]))
+            payloads = _spec_payloads(groups, job_ids, results)
             self.stats = self._build_stats(
                 [results[job][1] for job in job_ids], pool.num_workers, spawn_seconds_now
             )
-            return FindingTable.gather([results[job][0] for job in pass_jobs], stream)
+            return FindingTable.gather(
+                [payloads[i] for i, p in enumerate(specs) if not p.cls.guard], stream
+            )
         except BaseException:
             # Any failure — a dead worker, a KeyboardInterrupt mid-gather —
             # tears the pool down and unlinks every shared segment, even

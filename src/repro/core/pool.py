@@ -1,17 +1,18 @@
 """Persistent warm worker pool for the process engine.
 
-A pool of long-lived worker processes, each running whole detector
-passes handed out over one task queue:
+A pool of long-lived worker processes, each fed over its own task queue.
+A task is one *pass group* (:func:`repro.core.engine.pass_groups`), and
+a run hands each worker one group:
 
-* each worker **spawns once** and then runs many passes (five passes
-  over fewer workers means most tasks run on a warm worker);
+* each worker **spawns once** and then serves every run of a
+  ``keep_pool=True`` engine;
 * each worker **opens each store once**, keyed by its transport spec, and
   keeps it (plus its attached shared-shard cache) across tasks and across
-  runs of a ``keep_pool=True`` engine;
-* a task folds one pass from the stream head and finalizes it in place,
-  so only the finished finding part crosses the result queue (a guard
-  pass — trace validation — crosses as itself, for the parent to
-  finalize);
+  runs;
+* a task folds its whole group in ONE scan from the stream head and
+  finalizes each pass in place, so only finished finding parts cross the
+  result queue (a guard pass — trace validation — crosses as itself, for
+  the parent to check);
 * every task reports an overhead breakdown (open / decode / map / fold
   seconds, cache hits, the worker's task number) so ``BENCH_engine.json`` can
   show the constants falling even on machines where wall-clock speedup
@@ -31,13 +32,13 @@ import os
 import queue as queue_mod
 import traceback
 from time import perf_counter
-from typing import Optional
+from typing import Optional, Sequence
 
-from repro.core.detectors._streaming import fold_batches
+from repro.core.detectors._streaming import check_guards, fold_batches
 from repro.core.engine import PassSpec, _open_store_from_spec, _process_context, _ticking
 from repro.events.shardcache import SharedShardCache, ensure_resource_tracker
 
-_CMD_PASS = "pass"
+_CMD_GROUP = "group"
 _CMD_STOP = "stop"
 
 _OK = "ok"
@@ -104,6 +105,29 @@ def _attach_cache(store, cache_spec: Optional[dict], caches: dict) -> None:
     store.attach_shard_cache(cache)
 
 
+def _run_group(store, specs, tick) -> list:
+    """Fold a pass group over ONE scan of ``store`` and finalize it.
+
+    Returns one payload per spec: a detector's finding part, or a guard
+    pass itself, for the parent to check.  The guards are checked here
+    first: when one fails, the detectors beside it are not finalized (their
+    payload is ``None``) and the parent's check raises the error.  Each
+    pass is dropped as soon as it is finalized, so one carry at a time
+    turns into findings.
+    """
+    passes = [spec.build() for spec in specs]
+    fold_batches(passes, _ticking(store.batches(), tick))
+    try:
+        check_guards(passes)
+    except Exception:
+        return [pass_ if pass_.guard else None for pass_ in passes]
+    payloads = []
+    while passes:
+        pass_ = passes.pop(0)
+        payloads.append(pass_ if pass_.guard else pass_.finalize())
+    return payloads
+
+
 def _pool_worker(task_queue, result_queue, crash_after, progress) -> None:
     from repro.core.distributed import CRASH_EXIT_CODE
 
@@ -132,9 +156,7 @@ def _pool_worker(task_queue, result_queue, crash_after, progress) -> None:
             map0 = store.map_seconds
             mapc0 = store.map_count
             started = perf_counter()
-            pass_ = command[4].build()
-            fold_batches((pass_,), _ticking(store.batches(), tick_progress))
-            payload = pass_ if pass_.guard else pass_.finalize()
+            payload = _run_group(store, command[4], tick_progress)
             wall = perf_counter() - started
             decode_seconds = store.decode_seconds - decode0
             map_seconds = store.map_seconds - map0
@@ -160,7 +182,7 @@ def _pool_worker(task_queue, result_queue, crash_after, progress) -> None:
 
 
 class WarmWorkerPool:
-    """A fixed set of long-lived pass worker processes."""
+    """A fixed set of long-lived worker processes, one task queue each."""
 
     def __init__(self, num_workers: int, *, mp_context=None) -> None:
         if num_workers < 1:
@@ -169,7 +191,10 @@ class WarmWorkerPool:
         # Workers must inherit the parent's resource tracker (not spawn
         # private ones) for shared-memory accounting to balance.
         ensure_resource_tracker()
-        self._task_queue = ctx.Queue()
+        # One task queue per worker: a group task goes to the worker it is
+        # addressed to, never to whichever worker asks first, so two
+        # groups cannot end up scanned back to back on one worker.
+        self._task_queues = [ctx.Queue() for _ in range(num_workers)]
         self._result_queue = ctx.Queue()
         self._next_job = 0
         #: job id -> result message, for results no collect() has taken yet
@@ -187,7 +212,7 @@ class WarmWorkerPool:
             proc = ctx.Process(
                 target=_pool_worker,
                 args=(
-                    self._task_queue, self._result_queue, crash_after,
+                    self._task_queues[index], self._result_queue, crash_after,
                     self._progress[index],
                 ),
                 daemon=True,
@@ -212,26 +237,25 @@ class WarmWorkerPool:
         return [value.value for value in self._progress]
 
     # ------------------------------------------------------------------ #
-    def _submit(self, command: tuple) -> int:
+    def submit_group(
+        self,
+        worker: int,
+        store_spec: dict,
+        cache_spec: Optional[dict],
+        pass_specs: Sequence[PassSpec],
+    ) -> int:
+        """Queue a pass group on worker ``worker``: one scan folds every
+        pass, then each is finalized.  Returns the job id to collect on;
+        the job's payload is a list with one entry per spec (see
+        :func:`_run_group`)."""
         if self._closed:
             raise RuntimeError("the worker pool is closed")
-        self._task_queue.put(command)
-        return command[1]
-
-    def _new_job(self) -> int:
         job = self._next_job
         self._next_job += 1
-        return job
-
-    def submit_pass(
-        self, store_spec: dict, cache_spec: Optional[dict], pass_spec: PassSpec
-    ) -> int:
-        """Queue one whole pass (fold + finalize); returns the job id to
-        collect on.  The job's payload is the pass's finding part, or the
-        folded pass itself for a guard."""
-        return self._submit(
-            (_CMD_PASS, self._new_job(), store_spec, cache_spec, pass_spec)
+        self._task_queues[worker].put(
+            (_CMD_GROUP, job, store_spec, cache_spec, tuple(pass_specs))
         )
+        return job
 
     def collect(self, job_ids) -> dict:
         """Wait for the given jobs; ``{job_id: (payload, stats)}``.
@@ -273,9 +297,9 @@ class WarmWorkerPool:
         if self._closed:
             return
         self._closed = True
-        for _ in self._workers:
+        for task_queue in self._task_queues:
             try:
-                self._task_queue.put((_CMD_STOP, -1))
+                task_queue.put((_CMD_STOP, -1))
             except (OSError, ValueError):  # pragma: no cover - queue gone
                 break
         for proc in self._workers:
@@ -283,7 +307,7 @@ class WarmWorkerPool:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5.0)
-        for q in (self._task_queue, self._result_queue):
+        for q in (*self._task_queues, self._result_queue):
             try:
                 q.close()
             except (OSError, ValueError):  # pragma: no cover

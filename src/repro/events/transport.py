@@ -115,6 +115,11 @@ def _check_blob_name(name: str) -> str:
 # --------------------------------------------------------------------- #
 # Local directory
 # --------------------------------------------------------------------- #
+#: Attempts of a local write or rename whose parent directory a concurrent
+#: delete keeps pruning, before the error is reported.
+_PARENT_RETRIES = 8
+
+
 class LocalDirTransport:
     """Blobs as files under one directory — the historical store layout."""
 
@@ -168,15 +173,48 @@ class LocalDirTransport:
             # ValueError: zero-length files cannot be mapped.
             raise TransportError(f"{self.describe()}: cannot map blob {name!r}: {exc}") from exc
 
+    def _into_parent(self, target: Path, publish) -> None:
+        """Run ``publish()``, which creates ``target``, with its parent
+        directory in place.
+
+        Another writer's :meth:`delete_blob` may prune the parent (it
+        removes directories it leaves empty) at two points, and both
+        re-create it and retry:
+
+        * inside our ``mkdir``, after it found the directory and before it
+          checked what it found, which raises ``FileExistsError``;
+        * between the ``mkdir`` and the write, which raises
+          ``FileNotFoundError`` with the parent gone.  One that leaves the
+          parent in place is the caller's to report (a rename whose
+          source is gone).
+        """
+        for attempt in range(_PARENT_RETRIES):
+            last = attempt == _PARENT_RETRIES - 1
+            try:
+                target.parent.mkdir(parents=True, exist_ok=True)
+            except FileExistsError:
+                if last:
+                    raise
+                continue
+            try:
+                publish()
+                return
+            except FileNotFoundError:
+                if last or target.parent.is_dir():
+                    raise
+
     def write_blob(self, name: str, data: bytes) -> None:
         target = self._resolve(name)
-        target.parent.mkdir(parents=True, exist_ok=True)
         # Stage next to the target and publish with one atomic replace, so a
         # crash mid-write can never leave a torn blob under the final name.
         staged = target.with_name(target.name + f".tmp-{os.getpid()}")
-        try:
+
+        def publish() -> None:
             staged.write_bytes(data)
             os.replace(staged, target)
+
+        try:
+            self._into_parent(target, publish)
         except OSError as exc:
             staged.unlink(missing_ok=True)
             raise TransportError(f"{self.describe()}: cannot write blob {name!r}: {exc}") from exc
@@ -199,9 +237,8 @@ class LocalDirTransport:
 
     def rename_blob(self, src: str, dst: str) -> None:
         source, target = self._resolve(src), self._resolve(dst)
-        target.parent.mkdir(parents=True, exist_ok=True)
         try:
-            os.replace(source, target)
+            self._into_parent(target, lambda: os.replace(source, target))
         except OSError as exc:
             raise TransportError(
                 f"{self.describe()}: cannot rename blob {src!r} -> {dst!r}: {exc}"

@@ -192,6 +192,7 @@ class ValidationPass(StreamingPass):
     """
 
     guard = True
+    weight = 20
 
     def __init__(self, num_devices: int, total_runtime: Optional[float] = None) -> None:
         # The stream's device count is authoritative (a shard written early

@@ -5,7 +5,7 @@ oracle and the incremental streaming pass — and the pass is checked over
 an in-memory columnar trace as ONE batch and over the same trace cut into
 random shards, which are independent legs (a single fold never crosses a
 batch boundary).  The streaming pass additionally runs on four execution
-engines (serial scan, thread-partitioned, process-partitioned over an
+engines (serial scan, thread-partitioned, process pass groups over an
 on-disk store, and the distributed coordinator/worker engine leasing
 tasks from a transport queue).  For any well-formed trace every path must
 return *identical* findings (same finding objects, in the same order,
@@ -78,6 +78,10 @@ _FOLD_TARGETS = st.one_of(
 # Worker counts for the partitioned engines: serial degenerate case up to
 # more workers than most generated traces have shards.
 _WORKERS = st.integers(min_value=1, max_value=4)
+
+# Process-engine jobs: one to six pass groups (five detectors plus the
+# validation guard), so every split the engine can make is drawn.
+_PASS_JOBS = st.integers(min_value=1, max_value=6)
 
 
 @st.composite
@@ -235,13 +239,14 @@ def test_full_analysis_identical_across_representations(
 
 
 @settings(max_examples=25, deadline=None)
-@given(mapping_traces(), _SHARDS, _WORKERS, _FOLD_TARGETS)
-def test_process_engine_identical_over_stores(trace, shard_events, workers, fold):
-    """The fourth way: process workers folding shard ranges of a real store.
+@given(mapping_traces(), _SHARDS, _PASS_JOBS, _FOLD_TARGETS)
+def test_process_engine_identical_over_stores(trace, shard_events, jobs, fold):
+    """The fourth way: process workers folding pass groups of a real store.
 
-    The trace goes to disk as a sharded store, the process engine folds
-    partitions on worker processes (only carries cross the boundary), and
-    the merged result must equal the object oracle bit for bit.
+    The trace goes to disk as a sharded store, the process engine splits
+    the passes into ``jobs`` groups and each worker folds its group over
+    the whole store in one scan; the result must equal the object oracle
+    bit for bit, also with the validation guard folded into one group.
     """
     obj_report = analyze_trace(trace)
     scratch = tempfile.mkdtemp(prefix="ompdataperf-diff-")
@@ -252,8 +257,12 @@ def test_process_engine_identical_over_stores(trace, shard_events, workers, fold
             shard_events=shard_events,
         )
         with fold_batch_target(fold):  # the forked workers inherit it
-            process_report = analyze_stream(store, engine="process", jobs=workers)
+            process_report = analyze_stream(store, engine="process", jobs=jobs)
+            validated_report = analyze_stream(
+                store, engine="process", jobs=jobs, validate=True
+            )
         _assert_reports_equal(obj_report, process_report)
+        _assert_reports_equal(obj_report, validated_report)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 

@@ -306,6 +306,17 @@ def test_pending_listing_ignores_staging_and_debris(queue_transport):
     assert queue_transport.blob_exists("tasks/task-00001.a000.tmp-1234")
 
 
+def test_result_batch_listing_ignores_staging_files(queue_transport):
+    """A result batch half-written through its staging file is not a
+    result batch yet: only the published name is listed."""
+    queue = TaskQueue(queue_transport)
+    queue.publish_result_batch("w1", 1, [(0, b"carry")])
+    queue_transport.write_blob("results/rb-w1-00002.tmp-1234", b"ODPB\x01")
+    queue_transport.write_blob("results/rb-w1", b"no sequence number")
+    assert queue.result_batch_names() == ["results/rb-w1-00001"]
+    assert queue.read_result_batch("results/rb-w1-00001") == [(0, b"carry")]
+
+
 def test_claim_with_corrupt_payload_left_to_lease_expiry(queue_transport):
     """A truncated task payload (torn copy-then-delete rename) must not
     kill the worker; the claim is left dangling for the coordinator."""
@@ -668,6 +679,44 @@ def test_undecodable_result_blobs_counted_and_warned(store, tmp_path, expected):
     assert _findings(report) == expected
     assert engine.stats["debris_blobs"] == 1
     # The garbage blob did not consume any task: nothing was requeued.
+    assert engine.stats["requeued"] == 0
+
+
+def test_result_batch_staging_file_is_not_debris(store, tmp_path, expected):
+    """A truncated staging file of a result batch (what a worker's publish
+    holds until its atomic replace) is neither decoded nor dropped as
+    debris: no warning, ``debris_blobs == 0``."""
+    import warnings
+
+    from repro.core.distributed import RUN_MANIFEST, run_worker
+    from repro.events.transport import open_transport
+
+    queue_dir = tmp_path / "staging-queue"
+    engine = DistributedEngine(
+        queue=queue_dir, workers=0, poll_interval=0.05,
+        lease_timeout=60.0, run_timeout=120.0,
+    )
+
+    def inject_then_work():
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            if queue_dir.exists():
+                transport = open_transport(queue_dir)
+                if transport.blob_exists(RUN_MANIFEST):
+                    break
+            time.sleep(0.01)
+        transport.write_blob("results/rb-w1-00001.tmp-1234", b"ODPB\x01\x00")
+        run_worker(queue_dir, poll_interval=0.05, echo=None)
+
+    worker = threading.Thread(target=inject_then_work, daemon=True)
+    worker.start()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = analyze_stream(store, engine=engine, jobs=2)
+    worker.join(timeout=60)
+    assert _findings(report) == expected
+    assert not [w for w in caught if "debris" in str(w.message)]
+    assert engine.stats["debris_blobs"] == 0
     assert engine.stats["requeued"] == 0
 
 

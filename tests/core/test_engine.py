@@ -14,6 +14,7 @@ from repro.core.engine import (
     SerialEngine,
     ThreadEngine,
     available_engines,
+    pass_groups,
     process_engine_fallback_reason,
     resolve_engine,
 )
@@ -175,7 +176,7 @@ def hostile_store(tmp_path_factory):
 
 @pytest.mark.parametrize("jobs", [2, 8])
 def test_process_engine_renders_like_serial_on_hostile_trace(hostile_store, jobs):
-    """Each pass runs the serial fold on its worker, so the rendered
+    """Each pass group runs the serial fold on its worker, so the rendered
     report and the potential estimate match the serial engine byte for
     byte — also with more jobs than there are passes."""
     serial = analyze_stream(hostile_store)
@@ -183,7 +184,8 @@ def test_process_engine_renders_like_serial_on_hostile_trace(hostile_store, jobs
     report = analyze_stream(hostile_store, engine=eng, jobs=jobs)
     assert report.render() == serial.render()
     assert report.potential.as_dict() == serial.potential.as_dict()
-    assert eng.stats["tasks"] == 5
+    # One task per pass group, one group per worker.
+    assert eng.stats["tasks"] == min(jobs, 5)
     assert eng.stats["workers"] == min(jobs, 5)
 
 
@@ -195,8 +197,69 @@ def test_process_engine_runs_a_one_shard_store_on_the_pool(trace, tmp_path):
     eng = ProcessEngine()
     report = analyze_stream(store, engine=eng, jobs=2)
     assert _findings(report) == _findings(analyze_trace(trace))
-    assert eng.stats["tasks"] == 5
+    assert eng.stats["tasks"] == 2
     assert eng.stats["workers"] == 2
+
+
+def _all_specs(validate: bool) -> tuple:
+    from repro.core.analysis import _pass_specs
+    from repro.events.validation import ValidationPass
+
+    specs = _pass_specs(2)
+    if validate:
+        specs = (*specs, PassSpec(ValidationPass, {"num_devices": 2}))
+    return specs
+
+
+@pytest.mark.parametrize("validate", [False, True])
+@pytest.mark.parametrize("jobs", range(1, 9))
+def test_pass_groups_cover_every_spec_once_deterministically(validate, jobs):
+    specs = _all_specs(validate)
+    groups = pass_groups(specs, jobs)
+    assert groups == pass_groups(specs, jobs)
+    assert len(groups) == min(jobs, len(specs))
+    assert all(groups)
+    assert sorted(i for group in groups for i in group) == list(range(len(specs)))
+    assert all(group == sorted(group) for group in groups)
+    # A group holding the guard is handed out first.
+    guard_groups = [any(specs[i].cls.guard for i in group) for group in groups]
+    assert guard_groups == sorted(guard_groups, reverse=True)
+
+
+@pytest.mark.parametrize("validate", [False, True])
+def test_two_pass_groups_keep_the_large_carries_apart(validate):
+    """Round trips and repeated allocations hold the largest carries after
+    duplicates; at two workers they must not share one worker's memory."""
+    from repro.core.detectors.repeated_allocs import RepeatedAllocationPass
+    from repro.core.detectors.roundtrips import RoundTripPass
+
+    specs = _all_specs(validate)
+    for group in pass_groups(specs, 2):
+        classes = {specs[i].cls for i in group}
+        assert not {RoundTripPass, RepeatedAllocationPass} <= classes
+
+
+def test_pass_groups_balance_by_static_weight():
+    class Heavy(DuplicateTransferPass):
+        weight = 100
+
+    class Light(DuplicateTransferPass):
+        weight = 1
+
+    specs = [PassSpec(Light), PassSpec(Heavy), PassSpec(Light), PassSpec(Light)]
+    assert pass_groups(specs, 2) == [[1], [0, 2, 3]]
+    assert pass_groups(specs, 3) == [[1], [0, 3], [2]]
+
+
+def test_process_engine_scans_the_store_once_per_group(store):
+    """On an .odpf store every scan maps each shard once, so the worker
+    map count is exactly one scan per worker."""
+    for jobs in (2, 3):
+        eng = ProcessEngine()
+        analyze_stream(store, engine=eng, jobs=jobs, validate=True)
+        assert eng.stats["tasks"] == eng.stats["workers"] == jobs
+        assert eng.stats["map_count"] == jobs * store.num_shards
+        assert eng.stats["decode_count"] == 0
 
 
 def test_thread_engine_over_object_store_transport(trace):

@@ -283,12 +283,18 @@ def test_valid_store_findings_match_unvalidated_run(tmp_path):
         assert report.render() == expected, leg
 
 
-def test_process_engine_runs_validation_as_one_more_task(tmp_path):
+def test_process_engine_folds_validation_into_a_pass_group(tmp_path):
+    """Validation joins one worker's pass group instead of costing a scan
+    of its own: one task, and one scan, per worker either way."""
     store = _store(tmp_path / "ok.store")
     engine = ProcessEngine()
-    report = OMPDataPerf().analyze_stream(store, engine=engine, jobs=2)
-    assert report.engine_stats["tasks"] == 6
-    assert analyze_stream(store, engine=engine, jobs=2).engine_stats["tasks"] == 5
+    for jobs in (2, 6):
+        report = OMPDataPerf().analyze_stream(store, engine=engine, jobs=jobs)
+        assert report.engine_stats["tasks"] == jobs
+        assert report.engine_stats["map_count"] == jobs * store.num_shards
+    stats = analyze_stream(store, engine=engine, jobs=2).engine_stats
+    assert stats["tasks"] == 2
+    assert stats["map_count"] == 2 * store.num_shards
 
 
 def _count_loads(monkeypatch):

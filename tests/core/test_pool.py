@@ -72,12 +72,13 @@ def test_warm_pool_reuses_workers_across_runs(trace, store):
     assert first["spawn_count"] == 2
     assert second["spawn_count"] == 2
     assert second["spawn_seconds"] == 0.0
-    # Five passes over two workers make reuse visible within one run…
-    assert first["tasks"] > first["workers"]
-    assert first["pool_reuse"] > 0
+    # One pass-group task per worker: the first run is all cold workers…
+    assert first["tasks"] == first["workers"] == 2
+    assert first["pool_reuse"] == 0
     # …and the second run runs entirely on warm workers with every shard
     # already published to the shared cache: no opens, no decodes.
-    assert second["pool_reuse"] >= second["tasks"]
+    assert second["tasks"] == second["workers"] == 2
+    assert second["pool_reuse"] == second["tasks"]
     assert second["open_seconds"] == 0.0
     assert second["decode_count"] == 0
     assert second["cache_hits"] > 0
@@ -98,7 +99,8 @@ def test_odpf_store_folds_with_zero_decodes_and_no_cache(trace, odpf_store):
         assert stats["decode_count"] == 0
         assert stats["decode_seconds"] == 0.0
         assert stats["cache_hits"] == 0
-        assert stats["map_count"] > 0
+        # One scan per worker: each group maps every shard once.
+        assert stats["map_count"] == stats["tasks"] * odpf_store.num_shards
     assert residual_segments() == []
 
 
@@ -211,21 +213,29 @@ def test_broken_cache_degrades_to_private_decode(trace):
 
 
 def test_fold_positions_track_worker_progress(store):
-    """The per-worker shared counters advance with folded events: their
-    total equals the stream's events times the passes folded (the
-    warm-pool analogue of the distributed beat's fold-position half)."""
+    """The per-worker shared counters advance with folded events: each
+    worker scans the stream once for its whole pass group, whatever the
+    group's size (the warm-pool analogue of the distributed beat's
+    fold-position half)."""
     from repro.core.detectors.duplicates import DuplicateTransferPass
+    from repro.core.detectors.repeated_allocs import RepeatedAllocationPass
     from repro.core.detectors.roundtrips import RoundTripPass
     from repro.core.engine import PassSpec
     from repro.core.pool import WarmWorkerPool
 
-    specs = (PassSpec(DuplicateTransferPass), PassSpec(RoundTripPass))
+    groups = (
+        [PassSpec(DuplicateTransferPass), PassSpec(RoundTripPass)],
+        [PassSpec(RepeatedAllocationPass)],
+    )
     with WarmWorkerPool(2) as pool:
         assert pool.fold_positions() == [0, 0]
         jobs = [
-            pool.submit_pass(store.transport.spec(), None, spec) for spec in specs
+            pool.submit_group(worker, store.transport.spec(), None, group)
+            for worker, group in enumerate(groups)
         ]
-        pool.collect(jobs)
+        results = pool.collect(jobs)
         positions = pool.fold_positions()
-    assert len(positions) == 2
-    assert sum(positions) == len(store) * len(specs)
+    assert positions == [len(store), len(store)]
+    # One payload per spec of the group, in group order.
+    assert [len(results[job][0]) for job in jobs] == [2, 1]
+    assert [results[job][1]["task_no"] for job in jobs] == [1, 1]

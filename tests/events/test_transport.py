@@ -16,6 +16,7 @@ import os
 import pickle
 import shutil
 import uuid
+from pathlib import Path
 
 import pytest
 
@@ -543,6 +544,54 @@ def test_local_dir_listing_survives_concurrent_teardown(tmp_path):
     local.write_blob("a.bin", b"x")
     shutil.rmtree(tmp_path / "gone")
     assert local.list_blobs() == []
+
+
+@pytest.mark.parametrize("window", ["after-mkdir", "inside-mkdir"])
+@pytest.mark.parametrize("op", ["write", "rename"])
+def test_local_publish_survives_a_concurrent_prune_of_its_parent(
+    tmp_path, monkeypatch, op, window
+):
+    """Another writer's ``delete_blob`` prunes the directories it empties.
+    When that lands while a publish makes sure of its parent, the publish
+    re-creates the parent and retries instead of failing (a distributed
+    worker's heartbeat lost that way left its claim without a beat until
+    the lease ran out).  The prune can land after ``mkdir`` returned, so
+    the write finds no directory, or inside it: ``mkdir(exist_ok=True)``
+    found the directory, then checked it, found nothing and raised
+    ``FileExistsError``."""
+    local = LocalDirTransport(tmp_path / "q", create=True)
+    local.write_blob("tasks/t0", b"payload")
+    parent = tmp_path / "q" / "beats"
+    real_mkdir = Path.mkdir
+    pruned = []
+
+    def mkdir(self, *args, **kwargs):
+        real_mkdir(self, *args, **kwargs)
+        if self == parent and not pruned:
+            # The concurrent writer deletes its own (already gone) beat,
+            # and the prune removes the directory we just made.
+            local.delete_blob("beats/other")
+            pruned.append(self)
+            if window == "inside-mkdir":
+                raise FileExistsError(17, "File exists", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", mkdir)
+    if op == "write":
+        local.write_blob("beats/b0", b"payload")
+    else:
+        local.rename_blob("tasks/t0", "beats/b0")
+    monkeypatch.undo()
+    assert pruned == [parent]
+    assert local.read_blob("beats/b0") == b"payload"
+    assert local.list_blobs() == (["beats/b0"] if op == "rename" else ["beats/b0", "tasks/t0"])
+
+
+def test_local_rename_of_a_missing_source_still_fails(tmp_path):
+    """The retry is only for a pruned parent: a rename whose source is gone
+    (a lost claim race) reports the error as before."""
+    local = LocalDirTransport(tmp_path / "q", create=True)
+    with pytest.raises(TransportError):
+        local.rename_blob("tasks/gone", "claims/gone")
 
 
 # --------------------------------------------------------------------- #
