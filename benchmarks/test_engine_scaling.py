@@ -1,15 +1,15 @@
 """Execution-engine scaling on the million-event synthetic trace.
 
 Analyzes the same sharded store with every execution engine — the serial
-single-scan pipeline, thread-partitioned folds, process-partitioned
-folds, and the distributed coordinator/worker engine (loopback worker
-processes leasing tasks from a local-dir queue) — at 1, 2 and 4 workers,
+single-scan pipeline, process pass groups, and the distributed
+coordinator/worker engine (loopback worker processes leasing the same
+pass-group tasks from a local-dir queue) — at 1, 2 and 4 workers,
 verifies the findings stay bit-identical to the serial path, and writes a
 machine-readable record to ``BENCH_engine.json`` under
 ``$OMPDATAPERF_BENCH_DIR`` (default: a fresh temp dir).  The
 distributed leg measures the queue protocol's overhead against the
-process pool it functionally supersedes: same partitions, same folds,
-plus blob leases, heartbeats and worker start-up.
+process pool: same pass groups, same folds, plus blob leases, heartbeats
+and worker start-up.
 
 The headline claim is the process engine's: the detector folds are
 GIL-bound Python/NumPy, so only process workers can scale them across
@@ -56,7 +56,7 @@ WORKER_COUNTS = tuple(
     int(n)
     for n in os.environ.get("OMPDATAPERF_BENCH_WORKER_COUNTS", "1,2,4").split(",")
 )
-ENGINES = ("serial", "thread", "process", "distributed")
+ENGINES = ("serial", "process", "distributed")
 
 #: Acceptance bar for the process engine at 4 workers, relaxable on shared
 #: runners via the environment like the other benchmark bars.
@@ -76,9 +76,6 @@ def _available_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-_RECORD: dict = {}
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +133,7 @@ def test_engine_scaling_and_write_record(store, bench_dir):
                 per_jobs[str(jobs)]["overhead"] = dict(runner.stats)
             elif engine == "distributed" and runner.stats:
                 # Coordination counters: requeues, speculation, debris,
-                # peak un-merged chains, and the final hints snapshot.
+                # duplicate results, and the final hints snapshot.
                 per_jobs[str(jobs)]["coordination"] = dict(runner.stats)
         results[engine] = per_jobs
 
@@ -183,7 +180,6 @@ def test_engine_scaling_and_write_record(store, bench_dir):
         "warm_pool_full_sweep": BENCH_POOL,
         "engines": results,
     }
-    _RECORD.update(record)
     out_path = bench_dir / "BENCH_engine.json"
     out_path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
@@ -199,24 +195,3 @@ def test_engine_scaling_and_write_record(store, bench_dir):
         # Not enough cores for a parallel speedup: the record documents
         # the measurement, and correctness was asserted above regardless.
         assert process_at_4 > 0
-
-
-def test_process_engine_beats_thread_engine_on_folds(store):
-    """Sanity on the GIL story: given cores, processes beat threads.
-
-    Thread folds serialize on the GIL (only shard decode overlaps), so at
-    4 workers the process engine should never be meaningfully slower than
-    the thread engine on fold-dominated work.  Only enforced where the
-    hardware can show it; everywhere else the comparison is recorded by
-    the scaling test above.
-    """
-    if _available_cores() < MIN_CORES_FOR_SPEEDUP:
-        pytest.skip("needs >= 4 cores to compare parallel fold throughput")
-    assert "engines" in _RECORD, "scaling benchmark must run first"
-    peak = str(max(WORKER_COUNTS))
-    thread_4 = _RECORD["engines"]["thread"][peak]["seconds"]
-    process_4 = _RECORD["engines"]["process"][peak]["seconds"]
-    assert process_4 <= thread_4 * 1.25, (
-        f"process folds ({process_4:.2f}s) should not trail thread folds "
-        f"({thread_4:.2f}s) at 4 workers"
-    )

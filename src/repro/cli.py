@@ -147,12 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "engine options as 'name:key=value,...' (e.g. "
                              "'distributed:claim_batch=4,lease_timeout=10,speculate=on' "
                              "or 'distributed:queue=run.queue'); 'serial' scans once on "
-                             "one thread, 'thread' folds event-balanced partitions on "
-                             "--jobs threads, 'process' runs each of the five passes "
-                             "as one task on up to --jobs worker processes, "
-                             "'distributed' leases partition tasks to workers "
-                             "from a transport-backed queue; findings are identical for "
-                             "every engine (default: serial)")
+                             "one thread, 'process' splits the five passes into up to "
+                             "--jobs groups and folds each group in one scan on its own "
+                             "worker process, 'distributed' leases the same pass-group "
+                             "tasks to workers from a transport-backed queue; findings "
+                             "are identical for every engine (default: serial)")
     parser.add_argument("--version", action="version", version=f"ompdataperf {__version__}")
     return parser
 
@@ -260,9 +259,10 @@ def build_trace_parser() -> argparse.ArgumentParser:
 def build_worker_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ompdataperf worker",
-        description="Join a distributed analysis run: claim partition tasks "
-                    "from a transport-backed queue, fold them against the "
-                    "run's trace store, and publish the carries back. "
+        description="Join a distributed analysis run: claim pass-group tasks "
+                    "from a transport-backed queue, fold each group over the "
+                    "run's trace store in one scan, and publish its finding "
+                    "parts back. "
                     "Workers may start before the queue exists; they exit "
                     "when the coordinator publishes the done (or abort) "
                     "marker.",
@@ -404,7 +404,7 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
                              "$OMPDATAPERF_S3_TEST_ENDPOINT is set)")
     parser.add_argument("--engines", default=None, metavar="NAMES",
                         help="comma-separated engines to sweep "
-                             "(default: serial,thread,process,distributed)")
+                             "(default: serial,process,distributed)")
     parser.add_argument("--report", default=None, metavar="PATH",
                         help="write the sweep summary as JSON to PATH")
     parser.add_argument("--oracle-max", type=positive_int, default=None, metavar="N",
@@ -432,6 +432,10 @@ def _fuzz_main(argv: Sequence[str]) -> int:
     engines = fuzz.ALL_ENGINES
     if args.engines:
         engines = tuple(e.strip() for e in args.engines.split(",") if e.strip())
+    try:
+        fuzz.check_engines(engines)
+    except ValueError as exc:
+        parser.error(f"argument --engines: {exc}")
     report = fuzz.run_fuzz_sweep(
         seed=seed,
         cases=cases,

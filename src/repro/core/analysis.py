@@ -220,26 +220,22 @@ def analyze_stream(
       one, and the five finalizes run concurrently — the gain materialises
       when shard decode dominates (compressed stores, cold storage), but
       the folds themselves stay on the calling thread.
-    * ``"thread"`` — ``jobs`` worker threads each fold a contiguous,
-      event-balanced partition of the stream; the partition carries merge
-      left to right.  Decode parallelises, folds stay GIL-bound.
     * ``"process"`` — pass groups on process workers: the passes are
       split into ``min(jobs, passes)`` groups balanced by static per-pass
       weights, and each worker re-opens the store from its picklable
       transport spec, folds its whole group in ONE serial scan, finalizes
-      it and returns only the finding parts — no partitioning, no
-      carries, no merge (validation, when on, joins one group).  It
+      it and returns only the finding parts — no carries, no merge
+      (validation, when on, joins one group).  It
       scales to one worker per pass and is bounded by its heaviest group;
       requires a :class:`~repro.events.store.ShardedTraceStore`, over any
       transport.
-    * ``"distributed"`` — the thread engine's partitioned shape with
-      process workers fed from a transport-backed task queue
-      (:mod:`repro.core.distributed`), which
-      is what lets the fold work leave the machine entirely: by default
-      the coordinator spawns ``jobs`` loopback worker processes over a
-      scratch queue, or it attaches to an existing queue whose workers
-      were started anywhere with ``ompdataperf worker --queue`` (requires
-      a :class:`~repro.events.store.ShardedTraceStore`).
+    * ``"distributed"`` — the process engine's pass-group tasks, leased
+      from a transport-backed task queue (:mod:`repro.core.distributed`),
+      which is what lets the fold work leave the machine entirely: by
+      default the coordinator spawns one loopback worker process per
+      group over a scratch queue, or it attaches to an existing queue
+      whose workers were started anywhere with ``ompdataperf worker
+      --queue`` (requires a :class:`~repro.events.store.ShardedTraceStore`).
 
     ``engine`` may also be an engine spec string with options
     (``"distributed:claim_batch=4,speculate=on"``), an

@@ -1,19 +1,20 @@
-"""Compact binary codec for detector carry state.
+"""Compact binary codec for the values the parallel engines ship.
 
-The parallel engines ship partition carries between processes twice per
-task: once over the worker result pipe and once (distributed runs) as
-``results/`` blobs on the queue transport.  Pickle handles both today but
-pays per-object overhead on every NumPy buffer and drags the full pickle
-machinery onto the hot path.  This module replaces it with a versioned
-tagged binary format specialised to the closed set of types that actually
-appear in carries:
+Its users: the distributed engine's result batches, where each task's
+payload list — the finished
+:class:`~repro.core.detectors.table.FindingPart` of every detector in its
+pass group, plus the folded validation guard — crosses the queue as one
+``encode_carries`` payload; and the benchmark harness's carry-size probe
+(``perfbench/layers.py``), which encodes every detector pass at finalize.
+It is a versioned tagged binary format specialised to the closed set of
+types that appear there:
 
 * scalars — ``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes``,
   NumPy scalars and ``np.dtype`` instances,
 * containers — ``list``, ``tuple`` and insertion-ordered ``dict``
   (composite keys such as ``(device, address)`` tuples included),
 * NumPy arrays — dtype string + shape + raw contiguous buffer,
-* the registered carry-bearing classes (grow arrays, column buffers,
+* the registered classes (finding parts, grow arrays, column buffers,
   kernel cursors, composite-key counters, alloc pairers, per-device
   transfer state, the five detector passes and the validation pass),
   serialised as their ``__dict__`` and restored without running
@@ -21,8 +22,8 @@ appear in carries:
   rebuilt on first use).
 
 The format is deterministic (``encode(decode(encode(x))) == encode(x)``)
-and the decoded carries are bit-identical inputs to ``merge``/``finalize``:
-the differential oracle must not be able to tell the codec from pickle.
+and decoded values are bit-identical to the encoded ones: the
+differential oracle must not be able to tell the codec from pickle.
 
 Wire format::
 
@@ -104,6 +105,7 @@ def _registry() -> Dict[str, Tuple[Type, Callable, Callable]]:
     from repro.core.detectors.duplicates import DuplicateTransferPass
     from repro.core.detectors.repeated_allocs import RepeatedAllocationPass
     from repro.core.detectors.roundtrips import RoundTripPass
+    from repro.core.detectors.table import FindingPart
     from repro.core.detectors.unused_allocs import UnusedAllocationPass
     from repro.core.detectors.unused_transfers import (
         UnusedTransferPass,
@@ -116,6 +118,8 @@ def _registry() -> Dict[str, Tuple[Type, Callable, Callable]]:
         grow.extend(state["data"])
         return grow
 
+    # The detector passes and their carries stay registered because the
+    # benchmark harness's carry-size probe encodes every pass.
     table: Dict[str, Tuple[Type, Callable, Callable]] = {
         "GrowArray": (streaming.GrowArray, _growarray_state, growarray_restore),
         # The key counter's __getstate__ drops its derived lookup index.
@@ -135,6 +139,8 @@ def _registry() -> Dict[str, Tuple[Type, Callable, Callable]]:
         ("RepeatedAllocationPass", RepeatedAllocationPass),
         ("UnusedAllocationPass", UnusedAllocationPass),
         ("UnusedTransferPass", UnusedTransferPass),
+        # A pass group's payloads: detector findings and the folded guard.
+        ("FindingPart", FindingPart),
         ("ValidationPass", ValidationPass),
     ):
         table[name] = (cls, _default_state, _make_default_restore(cls))
@@ -165,7 +171,7 @@ def _encode_value(out: bytearray, value: Any) -> None:
         out.append(_T_NONE)
     elif isinstance(value, np.generic):
         # Before bool/int/float: NumPy scalars must round-trip with their
-        # exact dtype so merged carries stay bit-identical to pickle's.
+        # exact dtype so decoded values stay bit-identical to pickle's.
         out.append(_T_NPSCALAR)
         _pack_str(out, value.dtype.str)
         raw = value.tobytes()
@@ -297,7 +303,8 @@ def _decode_value(reader: _Reader) -> Any:
         shape = reader.unpack(f"<{ndim}Q") if ndim else ()
         (nbytes,) = reader.unpack("<Q")
         raw = reader.take(nbytes)
-        # .copy(): frombuffer views are read-only, and carries mutate.
+        # .copy(): frombuffer views are read-only, and decoded carries
+        # may fold on.
         return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     if tag == _T_NPSCALAR:
         dtype = np.dtype(reader.read_str())
@@ -336,7 +343,7 @@ def decode_value(data: bytes) -> Any:
 
 
 def encode_carries(passes: Sequence[Any]) -> bytes:
-    """Serialise one partition's list of folded detector passes."""
+    """Serialise a list of values (a pass group's payloads, or passes)."""
     out = bytearray()
     out += MAGIC
     out += struct.pack("<HI", CODEC_VERSION, len(passes))
@@ -346,7 +353,7 @@ def encode_carries(passes: Sequence[Any]) -> bytes:
 
 
 def decode_carries(data: bytes) -> List[Any]:
-    """Restore the list of passes produced by :func:`encode_carries`."""
+    """Restore the list produced by :func:`encode_carries`."""
     reader = _Reader(bytes(data))
     if reader.take(4) != MAGIC:
         raise CarryCodecError("not a carry payload (bad magic)")

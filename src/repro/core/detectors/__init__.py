@@ -17,9 +17,9 @@ oracle (``find_*``) follows the paper's pseudocode over event dataclasses;
 the streaming pass (``*Pass``, driven by ``find_*_streaming``) folds an
 event stream batch by batch in O(carry) memory and is the one fast path —
 an in-memory :class:`~repro.events.columnar.ColumnarTrace` is simply a
-stream of one batch.  The passes are additionally partition-mergeable:
-independent workers fold disjoint shard ranges and the carries combine
-losslessly (see :mod:`repro.core.engine`).  The differential property
+stream of one batch.  The passes are independent of one another, so the
+parallel engines run groups of them on separate workers, each folding
+the whole stream (see :mod:`repro.core.engine`).  The differential property
 test holds the oracle, the one-batch stream, the multi-batch stream and
 every execution engine to bit-identical findings.
 

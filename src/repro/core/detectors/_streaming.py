@@ -30,16 +30,9 @@ concatenation of every batch's data-op columns (see
 fall, which is what lets :func:`fold_batches` fold consecutive small
 shards as one coalesced batch.
 
-Every carry here is additionally *partition-mergeable*: two instances
-folded over adjacent gpos ranges combine losslessly into the instance a
-single sequential fold would have produced (``CompositeKeyCounter.merge``
-unions key tables and reports threshold promotions,
-``StreamingAllocPairer.merge`` stitches open allocations to the pending
-deletes of the later partition, ``DeviceKernels.merge`` rebases the later
-partition's running-max cursor base).  The :class:`StreamingPass` subclasses
-build their own ``merge`` on these, which is what lets the execution
-engines (:mod:`repro.core.engine`) fold disjoint shard ranges on
-independent workers and combine only small carry states.
+Every pass folds the whole stream from its head, on whichever engine runs
+it: the parallel engines (:mod:`repro.core.engine`) split the *passes*
+across workers, never the stream, so no carry is ever merged.
 """
 
 from __future__ import annotations
@@ -107,21 +100,6 @@ class DeviceKernels:
         self.start.extend(starts)
         self.runmax.extend(run)
 
-    def merge(self, other: "DeviceKernels") -> None:
-        """Append ``other``'s kernels (a later contiguous time range).
-
-        ``other`` folded its running maximum from scratch, so its cursor
-        base is rebased onto this carry: every ``runmax`` entry is lifted
-        to at least this partition's final running maximum, exactly what a
-        sequential fold over both ranges would have produced.
-        """
-        if other.count == 0:
-            return
-        rebased = np.maximum(other.runmax.view(), self.last)
-        self.start.extend(other.start.view())
-        self.runmax.extend(rebased)
-        self.last = float(rebased[-1])
-
     @property
     def count(self) -> int:
         return self.start.size
@@ -138,11 +116,6 @@ class ColumnBuffer:
         if len(values):
             self._chunks.append(values)
             self.size += len(values)
-
-    def absorb(self, other: "ColumnBuffer") -> None:
-        """Append every chunk of ``other`` (which must not be reused)."""
-        self._chunks.extend(other._chunks)
-        self.size += other.size
 
     def concat(self, dtype=None) -> np.ndarray:
         if not self._chunks:
@@ -187,31 +160,6 @@ class KeyFold:
     prior_payload: np.ndarray
     #: the key columns of each batch key
     keys: tuple[np.ndarray, ...]
-
-
-@dataclass
-class KeyMerge:
-    """Result of merging two counters (:meth:`CompositeKeyCounter.merge`).
-
-    The merged table keeps this side's uids and gives keys only the other
-    side held the next dense ones; the two maps translate each side's old
-    uids (indexed by old uid) so member buffers keyed on uids can be
-    remapped with one vectorised lookup.  The ``promoted_*`` arrays are the
-    *retained singletons that crossed the group threshold because of the
-    merge*: a key counted once on a side records no members (its single
-    member lives in the table as ``first``/``payload``); when the union
-    reaches two members, those retained rows must join the member set,
-    exactly like the ``crossed`` recovery inside
-    :meth:`CompositeKeyCounter.fold`.
-    """
-
-    uid_map_self: np.ndarray
-    uid_map_other: np.ndarray
-    promoted_gpos: np.ndarray
-    promoted_payload: np.ndarray
-    promoted_uid: np.ndarray
-    #: key columns of the promoted rows (``()`` when nothing promoted)
-    promoted_keys: tuple[np.ndarray, ...]
 
 
 _SIGN_BIT = np.uint64(1 << 63)
@@ -290,14 +238,14 @@ class CompositeKeyCounter:
     def _absorb(self, cols, packed, count, first, payload):
         """Fold distinct keys, sorted by ``packed``, into the table.
 
-        ``count``/``first``/``payload`` are the incoming side's statistics
-        per key.  Returns each key's uid and the table's count, first and
-        payload as they stood before (the incoming values for new keys).
+        ``count``/``first``/``payload`` are the batch's statistics per
+        key.  Returns each key's uid and the table's count, first and
+        payload as they stood before (the batch's values for new keys).
         """
         if self._keys is None:
             self._keys = tuple(GrowArray(col.dtype) for col in cols)
         if not self.num_keys:
-            # Every key is new, and the sorted incoming keys are the index.
+            # Every key is new, and the sorted batch keys are the index.
             uid = np.arange(packed.size, dtype=np.int64)
             for grow, col in zip(self._keys, cols):
                 grow.extend(col)
@@ -327,7 +275,8 @@ class CompositeKeyCounter:
         prior_first[found] = t_first[old]
         prior_payload = payload.copy()
         t_count[old] += count[found]
-        # The payload follows whichever side holds the smaller first gpos.
+        # The payload follows the smaller first gpos (rows may arrive out
+        # of gpos order, e.g. allocation pairs completing in delete order).
         take = first[found] < prior_first[found]
         t_first[old[take]] = first[found][take]
         if self._payload is not None:
@@ -393,85 +342,6 @@ class CompositeKeyCounter:
             keys,
         )
 
-    def merge(self, other: "CompositeKeyCounter") -> KeyMerge:
-        """Union ``other``'s key table into this one (both keep gpos global).
-
-        The two counters must have folded *disjoint* row sets; which side
-        folded the earlier range does not matter — counts add, first
-        positions take the minimum, and the payload follows the entry with
-        the smaller first, so the merged table equals the sequential fold
-        of both row sets in any order.  This table's uids are kept; keys
-        only ``other`` held get fresh ones.  Returns the uid translation
-        maps and the threshold promotions (see :class:`KeyMerge`).
-        """
-        num_self = self.num_keys
-        empty = np.empty(0, dtype=np.int64)
-        if self._keys is None or other._keys is None:
-            if self._keys is None:
-                self.__dict__.update(other.__dict__)
-            return KeyMerge(
-                uid_map_self=np.arange(num_self, dtype=np.int64),
-                uid_map_other=np.arange(other.num_keys, dtype=np.int64),
-                promoted_gpos=empty,
-                promoted_payload=empty,
-                promoted_uid=empty,
-                promoted_keys=(),
-            )
-
-        o_packed, o_uid = other._sorted_index()
-        o_cols = tuple(grow.view()[o_uid] for grow in other._keys)
-        o_count = other._count.view()[o_uid]
-        o_first = other._first.view()[o_uid]
-        if other._payload is not None:
-            self._track_payload()
-            o_payload = other._payload.view()[o_uid]
-        else:
-            o_payload = np.zeros(o_uid.size, dtype=np.int64)
-        uid, prior_count, prior_first, prior_payload = self._absorb(
-            o_cols, o_packed, o_count, o_first, o_payload
-        )
-        uid_map_other = np.empty(o_uid.size, dtype=np.int64)
-        uid_map_other[o_uid] = uid
-
-        # Retained singletons (either side) whose key now has two members.
-        total = prior_count + o_count
-        mine = (prior_count == 1) & (total >= 2)
-        theirs = (o_count == 1) & (total >= 2)
-        return KeyMerge(
-            uid_map_self=np.arange(num_self, dtype=np.int64),
-            uid_map_other=uid_map_other,
-            promoted_gpos=np.concatenate([prior_first[mine], o_first[theirs]]),
-            promoted_payload=np.concatenate([prior_payload[mine], o_payload[theirs]]),
-            promoted_uid=np.concatenate([uid[mine], uid[theirs]]),
-            promoted_keys=(
-                tuple(np.concatenate([col[mine], col[theirs]]) for col in o_cols)
-                if mine.any() or theirs.any()
-                else ()
-            ),
-        )
-
-
-def merge_uid_buffers(
-    km: KeyMerge, mine: ColumnBuffer, theirs: ColumnBuffer
-) -> ColumnBuffer:
-    """Combine two member-uid buffers through a merge's translation maps.
-
-    Used by the counter-based passes: members recorded on each side
-    reference that side's old uids, which the :class:`KeyMerge` maps to the
-    merged table's dense uids; the promoted retained singletons join with
-    their (already merged) uids.
-    """
-    out = ColumnBuffer()
-    own = mine.concat()
-    if own.size:
-        out.append(km.uid_map_self[own])
-    other = theirs.concat()
-    if other.size:
-        out.append(km.uid_map_other[other])
-    out.append(km.promoted_uid)
-    return out
-
-
 # --------------------------------------------------------------------- #
 # Streaming alloc/delete pairing
 # --------------------------------------------------------------------- #
@@ -495,12 +365,8 @@ class PairBatch:
 class StreamingAllocPairer:
     """Pairs ALLOC/DELETE events across batches with O(open allocs) carry.
 
-    Deletes that match no open allocation are retained as *pending deletes*
-    (gpos, key and captured delete columns, in chronological order).  A
-    pairer folding from the start of the trace never completes them — the
-    sequential oracle drops such deletes — but a pairer folding a later
-    partition sees one for every allocation opened before its range, and
-    :meth:`merge` stitches them to the earlier partition's open stack.
+    A delete that matches no open allocation is dropped, as the sequential
+    oracle drops it.
     """
 
     def __init__(
@@ -512,18 +378,12 @@ class StreamingAllocPairer:
         self.delete_cols = tuple(delete_cols)
         #: (device, address) -> stack of (gpos, {col: value}) for open allocs
         self._open: dict[tuple[int, int], list[tuple[int, dict]]] = {}
-        #: chronological (gpos, key, {col: value}) of unmatched deletes
-        self._pending_deletes: list[tuple[int, tuple[int, int], dict]] = []
         self._vectorized = True
         self._dtypes: dict[str, np.dtype] = {}
 
     @property
     def num_open(self) -> int:
         return sum(len(stack) for stack in self._open.values())
-
-    @property
-    def num_pending_deletes(self) -> int:
-        return len(self._pending_deletes)
 
     def _empty_batch(self) -> PairBatch:
         return PairBatch(
@@ -603,17 +463,12 @@ class StreamingAllocPairer:
             )
             alloc_values[col] = np.concatenate([carried, batch_col])
         delete_local = c_pos[delete_side]  # always >= 0: deletes are batch rows
-
-        delete_batch_cols = {
-            col: batch.do_column(col)[sel] for col in self.delete_cols
-        }
         result = PairBatch(
             alloc_gpos=c_gpos[alloc_side],
             delete_gpos=gpos[delete_local],
             alloc={col: alloc_values[col][alloc_side] for col in self.alloc_cols},
             delete={
-                col: delete_batch_cols[col][delete_local]
-                for col in self.delete_cols
+                col: batch.do_column(col)[sel][delete_local] for col in self.delete_cols
             },
         )
 
@@ -629,17 +484,6 @@ class StreamingAllocPairer:
             }
             self._open[key] = [(int(c_gpos[entry_index]), values)]
 
-        # Deletes that matched nothing stay pending for a possible merge
-        # with an earlier partition (flatnonzero ascends in entry index,
-        # and batch entries are gpos-ordered, so order stays chronological).
-        paired[delete_side] = True
-        for entry_index in np.flatnonzero(~c_alloc & ~paired).tolist():
-            local = int(c_pos[entry_index])
-            key = (int(c_dev[entry_index]), int(c_addr[entry_index]))
-            values = {
-                col: delete_batch_cols[col][local] for col in self.delete_cols
-            }
-            self._pending_deletes.append((int(c_gpos[entry_index]), key, values))
         return result
 
     # -- exact stack semantics (nested allocations) ---------------------- #
@@ -660,11 +504,6 @@ class StreamingAllocPairer:
             else:
                 stack = self._open.get(key)
                 if not stack:
-                    self._pending_deletes.append((
-                        gpos_l[i],
-                        key,
-                        {c: delete_cols[c][i] for c in self.delete_cols},
-                    ))
                     continue
                 a_gpos, values = stack.pop()
                 out_alloc_gpos.append(a_gpos)
@@ -682,56 +521,6 @@ class StreamingAllocPairer:
             },
             delete={
                 c: np.array(out_delete_vals[c], dtype=self._dtypes[c])
-                for c in self.delete_cols
-            },
-        )
-
-    def merge(self, other: "StreamingAllocPairer") -> PairBatch:
-        """Stitch ``other`` (folded over a strictly later gpos range) in.
-
-        ``other``'s pending deletes are matched, chronologically, against
-        this carry's open stacks (LIFO, exactly the sequential pop order);
-        the completed pairs are returned so the caller can count them.
-        What remains open or pending in either side carries over —
-        ``other``'s opens are pushed *on top* of this side's stacks, since
-        they are more recent.  ``other`` must not be reused afterwards.
-        """
-        self._dtypes.update(other._dtypes)
-        out_alloc_gpos: list[int] = []
-        out_delete_gpos: list[int] = []
-        out_alloc_vals: dict[str, list] = {c: [] for c in self.alloc_cols}
-        out_delete_vals: dict[str, list] = {c: [] for c in self.delete_cols}
-        still_pending: list[tuple[int, tuple[int, int], dict]] = []
-        for d_gpos, key, d_values in other._pending_deletes:
-            stack = self._open.get(key)
-            if not stack:
-                still_pending.append((d_gpos, key, d_values))
-                continue
-            a_gpos, a_values = stack.pop()
-            out_alloc_gpos.append(a_gpos)
-            out_delete_gpos.append(d_gpos)
-            for c in self.alloc_cols:
-                out_alloc_vals[c].append(a_values[c])
-            for c in self.delete_cols:
-                out_delete_vals[c].append(d_values[c])
-        for key, stack in other._open.items():
-            if stack:
-                self._open.setdefault(key, []).extend(stack)
-        self._pending_deletes.extend(still_pending)
-        self._vectorized = (
-            self._vectorized
-            and other._vectorized
-            and all(len(stack) <= 1 for stack in self._open.values())
-        )
-        return PairBatch(
-            alloc_gpos=np.array(out_alloc_gpos, dtype=np.int64),
-            delete_gpos=np.array(out_delete_gpos, dtype=np.int64),
-            alloc={
-                c: np.array(out_alloc_vals[c], dtype=self._dtypes.get(c))
-                for c in self.alloc_cols
-            },
-            delete={
-                c: np.array(out_delete_vals[c], dtype=self._dtypes.get(c))
                 for c in self.delete_cols
             },
         )
@@ -789,13 +578,10 @@ def _fold_group(passes: Sequence[StreamingPass], group: list, offset: int) -> No
             pass_.fold(batch, offset)
 
 
-def fold_batches(
-    passes: Sequence[StreamingPass], batches: Iterable[ColumnarTrace], offset: int = 0
-) -> None:
-    """Fold every pass over ONE scan of ``batches``.
+def fold_batches(passes: Sequence[StreamingPass], batches: Iterable[ColumnarTrace]) -> None:
+    """Fold every pass over ONE scan of ``batches``, from the stream head.
 
-    ``offset`` is the gpos of the first batch's first data-op row.  Guard
-    passes fold each batch as it arrives.  The other passes fold
+    Guard passes fold each batch as it arrives.  The other passes fold
     *coalesced* batches: consecutive batches are held until they reach
     :data:`FOLD_BATCH_EVENTS` events, then folded as one
     :meth:`ColumnarTrace.concat` at the gpos of the group's first batch.
@@ -810,7 +596,7 @@ def fold_batches(
     others = [pass_ for pass_ in passes if not pass_.guard]
     target = FOLD_BATCH_EVENTS
     group: list[ColumnarTrace] = []
-    group_offset = group_events = 0
+    offset = group_offset = group_events = 0
     for batch in batches:
         for guard in guards:
             guard.fold(batch, offset)
@@ -830,24 +616,6 @@ def fold_batches(
                 group = []
         offset += batch.num_data_op_events
     _fold_group(others, group, group_offset)
-
-
-def merge_passes(head: Sequence[StreamingPass], tail: Sequence[StreamingPass]) -> None:
-    """Merge ``tail``'s carries (the next partition) into ``head``'s, pass
-    by pass.
-
-    Guards merge first; once the merged guard has failed, the other passes
-    are not merged (the run raises at :func:`check_guards`, and a
-    detector's merge must not run over carries of an invalid stream).
-    """
-    for target, source in zip(head, tail):
-        if target.guard:
-            target.merge(source)
-    if any(target.failed for target in head):
-        return
-    for target, source in zip(head, tail):
-        if not target.guard:
-            target.merge(source)
 
 
 def check_guards(passes: Sequence[StreamingPass]) -> list[StreamingPass]:

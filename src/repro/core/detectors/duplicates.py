@@ -18,7 +18,6 @@ from repro.core.detectors._streaming import (
     CompositeKeyCounter,
     StreamingPass,
     first_missing_hash_seq,
-    merge_uid_buffers,
     run_streaming_pass,
 )
 from repro.core.detectors.findings import DuplicateTransferGroup
@@ -143,27 +142,6 @@ class DuplicateTransferPass(StreamingPass):
             self._group.append(fold.key_uid[crossed])
             self._hash.append(fold.keys[0][crossed])
             self._dest.append(fold.keys[1][crossed])
-
-    def merge(self, other: "DuplicateTransferPass") -> None:
-        """Absorb a pass folded over a disjoint row range.
-
-        The key tables union (counts add, first positions take the
-        minimum); members recorded on either side are kept with their uids
-        remapped into the merged table, and keys whose two sides were both
-        below the group threshold contribute their retained singletons as
-        promoted members — the cross-partition analogue of the ``crossed``
-        recovery in :meth:`fold`.  The carry is order-insensitive, so no
-        ``eager`` distinction exists for this pass.
-        """
-        km = self._counter.merge(other._counter)
-        self._group = merge_uid_buffers(km, self._group, other._group)
-        self._gpos.absorb(other._gpos)
-        self._hash.absorb(other._hash)
-        self._dest.absorb(other._dest)
-        if km.promoted_gpos.size:
-            self._gpos.append(km.promoted_gpos)
-            self._hash.append(km.promoted_keys[0])
-            self._dest.append(km.promoted_keys[1])
 
     def finalize(self) -> FindingPart:
         """Members grouped by stable key uid, chronological inside each

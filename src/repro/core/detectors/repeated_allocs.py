@@ -21,7 +21,6 @@ from repro.core.detectors._streaming import (
     CompositeKeyCounter,
     StreamingAllocPairer,
     StreamingPass,
-    merge_uid_buffers,
     run_streaming_pass,
 )
 from repro.core.detectors.findings import RepeatedAllocationGroup
@@ -132,7 +131,7 @@ class RepeatedAllocationPass(StreamingPass):
         crossed = grouped & (fold.prior_count == 1)
         if crossed.any():
             # Recover the key's single retained pair — the one counted
-            # while the key was still a singleton (NOT the post-merge
+            # while the key was still a singleton (NOT the post-fold
             # minimum: pairs complete in delete order, so this batch's
             # pair may predate the retained one).
             self._alloc.append(fold.prior_first_gpos[crossed])
@@ -144,32 +143,6 @@ class RepeatedAllocationPass(StreamingPass):
 
     def fold(self, batch, offset: int) -> None:
         self._count(self._pairer.fold(batch, offset))
-
-    def merge(self, other: "RepeatedAllocationPass") -> None:
-        """Absorb a pass folded over the immediately following row range.
-
-        Allocations left open by this partition stitch to ``other``'s
-        pending deletes first; the key tables then union (with uid
-        remapping and retained-singleton promotion, as in the duplicate
-        pass), and finally the stitched pairs — invisible to both sides'
-        folds — are counted against the merged table, reusing the exact
-        qualification/crossing logic of a normal fold.
-        """
-        stitched = self._pairer.merge(other._pairer)
-        km = self._counter.merge(other._counter)
-        self._group = merge_uid_buffers(km, self._group, other._group)
-        self._alloc.absorb(other._alloc)
-        self._delete.absorb(other._delete)
-        self._host.absorb(other._host)
-        self._dev.absorb(other._dev)
-        self._nbytes.absorb(other._nbytes)
-        if km.promoted_gpos.size:
-            self._alloc.append(km.promoted_gpos)
-            self._delete.append(km.promoted_payload)
-            self._host.append(km.promoted_keys[0])
-            self._dev.append(km.promoted_keys[1])
-            self._nbytes.append(km.promoted_keys[2])
-        self._count(stitched)
 
     def finalize(self) -> FindingPart:
         """Pairs grouped by stable key uid, alloc-ordered inside each

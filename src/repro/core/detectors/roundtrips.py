@@ -264,21 +264,6 @@ class RoundTripPass(StreamingPass):
         self._end.append(batch.do_end_time[tr])
         self._gpos.append(offset + tr)
 
-    def merge(self, other: "RoundTripPass") -> None:
-        """Join the pending legs of a pass folded over the following range.
-
-        The carry *is* the pending legs (matching happens only at
-        finalize), so merging is concatenation — this partition's legs
-        precede ``other``'s chronologically, which is all the finalize-time
-        queue matching needs.
-        """
-        self._hash.absorb(other._hash)
-        self._src.absorb(other._src)
-        self._dst.absorb(other._dst)
-        self._start.absorb(other._start)
-        self._end.absorb(other._end)
-        self._gpos.absorb(other._gpos)
-
     def finalize(self) -> FindingPart:
         if self._gpos.size == 0:
             return FindingPart.empty(CATEGORY)

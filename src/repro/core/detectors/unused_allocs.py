@@ -98,7 +98,7 @@ def find_unused_allocations(
 
 
 class UnusedAllocationPass(StreamingPass):
-    """Incremental Algorithm 4: fold pairs and kernels, decide eagerly.
+    """Incremental Algorithm 4: fold pairs and kernels, decide early.
 
     Carry state per device: the kernel start times with the running maximum
     of kernel end times (the ``searchsorted`` cursor base), plus the pairs
@@ -107,15 +107,9 @@ class UnusedAllocationPass(StreamingPass):
     the cursor is final from that point on — and discarded unless unused;
     pairs deleted but never reached stay pending, and allocations never
     deleted live in the pairer's open set until finalize, where the trace
-    end closes their lifetimes exactly as the batch oracles do.
-
-    Eager decisions are only final when every *earlier* kernel has been
-    folded: a partition that does not start at the stream head could
-    wrongly call a pair unused whose lifetime an earlier long-running
-    kernel overlaps.  With ``eager=False`` the pass therefore defers — all
-    completed pairs stay pending — and the deferred verdicts resolve at
-    finalize, once :meth:`merge` has rebased the kernel cursor base and
-    joined the pendings of every partition.
+    end closes their lifetimes exactly as the batch oracles do.  The
+    decisions are final because the pass folds from the stream head, so
+    every earlier kernel has been folded.
     """
 
     weight = 22
@@ -211,50 +205,8 @@ class UnusedAllocationPass(StreamingPass):
                 on_dev = k_dev == dev
                 self._kernels[dev].extend(k_start[on_dev], k_end[on_dev])
                 touched.add(dev)
-        if self.eager:
-            for dev in touched:
-                self._decide(dev, final=False)
-
-    def merge(self, other: "UnusedAllocationPass") -> None:
-        """Absorb a pass folded over the immediately following row range.
-
-        ``other`` must have folded with ``eager=False`` (nothing decided
-        against its incomplete kernel prefix).  Open allocations stitch to
-        ``other``'s pending deletes, the per-device kernel cursor bases are
-        rebased and appended, and the pendings join; everything newly
-        joined is (re)decided eagerly when this side is itself eager.
-        """
-        if other.eager:
-            raise ValueError(
-                "the absorbed pass must fold with eager=False: its verdicts "
-                "would be based on an incomplete kernel prefix"
-            )
-        self._folded_end = max(self._folded_end, other._folded_end)
-        stitched = self._pairer.merge(other._pairer)
-        for dev in range(self.num_devices):
-            self._kernels[dev].merge(other._kernels[dev])
-            mine, theirs = self._pending[dev], other._pending[dev]
-            self._pending[dev] = tuple(
-                np.concatenate([a, b]) for a, b in zip(mine, theirs)
-            )
-            self._found_alloc[dev].absorb(other._found_alloc[dev])
-            self._found_delete[dev].absorb(other._found_delete[dev])
-        if stitched.size:
-            s_dev = stitched.alloc["dest_device_num"]
-            for dev in np.unique(s_dev).tolist():
-                if not 0 <= dev < self.num_devices:
-                    continue
-                on_dev = s_dev == dev
-                self._enqueue(
-                    dev,
-                    stitched.alloc_gpos[on_dev],
-                    stitched.delete_gpos[on_dev],
-                    stitched.alloc["start_time"][on_dev],
-                    stitched.delete["end_time"][on_dev],
-                )
-        if self.eager:
-            for dev in range(self.num_devices):
-                self._decide(dev, final=False)
+        for dev in touched:
+            self._decide(dev, final=False)
 
     def finalize(self) -> FindingPart:
         num_devices = self.num_devices

@@ -192,21 +192,6 @@ class _DeviceTransferState:
         self.prev_overlap = bool(overlap[m - 1])
         self.started = True
 
-    def splice(self, other: "_DeviceTransferState") -> None:
-        """Splice a later range's state onto this one.
-
-        ``other`` must never have classified (its epoch state untouched):
-        its kernels append with the cursor base rebased, and its buffered
-        transfers join the pending tail — this side's open epoch
-        (``prev_cursor``/``prev_overlap`` and the surviving candidates)
-        carries across the boundary untouched, so a subsequent
-        :meth:`classify` continues exactly like a sequential fold.
-        """
-        self.kernels.merge(other.kernels)
-        self.pend_start = np.concatenate([self.pend_start, other.pend_start])
-        self.pend_addr = np.concatenate([self.pend_addr, other.pend_addr])
-        self.pend_gpos = np.concatenate([self.pend_gpos, other.pend_gpos])
-
     def finish(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """After the last batch: classify whatever some kernel reaches,
         then the remaining pending transfers outlive every kernel
@@ -243,12 +228,8 @@ class UnusedTransferPass(StreamingPass):
     cursor base, the transfers no kernel has reached yet, and the open
     epoch's surviving candidates (see :class:`_DeviceTransferState`).
     Everything classified is discarded immediately unless it is a finding.
-
-    Classification depends on the *complete* kernel prefix: a partition
-    that does not start at the stream head must fold with ``eager=False``,
-    which buffers kernels and transfers without classifying; the open
-    epoch then splices across the boundary at :meth:`merge` time and the
-    deferred transfers classify against the joined cursor base.
+    Classification depends on the *complete* kernel prefix, which a fold
+    from the stream head always has.
     """
 
     weight = 17
@@ -286,28 +267,8 @@ class UnusedTransferPass(StreamingPass):
                     offset + rows,
                 )
                 touched.add(dev)
-        if self.eager:
-            for dev in touched:
-                states[dev].classify()
-
-    def merge(self, other: "UnusedTransferPass") -> None:
-        """Absorb a pass folded over the immediately following row range.
-
-        ``other`` must have folded with ``eager=False`` (pure buffering):
-        per device, its kernels rebase onto this cursor base and its
-        transfers join the pending tail, with this side's open epoch
-        spliced across the boundary; when this side is eager, the joined
-        pendings classify immediately.
-        """
-        if other.eager:
-            raise ValueError(
-                "the absorbed pass must fold with eager=False: its "
-                "classifications would be based on an incomplete kernel prefix"
-            )
-        for mine, theirs in zip(self._states, other._states):
-            mine.splice(theirs)
-            if self.eager:
-                mine.classify()
+        for dev in touched:
+            states[dev].classify()
 
     def finalize(self) -> FindingPart:
         per_device = [state.finish() for state in self._states]

@@ -1,13 +1,16 @@
 """Distributed analysis: coordinator/worker execution over a task queue.
 
-:class:`DistributedEngine` is the fourth execution backend
+:class:`DistributedEngine` is the third execution backend
 (``analyze_stream(engine="distributed")``, ``--engine distributed``) and
 the first whose workers need not share a machine with the coordinator.
-It speaks the exact partition→fold→merge→finalize shape of the thread
-engine, but the partition tasks live as **leased blobs on a shard
-transport** (:mod:`repro.events.transport`) instead of in threads — a
-local directory for tests and loopback runs, an object store
-wherever a real deployment wants the queue to live.  (The *store* may
+Its tasks are the process engine's *pass groups*
+(:func:`~repro.core.engine.pass_groups`): each task folds one group of
+passes over ONE scan of the whole store and finalizes them, exactly as a
+warm-pool worker does (:func:`repro.core.pool._run_group`).  The tasks
+live as **leased blobs on a shard transport**
+(:mod:`repro.events.transport`) instead of on pool queues — a local
+directory for tests and loopback runs, an object store wherever a real
+deployment wants the queue to live.  (The *store* may
 additionally sit in a zip archive; the *queue* may not — a zip archive
 serializes every mutation through a whole-archive rewrite, so concurrent
 writers would erase each other's claims, and both the coordinator and
@@ -16,19 +19,22 @@ the worker refuse one.)
 Queue layout (all names relative to the queue transport)::
 
     run.pkl                        pickled run manifest: store transport
-                                   spec, pass specs, lease timeout
-    tasks/task-00002.a000          pending task, attempt 0 (pickled
-                                   PartitionTask); requeues bump the
-                                   attempt tag, so a blob name is unique
-                                   per (task, attempt) generation
+                                   spec, pass specs, lease timeout,
+                                   claim batch
+    tasks/task-00002.a000          pending task, attempt 0 (the pickled
+                                   spec indices of pass group 2);
+                                   requeues bump the attempt tag, so a
+                                   blob name is unique per (task,
+                                   attempt) generation
     claims/task-00002.a000.<wid>   leased task: the pending blob renamed
                                    under the claiming worker's id
     beats/task-00002.a000.<wid>    heartbeat counter, renewed on a timer
                                    while the worker folds
     results/rb-<wid>-00001         one result *batch* blob per claim
                                    sweep: ``ODPB``-framed carry-codec
-                                   payloads for every task the sweep
-                                   folded (see ``_encode_result_batch``)
+                                   payloads, one per task the sweep ran,
+                                   each the group's payload list (see
+                                   ``_encode_result_batch``)
     errors/task-00002.a000.<wid>   a worker-side failure report
     hints                          periodically-rewritten autoscaling
                                    hints (JSON; see ``queue status``)
@@ -73,16 +79,19 @@ protocol tolerates zombies: a worker presumed dead that later finishes
 simply publishes a batch holding bit-identical payloads for the same
 task indices (first decode wins, and all reads agree).
 
-Carries cross the queue as compact :mod:`repro.core.carrycodec`
-payloads, batched one blob per claim sweep (``--claim-batch`` tasks per
-sweep) so an object-store deployment pays one PUT per sweep instead of
-one per task.  The coordinator folds each batch into per-pass running
-carries *as it lands* (:class:`CarryFolder`: contiguous partition runs
-merge eagerly under the per-detector ``merge`` contracts), so its peak
-un-merged state is O(contiguous runs × passes) — O(passes) for any
-in-order-ish arrival — instead of one carry per task.  Finalize runs
-locally over the single merged chain — identical to every other engine,
-which is what keeps the differential suite's five legs bit-identical.
+A task's result is its group's payload list — a finished
+:class:`~repro.core.detectors.table.FindingPart` per detector, and the
+folded guard itself (trace validation) for the coordinator to check —
+encoded with :mod:`repro.core.carrycodec` and batched one blob per claim
+sweep (``--claim-batch`` tasks per sweep), so an object-store deployment
+pays one PUT per sweep instead of one per task.  No carry is shipped or
+merged.  The coordinator checks the guard as soon as the guard's group
+lands, and holds back a detector group's exhausted retries until then, so
+a detector that failed on an invalid stream never hides the validation
+error.  Once every group has landed it gathers the finding rows locally
+(:func:`~repro.core.engine.gather_groups`, shared with the process
+engine), which is what keeps the differential suite's legs bit-identical.
+Parallelism is capped at one task per pass, as on the process engine.
 
 While coordinating, the engine periodically rewrites a ``hints`` blob in
 the queue (atomic publish; see :func:`~repro.events.transport.try_write_blob`)
@@ -114,23 +123,19 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.core.carrycodec import CarryCodecError, decode_carries, encode_carries
-from repro.core.detectors._streaming import merge_passes
 from repro.core.detectors.table import FindingTable
 from repro.core.engine import (
     ENGINES,
-    PartitionTask,
-    SerialEngine,
     _check_jobs,
-    _finalize_all,
-    _fold_partition,
     _opt_bool,
     _opt_float,
     _opt_int,
     _opt_str,
-    partition_tasks,
+    check_landed_guards,
+    gather_groups,
+    pass_groups,
 )
-from repro.core.pool import open_store_cached
-from repro.events.stream import StreamPartition
+from repro.core.pool import _run_group, open_store_cached
 from repro.events.transport import (
     ShardTransport,
     TransportError,
@@ -141,12 +146,14 @@ from repro.events.transport import (
     try_read_blob,
     try_write_blob,
 )
+from repro.events.validation import TraceValidationError
 
 #: Version tag of the queue protocol; workers refuse manifests they do
 #: not speak rather than mis-folding them.  Version 2 switched results
 #: from per-task pickles to batched carry-codec blobs and added the
-#: ``claim_batch`` manifest field.
-QUEUE_FORMAT_VERSION = 2
+#: ``claim_batch`` manifest field; version 3 made a task a pass group (its
+#: spec indices) and a result the group's payload list.
+QUEUE_FORMAT_VERSION = 3
 
 RUN_MANIFEST = "run.pkl"
 DONE_MARKER = "done"
@@ -205,7 +212,7 @@ _BATCH_ENTRY_STRUCT = struct.Struct("<IQ")
 
 
 def _encode_result_batch(entries: Sequence[tuple[int, bytes]]) -> bytes:
-    """Frame ``(task_index, carry_payload)`` pairs as one blob."""
+    """Frame ``(task_index, codec_payload)`` pairs as one blob."""
     out = bytearray(_BATCH_PREFIX_STRUCT.pack(_BATCH_MAGIC, _BATCH_VERSION, len(entries)))
     for index, payload in entries:
         out += _BATCH_ENTRY_STRUCT.pack(index, len(payload))
@@ -293,7 +300,7 @@ class ClaimedTask:
     stem: str  # task-XXXXX.aYYY
     index: int
     attempt: int
-    task: PartitionTask
+    task: tuple[int, ...]  # the pass group's spec indices
     counter: int = 0
     progress: int = 0
 
@@ -326,9 +333,10 @@ class TaskQueue:
             return None
 
     # -- tasks and leases ------------------------------------------------ #
-    def publish_task(self, task: PartitionTask, attempt: int = 0) -> None:
+    def publish_task(self, index: int, group: Sequence[int], attempt: int = 0) -> None:
+        """Publish task ``index``: the spec indices of one pass group."""
         self.transport.write_blob(
-            TASK_PREFIX + _task_stem(task.index, attempt), pickle.dumps(task)
+            TASK_PREFIX + _task_stem(index, attempt), pickle.dumps(tuple(group))
         )
 
     def pending_task_names(self) -> list[str]:
@@ -383,7 +391,7 @@ class TaskQueue:
     def publish_result_batch(
         self, worker: str, seq: int, entries: Sequence[tuple[int, bytes]]
     ) -> None:
-        """Publish one sweep's ``(index, carry_payload)`` results atomically."""
+        """Publish one sweep's ``(index, codec_payload)`` results atomically."""
         self.transport.write_blob(
             f"{RESULT_PREFIX}rb-{worker}-{seq:05d}", _encode_result_batch(entries)
         )
@@ -432,7 +440,7 @@ def run_worker(
     crash_hook: bool = False,
     claim_batch: Optional[int] = None,
 ) -> int:
-    """Claim, fold and publish tasks until the run terminates.
+    """Claim, run and publish pass-group tasks until the run terminates.
 
     ``queue`` is a path or a :class:`~repro.events.transport.ShardTransport`;
     a queue location that does not exist yet is polled into existence, so
@@ -545,8 +553,9 @@ def _drain_pending(
     claim_batch: Optional[int],
     max_claims: Optional[int] = None,
 ) -> int:
-    """One claim sweep: lease up to ``claim_batch`` tasks, fold them on a
-    warm store, publish one result batch.  Returns how many completed."""
+    """One claim sweep: lease up to ``claim_batch`` tasks, run each pass
+    group on a warm store, publish one result batch.  Returns how many
+    completed."""
     batch_size = claim_batch if claim_batch is not None else run.get("claim_batch")
     try:
         batch_size = max(1, int(batch_size or 1))
@@ -584,7 +593,7 @@ def _drain_pending(
     # however long one shard's fold runs (a batch-granularity heartbeat
     # would let a single slow shard outlive the lease and get requeued
     # under a healthy worker).  Fold *progress* rides the same blob but
-    # is republished eagerly (at most every ``tick``) so the coordinator
+    # is republished promptly (at most every ``tick``) so the coordinator
     # sees the fold position advance long before the liveness floor.
     lease = float(run.get("lease_timeout") or 30.0)
     interval = max(min(lease / 4.0, 5.0), 0.02)
@@ -617,18 +626,13 @@ def _drain_pending(
                     time.sleep(0.5)
             try:
                 store, _ = open_store_cached(run["store_spec"], state["stores"])
-                task = claim.task
-                partition = StreamPartition(
-                    store, task.lo, task.hi, task.data_op_offset, task.num_events
-                )
+                specs = run["pass_specs"]
 
                 def tick_progress(events: int, claim: ClaimedTask = claim) -> None:
                     claim.progress += events
 
                 payload = encode_carries(
-                    _fold_partition(
-                        run["pass_specs"], partition, on_batch=tick_progress
-                    )
+                    _run_group(store, [specs[i] for i in claim.task], tick_progress)
                 )
             except Exception as exc:  # noqa: BLE001 — report, release, move on
                 say(f"error: worker {wid}: task {claim.index} failed: {exc}")
@@ -651,103 +655,6 @@ def _drain_pending(
     for claim, _ in completed:
         say(f"info: worker {wid}: published result for task {claim.index}")
     return len(completed)
-
-
-# --------------------------------------------------------------------- #
-# Incremental carry merging
-# --------------------------------------------------------------------- #
-class CarryFolder:
-    """Merge per-task carry chains into per-pass running carries as they land.
-
-    The per-detector ``merge`` contract is strictly ordered — a carry may
-    only absorb the carry of the *immediately following* partition range —
-    so out-of-order arrival cannot merge everything into one accumulator
-    directly.  Instead the folder keeps **contiguous runs** of already
-    merged partitions: a landing chain for task ``i`` opens a run
-    ``[i, i]``, then eagerly coalesces with the run ending at ``i - 1``
-    (that run absorbs it) and the run starting at ``i + 1`` (it absorbs
-    that run).  Peak held state is therefore ``runs × passes`` carries —
-    exactly ``passes`` (one run) for in-order or reversed arrival, and
-    bounded by the arrival order's gap count in the worst case — never
-    one carry per task.
-
-    Duplicate task indices (a zombie worker's re-published result) are
-    rejected at the door: folds are deterministic, so the duplicate is
-    bit-identical to what was already merged and dropping it preserves
-    the sequential fold's output.
-
-    ``peak_chains`` records the maximum number of runs ever held — the
-    observable the O(passes) coordinator-memory test asserts on.
-    """
-
-    def __init__(self, num_tasks: int) -> None:
-        if num_tasks < 1:
-            raise ValueError("num_tasks must be at least 1")
-        self.num_tasks = num_tasks
-        self._hi_chain_by_lo: dict[int, tuple[int, list]] = {}
-        self._lo_by_hi: dict[int, int] = {}
-        self._seen: set[int] = set()
-        self.duplicates = 0
-        self.peak_chains = 0
-
-    @property
-    def merged_count(self) -> int:
-        """How many distinct task results have been folded in."""
-        return len(self._seen)
-
-    @property
-    def chains_held(self) -> int:
-        """Contiguous runs currently held (1 when fully merged)."""
-        return len(self._hi_chain_by_lo)
-
-    @property
-    def complete(self) -> bool:
-        return len(self._seen) == self.num_tasks
-
-    def add(self, index: int, chain: list) -> bool:
-        """Fold one task's carry chain in; ``False`` for a duplicate.
-
-        ``chain`` is consumed (merged into or mutated by neighbouring
-        runs) when accepted.
-        """
-        if not 0 <= index < self.num_tasks:
-            raise ValueError(
-                f"task index {index} out of range for {self.num_tasks} task(s)"
-            )
-        if index in self._seen:
-            self.duplicates += 1
-            return False
-        self._seen.add(index)
-        lo = hi = index
-        left_lo = self._lo_by_hi.pop(index - 1, None)
-        if left_lo is not None:
-            # The run ending just below absorbs this chain (it precedes
-            # this range chronologically, so it is the merge target).
-            _, left_chain = self._hi_chain_by_lo.pop(left_lo)
-            merge_passes(left_chain, chain)
-            chain = left_chain
-            lo = left_lo
-        right = self._hi_chain_by_lo.pop(index + 1, None)
-        if right is not None:
-            # This chain absorbs the run starting just above.
-            right_hi, right_chain = right
-            self._lo_by_hi.pop(right_hi, None)
-            merge_passes(chain, right_chain)
-            hi = right_hi
-        self._hi_chain_by_lo[lo] = (hi, chain)
-        self._lo_by_hi[hi] = lo
-        self.peak_chains = max(self.peak_chains, len(self._hi_chain_by_lo))
-        return True
-
-    def result(self) -> list:
-        """The fully merged chain; only valid once :attr:`complete`."""
-        if not self.complete:
-            raise RuntimeError(
-                f"carry folder holds {len(self._seen)} of "
-                f"{self.num_tasks} task result(s)"
-            )
-        (_, chain), = self._hi_chain_by_lo.values()
-        return chain
 
 
 # --------------------------------------------------------------------- #
@@ -789,16 +696,19 @@ class _WorkerHandle:
 
 
 class DistributedEngine:
-    """Partitioned folds on queue-fed workers: task blobs in, carries out.
+    """Pass groups on queue-fed workers: task blobs in, finding parts out.
 
-    Two deployment shapes behind one engine:
+    The passes are split into ``min(jobs, len(specs))`` groups by
+    :func:`~repro.core.engine.pass_groups`, one task each — a one-shard
+    store and ``jobs=1`` run on the queue like any other.  Two deployment
+    shapes behind one engine:
 
     * **self-hosted** (``queue=None``, what ``resolve_engine`` builds):
       the coordinator stages the queue in a scratch directory
-      and spawns ``workers`` loopback worker processes (default:
-      ``jobs``), so ``--engine distributed`` works on one machine with no
-      setup — the distributed twin of the process engine, and the fifth
-      leg of the differential suite.
+      and spawns ``workers`` loopback worker processes (default: one per
+      task), so ``--engine distributed`` works on one machine with no
+      setup — the distributed twin of the process engine, and a leg of
+      the differential suite.
     * **attach** (``queue=<path or transport>``, ``workers=0``): the
       coordinator publishes into an existing queue location and real
       workers — started anywhere with ``ompdataperf worker --queue`` —
@@ -818,7 +728,7 @@ class DistributedEngine:
     module docstring for the lifecycle.  Spawned workers that die are
     replaced while the respawn budget lasts.  ``run_timeout`` bounds the
     whole run when set.  :attr:`stats` records the last run's task,
-    requeue, respawn, speculation, debris and peak-unmerged counts plus
+    requeue, respawn, speculation, debris and duplicate-result counts plus
     the final autoscaling ``hints`` snapshot (a stable contract; see
     :func:`~repro.core.engine.resolve_engine`).
     """
@@ -913,17 +823,10 @@ class DistributedEngine:
                 "the distributed engine publishes transport specs to its "
                 "workers and requires a ShardedTraceStore; shard the trace "
                 "first (shard_trace / `ompdataperf trace shard`) or use "
-                "the serial or thread engine"
+                "the serial engine"
             )
-        tasks = partition_tasks(stream, jobs)
-        if not tasks:
-            if self.queue is not None:
-                # Attach mode: external workers are watching this queue
-                # location, so even a degenerate (single-partition) run
-                # must create it and terminate them — otherwise they poll
-                # forever for a run that will never appear.
-                TaskQueue(self._open_queue()).mark_done()
-            return SerialEngine().run(specs, stream, jobs=jobs)
+        specs = tuple(specs)
+        groups = pass_groups(specs, jobs)
 
         scratch_dir: Optional[str] = None
         if self.queue is None:
@@ -933,7 +836,7 @@ class DistributedEngine:
                 raise ValueError(f"{transport.describe()}: scratch queue not empty")
         else:
             transport = self._open_queue()
-        num_workers = self.workers if self.workers is not None else jobs
+        num_workers = self.workers if self.workers is not None else len(groups)
         if (
             num_workers > 0
             and self.worker_mode == "process"
@@ -946,7 +849,6 @@ class DistributedEngine:
             )
 
         queue = TaskQueue(transport)
-        specs = tuple(specs)
         queue.publish_run(
             {
                 "version": QUEUE_FORMAT_VERSION,
@@ -956,32 +858,34 @@ class DistributedEngine:
                 "claim_batch": self.claim_batch,
             }
         )
-        for task in tasks:
-            queue.publish_task(task)
+        for index, group in enumerate(groups):
+            queue.publish_task(index, group)
 
         self.stats = {
-            "tasks": len(tasks),
+            "tasks": len(groups),
             "workers": num_workers,
             "requeued": 0,
             "respawned": 0,
             "speculative_launches": 0,
             "debris_blobs": 0,
             "duplicate_results": 0,
-            "peak_unmerged_chains": 0,
         }
         handles = [
             self._spawn_worker(transport) for _ in range(num_workers)
         ]
         respawn_budget = num_workers
         try:
-            # _coordinate folds result batches into running carries as
-            # they land, so the merged chain is in hand before the done
-            # marker releases the workers and the scratch queue is torn
-            # down.
-            merged = self._coordinate(
-                queue, tasks, handles, respawn_budget, transport
+            # Every group's payloads are in hand before the done marker
+            # releases the workers and the scratch queue is torn down.
+            landed = self._coordinate(
+                queue, specs, groups, handles, respawn_budget, transport
             )
             queue.mark_done()
+        except TraceValidationError:
+            # The guard's verdict is the run's result: the workers are
+            # released as from a completed run.
+            queue.mark_done()
+            raise
         except BaseException:
             # Whatever tore the run down (including KeyboardInterrupt in
             # the coordinator), external workers must not wait forever.
@@ -997,9 +901,9 @@ class DistributedEngine:
             if scratch_dir is not None:
                 shutil.rmtree(scratch_dir, ignore_errors=True)
 
-        # The finalizes never read the store; the one shared gather loads
-        # each shard holding a finding row exactly once.
-        return _finalize_all(merged, stream, jobs)
+        # The one shared gather loads each shard holding a finding row
+        # exactly once.
+        return gather_groups(specs, groups, landed, stream)
 
     # ------------------------------------------------------------------ #
     def _open_queue(self) -> ShardTransport:
@@ -1053,25 +957,33 @@ class DistributedEngine:
     def _coordinate(
         self,
         queue: TaskQueue,
-        tasks: Sequence[PartitionTask],
+        specs: Sequence,
+        groups: Sequence[Sequence[int]],
         handles: list[_WorkerHandle],
         respawn_budget: int,
         transport: ShardTransport,
-    ) -> list:
-        """Poll until every task's carry is merged; requeue/speculate leases.
+    ) -> dict:
+        """Poll until every group's payloads land; requeue/speculate leases.
 
         Result batches are drained incrementally (each blob read exactly
-        once) and folded straight into a :class:`CarryFolder`, so the
-        coordinator never holds more than the current contiguous runs —
-        O(passes) carries for in-order-ish arrival — and returns the
-        fully merged chain.
+        once; a task index already landed is a zombie's bit-identical
+        duplicate and is dropped).  Returns ``{group position: payload
+        list}``.  The guard groups are checked the moment they have all
+        landed; a detector task that runs out of attempts before then is
+        held back, and its failure raised only once the guards passed.
         """
         started = time.monotonic()
-        current_attempt = {task.index: 0 for task in tasks}
+        tasks = range(len(groups))
+        current_attempt = {index: 0 for index in tasks}
         # index -> (state token, monotonic time the token last changed)
         observed: dict[int, tuple[tuple, float]] = {}
-        task_by_index = {task.index: task for task in tasks}
-        folder = CarryFolder(len(tasks))
+        landed: dict[int, list] = {}
+        guard_tasks = {
+            index for index in tasks if any(specs[i].cls.guard for i in groups[index])
+        }
+        guards_checked = False
+        # detector task -> its failure, held until the guards' verdict
+        exhausted: dict[int, str] = {}
         seen_batches: set[str] = set()
         # Speculation state: per-task fold-position marks, the fleet-wide
         # recent progress intervals, and which (index, attempt) pairs were
@@ -1080,7 +992,7 @@ class DistributedEngine:
         liveness_marks: dict[int, tuple[tuple, float]] = {}
         progress_intervals: deque = deque(maxlen=64)
         claim_latencies: deque = deque(maxlen=64)
-        publish_times = {(task.index, 0): started for task in tasks}
+        publish_times = {(index, 0): started for index in tasks}
         claims_observed: set[tuple[int, int]] = set()
         speculated: set[int] = set()
         hints_seq = 0
@@ -1101,6 +1013,11 @@ class DistributedEngine:
                     f"task {index} failed {next_attempt} attempt(s), last: "
                     f"{reason} (max_attempts={self.max_attempts})"
                 )
+                if index not in guard_tasks and not guard_tasks <= landed.keys():
+                    # A detector may have failed on the very invalidity
+                    # the guard reports: wait for the guard's verdict.
+                    exhausted[index] = message
+                    return
                 queue.mark_abort(message)
                 raise DistributedExecutionError(message)
             current_attempt[index] = next_attempt
@@ -1108,7 +1025,7 @@ class DistributedEngine:
             progress_marks.pop(index, None)
             liveness_marks.pop(index, None)
             self.stats["requeued"] += 1
-            queue.publish_task(task_by_index[index], attempt=next_attempt)
+            queue.publish_task(index, groups[index], attempt=next_attempt)
             publish_times[(index, next_attempt)] = time.monotonic()
 
         def speculate_task(index: int, now: float) -> None:
@@ -1126,7 +1043,7 @@ class DistributedEngine:
             progress_marks.pop(index, None)
             liveness_marks.pop(index, None)
             self.stats["speculative_launches"] += 1
-            queue.publish_task(task_by_index[index], attempt=next_attempt)
+            queue.publish_task(index, groups[index], attempt=next_attempt)
             publish_times[(index, next_attempt)] = now
 
         def note_debris() -> None:
@@ -1167,7 +1084,7 @@ class DistributedEngine:
                 "tasks": len(tasks),
                 "pending": pending_count,
                 "claimed": len(active_claims),
-                "completed": folder.merged_count,
+                "completed": len(landed),
                 "requeued": self.stats["requeued"],
                 "speculative_launches": self.stats["speculative_launches"],
                 "debris_blobs": self.stats["debris_blobs"],
@@ -1227,18 +1144,21 @@ class DistributedEngine:
                     note_debris()
                     continue
                 for index, payload in entries:
-                    if index not in task_by_index:
+                    if index not in current_attempt:
                         note_debris()
                         continue
                     try:
-                        chain = decode_carries(payload)
+                        payloads = decode_carries(payload)
                     except (CarryCodecError, struct.error):
                         note_debris()
                         continue
-                    # Fold into the running carries immediately; a
-                    # zombie's bit-identical duplicate is dropped by
+                    if len(payloads) != len(groups[index]):
+                        note_debris()
+                        continue
+                    # A zombie's bit-identical duplicate is dropped by
                     # task index.
-                    if folder.add(index, chain):
+                    if index not in landed:
+                        landed[index] = payloads
                         # Every landing feeds the fleet-median window: the
                         # interval since the claim's last observed progress
                         # when we saw one, else since the task was
@@ -1255,15 +1175,21 @@ class DistributedEngine:
                                 progress_intervals.append(now - published)
                     else:
                         self.stats["duplicate_results"] += 1
-            self.stats["peak_unmerged_chains"] = folder.peak_chains
 
-            if folder.complete:
+            if not guards_checked and guard_tasks <= landed.keys():
+                guards_checked = True
+                check_landed_guards(specs, groups, landed)
+                if exhausted:
+                    message = exhausted[min(exhausted)]
+                    queue.mark_abort(message)
+                    raise DistributedExecutionError(message)
+
+            if len(landed) == len(groups):
                 publish_hints(now, 0, {}, force=True)
-                return folder.result()
+                return landed
 
-            for task in tasks:
-                index = task.index
-                if index in folder._seen:
+            for index in tasks:
+                if index in landed or index in exhausted:
                     continue
                 attempt = current_attempt[index]
                 key = (index, attempt)
@@ -1312,7 +1238,7 @@ class DistributedEngine:
                 sum(
                     1 for key in pending
                     if current_attempt.get(key[0]) == key[1]
-                    and key[0] not in folder._seen
+                    and key[0] not in landed
                 ),
                 {
                     key: name for key, name in claims.items()

@@ -9,12 +9,6 @@ protocol with three backends:
 * :class:`SerialEngine` — the sequential single-scan pipeline: every shard
   is loaded once and handed to all five folds on the calling thread
   (``jobs > 1`` adds the prefetch thread and concurrent finalizes).
-* :class:`ThreadEngine` — the stream is cut into ``jobs`` contiguous,
-  event-balanced partitions (:func:`~repro.events.stream.partition_stream`)
-  and each worker thread folds all five passes over its partition; the
-  per-partition carries then merge left to right.  Shard decode releases
-  the GIL, so load overlaps fold — but the folds themselves stay
-  GIL-bound, which is the ceiling this backend cannot pass.
 * :class:`ProcessEngine` — *pass groups* on process workers, which is
   what lets the fold work leave the GIL.  The five detectors are
   independent folds over one trace, so the passes are split into
@@ -29,24 +23,18 @@ protocol with three backends:
   *any* transport (a local directory, a zip archive, an object store);
   the parent then gathers the finding rows in one targeted scan.  It
   scales to one worker per pass and is bounded by its heaviest group.
+* ``DistributedEngine`` (in :mod:`repro.core.distributed`) — the same
+  pass-group tasks leased from a transport-backed queue by workers that
+  may live on other machines.  It registers itself in :data:`ENGINES` on
+  import (``repro.core`` imports it, so the registry is always complete).
 
-A fourth backend lives in :mod:`repro.core.distributed`:
-``DistributedEngine`` speaks the thread engine's
-partition→fold→merge→finalize shape across *machines*, with partition
-tasks leased from a transport-backed queue instead of handed to threads.
-It shares this module's task vocabulary — :class:`PartitionTask`,
-:func:`partition_tasks`, :func:`_fold_partition` — and registers itself
-in :data:`ENGINES` on import (``repro.core`` imports it, so the registry
-is always complete).
-
-All of them produce bit-identical findings.  The process engine runs the
-serial fold per pass group; partition workers fold with ``eager=False``
-(classification deferred until the carries merge), and the per-detector
-``merge`` contracts reconstruct exactly the carry a sequential fold would
-have built (see ``docs/architecture.md`` for the contract table).
-Engines are resolved by name through :data:`ENGINES` /
-:func:`resolve_engine`, which is what the ``--engine`` CLI flag and the
-``engine=`` keyword of ``analyze_stream`` speak.
+The pass group is the one unit of parallel work: both parallel engines
+run the warm pool's task function on it and finish through
+:func:`gather_groups`, so every engine folds each pass exactly as the
+serial scan does and findings are bit-identical.  Engines are resolved by
+name through :data:`ENGINES` / :func:`resolve_engine`, which is what the
+``--engine`` CLI flag and the ``engine=`` keyword of ``analyze_stream``
+speak.
 """
 
 from __future__ import annotations
@@ -59,22 +47,17 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Protocol, Sequence, runtime_checkable
 
-from repro.core.detectors._streaming import (
-    StreamingPass,
-    check_guards,
-    fold_batches,
-    merge_passes,
-)
+from repro.core.detectors._streaming import StreamingPass, check_guards, fold_batches
 from repro.core.detectors.table import FindingTable
 from repro.events.protocol import EventStream
-from repro.events.stream import StreamPartition, partition_stream, prefetch_batches
+from repro.events.stream import prefetch_batches
 
 
 @dataclass(frozen=True)
 class PassSpec:
     """A picklable recipe for one streaming pass.
 
-    Engines instantiate passes per partition (a pass instance is
+    Engines instantiate passes on their workers (a pass instance is
     single-use and carries fold state), so they are handed recipes instead
     of instances; ``cls`` must be a module-level class for the spec to
     cross a process boundary by reference.
@@ -83,10 +66,8 @@ class PassSpec:
     cls: type
     kwargs: Mapping = field(default_factory=dict)
 
-    def build(self, *, eager: bool = True) -> StreamingPass:
-        pass_ = self.cls(**dict(self.kwargs))
-        pass_.eager = eager
-        return pass_
+    def build(self) -> StreamingPass:
+        return self.cls(**dict(self.kwargs))
 
 
 @runtime_checkable
@@ -231,43 +212,13 @@ def _ticking(batches, tick):
 
     ``fold_batches`` asks when a shard has been read and folded into the
     guards; the detectors fold it with its coalesced group, so the tick
-    runs up to one group ahead of the detector folds.
+    runs up to one group ahead of the detector folds.  Both parallel
+    engines' workers tick this way: the warm pool's shared counters and
+    the distributed worker's beat blobs.
     """
     for batch in batches:
         yield batch
         tick(batch.num_data_op_events + batch.num_target_events)
-
-
-def _fold_partition(
-    specs: Sequence[PassSpec], partition: StreamPartition, on_batch=None
-) -> list[StreamingPass]:
-    """Fold fresh deferred-mode passes over one partition's batches.
-
-    Batches arrive through a bounded read-ahead
-    (:func:`~repro.events.stream.prefetch_batches`): the next shard's
-    fetch — an O(1) map for local ``.odpf`` shards, a byte read plus
-    decode elsewhere — overlaps the current shard's fold.
-
-    ``on_batch`` (when given) is called after every shard the scan reads
-    with the number of events it held — the fold-position hook that lets
-    a worker's heartbeat carry progress, not just liveness (warm-pool
-    counters, the distributed worker's beat blobs).  It runs up to one
-    coalesced group ahead of the detector folds (see :func:`_ticking`).
-    """
-    passes = [spec.build(eager=False) for spec in specs]
-    batches = prefetch_batches(partition, depth=2)
-    if on_batch is not None:
-        batches = _ticking(batches, on_batch)
-    fold_batches(passes, batches, partition.data_op_offset)
-    return passes
-
-
-def _merge_partition_carries(chains: list[list[StreamingPass]]) -> list[StreamingPass]:
-    """Left-fold the per-partition carries into the first partition's."""
-    head = chains[0]
-    for tail in chains[1:]:
-        merge_passes(head, tail)
-    return head
 
 
 def _finalize_all(
@@ -310,69 +261,11 @@ class SerialEngine:
         return _finalize_all(passes, stream, jobs)
 
 
-class ThreadEngine:
-    """Partitioned folds on worker threads, merged left to right."""
-
-    name = "thread"
-
-    def run(self, specs, stream, *, jobs: int = 1) -> FindingTable:
-        _check_jobs(jobs)
-        parts = partition_stream(stream, jobs)
-        if len(parts) <= 1:
-            return SerialEngine().run(specs, stream, jobs=jobs)
-        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            futures = [pool.submit(_fold_partition, specs, part) for part in parts]
-            chains = [future.result() for future in futures]
-        merged = _merge_partition_carries(chains)
-        return _finalize_all(merged, stream, jobs)
-
-
 def _open_store_from_spec(spec: dict):
     from repro.events.store import ShardedTraceStore
     from repro.events.transport import transport_from_spec
 
     return ShardedTraceStore.open(transport_from_spec(spec))
-
-
-@dataclass(frozen=True)
-class PartitionTask:
-    """One schedulable unit of fold work: a contiguous shard range.
-
-    The picklable twin of :class:`~repro.events.stream.StreamPartition`
-    that does not hold the stream itself — what lands in the distributed
-    engine's task queue (one blob per task).  ``index`` is
-    the task's position in partition order, which is the order the folded
-    carries must merge back in.
-    """
-
-    index: int
-    lo: int
-    hi: int
-    data_op_offset: int
-    num_events: int
-
-
-def partition_tasks(store, n: int) -> list[PartitionTask]:
-    """Cut a store into at most ``n`` :class:`PartitionTask` units.
-
-    Mirrors :meth:`~repro.events.store.ShardedTraceStore.partitions` but
-    returns the detached task records.  The degenerate cases — one
-    partition or an unpartitionable stream — come back as the empty list,
-    which the distributed engine treats as "run serially".
-    """
-    parts = store.partitions(n)
-    if len(parts) <= 1:
-        return []
-    return [
-        PartitionTask(
-            index=i,
-            lo=part.lo,
-            hi=part.hi,
-            data_op_offset=part.data_op_offset,
-            num_events=part.num_events,
-        )
-        for i, part in enumerate(parts)
-    ]
 
 
 def pass_groups(specs: Sequence[PassSpec], n: int) -> list[list[int]]:
@@ -399,14 +292,40 @@ def pass_groups(specs: Sequence[PassSpec], n: int) -> list[list[int]]:
     return groups
 
 
-def _spec_payloads(groups, job_ids, results) -> dict:
-    """Spec index -> worker payload, for every group already collected."""
+def _group_payloads(groups, landed) -> dict:
+    """Spec index -> payload, for every group in ``landed`` (group
+    position -> the group's payload list, see
+    :func:`repro.core.pool._run_group`)."""
     return {
         index: payload
-        for group, job in zip(groups, job_ids)
-        if job in results
-        for index, payload in zip(group, results[job][0])
+        for position, payloads in landed.items()
+        for index, payload in zip(groups[position], payloads)
     }
+
+
+def check_landed_guards(specs, groups, landed) -> None:
+    """Raise the error of a failed guard among the groups landed so far.
+
+    The parallel engines call it as soon as the guard's group lands, so a
+    detector that failed on an invalid stream in another group cannot
+    hide the validation error.
+    """
+    payloads = _group_payloads(groups, landed)
+    check_guards([payloads[i] for i in sorted(payloads) if specs[i].cls.guard])
+
+
+def gather_groups(specs, groups, landed, stream) -> FindingTable:
+    """The findings of a pass-group run, once every group has landed.
+
+    Checks the guards, puts the detectors' finding parts back in report
+    (spec) order and reads their rows in one shared gather — the last step
+    of both the process and the distributed engine.
+    """
+    check_landed_guards(specs, groups, landed)
+    payloads = _group_payloads(groups, landed)
+    return FindingTable.gather(
+        [payloads[i] for i, spec in enumerate(specs) if not spec.cls.guard], stream
+    )
 
 
 def _process_context():
@@ -434,19 +353,19 @@ class ProcessEngine:
     The pass specs are split into ``min(jobs, len(specs))`` groups by
     :func:`pass_groups`, and each worker runs one group task: it folds
     every pass of its group in ONE scan from the stream head with the
-    serial code path (eager classification), finalizes them, and returns
+    serial code path, finalizes them, and returns
     only their finding parts; the parent puts the parts back in report
     order and runs the one shared gather of the finding rows.  A guard
     spec (trace validation) joins one of the groups, whose worker checks
     it before finalizing the detectors beside it and returns the folded
     guard itself.  That group is handed out first, and the parent collects
     it and checks the guard before any other group, so a failed check
-    raises its own error ahead of any detector's.  Nothing is partitioned,
-    so no carry is shipped or merged, and a one-shard store parallelises
+    raises its own error ahead of any detector's.  No carry is shipped or
+    merged, and a one-shard store parallelises
     as well as a large one.  The cost is the ceiling: at most one worker
     per pass, and a run is bounded by its heaviest group (at one pass per
-    worker, the duplicates pass).  Cross-machine scale stays with the
-    partitioned distributed engine.
+    worker, the duplicates pass).  The distributed engine runs the same
+    group tasks on workers that may live on other machines.
 
     The per-task constants are amortised:
 
@@ -492,7 +411,7 @@ class ProcessEngine:
                 "the process engine sends transport specs to its workers "
                 "and requires a ShardedTraceStore; shard the trace first "
                 "(shard_trace / `ompdataperf trace shard`) or use the "
-                "serial or thread engine"
+                "serial engine"
             )
         if jobs == 1:
             if not self.keep_pool:
@@ -512,15 +431,15 @@ class ProcessEngine:
             # invalid stream there cannot hide the validation error.
             guarded = sum(any(specs[i].cls.guard for i in group) for group in groups)
             results = pool.collect(job_ids[:guarded])
-            payloads = _spec_payloads(groups, job_ids, results)
-            check_guards([payloads[i] for i, p in enumerate(specs) if p.cls.guard])
+            check_landed_guards(
+                specs, groups, {k: results[job_ids[k]][0] for k in range(guarded)}
+            )
             results.update(pool.collect(job_ids[guarded:]))
-            payloads = _spec_payloads(groups, job_ids, results)
             self.stats = self._build_stats(
                 [results[job][1] for job in job_ids], pool.num_workers, spawn_seconds_now
             )
-            return FindingTable.gather(
-                [payloads[i] for i, p in enumerate(specs) if not p.cls.guard], stream
+            return gather_groups(
+                specs, groups, {k: results[job][0] for k, job in enumerate(job_ids)}, stream
             )
         except BaseException:
             # Any failure — a dead worker, a KeyboardInterrupt mid-gather —
@@ -651,7 +570,6 @@ class ProcessEngine:
 #: complete before any CLI or test reads it).
 ENGINES: dict[str, type] = {
     SerialEngine.name: SerialEngine,
-    ThreadEngine.name: ThreadEngine,
     ProcessEngine.name: ProcessEngine,
 }
 
@@ -661,7 +579,7 @@ def available_engines() -> list[str]:
 
 
 def engine_registry_name(engine) -> str:
-    """The registry name of an engine instance ("serial", "thread", ...)."""
+    """The registry name of an engine instance ("serial", "process", ...)."""
     return getattr(type(engine), "name", type(engine).__name__)
 
 
@@ -679,9 +597,9 @@ def process_engine_fallback_reason(jobs: Optional[int] = None) -> Optional[str]:
 
     The process engine exists to scale GIL-bound folds across cores; on a
     single-core machine its workers only add fork/pickle overhead (the
-    BENCH_engine record shows thread *and* process slower than serial at
-    one core), and on a platform where multiprocessing cannot start
-    workers at all it simply fails.  Callers that prefer degradation over
+    BENCH_engine record shows process slower than serial at one core), and
+    on a platform where multiprocessing cannot start workers at all it
+    simply fails.  Callers that prefer degradation over
     surprises (the CLI) check this before resolving ``"process"``.
     """
     if jobs is not None and jobs < 2:
@@ -704,7 +622,7 @@ def process_engine_fallback_reason(jobs: Optional[int] = None) -> Optional[str]:
 def resolve_engine(engine, *, jobs: Optional[int] = None, degrade: bool = False) -> ExecutionEngine:
     """Resolve an engine request (name, spec string, config or instance).
 
-    Accepts a registry name (``"serial"``, ``"thread"``, ``"process"``,
+    Accepts a registry name (``"serial"``, ``"process"``,
     ``"distributed"``), a spec string with options
     (``"distributed:claim_batch=4,lease_timeout=10,speculate=on"``), an
     :class:`EngineConfig`, an :class:`ExecutionEngine` instance, or
@@ -722,8 +640,10 @@ def resolve_engine(engine, *, jobs: Optional[int] = None, degrade: bool = False)
     (``spawn/open/decode/map/fold_seconds``, ``overhead_seconds``) and
     the distributed engine's coordinator block (``requeued``,
     ``respawned``, ``speculative_launches``, ``debris_blobs``,
-    ``peak_unmerged_chains``, ``duplicate_results``, ``hints``).  The
-    structured way to read them is
+    ``duplicate_results``, ``hints``).  One key is retired:
+    ``peak_unmerged_chains`` counted the distributed coordinator's
+    un-merged partition carries, and its tasks are pass groups now, whose
+    payloads are never merged.  The structured way to read them is
     :attr:`repro.core.analysis.StreamAnalysisReport.engine_stats`.
     """
     if engine is None:

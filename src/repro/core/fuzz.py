@@ -2,7 +2,7 @@
 
 The correctness spine of this reproduction is the differential oracle —
 object oracle, one-batch streaming passes, multi-batch streaming,
-partitioned-engine and distributed analysis must agree bit for bit.  The
+process-engine and distributed analysis must agree bit for bit.  The
 hypothesis suite holds that over *small* generated traces; this module
 drives the same oracle over :mod:`repro.events.hostile` adversarial
 traces, written out with
@@ -51,6 +51,7 @@ import numpy as np
 from repro.core.analysis import analyze_stream, analyze_trace
 from repro.core.detectors._streaming import FOLD_BATCH_EVENTS, fold_batch_target
 from repro.core.distributed import DistributedEngine
+from repro.core.engine import ENGINES, available_engines
 from repro.events.hostile import make_hostile_trace, write_hostile_store
 from repro.events.stream import as_event_stream
 from repro.events.transport import FakeObjectStoreTransport
@@ -71,7 +72,7 @@ DEFAULT_MAX_EVENTS = 20_000
 DEFAULT_ORACLE_LIMIT = 60_000
 
 BASE_TRANSPORTS = ("local", "zip", "fake-object-store")
-ALL_ENGINES = ("serial", "thread", "process", "distributed")
+ALL_ENGINES = ("serial", "process", "distributed")
 
 #: The report fields the differential oracle holds bit-identical.
 REPORT_FIELDS = (
@@ -225,6 +226,16 @@ def _store_destination(kind: str, scratch: Path, run_id: str, case_seed: int):
     raise ValueError(f"unknown fuzz transport kind {kind!r}")
 
 
+def check_engines(engines) -> None:
+    """Raise ``ValueError`` naming the valid engines if any is unknown."""
+    unknown = [engine for engine in engines if engine not in ENGINES]
+    if unknown:
+        raise ValueError(
+            f"unknown engine(s) {', '.join(unknown)}; "
+            f"available: {', '.join(available_engines())}"
+        )
+
+
 def _engine_for(kind: str, engine: str, run_id: str, case_seed: int):
     """Resolve the engine argument for one transport × engine combo.
 
@@ -275,6 +286,7 @@ def run_fuzz_sweep(
     """
     transports = tuple(transports) if transports else default_transports()
     engines = tuple(engines)
+    check_engines(engines)
     run_id = uuid.uuid4().hex[:8]
     report = FuzzReport(
         seed=seed,

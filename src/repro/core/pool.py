@@ -108,6 +108,10 @@ def _attach_cache(store, cache_spec: Optional[dict], caches: dict) -> None:
 def _run_group(store, specs, tick) -> list:
     """Fold a pass group over ONE scan of ``store`` and finalize it.
 
+    The task function of both parallel engines: the pool workers here and
+    the distributed engine's queue workers.  ``tick`` is the fold-position
+    hook (see :func:`repro.core.engine._ticking`).
+
     Returns one payload per spec: a detector's finding part, or a guard
     pass itself, for the parent to check.  The guards are checked here
     first: when one fails, the detectors beside it are not finalized (their

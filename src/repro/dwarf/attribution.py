@@ -14,7 +14,9 @@ def format_location(
 ) -> str:
     """Render a code pointer as source text, degrading gracefully.
 
-    With debug info available the result is ``file:line (function)``; without
+    With debug info available the result is ``file:line (function)``, the
+    file relative to the registered files' common directory
+    (:meth:`DebugInfoRegistry.display`); without
     it (stripped binary, unknown pointer, or no registry) the raw address is
     shown, mirroring how the real tool degrades when the program was not
     compiled with ``-g``.
@@ -24,7 +26,7 @@ def format_location(
     location = registry.lookup(codeptr) if registry is not None else None
     if location is None:
         return f"{codeptr:#014x}"
-    return str(location)
+    return registry.display(location)
 
 
 def attribute_events(

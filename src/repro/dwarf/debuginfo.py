@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import os
 from dataclasses import dataclass
 from types import CodeType
 from typing import Optional
@@ -44,6 +45,8 @@ class DebugInfoRegistry:
         #: object, its codeptr); holding the code object keeps its id unique
         self._by_frame: dict[tuple[int, int], tuple[CodeType, int]] = {}
         self._next = _TEXT_BASE
+        #: common directory of the registered absolute files (None: stale)
+        self._root: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self._by_codeptr)
@@ -60,6 +63,7 @@ class DebugInfoRegistry:
         self._next += _TEXT_STRIDE
         self._by_location[loc] = codeptr
         self._by_codeptr[codeptr] = loc
+        self._root = None
         return codeptr
 
     def register_caller(
@@ -107,6 +111,26 @@ class DebugInfoRegistry:
         if codeptr is None or self.stripped:
             return None
         return self._by_codeptr.get(codeptr)
+
+    def display(self, location: SourceLocation) -> str:
+        """``file:line (function)``, the file relative to the common
+        directory of every registered absolute file.
+
+        Call sites are registered with ``code.co_filename``, an absolute
+        path, so the full path would make the same program's report differ
+        between two checkouts.
+        """
+        if self._root is None:
+            dirs = {
+                os.path.dirname(loc.file)
+                for loc in self._by_location
+                if os.path.isabs(loc.file)
+            }
+            self._root = os.path.commonpath(sorted(dirs)) if dirs else ""
+        file = location.file
+        if self._root and os.path.isabs(file):
+            file = os.path.relpath(file, self._root)
+        return f"{file}:{location.line} ({location.function})"
 
     def locations(self) -> list[SourceLocation]:
         """All registered locations (deterministic order by code pointer)."""

@@ -5,13 +5,13 @@ benchmarks want — regular five-slot cycles, kind findings, no surprises.
 This module generates the traces a fuzzer wants: still **valid** per
 :func:`repro.events.validation.validate_trace` (the differential oracle
 compares analysers, so the input must be in-contract), but shaped from the
-patterns that have historically broken streaming/partitioned analysis:
+patterns that have historically broken streaming and parallel analysis:
 
 * **pathological alloc nesting** — hundreds of allocations open at once,
   released in LIFO, FIFO or shuffled order, so carry state peaks;
 * **interleaved / split round-trip legs** — an ``h2d`` whose matching
   ``d2h`` lands thousands of events (and many motifs) later, forcing the
-  leg to survive shard cuts and partition merges;
+  leg to survive shard cuts and coalesced folds;
 * **duplicate storms** — long transfer runs drawn from a tiny payload-hash
   pool, stressing duplicate grouping across boundaries;
 * **repeated-allocation churn** and **freed-address reuse** — the same

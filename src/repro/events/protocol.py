@@ -87,35 +87,21 @@ class EventStream(Protocol):
 
 
 class StreamingPass:
-    """One incremental fold over a stream: fold batches, merge, finalize.
+    """One incremental fold over a stream: fold batches, then finalize.
 
     ``fold`` consumes one columnar batch (with the global data-op row
     offset of its first row) and updates the carry; ``finalize`` closes the
     carry and returns the findings as a
     :class:`~repro.core.detectors.table.FindingPart` over gpos — it never
     reads the stream again (the engines gather the rows of every pass in
-    one scan).  A pass instance is single-use.
-
-    Passes are *partition-mergeable*: ``a.merge(b)``, where ``a`` folded an
-    earlier contiguous batch range and ``b`` the immediately following one,
-    leaves ``a`` holding the carry a single sequential fold over both
-    ranges would have produced (``b`` must not be reused).  The execution
-    engines fold disjoint shard ranges on independent workers and merge
-    the carries left to right.
-
-    ``eager`` controls whether a pass may *classify* events against carry
-    state that is only correct from the start of the stream (the
-    kernel-cursor verdicts of the two unused-pattern passes).  The default
-    ``True`` is right for a sequential fold over the whole stream; a pass
-    folding a partition that does not start at the stream head MUST run
-    with ``eager=False`` — it defers classification by buffering, and the
-    deferred work happens when the carry is merged into an earlier one (or
-    at finalize).  Order-insensitive passes ignore the flag.
+    one scan).  A pass instance is single-use and always folds the whole
+    stream from its head: the parallel engines split the *passes* across
+    workers, never the stream.
 
     A *guard* pass checks the stream against the other passes'
     preconditions instead of detecting anything (trace validation).  The
-    engines fold each batch into the guards first and stop folding and
-    merging the other passes once a guard has ``failed``; a guard's
+    engines fold each batch into the guards first and stop folding the
+    other passes once a guard has ``failed``; a guard's
     ``finalize`` raises on a failed check and returns ``None`` otherwise,
     and runs before any other pass's result is used.  It only reads the
     carry, so an engine may call it more than once (a process worker
@@ -123,8 +109,6 @@ class StreamingPass:
     and the parent checks it again to raise the error itself).
     """
 
-    #: classify eagerly during folds (only valid from the stream head)
-    eager: bool = True
     #: checks preconditions rather than detecting (see the class docstring)
     guard: bool = False
     #: a guard's check has already failed (never true for a detector)
@@ -140,6 +124,7 @@ class StreamingPass:
     def fold(self, batch: "ColumnarTrace", offset: int) -> None:
         raise NotImplementedError
 
+    # Kept only because the benchmark harness (perfbench/layers.py) wraps it.
     def merge(self, other: "StreamingPass") -> None:
         raise NotImplementedError
 

@@ -27,9 +27,9 @@ Ownership rules (also documented in ``docs/architecture.md``):
    without a spec); only the owner may :meth:`cleanup`;
 2. workers receive the picklable :meth:`spec` and attach with
    :meth:`from_spec`;
-3. publication is idempotent: partitions are disjoint shard ranges, so
-   concurrent publication of one index is rare, and losing such a race is
-   harmless — both writers produce identical bytes;
+3. publication is idempotent: concurrent publication of one index (two
+   workers scanning the same shard) is possible, and losing such a race
+   is harmless — both writers produce identical bytes;
 4. any backend failure (``/dev/shm`` full, scratch dir gone) degrades the
    cache to a no-op for the affected process: correctness never depends
    on the cache, only speed;

@@ -71,12 +71,10 @@ from repro.events.columnar import (
     TARGET_KIND_CODES,
     ColumnarTrace,
 )
-from repro.events.protocol import EventStream
 from repro.events.stream import (
     DEFAULT_SHARD_EVENTS,
     StreamStats,
     merge_stream,
-    partition_stream,
     slice_bounds,
 )
 from repro.events.shardcache import direct_map_preferred
@@ -382,19 +380,6 @@ class ShardedTraceStore:
     def batches(self) -> Iterator[ColumnarTrace]:
         for index in range(len(self.shards)):
             yield self.load_batch(index)
-
-    def partitions(self, n: int) -> list[EventStream]:
-        """Cut the store into at most ``n`` balanced contiguous shard ranges.
-
-        Each partition is an :class:`~repro.events.stream.StreamPartition`
-        carrying its shard index range and global data-op offset — what a
-        parallel worker needs to fold its share of the store in global
-        coordinates.  Balancing follows the manifest's per-shard event
-        counts, so no shard is read.  Degenerate case: a single-shard (or
-        ``n == 1``) store yields ``[self]``, the unsplit store itself —
-        callers treat a single-element result as "run serially".
-        """
-        return partition_stream(self, n)
 
     # ------------------------------------------------------------------ #
     # Compaction

@@ -9,10 +9,7 @@ This module provides the glue around that protocol —
   sharded store, used by the differential tests and ``shard_trace``),
 * :func:`as_event_stream` adapts any trace representation to a stream,
 * :func:`merge_stream` folds a stream back into one columnar trace,
-* :func:`partition_ranges` / :class:`StreamPartition` /
-  :func:`partition_stream` cut a random-access stream into contiguous,
-  event-balanced batch subranges — the unit of work the shard-parallel
-  execution engines (:mod:`repro.core.engine`) hand to their workers,
+* :func:`prefetch_batches` scans a stream with a bounded read-ahead,
 * :class:`StreamStats` / :class:`StreamView` fold aggregate statistics out
   of a stream without materialising events (the ``TraceLike`` facade the
   analysis report holds when it was produced from a stream), and
@@ -157,110 +154,6 @@ def as_event_stream(
     if isinstance(trace, EventStream):
         return trace
     raise TypeError(f"cannot stream {type(trace).__name__}")
-
-
-def partition_ranges(event_counts: list[int], n: int) -> list[tuple[int, int]]:
-    """Cut batch indices into at most ``n`` contiguous, balanced ranges.
-
-    ``event_counts`` holds the number of events per batch; the cut points
-    aim at equal cumulative event shares, so a partition's work tracks its
-    event count even when shard sizes are uneven.  Every returned range is
-    non-empty and the ranges cover ``[0, len(event_counts))`` in order;
-    fewer than ``n`` ranges come back when there are not enough batches.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    num_batches = len(event_counts)
-    if num_batches == 0:
-        return []
-    if n == 1 or num_batches == 1:
-        return [(0, num_batches)]
-    cum = np.cumsum(np.asarray(event_counts, dtype=np.int64))
-    total = int(cum[-1])
-    parts = min(n, num_batches)
-    cuts = [0]
-    for k in range(1, parts):
-        j = int(np.searchsorted(cum, total * k / parts))
-        j = max(j + 1, cuts[-1] + 1)
-        if j >= num_batches:
-            break
-        cuts.append(j)
-    cuts.append(num_batches)
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-@dataclass
-class StreamPartition:
-    """A contiguous batch subrange of a random-access stream.
-
-    Behaves as an :class:`EventStream` over batches ``[lo, hi)`` of the
-    underlying stream (which must implement ``batch_row_counts`` /
-    ``load_batch``).  ``data_op_offset`` is the number of data-op rows in
-    the batches before ``lo`` — the global position a partition worker must
-    start folding from so its carry speaks the same gpos coordinates as
-    every other partition's.
-    """
-
-    stream: EventStream
-    lo: int
-    hi: int
-    data_op_offset: int
-    num_events: int
-
-    @property
-    def num_devices(self) -> int:
-        return self.stream.num_devices
-
-    @property
-    def program_name(self) -> Optional[str]:
-        return self.stream.program_name
-
-    @property
-    def total_runtime(self) -> Optional[float]:
-        return self.stream.total_runtime
-
-    @property
-    def num_batches(self) -> int:
-        return self.hi - self.lo
-
-    def batches(self) -> Iterator[ColumnarTrace]:
-        for index in range(self.lo, self.hi):
-            yield self.stream.load_batch(index)
-
-
-def partition_stream(stream: EventStream, n: int):
-    """Cut a stream into at most ``n`` balanced contiguous partitions.
-
-    Returns a list of :class:`StreamPartition`.  A stream that cannot be
-    partitioned — no random access (``batch_row_counts`` / ``load_batch``),
-    or fewer than two batches — comes back as the single-element list
-    ``[stream]``, which callers treat as "run serially".
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    counts_fn = getattr(stream, "batch_row_counts", None)
-    loader = getattr(stream, "load_batch", None)
-    if n == 1 or counts_fn is None or loader is None:
-        return [stream]
-    counts = counts_fn()
-    ranges = partition_ranges([do + tgt for do, tgt in counts], n)
-    if len(ranges) <= 1:
-        return [stream]
-    do_prefix = [0]
-    event_prefix = [0]
-    for do, tgt in counts:
-        do_prefix.append(do_prefix[-1] + do)
-        event_prefix.append(event_prefix[-1] + do + tgt)
-    return [
-        StreamPartition(
-            stream=stream,
-            lo=lo,
-            hi=hi,
-            data_op_offset=do_prefix[lo],
-            num_events=event_prefix[hi] - event_prefix[lo],
-        )
-        for lo, hi in ranges
-    ]
 
 
 def prefetch_batches(stream, depth: int = 2) -> Iterator[ColumnarTrace]:

@@ -154,11 +154,6 @@ def validate_stream(stream: "EventStream", *, strict: bool = True) -> list[str]:
     return errors
 
 
-#: A problem's slot orders the problems of one shard: 0 for the columnar
-#: sweeps, then each column group's shard-boundary checks.
-_BOUNDARY_SLOT = {"target": 1, "data-op": 2}
-
-
 def _boundary_problems(what: str, prev: tuple[int, float], seq: int, start: float) -> list[str]:
     """Stream-contract problems where a shard whose first ``what`` event has
     ``seq``/``start`` follows a shard ending at ``prev`` (last seq, max start)."""
@@ -180,15 +175,12 @@ def _boundary_problems(what: str, prev: tuple[int, float], seq: int, start: floa
 class ValidationPass(StreamingPass):
     """Stream validation as a guard pass (see :class:`StreamingPass`).
 
-    The carry is what crosses shard boundaries: per column group the first
-    event of the stream (``first_bounds``: shard index, seq, start) and the
-    last shard's bounds (``prev_bounds``: last seq, max start), the latest
-    end time, the shard count and the problems found so far as
-    ``(shard index, slot, message)``.  ``merge`` runs the boundary checks
-    between its side's last bounds and the next partition's first events,
-    so any partitioning reports what one sequential fold would.
-    ``finalize`` raises :class:`TraceValidationError` with exactly the
-    message of :func:`validate_stream`.
+    The carry is what crosses shard boundaries: per column group the last
+    shard's bounds (``prev_bounds``: last seq, max start), the latest end
+    time, the shard count and the problems found so far, in stream order
+    (per shard: the columnar sweeps, then the target and data-op boundary
+    checks).  ``finalize`` raises :class:`TraceValidationError` with
+    exactly the message of :func:`validate_stream`.
     """
 
     guard = True
@@ -202,70 +194,35 @@ class ValidationPass(StreamingPass):
         self.total_runtime = total_runtime
         self.num_batches = 0
         self.end_time = 0.0
-        self.first_bounds: dict[str, tuple[int, int, float]] = {}
         self.prev_bounds: dict[str, tuple[int, float]] = {}
-        self.problems: list[tuple[int, int, str]] = []
+        self.problems: list[str] = []
 
     @property
     def failed(self) -> bool:
         return bool(self.problems)
 
     def fold(self, batch: "ColumnarTrace", offset: int) -> None:
-        index = self.num_batches
-        self.num_batches += 1
-        self.problems.extend(
-            (index, 0, problem)
-            for problem in _validate_columnar(batch, strict=False, num_devices=self.num_devices)
-        )
+        problems = _validate_columnar(batch, strict=False, num_devices=self.num_devices)
         for what, seqs, starts in (
             ("target", batch.tgt_seq, batch.tgt_start_time),
             ("data-op", batch.do_seq, batch.do_start_time),
         ):
             if seqs.size == 0:
                 continue
-            slot = _BOUNDARY_SLOT[what]
-            seq, start = int(seqs[0]), float(starts[0])
             prev = self.prev_bounds.get(what)
-            if prev is None:
-                self.first_bounds[what] = (index, seq, start)
-            else:
-                self.problems.extend(
-                    (index, slot, problem)
-                    for problem in _boundary_problems(what, prev, seq, start)
-                )
+            if prev is not None:
+                problems += _boundary_problems(what, prev, int(seqs[0]), float(starts[0]))
             self.prev_bounds[what] = (int(seqs[-1]), float(starts.max()))
+        self.problems.extend(f"shard {self.num_batches}: {problem}" for problem in problems)
+        self.num_batches += 1
         self.end_time = max(self.end_time, batch.end_time)
-
-    def merge(self, other: "ValidationPass") -> None:
-        shift = self.num_batches
-        for what, slot in _BOUNDARY_SLOT.items():
-            first = other.first_bounds.get(what)
-            if first is None:
-                continue
-            index, seq, start = first
-            prev = self.prev_bounds.get(what)
-            if prev is None:
-                self.first_bounds[what] = (index + shift, seq, start)
-            else:
-                self.problems.extend(
-                    (index + shift, slot, problem)
-                    for problem in _boundary_problems(what, prev, seq, start)
-                )
-        self.problems.extend(
-            (index + shift, slot, problem) for index, slot, problem in other.problems
-        )
-        self.prev_bounds.update(other.prev_bounds)
-        self.num_batches += other.num_batches
-        self.end_time = max(self.end_time, other.end_time)
 
     def errors(self) -> list[str]:
         """Every problem found, as :func:`validate_stream` reports them."""
         errors: list[str] = []
         if self.num_devices < 1:
             errors.append("trace must describe at least one target device")
-        # Stable: problems of one shard and slot keep their fold order.
-        ordered = sorted(self.problems, key=lambda problem: problem[:2])
-        errors.extend(f"shard {index}: {problem}" for index, _, problem in ordered)
+        errors.extend(self.problems)
         if self.total_runtime is not None and self.total_runtime + 1e-12 < self.end_time:
             errors.append(
                 "total_runtime is earlier than the last recorded event "

@@ -1,26 +1,22 @@
 """Property tests for the compact binary carry codec.
 
-The carry codec replaces pickle on every parallel-engine wire: the warm
-pool's result queue and the distributed queue's result blobs both carry
-``encode_carries`` payloads.  Correctness therefore means *bit-identical
-findings*: for any partition cut, folding partitions, shipping the
-carries through the codec, merging and finalizing must produce exactly
-what the pickle round-trip (and the serial path) produces — for all five
-detectors at once.  Hypothesis drives the cut points: shard size and
-worker count together determine where the trace is split, which decides
-what lives in each carry (open allocations, pending transfers, partial
-key-counter tables, device cursors).
+The codec carries the distributed engine's results: each task's payload
+list — one :class:`~repro.core.detectors.table.FindingPart` per detector
+in its pass group, plus the folded validation guard — crosses the queue
+as one ``encode_carries`` payload.  Correctness therefore means
+*bit-identical findings*: for any split of the passes into groups and
+any shard size, shipping every group's payloads through the codec and
+gathering them must produce exactly the serial table.  The benchmark
+harness's carry-size probe also encodes every detector pass, so every
+pass's carry must still encode mid-scan.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.analysis import analyze_stream
 from repro.core.carrycodec import (
     CarryCodecError,
     decode_carries,
@@ -33,14 +29,11 @@ from repro.core.detectors.repeated_allocs import RepeatedAllocationPass
 from repro.core.detectors.roundtrips import RoundTripPass
 from repro.core.detectors.unused_allocs import UnusedAllocationPass
 from repro.core.detectors.unused_transfers import UnusedTransferPass
-from repro.core.engine import (
-    PassSpec,
-    _finalize_all,
-    _fold_partition,
-    _merge_partition_carries,
-)
-from repro.events.stream import as_event_stream, partition_stream
+from repro.core.engine import PassSpec, SerialEngine, gather_groups, pass_groups
+from repro.core.pool import _run_group
+from repro.events.stream import as_event_stream
 from repro.events.synth import make_synthetic_columnar_trace
+from repro.events.validation import ValidationPass
 
 TRACE = make_synthetic_columnar_trace(900)
 
@@ -53,47 +46,60 @@ def _pass_specs(stream) -> tuple[PassSpec, ...]:
         PassSpec(RepeatedAllocationPass),
         PassSpec(UnusedAllocationPass, {"num_devices": num_devices}),
         PassSpec(UnusedTransferPass, {"num_devices": num_devices}),
+        PassSpec(
+            ValidationPass,
+            {"num_devices": stream.num_devices, "total_runtime": stream.total_runtime},
+        ),
     )
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     shard_events=st.integers(min_value=1, max_value=250),
-    workers=st.integers(min_value=2, max_value=5),
+    jobs=st.integers(min_value=1, max_value=6),
 )
-def test_codec_round_trip_matches_pickle_path(shard_events, workers):
-    """encode → decode → merge → finalize == the pickle path, bit for bit."""
+def test_group_payloads_round_trip_and_gather_to_the_serial_table(shard_events, jobs):
+    """encode → decode → re-encode is byte-identical for every group's
+    payloads, and the decoded payloads gather to the serial table."""
     stream = as_event_stream(TRACE, shard_events)
     specs = _pass_specs(stream)
-    partitions = partition_stream(stream, workers)
-    if len(partitions) <= 1:
-        return  # nothing crosses a wire for single-partition cuts
-
-    chains_pickle = []
-    chains_codec = []
-    for partition in partitions:
-        passes = _fold_partition(specs, partition)
-        chains_pickle.append(pickle.loads(pickle.dumps(passes)))
-        payload = encode_carries(passes)
-        # Encode stability: re-encoding a decoded carry reproduces the
-        # exact payload (no hidden state leaks into the wire format).
+    groups = pass_groups(specs, jobs)
+    landed = {}
+    for position, group in enumerate(groups):
+        payloads = _run_group(stream, [specs[i] for i in group], lambda events: None)
+        assert any(isinstance(p, ValidationPass) for p in payloads) == (position == 0)
+        payload = encode_carries(payloads)
+        # No hidden state leaks into the wire format.
         assert encode_carries(decode_carries(payload)) == payload
-        chains_codec.append(decode_carries(payload))
+        landed[position] = decode_carries(payload)
+    assert gather_groups(specs, groups, landed, stream) == SerialEngine().run(specs, stream)
 
-    via_pickle = _finalize_all(_merge_partition_carries(chains_pickle), stream, 1)
-    via_codec = _finalize_all(_merge_partition_carries(chains_codec), stream, 1)
-    assert via_codec == via_pickle
 
-    # And both equal the engine-independent serial analysis.
-    report = analyze_stream(as_event_stream(TRACE, shard_events))
-    serial = [
-        report.duplicate_groups,
-        report.round_trip_groups,
-        report.repeated_alloc_groups,
-        report.unused_allocations,
-        report.unused_transfers,
-    ]
-    assert via_codec.to_objects() == serial
+@pytest.mark.parametrize("split", [1, 3])
+def test_every_pass_carry_encodes_mid_scan(split):
+    """Every pass's carry encodes after part of the stream has been folded,
+    and decodes to a pass that folds on and finalizes like the original."""
+    stream = as_event_stream(TRACE, 150)
+    batches = list(stream.batches())
+    offset = sum(batch.num_data_op_events for batch in batches[:split])
+    for spec in _pass_specs(stream):
+        original = spec.build()
+        folded = 0
+        for batch in batches[:split]:
+            original.fold(batch, folded)
+            folded += batch.num_data_op_events
+        payload = encode_carries([original])
+        (restored,) = decode_carries(payload)
+        assert encode_carries([restored]) == payload
+        for pass_ in (original, restored):
+            at = offset
+            for batch in batches[split:]:
+                pass_.fold(batch, at)
+                at += batch.num_data_op_events
+        if spec.cls is ValidationPass:
+            assert restored.errors() == original.errors() == []
+        else:
+            assert encode_value(restored.finalize()) == encode_value(original.finalize())
 
 
 _SCALARS = st.one_of(
@@ -128,7 +134,7 @@ def test_numpy_values_round_trip_exactly():
     out = decode_value(encode_value(arr))
     assert out.dtype == arr.dtype and out.shape == arr.shape
     assert (out == arr).all()
-    assert out.flags.writeable  # carries are mutated by merge()
+    assert out.flags.writeable  # decoded carries may fold on
 
     empty = np.empty(0, dtype=np.float64)
     out = decode_value(encode_value(empty))

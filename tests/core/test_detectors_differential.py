@@ -4,17 +4,16 @@ Every detector has two implementations — the object-based reference
 oracle and the incremental streaming pass — and the pass is checked over
 an in-memory columnar trace as ONE batch and over the same trace cut into
 random shards, which are independent legs (a single fold never crosses a
-batch boundary).  The streaming pass additionally runs on four execution
-engines (serial scan, thread-partitioned, process pass groups over an
-on-disk store, and the distributed coordinator/worker engine leasing
-tasks from a transport queue).  For any well-formed trace every path must
-return *identical* findings (same finding objects, in the same order,
-holding equal events), for every shard size and partition count.
+batch boundary).  The streaming pass additionally runs on the three
+execution engines (the serial scan, process pass groups over an on-disk
+store, and the distributed coordinator/worker engine leasing the same
+pass-group tasks from a transport queue).  For any well-formed trace every
+path must return *identical* findings (same finding objects, in the same
+order, holding equal events), for every shard size and pass-group split.
 Hypothesis generates random multi-device mapping histories plus a shard
 size (and worker count) and the tests assert equality detector by
 detector, plus at the aggregated analysis level: object, one batch,
-multi-batch stream, partition-merged engine execution, and queue-fed
-distributed execution.
+multi-batch stream, process-engine and queue-fed distributed execution.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ _FOLD_TARGETS = st.one_of(
     st.just(1), st.integers(min_value=2, max_value=64), st.just(FOLD_BATCH_EVENTS)
 )
 
-# Worker counts for the partitioned engines: serial degenerate case up to
-# more workers than most generated traces have shards.
+# Worker counts for the serial prefetch scan and the distributed engine:
+# one task up to four pass groups.
 _WORKERS = st.integers(min_value=1, max_value=4)
 
 # Process-engine jobs: one to six pass groups (five detectors plus the
@@ -233,8 +232,8 @@ def test_full_analysis_identical_across_representations(
     stream = as_event_stream(ColumnarTrace.from_trace(trace), shard_events)
     with fold_batch_target(fold):
         stream_report = analyze_stream(stream)
-        thread_report = analyze_stream(stream, engine="thread", jobs=workers)
-    for report in (col_report, stream_report, thread_report):
+        prefetch_report = analyze_stream(stream, jobs=workers)
+    for report in (col_report, stream_report, prefetch_report):
         _assert_reports_equal(obj_report, report)
 
 
@@ -273,10 +272,11 @@ def test_distributed_engine_identical_over_stores(trace, shard_events, workers, 
     """The fifth leg: coordinator/worker execution over a task queue.
 
     The trace goes to disk as a sharded store, a distributed coordinator
-    publishes partition tasks into a scratch queue, thread-mode workers
+    publishes pass-group tasks into a scratch queue, thread-mode workers
     lease them over the full blob protocol (claim renames, heartbeats,
-    pickled carry results), and the merged result must equal the object
-    oracle bit for bit — for random shard sizes and worker counts.
+    codec-encoded finding parts and the folded guard), and the gathered
+    result must equal the object oracle bit for bit — for random shard
+    sizes and group counts, with and without the validation guard.
     """
     obj_report = analyze_trace(trace)
     scratch = tempfile.mkdtemp(prefix="ompdataperf-diff-")
@@ -291,7 +291,11 @@ def test_distributed_engine_identical_over_stores(trace, shard_events, workers, 
         )
         with fold_batch_target(fold):
             report = analyze_stream(store, engine=engine, jobs=workers)
+            validated_report = analyze_stream(
+                store, engine=engine, jobs=workers, validate=True
+            )
         _assert_reports_equal(obj_report, report)
+        _assert_reports_equal(obj_report, validated_report)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -359,89 +363,3 @@ def test_process_engine_identical_over_remote_transport(
     with fold_batch_target(fold):  # the forked workers inherit it
         process_report = analyze_stream(store, engine="process", jobs=workers)
     _assert_reports_equal(obj_report, process_report)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    mapping_traces(), _SHARDS, _WORKERS, st.randoms(use_true_random=False), _FOLD_TARGETS
-)
-def test_incremental_merge_identical_under_adversarial_orders(
-    trace, shard_events, workers, rng, fold
-):
-    """The sixth leg: merge-as-they-land under adversarial arrival orders.
-
-    The distributed coordinator folds each partition carry into running
-    per-pass chains the moment it lands (:class:`CarryFolder`), in
-    whatever order workers finish.  Feed the same partition carries in
-    reversed, interleaved, random, and duplicated orders and the
-    finalized findings must equal the object oracle bit for bit — the
-    merge contract is associative over contiguous runs, and duplicates
-    (zombie re-publishes) are dropped at the door.
-    """
-    from repro.core.detectors.duplicates import DuplicateTransferPass
-    from repro.core.detectors.repeated_allocs import RepeatedAllocationPass
-    from repro.core.detectors.roundtrips import RoundTripPass
-    from repro.core.detectors.unused_allocs import UnusedAllocationPass
-    from repro.core.detectors.unused_transfers import UnusedTransferPass
-    from repro.core.distributed import CarryFolder, _finalize_all
-    from repro.core.engine import PassSpec, _fold_partition, partition_tasks
-    from repro.events.stream import StreamPartition
-
-    obj_report = analyze_trace(trace)
-    expected = [
-        obj_report.duplicate_groups,
-        obj_report.round_trip_groups,
-        obj_report.repeated_alloc_groups,
-        obj_report.unused_allocations,
-        obj_report.unused_transfers,
-    ]
-    scratch = tempfile.mkdtemp(prefix="ompdataperf-diff-")
-    try:
-        store = shard_trace(
-            ColumnarTrace.from_trace(trace),
-            Path(scratch) / "t.store",
-            shard_events=shard_events,
-        )
-        tasks = partition_tasks(store, workers + 1)
-        if not tasks:
-            return  # single-partition stream: nothing to merge
-        num_devices = max(store.num_devices, 1)
-        specs = (
-            PassSpec(DuplicateTransferPass),
-            PassSpec(RoundTripPass),
-            PassSpec(RepeatedAllocationPass),
-            PassSpec(UnusedAllocationPass, {"num_devices": num_devices}),
-            PassSpec(UnusedTransferPass, {"num_devices": num_devices}),
-        )
-
-        def chains():
-            with fold_batch_target(fold):
-                return [
-                    _fold_partition(
-                        specs,
-                        StreamPartition(
-                            store, t.lo, t.hi, t.data_op_offset, t.num_events
-                        ),
-                    )
-                    for t in tasks
-                ]
-
-        shuffled = list(range(len(tasks)))
-        rng.shuffle(shuffled)
-        orders = [
-            list(reversed(range(len(tasks)))),
-            list(range(0, len(tasks), 2)) + list(range(1, len(tasks), 2)),
-            shuffled,
-        ]
-        for order in orders:
-            folder = CarryFolder(len(tasks))
-            fresh = chains()
-            for index in order:
-                assert folder.add(index, fresh[index])
-                if rng.random() < 0.5:
-                    # A zombie's bit-identical duplicate, rejected.
-                    assert not folder.add(index, fresh[index])
-            assert folder.complete and folder.chains_held == 1
-            assert _finalize_all(folder.result(), store, 1).to_objects() == expected
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)

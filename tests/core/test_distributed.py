@@ -7,7 +7,7 @@ Three layers:
   heartbeats advance, results round-trip, markers terminate);
 * **engine correctness** — thread-mode workers (the full blob protocol
   without subprocess cost) over every store transport, plus one real
-  loopback-process run;
+  loopback-process run; every task is one pass group;
 * **failure handling** — a worker killed mid-fold (the CLI crash hook
   leaves the lease dangling exactly like a dead machine) has its task
   requeued and the findings stay bit-identical; retries are bounded and
@@ -35,13 +35,7 @@ from repro.core.distributed import (
     QUEUE_FORMAT_VERSION,
     TaskQueue,
 )
-from repro.core.engine import (
-    ENGINES,
-    PartitionTask,
-    available_engines,
-    partition_tasks,
-    resolve_engine,
-)
+from repro.core.engine import ENGINES, available_engines, resolve_engine
 from repro.events.store import shard_trace
 from repro.events.stream import as_event_stream
 from repro.events.synth import make_synthetic_columnar_trace
@@ -150,29 +144,40 @@ def test_requires_sharded_store(trace):
         analyze_stream(stream, engine=DistributedEngine(), jobs=2)
 
 
-def test_single_partition_degrades_to_serial(trace, tmp_path, expected):
-    store = shard_trace(trace, tmp_path / "one.store", shard_events=10**9)
-    engine = DistributedEngine(worker_mode="thread")
-    report = analyze_stream(store, engine=engine, jobs=4)
-    assert _findings(report) == expected
-    assert engine.stats == {}  # never coordinated: no queue was created
-
-
-def test_attach_mode_degenerate_run_still_releases_workers(
+def test_one_shard_store_runs_group_tasks_and_releases_attached_workers(
     trace, tmp_path, expected
 ):
-    """A single-partition run in attach mode must still create the queue
-    and mark it done — external workers are watching that location and
-    would otherwise poll forever for a run that never appears."""
+    """Pass groups need no shard split: a one-shard store runs
+    ``min(jobs, passes)`` group tasks on workers like any other store, and
+    in attach mode external workers serving the queue exit on ``done``."""
     store = shard_trace(trace, tmp_path / "one.store", shard_events=10**9)
-    queue_dir = tmp_path / "degenerate-queue"
-    engine = DistributedEngine(queue=queue_dir, workers=0)
-    report = analyze_stream(store, engine=engine, jobs=4)
-    assert _findings(report) == expected
-    assert (queue_dir / "done").is_file()
-    # And a waiting worker actually exits on it.
-    worker = subprocess.Popen(_worker_cmd(queue_dir), env=_worker_env())
-    assert worker.wait(timeout=60) == 0
+    assert store.num_shards == 1
+    for jobs, tasks in ((1, 1), (4, 4), (8, 5)):
+        engine = DistributedEngine(worker_mode="thread", poll_interval=0.02)
+        report = analyze_stream(store, engine=engine, jobs=jobs)
+        assert _findings(report) == expected
+        assert engine.stats["tasks"] == engine.stats["workers"] == tasks
+
+    queue_dir = tmp_path / "attach-queue"
+    engine = DistributedEngine(
+        queue=queue_dir, workers=0, poll_interval=0.05, run_timeout=120.0
+    )
+    thread, out = _coordinate_in_thread(store, engine, jobs=4)
+    workers = [
+        subprocess.Popen(_worker_cmd(queue_dir), env=_worker_env()) for _ in range(2)
+    ]
+    try:
+        thread.join(timeout=120)
+        assert not thread.is_alive(), "coordinator did not finish"
+        assert "report" in out, out.get("error")
+        assert _findings(out["report"]) == expected
+        assert engine.stats["tasks"] == 4
+        assert (queue_dir / "done").is_file()
+        assert [worker.wait(timeout=60) for worker in workers] == [0, 0]
+    finally:
+        for worker in workers:
+            if worker.poll() is None:
+                worker.kill()
 
 
 def test_rejects_zip_archive_queue(store, tmp_path):
@@ -253,14 +258,14 @@ def test_queue_protocol_round_trip(queue_transport):
     queue.publish_run(manifest)
     assert queue.read_run() == manifest
 
-    task = PartitionTask(index=0, lo=0, hi=3, data_op_offset=0, num_events=99)
-    queue.publish_task(task)
+    queue.publish_task(0, [1, 3, 4])
     pending = queue.pending_task_names()
     assert pending == ["tasks/task-00000.a000"]
 
     claim = queue.claim(pending[0], "worker-a")
     assert claim is not None
-    assert claim.index == 0 and claim.attempt == 0 and claim.task == task
+    # A task is one pass group: the spec indices it folds.
+    assert claim.index == 0 and claim.attempt == 0 and claim.task == (1, 3, 4)
     # The pending blob is gone; a second claimant loses the race.
     assert queue.pending_task_names() == []
     assert queue.claim(pending[0], "worker-b") is None
@@ -296,8 +301,7 @@ def test_pending_listing_ignores_staging_and_debris(queue_transport):
     """In-flight staging files (`<name>.tmp-<pid>` on the local transport)
     and stray blobs must never be parsed — or claimed — as tasks."""
     queue = TaskQueue(queue_transport)
-    task = PartitionTask(index=0, lo=0, hi=1, data_op_offset=0, num_events=5)
-    queue.publish_task(task)
+    queue.publish_task(0, [0])
     queue_transport.write_blob("tasks/task-00001.a000.tmp-1234", b"half-written")
     queue_transport.write_blob("tasks/README", b"not a task")
     assert queue.pending_task_names() == ["tasks/task-00000.a000"]
@@ -331,11 +335,10 @@ def test_claim_with_corrupt_payload_left_to_lease_expiry(queue_transport):
 def test_requeued_generation_never_collides(queue_transport):
     """Attempt tags keep a stale claim distinct from the live generation."""
     queue = TaskQueue(queue_transport)
-    task = PartitionTask(index=2, lo=0, hi=1, data_op_offset=0, num_events=5)
-    queue.publish_task(task, attempt=0)
+    queue.publish_task(2, [0, 2], attempt=0)
     first = queue.claim("tasks/task-00002.a000", "w1")
     assert first is not None
-    queue.publish_task(task, attempt=1)  # requeue while the claim dangles
+    queue.publish_task(2, [0, 2], attempt=1)  # requeue while the claim dangles
     second = queue.claim("tasks/task-00002.a001", "w2")
     assert second is not None
     assert first.name != second.name
@@ -362,7 +365,7 @@ def test_thread_workers_match_oracle_over_transports(
     )
     report = analyze_stream(store, engine=engine, jobs=jobs)
     assert _findings(report) == expected
-    assert engine.stats["tasks"] >= 2
+    assert engine.stats["tasks"] == jobs
     assert engine.stats["requeued"] == 0
 
 
@@ -380,10 +383,12 @@ def test_object_store_queue_and_store(trace, expected):
     assert queue.blob_exists("done")
 
 
-def test_more_jobs_than_shards(store, expected):
+def test_more_jobs_than_passes(store, expected):
+    """Parallelism is capped at one task (and one spawned worker) per pass."""
     engine = DistributedEngine(worker_mode="thread", poll_interval=0.02)
-    report = analyze_stream(store, engine=engine, jobs=64)
+    report = analyze_stream(store, engine=engine, jobs=64, validate=True)
     assert _findings(report) == expected
+    assert engine.stats["tasks"] == engine.stats["workers"] == 6
 
 
 def test_self_hosted_process_workers(store, expected):
@@ -396,9 +401,7 @@ def test_self_hosted_process_workers(store, expected):
     assert stats["requeued"] == 0 and stats["respawned"] == 0
     assert stats["speculative_launches"] == 0
     assert stats["debris_blobs"] == 0 and stats["duplicate_results"] == 0
-    # Healthy two-task runs coalesce on arrival: never more than one
-    # un-merged chain per contiguous run.
-    assert 1 <= stats["peak_unmerged_chains"] <= 2
+    assert "peak_unmerged_chains" not in stats  # retired: nothing merges
     assert stats["hints"]["completed"] == 2
     assert stats["hints"]["suggested_worker_delta"] <= 0
 
@@ -506,9 +509,9 @@ def test_worker_error_requeues_without_waiting_for_lease(trace, tmp_path):
     """A worker-side exception publishes an error blob; the coordinator
     requeues immediately (no lease wait) and exhausts into a clear abort."""
     store = shard_trace(trace, tmp_path / "t.store", shard_events=512)
-    # Sabotage the store before the run: the coordinator partitions from
-    # the manifest alone, but every worker reopening the store from its
-    # spec finds the shard blobs gone and raises mid-fold.
+    # Sabotage the store before the run: the coordinator publishes its
+    # tasks without reading a shard, but every worker reopening the store
+    # from its spec finds the shard blobs gone and raises mid-fold.
     for shard in store.shards:
         store.transport.delete_blob(shard.file)
     engine = DistributedEngine(
@@ -524,123 +527,6 @@ def test_worker_error_requeues_without_waiting_for_lease(trace, tmp_path):
     assert time.monotonic() - started < 60.0
     assert "cannot read blob" in str(excinfo.value)
     assert engine.stats["requeued"] >= 1
-
-
-# --------------------------------------------------------------------- #
-# partition_tasks (the scheduling vocabulary shared with ProcessEngine)
-# --------------------------------------------------------------------- #
-def test_partition_tasks_mirror_store_partitions(store):
-    tasks = partition_tasks(store, 3)
-    parts = store.partitions(3)
-    assert [t.index for t in tasks] == [0, 1, 2]
-    assert [(t.lo, t.hi, t.data_op_offset, t.num_events) for t in tasks] == [
-        (p.lo, p.hi, p.data_op_offset, p.num_events) for p in parts
-    ]
-    assert partition_tasks(store, 1) == []
-
-
-# --------------------------------------------------------------------- #
-# CarryFolder (incremental merge-as-they-land)
-# --------------------------------------------------------------------- #
-def _pass_specs(stream):
-    from repro.core.detectors.duplicates import DuplicateTransferPass
-    from repro.core.detectors.repeated_allocs import RepeatedAllocationPass
-    from repro.core.detectors.roundtrips import RoundTripPass
-    from repro.core.detectors.unused_allocs import UnusedAllocationPass
-    from repro.core.detectors.unused_transfers import UnusedTransferPass
-    from repro.core.engine import PassSpec
-
-    num_devices = max(stream.num_devices, 1)
-    return (
-        PassSpec(DuplicateTransferPass),
-        PassSpec(RoundTripPass),
-        PassSpec(RepeatedAllocationPass),
-        PassSpec(UnusedAllocationPass, {"num_devices": num_devices}),
-        PassSpec(UnusedTransferPass, {"num_devices": num_devices}),
-    )
-
-
-def _partition_chains(store, specs, tasks):
-    from repro.core.engine import _fold_partition
-    from repro.events.stream import StreamPartition
-
-    chains = []
-    for task in tasks:
-        partition = StreamPartition(
-            store, task.lo, task.hi, task.data_op_offset, task.num_events
-        )
-        chains.append(_fold_partition(specs, partition))
-    return chains
-
-
-def _fold_in_order(store, order, duplicate=False):
-    from repro.core.distributed import CarryFolder
-
-    specs = _pass_specs(store)
-    tasks = partition_tasks(store, 6)
-    chains = _partition_chains(store, specs, tasks)
-    folder = CarryFolder(len(tasks))
-    for index in order:
-        assert folder.add(index, chains[index])
-        if duplicate:
-            # A zombie's re-published duplicate: rejected at the door.
-            assert not folder.add(index, chains[index])
-    assert folder.complete
-    return folder
-
-
-def _serial_results(store):
-    from repro.core.engine import SerialEngine
-
-    return SerialEngine().run(_pass_specs(store), store, jobs=1)
-
-
-def _finalized(folder, store):
-    from repro.core.distributed import _finalize_all
-
-    return _finalize_all(folder.result(), store, 1)
-
-
-@pytest.mark.parametrize(
-    "name, order, max_peak",
-    [
-        # In-order and reversed arrival coalesce into one contiguous run
-        # on every add: the coordinator holds exactly one chain (i.e.
-        # O(passes) carries), never one per task.
-        ("in-order", [0, 1, 2, 3, 4, 5], 1),
-        ("reversed", [5, 4, 3, 2, 1, 0], 1),
-        # Evens-then-odds is the worst interleave for six tasks: three
-        # disjoint runs before the odds stitch them together.
-        ("interleaved", [0, 2, 4, 1, 3, 5], 3),
-        ("shuffled", [3, 0, 5, 1, 4, 2], 3),
-    ],
-)
-def test_carry_folder_adversarial_orders(store, expected, name, order, max_peak):
-    folder = _fold_in_order(store, order)
-    assert folder.chains_held == 1
-    assert 1 <= folder.peak_chains <= max_peak
-    assert folder.duplicates == 0
-    results = _finalized(folder, store)
-    assert results == _serial_results(store)
-
-
-def test_carry_folder_duplicates_are_rejected_bit_identically(store):
-    folder = _fold_in_order(store, [5, 0, 3, 1, 4, 2], duplicate=True)
-    assert folder.duplicates == 6
-    assert _finalized(folder, store) == _serial_results(store)
-
-
-def test_carry_folder_guards():
-    from repro.core.distributed import CarryFolder
-
-    with pytest.raises(ValueError, match="at least 1"):
-        CarryFolder(0)
-    folder = CarryFolder(2)
-    with pytest.raises(ValueError, match="out of range"):
-        folder.add(2, [])
-    folder.add(0, [])
-    with pytest.raises(RuntimeError, match="holds 1 of 2"):
-        folder.result()
 
 
 # --------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Tests for the pluggable execution engines and stream partitioning."""
+"""Tests for the pluggable execution engines and their pass groups."""
 
 from __future__ import annotations
 
@@ -6,13 +6,11 @@ import pytest
 
 from repro.core.analysis import analyze_stream, analyze_trace
 from repro.core.detectors.duplicates import DuplicateTransferPass
-from repro.core.detectors.unused_allocs import UnusedAllocationPass
 from repro.core.engine import (
     ENGINES,
     PassSpec,
     ProcessEngine,
     SerialEngine,
-    ThreadEngine,
     available_engines,
     pass_groups,
     process_engine_fallback_reason,
@@ -20,12 +18,7 @@ from repro.core.engine import (
 )
 from repro.events.columnar import ColumnarTrace
 from repro.events.store import shard_trace
-from repro.events.stream import (
-    SlicedTraceStream,
-    as_event_stream,
-    partition_ranges,
-    partition_stream,
-)
+from repro.events.stream import as_event_stream
 from repro.events.synth import make_synthetic_columnar_trace
 from repro.events.transport import FakeObjectStoreTransport
 
@@ -54,75 +47,6 @@ def _findings(report):
 
 
 # --------------------------------------------------------------------- #
-# partition_ranges / partition_stream
-# --------------------------------------------------------------------- #
-def test_partition_ranges_balances_events():
-    assert partition_ranges([10, 10, 10, 10], 2) == [(0, 2), (2, 4)]
-    assert partition_ranges([10, 10, 10, 10], 4) == [(0, 1), (1, 2), (2, 3), (3, 4)]
-    # A dominant batch takes a partition of its own.
-    assert partition_ranges([100, 1, 1, 1], 2) == [(0, 1), (1, 4)]
-
-
-def test_partition_ranges_edge_cases():
-    assert partition_ranges([], 3) == []
-    assert partition_ranges([5], 4) == [(0, 1)]
-    assert partition_ranges([5, 5], 1) == [(0, 2)]
-    # More workers than batches: one batch per partition, none empty.
-    assert partition_ranges([3, 3], 8) == [(0, 1), (1, 2)]
-    with pytest.raises(ValueError):
-        partition_ranges([1, 2], 0)
-
-
-def test_partition_ranges_cover_everything():
-    counts = [7, 1, 1, 9, 2, 40, 3, 3, 5, 1]
-    for n in range(1, 14):
-        ranges = partition_ranges(counts, n)
-        assert ranges[0][0] == 0 and ranges[-1][1] == len(counts)
-        for (_, a_hi), (b_lo, _) in zip(ranges[:-1], ranges[1:]):
-            assert a_hi == b_lo
-        assert all(hi > lo for lo, hi in ranges)
-        assert len(ranges) <= min(n, len(counts))
-
-
-def test_partition_stream_offsets_and_events(store):
-    parts = store.partitions(3)
-    assert len(parts) == 3
-    counts = store.batch_row_counts()
-    offset = 0
-    lo = 0
-    for part in parts:
-        assert part.lo == lo
-        assert part.data_op_offset == offset
-        batch_events = [
-            batch.num_data_op_events + batch.num_target_events
-            for batch in part.batches()
-        ]
-        assert sum(batch_events) == part.num_events
-        offset += sum(do for do, _ in counts[part.lo : part.hi])
-        lo = part.hi
-    assert lo == store.num_shards
-    assert sum(p.num_events for p in parts) == len(store)
-
-
-def test_partition_stream_degrades_gracefully(trace, store):
-    # n=1 and single-batch streams come back unsplit.
-    assert partition_stream(store, 1) == [store]
-    single = SlicedTraceStream(trace, shard_events=10**9)
-    assert partition_stream(single, 4) == [single]
-    # Streams without random access pass through too.
-    class Opaque:
-        num_devices = 1
-        program_name = None
-        total_runtime = None
-
-        def batches(self):
-            return iter(())
-
-    opaque = Opaque()
-    assert partition_stream(opaque, 4) == [opaque]
-
-
-# --------------------------------------------------------------------- #
 # Engines
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("engine", sorted(ENGINES))
@@ -135,7 +59,7 @@ def test_engines_match_the_columnar_oracle(trace, store, engine, jobs):
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_engines_on_in_memory_slices(trace, engine):
-    """Thread/serial engines also partition the in-memory slicer."""
+    """The serial engine also scans the in-memory slicer."""
     stream = as_event_stream(trace, 512)
     if engine in ("process", "distributed"):
         # Both ship transport specs to their workers, so both demand a
@@ -262,13 +186,6 @@ def test_process_engine_scans_the_store_once_per_group(store):
         assert eng.stats["decode_count"] == 0
 
 
-def test_thread_engine_over_object_store_transport(trace):
-    remote = FakeObjectStoreTransport()
-    store = shard_trace(trace, remote, shard_events=512)
-    expected = _findings(analyze_trace(trace))
-    assert _findings(analyze_stream(store, engine="thread", jobs=3)) == expected
-
-
 # --------------------------------------------------------------------- #
 # Graceful degradation of --engine process
 # --------------------------------------------------------------------- #
@@ -306,15 +223,17 @@ def test_resolve_engine_degrades_to_serial_with_warning(monkeypatch):
 
 
 def test_engine_resolution():
-    assert available_engines() == ["distributed", "process", "serial", "thread"]
+    assert available_engines() == ["distributed", "process", "serial"]
     assert isinstance(resolve_engine("serial"), SerialEngine)
-    assert isinstance(resolve_engine("thread"), ThreadEngine)
     assert isinstance(resolve_engine("process"), ProcessEngine)
     assert isinstance(resolve_engine(None), SerialEngine)
-    custom = ThreadEngine()
+    custom = ProcessEngine()
     assert resolve_engine(custom) is custom
     with pytest.raises(ValueError, match="unknown execution engine"):
         resolve_engine("quantum")
+    # The partitioned thread engine is gone; asking for it names the rest.
+    with pytest.raises(ValueError, match="available: distributed, process, serial"):
+        resolve_engine("thread")
     with pytest.raises(TypeError):
         resolve_engine(42)
     with pytest.raises(ValueError, match="unknown execution engine"):
@@ -327,18 +246,12 @@ def test_jobs_validated(store):
             analyze_stream(store, engine=engine, jobs=0)
 
 
-def test_pass_spec_builds_with_eager_flag():
+def test_pass_spec_builds_fresh_passes():
     spec = PassSpec(DuplicateTransferPass, {"min_bytes": 16})
-    eager = spec.build()
-    deferred = spec.build(eager=False)
-    assert eager.eager is True
-    assert deferred.eager is False
-    assert eager.min_bytes == deferred.min_bytes == 16
+    built = spec.build()
+    assert built.min_bytes == 16
     # Specs are reusable: every build is a fresh single-use pass.
-    assert eager is not spec.build()
-
-    alloc_spec = PassSpec(UnusedAllocationPass, {"num_devices": 2})
-    assert alloc_spec.build(eager=False).num_devices == 2
+    assert built is not spec.build()
 
 
 # --------------------------------------------------------------------- #

@@ -36,7 +36,6 @@ from repro.apps.registry import get_app
 from repro.core.analysis import analyze_stream, analyze_trace
 from repro.core.detectors.table import CATEGORIES, FindingTable
 from repro.core.profiler import OMPDataPerf
-from repro.dwarf.debuginfo import DebugInfoRegistry
 from repro.events.columnar import ColumnarTrace
 from repro.events.hostile import make_hostile_trace
 from repro.events.store import ShardedTraceStore, shard_trace
@@ -210,40 +209,17 @@ def test_counts_come_from_the_table():
 
 
 #: app -> sha256 of ``OMPDataPerf().profile(...).analysis.render()`` at the
-#: small size, with the debug info's file names made checkout-independent
-#: (see :func:`_portable_debug_info`); recorded with the row-wise renderer.
-#: The text holds the apps' source line numbers, so editing an app's
-#: construct lines moves its pin.  bfs was re-recorded when constructs
-#: entered by a ``with`` block stopped resolving to ``contextlib``: its
-#: 4.00 KiB duplicate moved from ``<external>/contextlib.py:0 (__enter__)``
-#: to ``<repro>/apps/bfs.py:100 (program)``, nothing else changed.
+#: small size, as rendered: source files print relative to the common
+#: directory of the registered files (``bfs.py:100 (program)``), so the
+#: text is the same in every checkout.  The text holds the apps' source
+#: line numbers, so editing an app's construct lines moves its pin.  bfs
+#: and hotspot were re-recorded when the files stopped printing as absolute
+#: paths; lud has no finding at small, so no file name reaches its text.
 APP_GOLDEN = {
-    "bfs": "19c03aed7fa0f97818bcc569f514a2bc19d64860bb0ca2dadea17debaa762bc4",
-    "hotspot": "c398c67f0bab3671ac83e98428a248edeefcf3bf2f344bf6f893425e6fd11d30",
+    "bfs": "d8631555ad4bfd20bfbe61b9179b1134587022d481e5ead8ac0ed2ed4fd97fa3",
+    "hotspot": "56b403ee4aaca4654fb8ea551dc963a30a7fd57c97a67edeba2d52e57f4e2597",
     "lud": "22ebb0b5d3d1467d2185d1496365b94b85622d86d07202a455a88756b96b26c3",
 }
-
-
-def _portable_debug_info(registry: DebugInfoRegistry) -> DebugInfoRegistry:
-    """``registry`` with the same code pointers, its files renamed so the
-    rendered text does not depend on where the package or Python lives.
-
-    Files inside the package become ``<repro>/…``; any other file (a
-    standard-library frame) keeps only its base name, at line 0, since its
-    line numbers move between Python versions.
-    """
-    root = Path(repro.__file__).parent
-    portable = DebugInfoRegistry()
-    for location in registry.locations():
-        # registering a known location answers its existing code pointer
-        codeptr = registry.register(location.file, location.line, location.function)
-        path = Path(location.file)
-        if path.is_relative_to(root):
-            file, line = f"<repro>/{path.relative_to(root).as_posix()}", location.line
-        else:
-            file, line = f"<external>/{path.name}", 0
-        assert portable.register(file, line, location.function) == codeptr
-    return portable
 
 
 @pytest.mark.parametrize("name", sorted(APP_GOLDEN))
@@ -254,10 +230,9 @@ def test_app_report_text_with_debug_info_pinned(name):
         program_name=app.program_name(ProblemSize.SMALL, AppVariant.BASELINE),
     )
     report = result.analysis
-    report.debug_info = _portable_debug_info(report.debug_info)
     text = report.render()
     # every finding resolves to file:line (function) in the app itself,
-    # never to a library frame; lud has none at small
-    assert ("<repro>/apps/" in text) == report.has_issues
-    assert "<external>/" not in text
+    # never to a library frame, and no absolute path; lud has none at small
+    assert (f" {name}.py:" in text) == report.has_issues
+    assert str(Path(repro.__file__).parent) not in text
     assert _sha256(text) == APP_GOLDEN[name]

@@ -11,6 +11,8 @@ engine reads each shard once for fold and validation together.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core.analysis import analyze_stream
@@ -20,10 +22,9 @@ from repro.core.detectors._streaming import (
     check_guards,
     fold_batch_target,
     fold_batches,
-    merge_passes,
 )
 from repro.core.detectors.table import FindingTable
-from repro.core.distributed import DistributedEngine
+from repro.core.distributed import DistributedEngine, DistributedExecutionError
 from repro.core.engine import ProcessEngine
 from repro.core.profiler import OMPDataPerf
 from repro.events.columnar import CODE_ALLOC, ColumnarTrace
@@ -99,7 +100,6 @@ def _missing_hash(ct):
 
 
 def _boundary_disorder(ct):
-    # Shard 3 is where a two-way partition of the six shards splits.
     ct.do_start_time[_do(3, 0)] = ct.do_start_time[_do(3, 0) - 1] - 1e-6
 
 
@@ -164,7 +164,6 @@ def invalid(request, tmp_path):
 #: name -> (engine factory, jobs)
 ENGINE_LEGS = {
     "serial": (lambda: "serial", 1),
-    "thread": (lambda: "thread", 2),
     "process": (lambda: "process", 2),
     "distributed": (lambda: DistributedEngine(worker_mode="thread", poll_interval=0.05), 2),
 }
@@ -181,8 +180,8 @@ def test_invalid_store_raises_validate_stream_message(invalid, leg):
 
 def test_loopback_process_workers_raise_both_errors(tmp_path):
     """The distributed engine's default loopback worker processes ship the
-    validation carry through the codec; an early shard's missing hash and
-    a later boundary error both reach the message."""
+    folded validation pass through the codec; an early shard's missing
+    hash and a later boundary error both reach the message."""
     store = _store(tmp_path / "bad.store", _early_hash_late_boundary)
     message = "; ".join(validate_stream(store, strict=False))
     with pytest.raises(TraceValidationError) as info:
@@ -201,18 +200,34 @@ def test_process_engine_prefers_validation_error_to_detector_error(tmp_path):
     assert str(info.value) == "; ".join(validate_stream(store, strict=False))
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_merged_partition_carries_equal_one_fold(case, tmp_path):
-    corrupt, halve_runtime, _ = CASES[case]
-    store = _store(tmp_path / "bad.store", corrupt, halve_runtime=halve_runtime)
-    batches = list(store.batches())
-    expected = validate_stream(store, strict=False)
-    for split in range(len(batches) + 1):
-        sides = [ValidationPass(store.num_devices, store.total_runtime) for _ in range(2)]
-        fold_batches(sides[:1], batches[:split])
-        fold_batches(sides[1:], batches[split:])
-        sides[0].merge(sides[1])
-        assert sides[0].errors() == expected, split
+def test_distributed_engine_prefers_validation_error_to_detector_error(
+    tmp_path, monkeypatch
+):
+    """The distributed twin: the detector group fails on the hashless
+    transfer and runs out of attempts while the guard's group is still
+    folding; the coordinator holds that failure back and raises the
+    validation error once the guard lands."""
+    store = _store(tmp_path / "bad.store", _missing_hash)
+
+    def engine():
+        return DistributedEngine(worker_mode="thread", poll_interval=0.02, max_attempts=2)
+
+    with pytest.raises(DistributedExecutionError, match="missing its content hash"):
+        analyze_stream(store, engine=engine(), jobs=2)  # no validation
+
+    fold = ValidationPass.fold
+
+    def slow_fold(self, batch, offset):
+        time.sleep(0.2)  # the guard's group lands well after the failure
+        fold(self, batch, offset)
+
+    monkeypatch.setattr(ValidationPass, "fold", slow_fold)
+    eng = engine()
+    with pytest.raises(TraceValidationError) as info:
+        OMPDataPerf().analyze_stream(store, engine=eng, jobs=2)
+    assert str(info.value) == "; ".join(validate_stream(store, strict=False))
+    assert eng.stats["tasks"] == 2
+    assert eng.stats["requeued"] >= 1  # the detector group did fail first
 
 
 class _Recorder(StreamingPass):
@@ -221,14 +236,10 @@ class _Recorder(StreamingPass):
     def __init__(self):
         self.offsets: list[int] = []
         self.ends: list[int] = []
-        self.merged = 0
 
     def fold(self, batch, offset):
         self.offsets.append(offset)
         self.ends.append(offset + batch.num_data_op_events)
-
-    def merge(self, other):
-        self.merged += 1
 
     def finalize(self):
         raise AssertionError("a detector finalized over an invalid stream")
@@ -258,19 +269,6 @@ def test_coalesced_detectors_fold_no_row_past_the_failed_shard(tmp_path, target)
     assert guard.num_batches == store.num_shards
     with pytest.raises(TraceValidationError):
         check_guards([recorder, guard])
-
-
-def test_detector_carries_are_not_merged_after_validation_failed(tmp_path):
-    store = _store(tmp_path / "bad.store", _boundary_disorder)
-    batches = list(store.batches())
-    head = [ValidationPass(store.num_devices), _Recorder()]
-    tail = [ValidationPass(store.num_devices), _Recorder()]
-    fold_batches(head, batches[:3])
-    fold_batches(tail, batches[3:])
-    assert not head[0].failed and not tail[0].failed
-    merge_passes(head, tail)  # the boundary check fails inside the merge
-    assert head[0].failed
-    assert head[1].merged == 0
 
 
 def test_valid_store_findings_match_unvalidated_run(tmp_path):

@@ -75,7 +75,7 @@ def test_small_sweep_is_clean(tmp_path):
         cases=1,
         max_events=1500,
         transports=("local", "fake-object-store"),
-        engines=("serial", "thread"),
+        engines=("serial", "process"),
         report_path=tmp_path / "report.json",
         say=lambda _line: None,
     )
@@ -94,7 +94,7 @@ def test_injected_defect_is_caught_with_repro_command(tmp_path, monkeypatch):
 
     def broken(stream, *, engine="serial", jobs=1, **kwargs):
         report = real(stream, engine=engine, jobs=jobs, **kwargs)
-        if engine == "thread":
+        if engine == "process":
             report.counts = type(report.counts)()  # zeroed: a wrong answer
         return report
 
@@ -105,15 +105,15 @@ def test_injected_defect_is_caught_with_repro_command(tmp_path, monkeypatch):
         cases=1,
         max_events=1200,
         transports=("local",),
-        engines=("serial", "thread"),
+        engines=("serial", "process"),
         report_path=tmp_path / "report.json",
         say=lines.append,
     )
     assert not report.ok
-    (failure,) = [f for f in report.failures if f.engine == "thread"]
-    assert failure.stage == "local:thread"
+    (failure,) = [f for f in report.failures if f.engine == "process"]
+    assert failure.stage == "local:process"
     assert "counts" in failure.message
-    expected = repro_command(23, 1200, "local", "thread")
+    expected = repro_command(23, 1200, "local", "process")
     assert failure.repro == expected
     assert "--seed 23" in expected and "--cases 1" in expected
     # The repro command is printed right next to the failure ...

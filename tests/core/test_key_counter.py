@@ -136,63 +136,6 @@ def test_fold_matches_dict_oracle(stream):
     _fold_all(batches, ncols)
 
 
-@settings(max_examples=300, deadline=None)
-@given(key_streams(), st.data())
-def test_merge_matches_dict_oracle(stream, data):
-    batches, ncols = stream
-    cut = data.draw(st.integers(0, len(batches)))
-    left, mine = _fold_all(batches[:cut], ncols)
-    right, theirs = _fold_all(batches[cut:], ncols)
-    if data.draw(st.booleans()):
-        left, right = _roundtrip(left), _roundtrip(right)
-
-    km = left.merge(right)
-
-    # This side keeps its uids; keys only the other side held get fresh,
-    # dense ones, and a key on both sides maps to one uid.
-    assert km.uid_map_self.tolist() == list(range(len(mine.table)))
-    merged_uid = {key: km.uid_map_self[s[3]] for key, s in mine.table.items()}
-    for key, stats in theirs.table.items():
-        assert merged_uid.setdefault(key, km.uid_map_other[stats[3]]) == km.uid_map_other[stats[3]]
-    union = len(set(mine.table) | set(theirs.table))
-    assert sorted(merged_uid.values()) == list(range(union))
-    assert left.num_keys == union
-
-    # Promotions: each side's retained singleton whose key now has two or
-    # more members across both sides.
-    expected = []
-    for side, other in ((mine, theirs), (theirs, mine)):
-        for key, (count, first, payload, _) in side.table.items():
-            if count == 1 and key in other.table:
-                expected.append((first, payload, merged_uid[key], key))
-    promoted_keys = (
-        list(zip(*(col.tolist() for col in km.promoted_keys)))
-        if km.promoted_keys
-        else []
-    )
-    actual = list(zip(
-        km.promoted_gpos.tolist(),
-        km.promoted_payload.tolist(),
-        km.promoted_uid.tolist(),
-        promoted_keys,
-    ))
-    assert sorted(actual) == sorted(expected)
-
-    # The merged table is the sequential fold of both row sets: fold every
-    # batch again on top and check against the union oracle.
-    merged = Oracle()
-    for side in (mine, theirs):
-        for key, (count, first, payload, _) in side.table.items():
-            stats = merged.table.setdefault(key, [0, first, payload, int(merged_uid[key])])
-            stats[0] += count
-            if first < stats[1]:
-                stats[1], stats[2] = first, payload
-    shift = sum(len(b["keys"]) for b in batches)
-    for batch in batches:
-        again = dict(batch, gpos=[g + shift for g in batch["gpos"]])
-        merged.fold(left, again, ncols)
-
-
 def test_packed_keys_sort_like_lexsort():
     rng = np.random.default_rng(5)
     n = 2000

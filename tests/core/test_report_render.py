@@ -12,6 +12,7 @@ code pointer and empty sections.
 from __future__ import annotations
 
 import re
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -290,3 +291,26 @@ def test_empty_sections():
     assert _section(text, "OpenMP Round-Trip Target Data Transfer Analysis") == [
         "No round-trip data transfers detected."
     ]
+
+
+def test_source_files_print_relative_to_their_common_directory(tmp_path):
+    """``code.co_filename`` is absolute; the rendered location is relative
+    to the common directory of every registered absolute file, so two
+    checkouts of one program render the same text."""
+    texts = []
+    for checkout in ("a", "b/c"):
+        root = tmp_path / checkout / "src" / "app"
+        registry = DebugInfoRegistry()
+        main = registry.register(str(root / "main.py"), 12, "program")
+        helper = registry.register(str(root / "kernels" / "stencil.py"), 40, "step")
+        label = registry.register("<unknown>", 0, "<unknown>")
+        texts.append([format_location(ptr, registry) for ptr in (main, helper, label)])
+    assert texts[0] == texts[1] == [
+        "main.py:12 (program)",
+        f"{Path('kernels') / 'stencil.py'}:40 (step)",
+        "<unknown>:0 (<unknown>)",
+    ]
+    # One registered file: its own directory is the root.
+    registry = DebugInfoRegistry()
+    ptr = registry.register(str(tmp_path / "solo.py"), 3, "f")
+    assert format_location(ptr, registry) == "solo.py:3 (f)"

@@ -22,6 +22,7 @@ from repro.events.stream import (
     SlicedTraceStream,
     StreamStats,
     as_event_stream,
+    gather_data_op_rows,
     materialize_data_op_events,
     merge_stream,
     trace_like_view,
@@ -49,38 +50,29 @@ def _dicts_equal(a: ColumnarTrace, b: ColumnarTrace) -> bool:
     return a.to_trace().to_dict() == b.to_trace().to_dict()
 
 
-# --------------------------------------------------------------------- #
-# Partitioning and compaction
-# --------------------------------------------------------------------- #
-def test_store_partitions_are_contiguous_and_balanced(tmp_path):
+def test_gather_loads_only_the_shards_holding_requested_rows(tmp_path, monkeypatch):
+    """The finding gather reads the manifest's per-shard row counts, so a
+    store loads exactly the shards that hold a requested row."""
     ct = _sample_trace(cycles=24)
     store = shard_trace(ct, tmp_path / "t.store", shard_events=8)
-    parts = store.partitions(4)
-    assert len(parts) == 4
-    assert parts[0].lo == 0 and parts[-1].hi == store.num_shards
-    # Contiguous cover, correct data-op offsets, events accounted for.
-    do_offset = 0
-    for part in parts:
-        assert part.data_op_offset == do_offset
-        for batch in part.batches():
-            do_offset += batch.num_data_op_events
-    assert do_offset == store.num_data_op_events
-    assert sum(p.num_events for p in parts) == len(store)
+    last_shard = max(i for i, s in enumerate(store.shards) if s.num_data_op_events)
+    loads: list[int] = []
+    load_batch = ShardedTraceStore.load_batch
 
-    # Reassembling the partitions in order reproduces the trace.
-    merged = ColumnarTrace(
-        num_devices=store.num_devices,
-        program_name=store.program_name,
-        total_runtime=store.total_runtime,
-    )
-    for part in parts:
-        for batch in part.batches():
-            merged.extend_from(batch)
-    assert _dicts_equal(merged, ct)
+    def counting(self, index):
+        loads.append(index)
+        return load_batch(self, index)
 
-    assert store.partitions(1) == [store]
+    monkeypatch.setattr(ShardedTraceStore, "load_batch", counting)
+    last_row = store.num_data_op_events - 1
+    rows = gather_data_op_rows(store, np.array([0, last_row]))
+    assert loads == [0, last_shard]
+    assert rows.do_seq.tolist() == [int(ct.do_seq[0]), int(ct.do_seq[last_row])]
 
 
+# --------------------------------------------------------------------- #
+# Compaction
+# --------------------------------------------------------------------- #
 def test_compact_coalesces_and_rewrites_manifest(tmp_path):
     ct = _sample_trace(cycles=20)
     store = shard_trace(ct, tmp_path / "t.store", shard_events=3)

@@ -605,16 +605,13 @@ def test_task_queue_second_claimer_gets_none(transport):
     fake and real S3 transports running the SAME assertion is what keeps
     their lost-race semantics from drifting."""
     from repro.core.distributed import TaskQueue
-    from repro.core.engine import PartitionTask
 
     queue = TaskQueue(transport)
-    queue.publish_task(
-        PartitionTask(index=0, lo=0, hi=1, data_op_offset=0, num_events=5)
-    )
+    queue.publish_task(0, [2, 4])
     (pending,) = queue.pending_task_names()
     winner = queue.claim(pending, "w1")
     assert winner is not None
-    assert winner.task.num_events == 5
+    assert winner.task == (2, 4)
     # The task blob is gone: the second claimant loses cleanly.
     assert queue.claim(pending, "w2") is None
     assert not transport.blob_exists(f"claims/{winner.stem}.w2")

@@ -244,7 +244,7 @@ def test_trace_shard_rejects_bad_shard_events(tmp_path, capsys):
     assert "expected a positive integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("engine", ["thread", "process", "distributed"])
+@pytest.mark.parametrize("engine", ["process", "distributed"])
 def test_stream_engines_match_in_memory_report(tmp_path, capsys, engine):
     assert main(["hotspot", "--size", "small", "-q"]) == 0
     in_memory = capsys.readouterr().out
@@ -264,6 +264,21 @@ def test_unknown_engine_rejected():
     with pytest.raises(SystemExit):
         main(["hotspot", "--size", "small", "-q", "--stream",
               "--engine", "quantum"])
+
+
+def test_thread_engine_is_gone_from_analysis_and_fuzz(capsys):
+    """The removed partitioned thread engine is refused by name, with the
+    list of engines that remain, by ``--engine`` and ``fuzz --engines``."""
+    with pytest.raises(SystemExit) as exc:
+        main(["hotspot", "--size", "small", "-q", "--stream", "--engine", "thread"])
+    assert exc.value.code == 2
+    assert "available: distributed, process, serial" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--cases", "1", "--events", "200", "--engines", "serial,thread"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--engines" in err and "thread" in err
+    assert "available: distributed, process, serial" in err
 
 
 def test_queue_requires_distributed_engine(capsys):
@@ -519,7 +534,7 @@ def test_parser_metadata():
 def test_engine_spec_string_with_options(capsys):
     assert main(["hotspot", "--size", "small", "-q", "--stream",
                  "--shard-events", "8", "--jobs", "2",
-                 "--engine", "thread"]) == 0
+                 "--engine", "process:keep_pool=off"]) == 0
     capsys.readouterr()
     # Options ride the spec string; a bad option fails at parse time.
     with pytest.raises(SystemExit):
