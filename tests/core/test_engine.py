@@ -175,6 +175,42 @@ def test_pass_groups_balance_by_static_weight():
     assert pass_groups(specs, 3) == [[1], [0, 3], [2]]
 
 
+def test_pass_groups_edge_cases():
+    specs = _all_specs(False)
+    assert pass_groups((), 4) == []
+    assert pass_groups(specs[:1], 4) == [[0]]
+    assert pass_groups(specs, 1) == [list(range(len(specs)))]
+    # More jobs than passes: one pass per group, none empty.
+    assert sorted(pass_groups(specs, 64)) == [[i] for i in range(len(specs))]
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        [0, 1, 2, 3, 4, 5],
+        [5, 4, 3, 2, 1, 0],
+        [0, 2, 4, 1, 3, 5],
+        [3, 0, 5, 1, 4, 2],
+    ],
+    ids=["in-order", "reversed", "interleaved", "shuffled"],
+)
+def test_gather_groups_is_independent_of_landing_order(store, order):
+    """Groups land in whatever order their workers finish; the gathered
+    table is the serial one for every order."""
+    from repro.core.engine import gather_groups
+    from repro.core.pool import _run_group
+
+    specs = _all_specs(True)
+    groups = pass_groups(specs, 6)
+    landed = {}
+    for position in order:
+        landed[position] = _run_group(
+            store, [specs[i] for i in groups[position]], lambda events: None
+        )
+    assert list(landed) == order
+    assert gather_groups(specs, groups, landed, store) == SerialEngine().run(specs, store)
+
+
 def test_process_engine_scans_the_store_once_per_group(store):
     """On an .odpf store every scan maps each shard once, so the worker
     map count is exactly one scan per worker."""

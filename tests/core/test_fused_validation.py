@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.core.analysis import analyze_stream
+from repro.core.analysis import _pass_specs, analyze_stream
 from repro.core.detectors._streaming import (
     FOLD_BATCH_EVENTS,
     StreamingPass,
@@ -25,7 +25,8 @@ from repro.core.detectors._streaming import (
 )
 from repro.core.detectors.table import FindingTable
 from repro.core.distributed import DistributedEngine, DistributedExecutionError
-from repro.core.engine import ProcessEngine
+from repro.core.engine import PassSpec, ProcessEngine, check_landed_guards, pass_groups
+from repro.core.pool import _run_group
 from repro.core.profiler import OMPDataPerf
 from repro.events.columnar import CODE_ALLOC, ColumnarTrace
 from repro.events.store import ShardedTraceStore, TraceWriter
@@ -164,6 +165,8 @@ def invalid(request, tmp_path):
 #: name -> (engine factory, jobs)
 ENGINE_LEGS = {
     "serial": (lambda: "serial", 1),
+    # jobs > 1: a prefetch thread decodes the next shard during the folds
+    "serial-prefetch": (lambda: "serial", 2),
     "process": (lambda: "process", 2),
     "distributed": (lambda: DistributedEngine(worker_mode="thread", poll_interval=0.05), 2),
 }
@@ -228,6 +231,31 @@ def test_distributed_engine_prefers_validation_error_to_detector_error(
     assert str(info.value) == "; ".join(validate_stream(store, strict=False))
     assert eng.stats["tasks"] == 2
     assert eng.stats["requeued"] >= 1  # the detector group did fail first
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_guard_group_raises_as_soon_as_it_lands(case, tmp_path):
+    """Whichever pass group holds the validation guard, its folded guard
+    carries exactly ``validate_stream``'s errors, and the landed guard
+    raises before any other group has landed; the detectors beside it in
+    its group are never finalized."""
+    corrupt, halve_runtime, _ = CASES[case]
+    store = _store(tmp_path / "bad.store", corrupt, halve_runtime=halve_runtime)
+    expected = validate_stream(store, strict=False)
+    check = {"num_devices": store.num_devices, "total_runtime": store.total_runtime}
+    specs = (*_pass_specs(max(store.num_devices, 1)), PassSpec(ValidationPass, check))
+    for jobs in range(1, len(specs) + 1):
+        groups = pass_groups(specs, jobs)
+        guard_group = [specs[i] for i in groups[0]]
+        payloads = _run_group(store, guard_group, lambda events: None)
+        (guard,) = [p for p in payloads if isinstance(p, ValidationPass)]
+        assert guard.errors() == expected, jobs
+        assert [p for p in payloads if p is not guard] == [None] * (len(payloads) - 1)
+        with pytest.raises(TraceValidationError) as info:
+            check_landed_guards(specs, groups, {0: payloads})
+        assert str(info.value) == "; ".join(expected)
+        # Groups without the guard settle nothing on their own.
+        check_landed_guards(specs, groups, {})
 
 
 class _Recorder(StreamingPass):
