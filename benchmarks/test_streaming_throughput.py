@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 import tracemalloc
 
@@ -169,12 +170,19 @@ def test_streaming_matches_columnar_and_measures_throughput(trace, stores):
     )
 
 
+#: Timed streaming analyses per format, alternating npz and odpf, whose
+#: medians the cross-format ratio compares: one sample each read 0.91x on
+#: a loaded 2-vCPU host, where the median holds.
+FORMAT_REPEATS = 5
+
+
 def test_shard_format_legs_open_latency_and_throughput(trace, tmp_path_factory):
     """Legacy ``.npz`` vs flat ``.odpf`` shards, same trace, same size.
 
     Three measurements per format: time to open the store and materialise
     its first shard (the decode-vs-mmap difference in isolation), the
-    full streaming analysis throughput, and its ratio against the
+    full streaming analysis throughput (the median of ``FORMAT_REPEATS``
+    analyses, the two formats alternating), and its ratio against the
     same-format in-memory path (load the whole store, run the detectors
     over it as one batch).  The gated claim compares across formats: streaming the
     flat ``.odpf`` store must be at least as fast as streaming the legacy
@@ -186,9 +194,10 @@ def test_shard_format_legs_open_latency_and_throughput(trace, tmp_path_factory):
 
     base = tmp_path_factory.mktemp("format-bench")
     legs: dict[str, dict] = {}
+    stores = {}
     expected = None
     for fmt in ("npz", "odpf"):
-        store = shard_trace(
+        store = stores[fmt] = shard_trace(
             trace,
             base / f"fmt-{fmt}",
             shard_events=DEFAULT_SHARD_EVENTS,
@@ -208,21 +217,29 @@ def test_shard_format_legs_open_latency_and_throughput(trace, tmp_path_factory):
             expected = findings
         assert findings == expected
         del full
-
-        t0 = time.perf_counter()
-        report = analyze_stream(store)
-        seconds = time.perf_counter() - t0
-        assert _report_findings(report) == expected
-
         legs[fmt] = {
             "open_to_first_batch_seconds": open_seconds,
             "in_memory_seconds": in_memory_seconds,
-            "seconds": seconds,
-            "events_per_sec": NUM_EVENTS / seconds,
-            "ratio_vs_in_memory": in_memory_seconds / seconds,
-            "decode_count": store.decode_count,
-            "map_count": store.map_count,
+            "streaming_samples": [],
         }
+
+    for _ in range(FORMAT_REPEATS):
+        for fmt, store in stores.items():
+            t0 = time.perf_counter()
+            report = analyze_stream(store)
+            legs[fmt]["streaming_samples"].append(time.perf_counter() - t0)
+            assert _report_findings(report) == expected
+
+    for fmt, store in stores.items():
+        leg = legs[fmt]
+        seconds = statistics.median(leg["streaming_samples"])
+        leg.update(
+            seconds=seconds,
+            events_per_sec=NUM_EVENTS / seconds,
+            ratio_vs_in_memory=leg["in_memory_seconds"] / seconds,
+            decode_count=store.decode_count,
+            map_count=store.map_count,
+        )
 
     legs["odpf"]["ratio_vs_npz_streaming"] = (
         legs["npz"]["seconds"] / legs["odpf"]["seconds"]
@@ -238,7 +255,7 @@ def test_shard_format_legs_open_latency_and_throughput(trace, tmp_path_factory):
     assert legs["odpf"]["ratio_vs_npz_streaming"] >= MIN_ODPF_STREAMING_RATIO, (
         f"streaming a flat .odpf store reaches only "
         f"{legs['odpf']['ratio_vs_npz_streaming']:.2f}x of the legacy .npz "
-        f"streaming leg (need >= {MIN_ODPF_STREAMING_RATIO})"
+        f"streaming leg, median of {FORMAT_REPEATS} (need >= {MIN_ODPF_STREAMING_RATIO})"
     )
 
 

@@ -570,52 +570,54 @@ def fold_batch_target(events: int) -> Iterator[None]:
         FOLD_BATCH_EVENTS = saved
 
 
-def _fold_group(passes: Sequence[StreamingPass], group: list, offset: int) -> None:
-    """Fold consecutive ``group`` batches into ``passes`` as one batch."""
-    if group:
-        batch = group[0] if len(group) == 1 else ColumnarTrace.concat(group)
-        for pass_ in passes:
-            pass_.fold(batch, offset)
-
-
 def fold_batches(passes: Sequence[StreamingPass], batches: Iterable[ColumnarTrace]) -> None:
     """Fold every pass over ONE scan of ``batches``, from the stream head.
 
-    Guard passes fold each batch as it arrives.  The other passes fold
-    *coalesced* batches: consecutive batches are held until they reach
-    :data:`FOLD_BATCH_EVENTS` events, then folded as one
-    :meth:`ColumnarTrace.concat` at the gpos of the group's first batch.
-    A batch that reaches the target alone is folded as is, after the
-    group before it, so the scan holds O(max(batch, FOLD_BATCH_EVENTS))
-    events.  Once a guard has failed, the held group is dropped and the
-    other passes fold nothing more (their preconditions no longer hold),
-    while the guards fold on to the end of the stream, so their report is
-    complete.
+    Consecutive batches are held until they reach
+    :data:`FOLD_BATCH_EVENTS` events and folded as one *coalesced* group:
+    one lazy :meth:`ColumnarTrace.concat` at the gpos of the group's first
+    batch, shared by every pass, so no column is concatenated twice.  A
+    batch that reaches the target alone is folded as is, after the group
+    before it, so the scan holds O(max(batch, FOLD_BATCH_EVENTS)) events.
+    The guard passes fold each group first, through
+    :meth:`~repro.events.protocol.StreamingPass.fold_group`, which also
+    gets the group's batches (trace validation names problems by shard).
+    Once a guard has failed, the other passes fold nothing more, the
+    failing group included (their preconditions no longer hold), while the
+    guards fold on to the end of the stream, so their report is complete.
     """
     guards = [pass_ for pass_ in passes if pass_.guard]
     others = [pass_ for pass_ in passes if not pass_.guard]
     target = FOLD_BATCH_EVENTS
     group: list[ColumnarTrace] = []
     offset = group_offset = group_events = 0
-    for batch in batches:
+
+    def fold_group() -> None:
+        nonlocal others
+        if not group:
+            return
+        batch = group[0] if len(group) == 1 else ColumnarTrace.concat(group)
         for guard in guards:
-            guard.fold(batch, offset)
+            guard.fold_group(group, batch, group_offset)
         if others and any(guard.failed for guard in guards):
-            others, group = [], []
-        if others:
-            events = len(batch)
-            if events >= target:
-                _fold_group(others, group, group_offset)
-                group = []
-            if not group:
-                group_offset, group_events = offset, 0
-            group.append(batch)
-            group_events += events
-            if group_events >= target:
-                _fold_group(others, group, group_offset)
-                group = []
+            others = []
+        for pass_ in others:
+            pass_.fold(batch, group_offset)
+
+    for batch in batches:
+        events = len(batch)
+        if events >= target:
+            fold_group()
+            group = []
+        if not group:
+            group_offset, group_events = offset, 0
+        group.append(batch)
+        group_events += events
+        if group_events >= target:
+            fold_group()
+            group = []
         offset += batch.num_data_op_events
-    _fold_group(others, group, group_offset)
+    fold_group()
 
 
 def check_guards(passes: Sequence[StreamingPass]) -> list[StreamingPass]:

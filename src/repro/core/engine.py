@@ -210,9 +210,9 @@ def _ticking(batches, tick):
     """Pass ``batches`` through, calling ``tick(events)`` once the scan
     asks for the next one (the fold-position hook).
 
-    ``fold_batches`` asks when a shard has been read and folded into the
-    guards; the detectors fold it with its coalesced group, so the tick
-    runs up to one group ahead of the detector folds.  Both parallel
+    ``fold_batches`` asks when a shard has been read; every pass folds it
+    with its coalesced group, so the tick runs up to one group ahead of
+    the folds.  Both parallel
     engines' workers tick this way: the warm pool's shared counters and
     the distributed worker's beat blobs.
     """

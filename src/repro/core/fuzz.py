@@ -281,7 +281,10 @@ def run_fuzz_sweep(
     (cross-checked against the object-mode oracle when small enough),
     check the in-memory streaming leg, then write the trace as a
     shard-boundary-hostile store on every transport and compare every
-    engine's analysis against the baseline.  Mismatches
+    engine's analysis against the baseline.  The streaming and engine
+    legs validate in their scan (``validate=True``), so the validation
+    guard's group sweep sees every hostile layout on every engine; a
+    hostile trace is valid, so any validation error is a failure.  Mismatches
     and crashes are recorded with the single command that reproduces them.
     """
     transports = tuple(transports) if transports else default_transports()
@@ -344,7 +347,7 @@ def run_fuzz_sweep(
         with fold_batch_target(case.fold_batch_events):
             try:
                 stream = as_event_stream(trace, case.min_shard_events)
-                mismatch = diff_reports(baseline, analyze_stream(stream))
+                mismatch = diff_reports(baseline, analyze_stream(stream, validate=True))
                 if mismatch:
                     fail(case, "", "", "streaming", f"streaming differs on {mismatch}")
             except Exception:
@@ -368,7 +371,9 @@ def run_fuzz_sweep(
                         stage = f"{kind}:{engine}"
                         try:
                             resolved = _engine_for(kind, engine, run_id, case.seed)
-                            result = analyze_stream(store, engine=resolved, jobs=2)
+                            result = analyze_stream(
+                                store, engine=resolved, jobs=2, validate=True
+                            )
                             mismatch = diff_reports(baseline, result)
                             if mismatch:
                                 fail(

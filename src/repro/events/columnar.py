@@ -35,7 +35,7 @@ import json
 import struct
 import zipfile
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -137,18 +137,108 @@ _TARGET_COLUMNS: tuple[tuple[str, type], ...] = (
     ("has_target_id", np.bool_),
 )
 
+_DATA_OP_DTYPES = {name: np.dtype(dtype) for name, dtype in _DATA_OP_COLUMNS}
+_TARGET_DTYPES = {name: np.dtype(dtype) for name, dtype in _TARGET_COLUMNS}
 
-class _ConcatColumns(dict):
-    """Column name -> array, each concatenated from the parts' columns on
-    its first lookup (what :meth:`ColumnarTrace.concat` builds on)."""
 
-    def __init__(self, parts: Sequence["_ColumnGroup"]) -> None:
+class _LazyColumns(dict):
+    """Column name -> array, each built by ``make(name)`` on its first
+    lookup: a shard's views into its payload (:meth:`ColumnarTrace.from_shared`)
+    and a group's concatenations (:meth:`ColumnarTrace.concat`) cost
+    nothing for the columns no one reads."""
+
+    def __init__(self, make: Callable[[str], np.ndarray]) -> None:
         super().__init__()
-        self._parts = parts
+        self._make = make
 
     def __missing__(self, name: str) -> np.ndarray:
-        column = self[name] = np.concatenate([part.view(name) for part in self._parts])
+        column = self[name] = self._make(name)
         return column
+
+
+def _join_strings(parts: Iterable[tuple[Optional[list], int]]) -> Optional[list]:
+    """Join optional debug-string columns, given as ``(strings, rows)``
+    pairs where ``None`` stands for ``rows`` Nones; ``None`` while every
+    part is."""
+    parts = list(parts)
+    if all(strings is None for strings, _ in parts):
+        return None
+    out: list = []
+    for strings, rows in parts:
+        out.extend([None] * rows if strings is None else strings)
+    return out
+
+
+def _header_strings(header: dict, n_do: int, n_tgt: int, where: str):
+    """The variable and target-name columns of a payload header, ``None``
+    where the header has none, checked against the row counts."""
+    variables = header.get("data_op_variables") or None
+    names = header.get("target_names") or None
+    if (variables is not None and len(variables) != n_do) or (
+        names is not None and len(names) != n_tgt
+    ):
+        raise ValueError(f"{where} string columns disagree with array lengths")
+    return variables, names
+
+
+#: Parsed flat payload headers by their bytes.  Shards of one shape (row
+#: counts, dtypes, trace metadata) carry byte-identical headers, so a scan
+#: parses each shape once; headers with debug strings are not kept.
+_FLAT_HEADERS: dict[bytes, tuple[dict, dict, int]] = {}
+_FLAT_HEADERS_KEPT = 16
+
+
+def _parse_flat_header(header_bytes: bytes, source: str) -> tuple[dict, dict, int]:
+    """``(header, layouts, data_end)`` of a flat payload header, whose
+    columns are checked against its row counts.
+
+    ``layouts`` maps the tag (``do``/``tgt``) of each non-empty column
+    group to its row count and columns, name -> ``(dtype, rows, offset)``
+    with the offset relative to the data section; ``data_end`` is where
+    the last column ends, relative to the same.
+    """
+    parsed = _FLAT_HEADERS.get(header_bytes)
+    if parsed is not None:
+        return parsed
+    header = json.loads(header_bytes)
+    columns: dict[str, dict[str, tuple[np.dtype, int, int]]] = {"do": {}, "tgt": {}}
+    data_end = 0
+    for tag, name, dtype_str, offset, nbytes in header["columns"]:
+        dtype = np.dtype(dtype_str)
+        columns[tag][name] = (dtype, nbytes // dtype.itemsize, offset)
+        data_end = max(data_end, offset + nbytes)
+    layouts = {}
+    for tag, types, length in (
+        ("do", _DATA_OP_DTYPES, int(header["num_data_op_events"])),
+        ("tgt", _TARGET_DTYPES, int(header["num_target_events"])),
+    ):
+        if length == 0:
+            continue
+        for name in types:
+            entry = columns[tag].get(name)
+            if entry is None or entry[1] != length:
+                raise ValueError(f"{source}: column {name!r} is missing or has wrong length")
+        layouts[tag] = (length, columns[tag])
+    parsed = (header, layouts, data_end)
+    if header.get("data_op_variables") is None and header.get("target_names") is None:
+        if len(_FLAT_HEADERS) >= _FLAT_HEADERS_KEPT:
+            _FLAT_HEADERS.clear()
+        _FLAT_HEADERS[header_bytes] = parsed
+    return parsed
+
+
+def _flat_view(
+    mv: memoryview, data_start: int, dtype: np.dtype, count: int, offset: int, want: np.dtype
+) -> np.ndarray:
+    """One column of a flat payload: a view in place, converted only when
+    the payload stored it as another dtype."""
+    view = np.frombuffer(mv, dtype=dtype, count=count, offset=data_start + offset)
+    return view if dtype == want else view.astype(want)
+
+
+#: The zero-length columns every new group starts from, per column spec.
+#: Shared: nothing writes into an empty column, growth allocates anew.
+_EMPTY_COLUMNS: dict[tuple, dict[str, np.ndarray]] = {}
 
 
 class _ColumnGroup:
@@ -164,12 +254,13 @@ class _ColumnGroup:
     """
 
     def __init__(self, columns: Sequence[tuple[str, type]]) -> None:
-        self._spec = tuple(columns)
+        self._spec = spec = tuple(columns)
         self.size = 0
         self._capacity = 0
-        self._columns: dict[str, np.ndarray] = {
-            name: np.empty(0, dtype=dtype) for name, dtype in self._spec
-        }
+        empty = _EMPTY_COLUMNS.get(spec)
+        if empty is None:
+            empty = _EMPTY_COLUMNS[spec] = {name: np.empty(0, dtype=dtype) for name, dtype in spec}
+        self._columns: dict[str, np.ndarray] = dict(empty)
         self._pending: list[tuple] = []
 
     @property
@@ -230,13 +321,15 @@ class _ColumnGroup:
             self._columns[name][lo:hi] = columns[name]
         self.size = hi
 
-    def adopt_parts(self, parts: Sequence["_ColumnGroup"]) -> None:
-        """Take the rows of ``parts``, in order, concatenating each column
-        on its first read.  Only valid on an empty group."""
+    def adopt_lazy(self, length: int, make: Callable[[str], np.ndarray]) -> None:
+        """Take ``length`` rows whose columns ``make(name)`` builds on
+        their first read (each must return a ``length``-row array of the
+        column's dtype).  Only valid on an empty group; growth reallocates,
+        as after :meth:`adopt_columns`."""
         if self.size:
-            raise ValueError("adopt_parts requires an empty column group")
-        self._columns = _ConcatColumns(parts)
-        self.size = self._capacity = sum(part.size for part in parts)
+            raise ValueError("adopt_lazy requires an empty column group")
+        self._columns = _LazyColumns(make)
+        self.size = self._capacity = length
 
     def adopt_columns(self, length: int, **columns) -> None:
         """Take ownership of ready-made arrays without copying.
@@ -296,11 +389,26 @@ class ColumnarTrace:
         self._data_ops = _ColumnGroup(_DATA_OP_COLUMNS)
         self._targets = _ColumnGroup(_TARGET_COLUMNS)
         #: optional per-event debug strings (kept as Python lists: they are
-        #: debug aids, never touched by the detectors)
-        self._do_variables: list[Optional[str]] = []
-        self._tgt_names: list[Optional[str]] = []
+        #: debug aids, never touched by the detectors); ``None`` stands for
+        #: a list of Nones, so shards without debug info never build one
+        self._variables: Optional[list[Optional[str]]] = None
+        self._names: Optional[list[Optional[str]]] = None
         self._do_cache: Optional[list[DataOpEvent]] = None
         self._tgt_cache: Optional[list[TargetEvent]] = None
+
+    @property
+    def _do_variables(self) -> list[Optional[str]]:
+        """Every data-op row's ``variable`` (built on first read)."""
+        if self._variables is None:
+            self._variables = [None] * self._data_ops.size
+        return self._variables
+
+    @property
+    def _tgt_names(self) -> list[Optional[str]]:
+        """Every target row's ``name`` (built on first read)."""
+        if self._names is None:
+            self._names = [None] * self._targets.size
+        return self._names
 
     # ------------------------------------------------------------------ #
     # Column views (zero copy)
@@ -416,8 +524,10 @@ class ColumnarTrace:
             tgt_hi - tgt_lo,
             **{name: self._targets.view(name)[tgt_lo:tgt_hi] for name, _ in _TARGET_COLUMNS},
         )
-        out._do_variables = self._do_variables[do_lo:do_hi]
-        out._tgt_names = self._tgt_names[tgt_lo:tgt_hi]
+        if self._variables is not None:
+            out._variables = self._variables[do_lo:do_hi]
+        if self._names is not None:
+            out._names = self._names[tgt_lo:tgt_hi]
         return out
 
     def select_rows(self, do_rows, tgt_rows) -> "ColumnarTrace":
@@ -439,8 +549,10 @@ class ColumnarTrace:
             tgt_rows.size,
             **{name: self._targets.view(name)[tgt_rows] for name, _ in _TARGET_COLUMNS},
         )
-        out._do_variables = [self._do_variables[i] for i in do_rows.tolist()]
-        out._tgt_names = [self._tgt_names[i] for i in tgt_rows.tolist()]
+        if self._variables is not None:
+            out._variables = [self._variables[i] for i in do_rows.tolist()]
+        if self._names is not None:
+            out._names = [self._names[i] for i in tgt_rows.tolist()]
         return out
 
     # ------------------------------------------------------------------ #
@@ -473,6 +585,8 @@ class ColumnarTrace:
             raise ValueError("event ends before it starts")
         if kind.is_transfer and content_hash is None:
             raise ValueError("transfer events must carry a content hash")
+        if variable is not None and self._variables is None:
+            self._variables = [None] * self._data_ops.size
         self._data_ops.append_row((
             seq,
             _DATA_OP_CODE_OF[kind],
@@ -490,7 +604,8 @@ class ColumnarTrace:
             0 if target_id is None else target_id,
             target_id is not None,
         ))
-        self._do_variables.append(variable)
+        if self._variables is not None:
+            self._variables.append(variable)
         self._do_cache = None
 
     def append_target(
@@ -508,6 +623,8 @@ class ColumnarTrace:
         positional like :meth:`append_data_op`."""
         if end_time < start_time:
             raise ValueError("event ends before it starts")
+        if name is not None and self._names is None:
+            self._names = [None] * self._targets.size
         self._targets.append_row((
             seq,
             _TARGET_CODE_OF[kind],
@@ -519,7 +636,8 @@ class ColumnarTrace:
             0 if target_id is None else target_id,
             target_id is not None,
         ))
-        self._tgt_names.append(name)
+        if self._names is not None:
+            self._names.append(name)
         self._tgt_cache = None
 
     def append_data_op_event(self, event: DataOpEvent) -> None:
@@ -576,7 +694,7 @@ class ColumnarTrace:
             ),
             codeptr=int(a["codeptr"][index]) if a["has_codeptr"][index] else None,
             target_id=int(a["target_id"][index]) if a["has_target_id"][index] else None,
-            variable=self._do_variables[index],
+            variable=None if self._variables is None else self._variables[index],
         )
 
     def target_event_at(self, index: int) -> TargetEvent:
@@ -592,7 +710,7 @@ class ColumnarTrace:
             end_time=float(a["end_time"][index]),
             codeptr=int(a["codeptr"][index]) if a["has_codeptr"][index] else None,
             target_id=int(a["target_id"][index]) if a["has_target_id"][index] else None,
-            name=self._tgt_names[index],
+            name=None if self._names is None else self._names[index],
         )
 
     def data_op_events_at(self, rows) -> list[DataOpEvent]:
@@ -607,7 +725,7 @@ class ColumnarTrace:
             raise IndexError("data-op row index out of range")
         c = {name: self._data_ops.view(name).take(rows).tolist()
              for name, _ in _DATA_OP_COLUMNS}
-        variables = self._do_variables
+        variables = self._variables
         return [
             DataOpEvent(
                 seq=c["seq"][k],
@@ -622,7 +740,7 @@ class ColumnarTrace:
                 content_hash=c["content_hash"][k] if c["has_content_hash"][k] else None,
                 codeptr=c["codeptr"][k] if c["has_codeptr"][k] else None,
                 target_id=c["target_id"][k] if c["has_target_id"][k] else None,
-                variable=variables[row],
+                variable=None if variables is None else variables[row],
             )
             for k, row in enumerate(rows.tolist())
         ]
@@ -634,7 +752,7 @@ class ColumnarTrace:
             raise IndexError("target row index out of range")
         c = {name: self._targets.view(name).take(rows).tolist()
              for name, _ in _TARGET_COLUMNS}
-        names = self._tgt_names
+        names = self._names
         return [
             TargetEvent(
                 seq=c["seq"][k],
@@ -644,7 +762,7 @@ class ColumnarTrace:
                 end_time=c["end_time"][k],
                 codeptr=c["codeptr"][k] if c["has_codeptr"][k] else None,
                 target_id=c["target_id"][k] if c["has_target_id"][k] else None,
-                name=names[row],
+                name=None if names is None else names[row],
             )
             for k, row in enumerate(rows.tolist())
         ]
@@ -782,6 +900,7 @@ class ColumnarTrace:
 
     def extend_from(self, other: "ColumnarTrace") -> None:
         """Append another columnar trace's rows (bulk column copies)."""
+        n_do, n_tgt = self._data_ops.size, self._targets.size
         self._data_ops.extend_columns(
             other.num_data_op_events,
             **{name: other._data_ops.view(name) for name, _ in _DATA_OP_COLUMNS},
@@ -790,8 +909,12 @@ class ColumnarTrace:
             other.num_target_events,
             **{name: other._targets.view(name) for name, _ in _TARGET_COLUMNS},
         )
-        self._do_variables.extend(other._do_variables)
-        self._tgt_names.extend(other._tgt_names)
+        self._variables = _join_strings(
+            ((self._variables, n_do), (other._variables, other.num_data_op_events))
+        )
+        self._names = _join_strings(
+            ((self._names, n_tgt), (other._names, other.num_target_events))
+        )
         self._do_cache = None
         self._tgt_cache = None
 
@@ -807,11 +930,52 @@ class ColumnarTrace:
         ``num_devices`` and ``program_name`` but no ``total_runtime``.
         """
         out = cls(num_devices=batches[0].num_devices, program_name=batches[0].program_name)
-        out._data_ops.adopt_parts([batch._data_ops for batch in batches])
-        out._targets.adopt_parts([batch._targets for batch in batches])
-        for batch in batches:
-            out._do_variables.extend(batch._do_variables)
-            out._tgt_names.extend(batch._tgt_names)
+        for group, parts in (
+            (out._data_ops, [batch._data_ops for batch in batches]),
+            (out._targets, [batch._targets for batch in batches]),
+        ):
+            group.adopt_lazy(
+                sum(part.size for part in parts),
+                lambda name, parts=parts: np.concatenate([part.view(name) for part in parts]),
+            )
+        out._variables = _join_strings((b._variables, b.num_data_op_events) for b in batches)
+        out._names = _join_strings((b._names, b.num_target_events) for b in batches)
+        return out
+
+    @classmethod
+    def gather_data_ops(
+        cls, sources: Iterable[tuple["ColumnarTrace", np.ndarray]], size: int
+    ) -> "ColumnarTrace":
+        """The data-op rows ``rows`` of each ``(batch, rows)`` source, in
+        order, as one trace of ``size`` rows and no target rows.
+
+        Each column is allocated once at ``size`` and filled from each
+        batch's column, so no per-batch trace is built, and a batch is
+        released before the next is drawn from ``sources``.  Raises
+        :class:`IndexError` when the sources hold fewer than ``size`` rows.
+        """
+        columns = {name: np.empty(size, dtype=dtype) for name, dtype in _DATA_OP_COLUMNS}
+        variables: Optional[list] = None
+        at = 0
+        for batch, rows in sources:
+            end = at + rows.size
+            if rows.size and not 0 <= rows[0] <= rows[-1] < batch._data_ops.size:
+                raise IndexError("data-op row index out of range")
+            arrays = batch._data_ops._arrays
+            for name, column in columns.items():
+                column[at:end] = arrays[name][rows]
+            if batch._variables is not None:
+                if variables is None:
+                    variables = [None] * size
+                source = batch._variables
+                variables[at:end] = [source[row] for row in rows.tolist()]
+            at = end
+            del batch  # before the next source is loaded
+        if at != size:
+            raise IndexError("stream ended before every requested row was found")
+        out = cls()
+        out._data_ops.adopt_columns(size, **columns)
+        out._variables = variables
         return out
 
     # ------------------------------------------------------------------ #
@@ -853,7 +1017,6 @@ class ColumnarTrace:
                 filled.setdefault(optional, np.zeros(n, dtype=np.uint64))
                 filled.setdefault(f"has_{optional}", np.zeros(n, dtype=np.bool_))
             out._data_ops.extend_columns(n, **filled)
-            out._do_variables = [None] * n
         if targets:
             m = len(targets["seq"])
             filled = dict(targets)
@@ -861,7 +1024,6 @@ class ColumnarTrace:
                 filled.setdefault(optional, np.zeros(m, dtype=np.uint64))
                 filled.setdefault(f"has_{optional}", np.zeros(m, dtype=np.bool_))
             out._targets.extend_columns(m, **filled)
-            out._tgt_names = [None] * m
         return out
 
     @classmethod
@@ -985,10 +1147,7 @@ class ColumnarTrace:
                 n_tgt,
                 **{name: archive[f"tgt_{name}"] for name, _ in _TARGET_COLUMNS},
             )
-        out._do_variables = list(meta.get("data_op_variables") or [None] * n_do)
-        out._tgt_names = list(meta.get("target_names") or [None] * n_tgt)
-        if len(out._do_variables) != n_do or len(out._tgt_names) != n_tgt:
-            raise ValueError(f"{path}: metadata string columns disagree with array lengths")
+        out._variables, out._names = _header_strings(meta, n_do, n_tgt, f"{path}: metadata")
         return out
 
     # ------------------------------------------------------------------ #
@@ -1020,10 +1179,10 @@ class ColumnarTrace:
             # Debug string columns are usually absent on shards; encode the
             # all-None common case as null to keep the header compact.
             "data_op_variables": (
-                None if all(v is None for v in self._do_variables) else self._do_variables
+                None if all(v is None for v in self._variables or ()) else self._variables
             ),
             "target_names": (
-                None if all(v is None for v in self._tgt_names) else self._tgt_names
+                None if all(v is None for v in self._names or ()) else self._names
             ),
             "columns": columns,
         }
@@ -1100,6 +1259,15 @@ class ColumnarTrace:
         (e.g. the ``SharedMemory`` handle) so the mapping outlives the
         views.  Appending to the returned trace is safe: growth reallocates
         into private memory, never mutating the shared buffer.
+
+        Opening costs nearly nothing per shard.  Every check runs here,
+        and a bad payload raises :class:`ValueError` at once: the magic,
+        the version, truncation, each column's length against the row
+        counts, and the debug-string lists' lengths.  But a column's view
+        is only built when it is first read, and all-``None`` debug
+        strings are carried as ``None``, not as lists.  A header is
+        parsed once per distinct header bytes (shards of one shape share
+        them).
         """
         mv = memoryview(buf)
         if len(mv) < _FLAT_PREFIX.size:
@@ -1111,39 +1279,34 @@ class ColumnarTrace:
             raise ValueError(f"{source}: unsupported flat payload version {version}")
         if len(mv) < _FLAT_PREFIX.size + header_len:
             raise ValueError(f"{source}: truncated flat trace payload")
-        header = json.loads(
-            bytes(mv[_FLAT_PREFIX.size : _FLAT_PREFIX.size + header_len])
+        header, layouts, data_end = _parse_flat_header(
+            bytes(mv[_FLAT_PREFIX.size : _FLAT_PREFIX.size + header_len]), source
         )
         data_start = _align_flat(_FLAT_PREFIX.size + header_len)
         # A torn write can keep the magic-bearing prefix of the payload (an
         # object-store put commits whatever bytes arrived), so the commit
         # marker alone does not prove the column data is all there.
-        needed = data_start + max(
-            (offset + nbytes for _, _, _, offset, nbytes in header["columns"]),
-            default=0,
-        )
-        if len(mv) < needed:
+        if len(mv) < data_start + data_end:
             raise ValueError(f"{source}: truncated flat trace payload")
         out = cls(
             num_devices=int(header["num_devices"]),
             program_name=header.get("program_name"),
             total_runtime=header.get("total_runtime"),
         )
-        views: dict[str, dict[str, np.ndarray]] = {"do": {}, "tgt": {}}
-        for tag, name, dtype_str, offset, nbytes in header["columns"]:
-            dtype = np.dtype(dtype_str)
-            views[tag][name] = np.frombuffer(
-                mv, dtype=dtype, count=nbytes // dtype.itemsize,
-                offset=data_start + offset,
-            )
-        n_do = int(header["num_data_op_events"])
-        n_tgt = int(header["num_target_events"])
-        out._data_ops.adopt_columns(n_do, **views["do"])
-        out._targets.adopt_columns(n_tgt, **views["tgt"])
-        out._do_variables = list(header.get("data_op_variables") or [None] * n_do)
-        out._tgt_names = list(header.get("target_names") or [None] * n_tgt)
-        if len(out._do_variables) != n_do or len(out._tgt_names) != n_tgt:
-            raise ValueError(f"{source}: header string columns disagree with array lengths")
+        for tag, group, types in (
+            ("do", out._data_ops, _DATA_OP_DTYPES),
+            ("tgt", out._targets, _TARGET_DTYPES),
+        ):
+            if tag in layouts:
+                length, layout = layouts[tag]
+                group.adopt_lazy(
+                    length,
+                    lambda name, layout=layout, types=types: _flat_view(
+                        mv, data_start, *layout[name], types[name]
+                    ),
+                )
+        n_do, n_tgt = out._data_ops.size, out._targets.size
+        out._variables, out._names = _header_strings(header, n_do, n_tgt, f"{source}: header")
         out._shared_keepalive = (keepalive, mv)
         return out
 

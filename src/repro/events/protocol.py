@@ -100,8 +100,9 @@ class StreamingPass:
 
     A *guard* pass checks the stream against the other passes'
     preconditions instead of detecting anything (trace validation).  The
-    engines fold each batch into the guards first and stop folding the
-    other passes once a guard has ``failed``; a guard's
+    engines fold each coalesced group into the guards first
+    (:meth:`fold_group`) and stop folding the other passes once a guard
+    has ``failed``; a guard's
     ``finalize`` raises on a failed check and returns ``None`` otherwise,
     and runs before any other pass's result is used.  It only reads the
     carry, so an engine may call it more than once (a process worker
@@ -123,6 +124,14 @@ class StreamingPass:
 
     def fold(self, batch: "ColumnarTrace", offset: int) -> None:
         raise NotImplementedError
+
+    def fold_group(
+        self, batches: Sequence["ColumnarTrace"], batch: "ColumnarTrace", offset: int
+    ) -> None:
+        """Fold consecutive ``batches``, whose concatenation is ``batch``
+        (how the scan folds a guard).  By default the concatenation is
+        folded like any batch; a guard that reports per shard overrides it."""
+        self.fold(batch, offset)
 
     # Kept only because the benchmark harness (perfbench/layers.py) wraps it.
     def merge(self, other: "StreamingPass") -> None:

@@ -27,7 +27,6 @@ batch's data-op columns (targets are numbered independently).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterator, Optional
 
 import numpy as np
@@ -438,37 +437,44 @@ def gather_data_op_rows(stream: EventStream, gpos: np.ndarray) -> ColumnarTrace:
     are skipped entirely when the stream can enumerate its batch sizes
     (``batch_row_counts`` / ``load_batch``, implemented by the sharded
     store and the in-memory slicer), so an on-disk store loads each shard
-    holding a requested row exactly once and never reads the others.
+    holding a requested row exactly once and never reads the others.  The
+    rows go straight into columns allocated once
+    (:meth:`ColumnarTrace.gather_data_ops`), one loaded batch at a time.
     """
     needed = np.asarray(gpos, dtype=np.int64)
     if np.any(needed[1:] <= needed[:-1]):
         raise ValueError("gather positions must be ascending and distinct")
-    out = ColumnarTrace()
     if needed.size == 0:
-        return out
-
-    def take(batch: ColumnarTrace, offset: int, n_do: int) -> None:
-        lo = int(np.searchsorted(needed, offset))
-        hi = int(np.searchsorted(needed, offset + n_do))
-        if hi > lo:
-            out.extend_from(batch.select_rows(needed[lo:hi] - offset, []))
-
+        return ColumnarTrace()
     counts = getattr(stream, "batch_row_counts", None)
     loader = getattr(stream, "load_batch", None)
-    offset = 0
     if counts is not None and loader is not None:
-        for index, (n_do, _n_tgt) in enumerate(counts()):
-            if np.searchsorted(needed, offset) < np.searchsorted(needed, offset + n_do):
-                take(loader(index), offset, n_do)
-            offset += n_do
+        sizes = np.array([n_do for n_do, _ in counts()], dtype=np.int64)
     else:
-        for batch in stream.batches():
-            take(batch, offset, batch.num_data_op_events)
-            offset += batch.num_data_op_events
+        sizes = None
+    return ColumnarTrace.gather_data_ops(_gather_sources(stream, needed, sizes), needed.size)
 
-    if out.num_data_op_events != needed.size:
-        raise IndexError("stream ended before every requested row was found")
-    return out
+
+def _gather_sources(stream: EventStream, needed: np.ndarray, sizes: Optional[np.ndarray]):
+    """``(batch, rows)`` for every batch holding a ``needed`` position,
+    ``rows`` local to the batch; loads only those batches when the data-op
+    row count of every batch (``sizes``) is known."""
+    if sizes is not None:
+        ends = np.cumsum(sizes)
+        cuts = np.searchsorted(needed, ends)  # positions before each batch's end
+        starts = np.concatenate(([0], cuts[:-1]))
+        for index in np.flatnonzero(cuts > starts).tolist():
+            rows = needed[starts[index] : cuts[index]] - (ends[index] - sizes[index])
+            yield stream.load_batch(index), rows
+        return
+    offset = 0
+    for batch in stream.batches():
+        n_do = batch.num_data_op_events
+        lo, hi = np.searchsorted(needed, (offset, offset + n_do))
+        if hi > lo:
+            yield batch, needed[lo:hi] - offset
+        del batch  # before the next batch is loaded
+        offset += n_do
 
 
 def materialize_data_op_events(

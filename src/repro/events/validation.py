@@ -12,7 +12,8 @@ the engines fold it in the same scan as the detector passes, and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+import math
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -181,6 +182,11 @@ class ValidationPass(StreamingPass):
     (per shard: the columnar sweeps, then the target and data-op boundary
     checks).  ``finalize`` raises :class:`TraceValidationError` with
     exactly the message of :func:`validate_stream`.
+
+    The scan hands the guard the coalesced groups the detectors fold
+    (:meth:`fold_group`); a clean group costs one sweep over its
+    concatenation, and any other group is folded shard by shard, so every
+    ``shard i: ...`` message is the one :func:`validate_stream` gives.
     """
 
     guard = True
@@ -202,6 +208,7 @@ class ValidationPass(StreamingPass):
         return bool(self.problems)
 
     def fold(self, batch: "ColumnarTrace", offset: int) -> None:
+        """Validate one shard (``offset`` is unused: problems name shards)."""
         problems = _validate_columnar(batch, strict=False, num_devices=self.num_devices)
         for what, seqs, starts in (
             ("target", batch.tgt_seq, batch.tgt_start_time),
@@ -216,6 +223,71 @@ class ValidationPass(StreamingPass):
         self.problems.extend(f"shard {self.num_batches}: {problem}" for problem in problems)
         self.num_batches += 1
         self.end_time = max(self.end_time, batch.end_time)
+
+    def fold_group(
+        self, shards: Sequence["ColumnarTrace"], batch: "ColumnarTrace", offset: int
+    ) -> None:
+        """Validate consecutive ``shards``, whose concatenation is ``batch``.
+
+        A shard breaks a rule only where its rows break it inside the
+        concatenation too.  So one sweep of ``batch``, with each shard's
+        seqs checked strictly ascending on its own rows and across its
+        boundaries, its own ``total_runtime`` checked, and the group's
+        first rows checked against the carry, finds nothing only if every
+        shard is clean; the carry then advances past the group at once.
+        Anything else (or a problem already recorded) folds the group
+        shard by shard, for the exact per-shard messages.
+        """
+        bounds = None
+        if len(shards) > 1 and not self.problems:
+            bounds = self._clean_group_bounds(shards, batch)
+        if bounds is None:
+            for shard in shards:
+                self.fold(shard, offset)
+            return
+        self.prev_bounds.update(bounds)
+        self.num_batches += len(shards)
+        ends = [float(col.max()) for col in (batch.tgt_end_time, batch.do_end_time) if col.size]
+        if any(math.isnan(end) for end in ends):
+            # A NaN hides a shard's other ends from its own end_time.
+            self.end_time = max([self.end_time] + [shard.end_time for shard in shards])
+        else:
+            self.end_time = max([self.end_time, 0.0] + ends)
+
+    def _clean_group_bounds(
+        self, shards: Sequence["ColumnarTrace"], batch: "ColumnarTrace"
+    ) -> Optional[dict[str, tuple[int, float]]]:
+        """The carry's ``prev_bounds`` after the group if every shard of
+        it is clean, else ``None``.  The seq columns are read per shard
+        (views, never concatenated)."""
+        last_seq = {what: bounds[0] for what, bounds in self.prev_bounds.items()}
+        last_rows: dict[str, int] = {}
+        for shard in shards:
+            runtime = shard.total_runtime
+            if runtime is not None and runtime + 1e-12 < shard.end_time:
+                return None
+            for what, seqs in (("target", shard.tgt_seq), ("data-op", shard.do_seq)):
+                if seqs.size == 0:
+                    continue
+                if what in last_seq and int(seqs[0]) <= last_seq[what]:
+                    return None
+                if seqs.size > 1 and not bool(np.all(seqs[1:] > seqs[:-1])):
+                    return None
+                last_seq[what] = int(seqs[-1])
+                last_rows[what] = seqs.size
+        starts = {"target": batch.tgt_start_time, "data-op": batch.do_start_time}
+        for what, (_, last_start) in self.prev_bounds.items():
+            if starts[what].size and float(starts[what][0]) < last_start:
+                return None
+        if _validate_columnar(
+            batch, strict=False, num_devices=self.num_devices, seqs_ascend=True
+        ):
+            return None
+        # Each column group's bounds are its last non-empty shard's.
+        return {
+            what: (last_seq[what], float(starts[what][-rows:].max()))
+            for what, rows in last_rows.items()
+        }
 
     def errors(self) -> list[str]:
         """Every problem found, as :func:`validate_stream` reports them."""
@@ -248,7 +320,11 @@ def _duplicate_seqs(seqs: np.ndarray) -> Iterable[tuple[int, int]]:
 
 
 def _validate_columnar(
-    trace: "ColumnarTrace", *, strict: bool, num_devices: Optional[int] = None
+    trace: "ColumnarTrace",
+    *,
+    strict: bool,
+    num_devices: Optional[int] = None,
+    seqs_ascend: bool = False,
 ) -> list[str]:
     """Vectorised validation sweeps over a columnar trace's columns.
 
@@ -257,7 +333,10 @@ def _validate_columnar(
     differ, because the sweeps run check by check rather than event by
     event.  Valid traces return ``[]`` in both representations.
     ``num_devices`` overrides the trace's own device count (a stream's
-    count is authoritative for its batches).
+    count is authoritative for its batches).  ``seqs_ascend`` says the
+    caller has checked both sequence-number columns strictly ascending,
+    so no duplicate can exist; the seq columns are then only read to name
+    an event in a problem.
     """
     from repro.events.columnar import (
         CODE_ALLOC,
@@ -273,13 +352,14 @@ def _validate_columnar(
     if num_devices < 1:
         errors.append("trace must describe at least one target device")
 
-    for what, starts, seqs in (
-        ("target", trace.tgt_start_time, trace.tgt_seq),
-        ("data-op", trace.do_start_time, trace.do_seq),
+    for what, starts, seq_column in (
+        ("target", trace.tgt_start_time, "tgt_seq"),
+        ("data-op", trace.do_start_time, "do_seq"),
     ):
         if starts.size > 1:
             bad = np.flatnonzero(starts[1:] < starts[:-1])
             if bad.size:
+                seqs = getattr(trace, seq_column)
                 errors.append(
                     f"{what} events are not in chronological order "
                     f"at seq={int(seqs[bad[0] + 1])}"
@@ -291,29 +371,29 @@ def _validate_columnar(
     def _device_ok(devices: np.ndarray) -> np.ndarray:
         return ((devices >= valid_low) & (devices <= valid_high)) | (devices == host)
 
-    tgt_seq = trace.tgt_seq
-    if tgt_seq.size:
-        for seq, repeats in _duplicate_seqs(tgt_seq):
-            # One error per repeat occurrence, like the object validator.
-            errors.extend([f"duplicate target event sequence number {seq}"] * repeats)
+    if trace.num_target_events:
+        if not seqs_ascend:
+            for seq, repeats in _duplicate_seqs(trace.tgt_seq):
+                # One error per repeat occurrence, like the object validator.
+                errors.extend([f"duplicate target event sequence number {seq}"] * repeats)
         for i in np.flatnonzero(~_device_ok(trace.tgt_device_num)):
             errors.append(
-                f"target event seq={int(tgt_seq[i])} references unknown device "
+                f"target event seq={int(trace.tgt_seq[i])} references unknown device "
                 f"{int(trace.tgt_device_num[i])}"
             )
 
-    do_seq = trace.do_seq
-    if do_seq.size:
-        for seq, repeats in _duplicate_seqs(do_seq):
-            errors.extend([f"duplicate data-op event sequence number {seq}"] * repeats)
+    if trace.num_data_op_events:
+        if not seqs_ascend:
+            for seq, repeats in _duplicate_seqs(trace.do_seq):
+                errors.extend([f"duplicate data-op event sequence number {seq}"] * repeats)
         for i in np.flatnonzero(~_device_ok(trace.do_src_device_num)):
             errors.append(
-                f"data-op seq={int(do_seq[i])} references unknown source device "
+                f"data-op seq={int(trace.do_seq[i])} references unknown source device "
                 f"{int(trace.do_src_device_num[i])}"
             )
         for i in np.flatnonzero(~_device_ok(trace.do_dest_device_num)):
             errors.append(
-                f"data-op seq={int(do_seq[i])} references unknown destination device "
+                f"data-op seq={int(trace.do_seq[i])} references unknown destination device "
                 f"{int(trace.do_dest_device_num[i])}"
             )
 
@@ -322,18 +402,18 @@ def _validate_columnar(
         from_device = kind == CODE_FROM_DEVICE
         transfer = to_device | from_device
         for i in np.flatnonzero(transfer & ~trace.do_has_content_hash):
-            errors.append(f"transfer seq={int(do_seq[i])} is missing its content hash")
+            errors.append(f"transfer seq={int(trace.do_seq[i])} is missing its content hash")
         for i in np.flatnonzero(
             transfer & (trace.do_src_device_num == trace.do_dest_device_num)
         ):
             errors.append(
-                f"transfer seq={int(do_seq[i])} has identical source and destination device"
+                f"transfer seq={int(trace.do_seq[i])} has identical source and destination device"
             )
         for i in np.flatnonzero(to_device & (trace.do_dest_device_num == host)):
-            errors.append(f"transfer-to-device seq={int(do_seq[i])} targets the host device")
+            errors.append(f"transfer-to-device seq={int(trace.do_seq[i])} targets the host device")
         for i in np.flatnonzero(from_device & (trace.do_src_device_num == host)):
             errors.append(
-                f"transfer-from-device seq={int(do_seq[i])} originates from the host device"
+                f"transfer-from-device seq={int(trace.do_seq[i])} originates from the host device"
             )
 
         # Live-address reuse: among the ALLOC/DELETE events of one
@@ -346,14 +426,13 @@ def _validate_columnar(
             addr = trace.do_dest_addr[ad]
             # Stable: events of one key stay in stream order.
             order = np.lexsort((addr, dev))
-            same_key = (dev[order][1:] == dev[order][:-1]) & (
-                addr[order][1:] == addr[order][:-1]
-            )
+            dev, addr = dev[order], addr[order]
+            same_key = (dev[1:] == dev[:-1]) & (addr[1:] == addr[:-1])
             alloc_sorted = is_alloc[order]
             reused = np.flatnonzero(same_key & alloc_sorted[1:] & alloc_sorted[:-1])
             for pos in ad[order[reused + 1]]:
                 errors.append(
-                    f"alloc seq={int(do_seq[pos])} reuses a live device address "
+                    f"alloc seq={int(trace.do_seq[pos])} reuses a live device address "
                     f"{int(trace.do_dest_addr[pos]):#x} on device "
                     f"{int(trace.do_dest_device_num[pos])}"
                 )

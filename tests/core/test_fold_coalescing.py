@@ -1,11 +1,11 @@
 """The scan loop folds detectors over coalesced batches.
 
-``fold_batches`` hands the guard passes every shard as it arrives and the
-detector passes groups of consecutive shards holding at least
-``FOLD_BATCH_EVENTS`` events, concatenated lazily by
-``ColumnarTrace.concat``.  These tests pin the grouping (how many folds,
-at which gpos), the pass-through of shards that reach the target alone,
-the lazy column reads, and ``concat``'s equality with ``merge_stream``.
+``fold_batches`` hands every pass, guards first, groups of consecutive
+shards holding at least ``FOLD_BATCH_EVENTS`` events, concatenated lazily
+by ``ColumnarTrace.concat`` once per group.  These tests pin the grouping
+(how many folds, at which gpos, the same batch for guards and detectors),
+the pass-through of shards that reach the target alone, the lazy column
+reads and views, and ``concat``'s equality with ``merge_stream``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.core.detectors._streaming import StreamingPass, fold_batch_target, fo
 from repro.events.columnar import _DATA_OP_COLUMNS, _TARGET_COLUMNS, ColumnarTrace
 from repro.events.records import DataOpKind, TargetKind
 from repro.events.store import shard_trace
+from repro.events.validation import ValidationPass
 from repro.events.stream import as_event_stream, merge_stream
 
 from tests.conftest import TraceBuilder
@@ -64,26 +65,33 @@ class _Recorder(StreamingPass):
         raise AssertionError("not finalized here")
 
 
-#: (target, detector folds): 80 is the sparse benchmark's shape, eight
-#: shards per fold and a last fold of one, ceil(490 / 80) = 7 folds.
+#: (target, folds): 80 is the sparse benchmark's shape, eight shards per
+#: fold and a last fold of one, ceil(490 / 80) = 7 folds.
 @pytest.mark.parametrize(
     "target, folds", [(1, 49), (10, 49), (25, 17), (80, 7), (1 << 16, 1)]
 )
-def test_guards_fold_every_shard_and_detectors_each_group(tmp_path, target, folds):
+def test_guards_fold_the_detectors_groups(tmp_path, target, folds):
     store = shard_trace(_trace(), tmp_path / "t.store", shard_events=SHARD_EVENTS)
     assert store.num_shards == 49
     guard, detector = _Recorder(guard=True), _Recorder()
+    check = ValidationPass(store.num_devices, store.total_runtime)
     with fold_batch_target(target):
-        fold_batches([detector, guard], store.batches())
+        fold_batches([detector, guard, check], store.batches())
 
     starts = np.cumsum([0] + [s.num_data_op_events for s in store.shards])
-    assert guard.offsets == starts[:-1].tolist()
     per_fold = math.ceil(target / SHARD_EVENTS)
     assert len(detector.offsets) == folds
     assert detector.offsets == starts[:-1:per_fold].tolist()
     sizes = [len(batch) for batch in detector.batches]
     assert sizes == [SHARD_EVENTS * per_fold] * (folds - 1) + [sizes[-1]]
     assert sum(sizes) == BLOCKS * 5
+    # A guard folds the very batches the detectors fold, at the same gpos:
+    # one concatenation per group, shared.
+    assert guard.offsets == detector.offsets
+    assert all(g is d for g, d in zip(guard.batches, detector.batches, strict=True))
+    # Trace validation still counts, and would name, every shard.
+    assert check.num_batches == store.num_shards
+    assert check.errors() == []
 
 
 def test_shards_reaching_the_target_pass_through_uncopied():
@@ -115,6 +123,29 @@ def test_unread_columns_are_never_concatenated(tmp_path):
     assert len(grouped) == 80
     assert sorted(grouped._data_ops._columns) == ["kind", "nbytes"]
     assert not grouped._targets._columns
+
+
+@pytest.mark.parametrize("target", [1, 80])
+def test_unread_shard_columns_are_never_viewed(tmp_path, target):
+    """A mapped shard builds a column's view on its first read: a scan
+    whose passes read two columns views two columns of each shard, and no
+    debug-string list is built for shards without debug strings."""
+    store = shard_trace(_trace(), tmp_path / "t.store", shard_events=SHARD_EVENTS)
+    shards: list[ColumnarTrace] = []
+
+    def loaded():
+        for shard in store.batches():
+            shards.append(shard)
+            yield shard
+
+    detector = _Recorder(read=("kind", "nbytes"))
+    with fold_batch_target(target):
+        fold_batches([detector], loaded())
+    assert len(shards) == store.num_shards
+    for shard in shards:
+        assert sorted(shard._data_ops._columns) == ["kind", "nbytes"]
+        assert not shard._targets._columns
+        assert shard._variables is None and shard._names is None
 
 
 def _named_trace(num_blocks: int) -> ColumnarTrace:

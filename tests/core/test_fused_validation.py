@@ -12,8 +12,11 @@ engine reads each shard once for fold and validation together.
 from __future__ import annotations
 
 import time
+from typing import Optional
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.analysis import _pass_specs, analyze_stream
 from repro.core.detectors._streaming import (
@@ -351,3 +354,150 @@ def test_serial_analysis_scans_the_store_once(tmp_path, monkeypatch, validate):
     gathered = counts["loads"] - counts["before_gather"]
     assert counts["before_gather"] == store.num_shards  # one scan, not two
     assert 0 < gathered <= store.num_shards
+
+
+# --------------------------------------------------------------------- #
+# The guard's group sweep is exact
+# --------------------------------------------------------------------- #
+#: rule -> (corrupt shard k of the base trace, lowest k it applies to).
+#: The same rule-breakers as ``CASES``, movable to any shard.
+BREAKERS = {
+    "out_of_order": (
+        lambda ct, k: ct.do_start_time.__setitem__(
+            _do(k, 2), ct.do_start_time[_do(k, 1)] - 1e-6
+        ), 0,
+    ),
+    "unknown_device": (lambda ct, k: ct.do_dest_device_num.__setitem__(_do(k, 0), 7), 0),
+    "duplicate_seq": (
+        lambda ct, k: ct.do_seq.__setitem__(_do(k, 5), ct.do_seq[_do(k, 4)]), 0,
+    ),
+    "live_address_reuse": (lambda ct, k: ct.do_kind.__setitem__(_do(k, 3), CODE_ALLOC), 0),
+    "same_device_transfer": (
+        lambda ct, k: ct.do_src_device_num.__setitem__(
+            _do(k, 5), ct.do_dest_device_num[_do(k, 5)]
+        ), 0,
+    ),
+    "missing_hash": (lambda ct, k: ct.do_has_content_hash.__setitem__(_do(k, 1), False), 0),
+    "boundary_disorder": (
+        lambda ct, k: ct.do_start_time.__setitem__(
+            _do(k, 0), ct.do_start_time[_do(k, 0) - 1] - 1e-6
+        ), 1,
+    ),
+    "boundary_seq": (
+        lambda ct, k: ct.do_seq.__setitem__(_do(k, 0), ct.do_seq[_do(k, 0) - 1]), 1,
+    ),
+    "target_boundary_disorder": (
+        lambda ct, k: ct.tgt_start_time.__setitem__(2 * k, ct.tgt_start_time[2 * k - 1] - 1e-6),
+        1,
+    ),
+    # a seq below the previous shard's last, held by no other data op
+    "boundary_seq_descends": (
+        lambda ct, k: ct.do_seq.__setitem__(_do(k, 0), ct.tgt_seq[2 * k - 1]), 1,
+    ),
+}
+
+#: detector coalescing targets: every shard alone, two shards, everything
+SWEEP_TARGETS = {"one": 1, "two-shards": 2 * SHARD_EVENTS, "default": FOLD_BATCH_EVENTS}
+
+
+def _shards(corrupt=None, k: int = 0, runtime_shard: Optional[int] = None):
+    """The six shards of the base trace, in memory, with shard ``k``
+    broken by ``corrupt`` and shard ``runtime_shard`` claiming a
+    ``total_runtime`` before its own last event."""
+    ct = _base_trace()
+    bounds = slice_bounds(ct, SHARD_EVENTS)
+    if corrupt is not None:
+        corrupt(ct, k)
+    shards = [ct.slice_rows(*bound) for bound in bounds]
+    if runtime_shard is not None:
+        shards[runtime_shard].total_runtime = shards[runtime_shard].end_time / 2
+    return shards
+
+
+class _Stream:
+    def __init__(self, shards):
+        self.shards = shards
+        self.num_devices = shards[0].num_devices
+        self.total_runtime = None
+
+    def batches(self):
+        return iter(self.shards)
+
+
+def _guard_errors(shards, target: int) -> ValidationPass:
+    guard = ValidationPass(shards[0].num_devices, None)
+    with fold_batch_target(target):
+        fold_batches([guard], shards)
+    assert guard.num_batches == len(shards)
+    return guard.errors()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rule=st.sampled_from(sorted(BREAKERS)),
+    shard=st.integers(min_value=0, max_value=5),
+    target=st.sampled_from(sorted(SWEEP_TARGETS)),
+)
+def test_group_sweep_reports_exactly_what_validate_stream_does(rule, shard, target):
+    corrupt, lowest = BREAKERS[rule]
+    shards = _shards(corrupt, max(shard, lowest))
+    expected = validate_stream(_Stream(shards), strict=False)
+    assert expected, rule
+    assert _guard_errors(shards, SWEEP_TARGETS[target]) == expected
+
+
+@pytest.mark.parametrize("target", sorted(SWEEP_TARGETS))
+@pytest.mark.parametrize("shard", range(6))
+def test_group_sweep_checks_each_shards_own_total_runtime(shard, target):
+    """A shard's ``total_runtime`` is checked against its own events; the
+    group's concatenation carries none, so the sweep checks each shard."""
+    shards = _shards(runtime_shard=shard)
+    expected = validate_stream(_Stream(shards), strict=False)
+    assert expected == [
+        f"shard {shard}: total_runtime is earlier than the last recorded event "
+        f"({shards[shard].total_runtime} < {shards[shard].end_time})"
+    ]
+    assert _guard_errors(shards, SWEEP_TARGETS[target]) == expected
+
+
+@pytest.mark.parametrize("target, groups", [("one", 6), ("two-shards", 3), ("default", 1)])
+def test_clean_group_costs_one_columnar_sweep(monkeypatch, target, groups):
+    import repro.events.validation as validation
+
+    calls = []
+    sweep = validation._validate_columnar
+
+    def counting(trace, **kwargs):
+        calls.append(len(trace))
+        return sweep(trace, **kwargs)
+
+    monkeypatch.setattr(validation, "_validate_columnar", counting)
+    shards = _shards()
+    guard = ValidationPass(shards[0].num_devices, None)
+    with fold_batch_target(SWEEP_TARGETS[target]):
+        fold_batches([guard], shards)
+    assert guard.errors() == []
+    assert len(calls) == groups
+    assert sum(calls) == sum(len(shard) for shard in shards)
+    # The carry equals a per-shard fold's.
+    reference = ValidationPass(shards[0].num_devices, None)
+    for shard in shards:
+        reference.fold(shard, 0)
+    assert vars(guard) == vars(reference)
+
+
+@pytest.mark.parametrize("target", sorted(SWEEP_TARGETS))
+def test_group_sweep_end_time_matches_per_shard_with_a_nan(target):
+    """A NaN end hides its shard's other data-op ends from that shard's
+    ``end_time``, not the whole group's: the ``total_runtime`` message
+    names the same last event either way."""
+    shards = _shards()
+    shards[0].do_end_time[3] = np.nan
+    stream = _Stream(shards)
+    stream.total_runtime = 1e-9
+    expected = validate_stream(stream, strict=False)
+    assert expected[-1].endswith(f"({1e-9} < {shards[-1].do_end_time.max()})")
+    guard = ValidationPass(stream.num_devices, stream.total_runtime)
+    with fold_batch_target(SWEEP_TARGETS[target]):
+        fold_batches([guard], shards)
+    assert guard.errors() == expected

@@ -2,8 +2,7 @@
 
 The counter is the streaming twin of a ``dict`` from composite key to
 (member count, smallest gpos, payload of that row, uid).  Every
-:class:`KeyFold` field is checked against that dict after each batch, and
-every :class:`KeyMerge` (uid maps and threshold promotions) at random cuts.
+:class:`KeyFold` field is checked against that dict after each batch.
 Keys mix ``uint64`` values at and above 2^63 with negative ``int32``
 devices, and share their first column across keys, so the packed-key
 ordering is exercised where it differs from naive byte order.  Counters

@@ -15,12 +15,20 @@ offset zero and therefore survives a torn prefix.
 from __future__ import annotations
 
 import itertools
+import json
 
+import numpy as np
 import pytest
 
 from repro.core.analysis import analyze_stream, analyze_trace
 from repro.core.distributed import DistributedEngine
-from repro.events.columnar import FLAT_MAGIC, ColumnarTrace
+from repro.events.columnar import (
+    _FLAT_PREFIX,
+    FLAT_FORMAT_VERSION,
+    FLAT_MAGIC,
+    ColumnarTrace,
+    _align_flat,
+)
 from repro.events.store import (
     COMPACT_SCRATCH_PREFIX,
     SHARD_FORMAT_NPZ,
@@ -226,3 +234,69 @@ def test_truncated_odpf_shard_file_fails_cleanly(tmp_path):
     fresh = ShardedTraceStore.open(store.path)
     with pytest.raises(ValueError, match="truncated flat trace payload"):
         fresh.load_batch(0)
+
+
+def _tampered_payload(ct: ColumnarTrace, edit) -> bytes:
+    """``ct``'s flat payload with ``edit`` applied to its parsed header (the
+    column data moved to where the new header length puts it)."""
+    payload = ct.to_flat_payload()
+    _, _, _, header_len = _FLAT_PREFIX.unpack_from(payload, 0)
+    header = json.loads(payload[_FLAT_PREFIX.size : _FLAT_PREFIX.size + header_len])
+    data = payload[_align_flat(_FLAT_PREFIX.size + header_len) :]
+    edit(header)
+    header_bytes = json.dumps(header).encode("utf-8")
+    data_start = _align_flat(_FLAT_PREFIX.size + len(header_bytes))
+    out = bytearray(data_start + len(data))
+    out[data_start:] = data
+    out[_FLAT_PREFIX.size : _FLAT_PREFIX.size + len(header_bytes)] = header_bytes
+    _FLAT_PREFIX.pack_into(out, 0, FLAT_MAGIC, FLAT_FORMAT_VERSION, 0, len(header_bytes))
+    return bytes(out)
+
+
+def _shrink_column(tag: str, name: str):
+    def edit(header):
+        for column in header["columns"]:
+            if column[:2] == [tag, name]:
+                column[4] -= np.dtype(column[2]).itemsize  # one row short
+    return edit
+
+
+def _set(key, value):
+    return lambda header: header.__setitem__(key, value)
+
+
+#: header edit -> what the error names
+BAD_HEADERS = {
+    "data-op column one row short": (_shrink_column("do", "nbytes"), "'nbytes'"),
+    "target column one row short": (_shrink_column("tgt", "start_time"), "'start_time'"),
+    "data-op column missing": (
+        lambda h: h.__setitem__("columns", [c for c in h["columns"] if c[:2] != ["do", "kind"]]),
+        "'kind'",
+    ),
+    "too few variables": (_set("data_op_variables", ["v"]), "string columns"),
+    "too many target names": (_set("target_names", ["k"] * 99), "string columns"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+def test_flat_payload_checks_fail_at_open_not_at_first_read(case):
+    """Column views are built on first read, but every check of the
+    payload runs when it is opened."""
+    ct = ColumnarTrace.from_trace(_sample_trace(cycles=3, num_devices=1))
+    edit, named = BAD_HEADERS[case]
+    with pytest.raises(ValueError, match=named):
+        ColumnarTrace.from_shared(memoryview(_tampered_payload(ct, edit)), source="bad")
+    # the same relayout without the edit parses to the same trace
+    same = ColumnarTrace.from_shared(memoryview(_tampered_payload(ct, lambda h: None)))
+    assert _dicts_equal(same, ct)
+
+
+def test_truncated_payload_fails_at_open_with_every_column_unread():
+    ct = ColumnarTrace.from_trace(_sample_trace(cycles=3, num_devices=1))
+    payload = ct.to_flat_payload()
+    with pytest.raises(ValueError, match="truncated flat trace payload"):
+        ColumnarTrace.from_shared(memoryview(payload[: len(payload) - 64]))
+    opened = ColumnarTrace.from_shared(memoryview(payload))
+    assert not opened._data_ops._columns and not opened._targets._columns
+    assert opened._variables is None  # no debug variables: no list built
+    assert opened._tgt_names == [f"k{i}" for i in range(3)]

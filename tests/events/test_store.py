@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.events.columnar import ColumnarTrace
+from repro.events.columnar import _DATA_OP_COLUMNS, ColumnarTrace
 from repro.events.records import DataOpKind, TargetKind
 from repro.events.store import (
     MANIFEST_NAME,
@@ -68,6 +69,99 @@ def test_gather_loads_only_the_shards_holding_requested_rows(tmp_path, monkeypat
     rows = gather_data_op_rows(store, np.array([0, last_row]))
     assert loads == [0, last_shard]
     assert rows.do_seq.tolist() == [int(ct.do_seq[0]), int(ct.do_seq[last_row])]
+
+
+def _debug_trace(with_variables: bool, blocks: int = 40) -> ColumnarTrace:
+    """Transfers and kernels; with debug variables on two rows in three."""
+    ct = ColumnarTrace(num_devices=1, program_name="gather")
+    for i in range(blocks):
+        t = float(i)
+        variable = f"v{i}" if with_variables and i % 3 else None
+        ct.append_data_op(
+            2 * i, DataOpKind.TRANSFER_TO_DEVICE, 1, 0, 0x100 + i, 0xA00 + i, 64 + i,
+            t, t + 0.1, content_hash=i % 7, codeptr=i if i % 4 else None, variable=variable,
+        )
+        ct.append_target(2 * i + 1, TargetKind.TARGET, 0, t + 0.2, t + 0.3)
+    return ct
+
+
+class _BatchesOnly:
+    """A stream that can only be scanned (no per-batch row counts)."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def batches(self):
+        return self._stream.batches()
+
+
+@pytest.fixture(scope="module")
+def gather_stores(tmp_path_factory):
+    base = tmp_path_factory.mktemp("gather")
+    return {
+        debug: shard_trace(_debug_trace(debug), base / f"debug-{debug}.store", shard_events=7)
+        for debug in (True, False)
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    debug=st.booleans(),
+    source=st.sampled_from(["store", "sliced", "batches-only"]),
+    data=st.data(),
+)
+def test_gather_equals_merged_select_rows(gather_stores, debug, source, data):
+    store = gather_stores[debug]
+    n = store.num_data_op_events
+    gpos = np.array(
+        sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n))), dtype=np.int64
+    )
+    want = merge_stream(store).select_rows(gpos, [])
+    stream = {
+        "store": store,
+        "sliced": as_event_stream(merge_stream(store), 5),
+        "batches-only": _BatchesOnly(store),
+    }[source]
+    got = gather_data_op_rows(stream, gpos)
+    if not debug:
+        assert got._variables is None  # no list of Nones was built
+    assert got.num_data_op_events == gpos.size
+    assert got.num_target_events == 0
+    for name, _ in _DATA_OP_COLUMNS:
+        assert got.do_column(name).dtype == want.do_column(name).dtype, name
+        assert np.array_equal(got.do_column(name), want.do_column(name)), name
+    assert got._do_variables == want._do_variables
+    assert got.data_op_events == want.data_op_events
+
+
+def test_gather_holds_one_loaded_shard_at_a_time(gather_stores, monkeypatch):
+    store = gather_stores[True]
+    refs: list[weakref.ref] = []
+    alive_at_load: list[int] = []
+    load_batch = ShardedTraceStore.load_batch
+
+    def probing(self, index):
+        alive_at_load.append(sum(ref() is not None for ref in refs))
+        batch = load_batch(self, index)
+        refs.append(weakref.ref(batch))
+        return batch
+
+    monkeypatch.setattr(ShardedTraceStore, "load_batch", probing)
+    rows = gather_data_op_rows(store, np.arange(store.num_data_op_events))
+    assert len(refs) == sum(shard.num_data_op_events > 0 for shard in store.shards) > 5
+    assert alive_at_load == [0] * len(refs)
+    assert all(ref() is None for ref in refs)
+    assert rows.num_data_op_events == store.num_data_op_events
+
+
+def test_gather_rejects_rows_past_the_stream(gather_stores):
+    store = gather_stores[False]
+    n = store.num_data_op_events
+    for stream in (store, _BatchesOnly(store)):
+        with pytest.raises(IndexError, match="stream ended"):
+            gather_data_op_rows(stream, np.array([0, n]))
+    with pytest.raises(ValueError, match="ascending"):
+        gather_data_op_rows(store, np.array([3, 3]))
 
 
 # --------------------------------------------------------------------- #
