@@ -181,13 +181,6 @@ def _header_strings(header: dict, n_do: int, n_tgt: int, where: str):
     return variables, names
 
 
-#: Parsed flat payload headers by their bytes.  Shards of one shape (row
-#: counts, dtypes, trace metadata) carry byte-identical headers, so a scan
-#: parses each shape once; headers with debug strings are not kept.
-_FLAT_HEADERS: dict[bytes, tuple[dict, dict, int]] = {}
-_FLAT_HEADERS_KEPT = 16
-
-
 def _parse_flat_header(header_bytes: bytes, source: str) -> tuple[dict, dict, int]:
     """``(header, layouts, data_end)`` of a flat payload header, whose
     columns are checked against its row counts.
@@ -197,9 +190,6 @@ def _parse_flat_header(header_bytes: bytes, source: str) -> tuple[dict, dict, in
     with the offset relative to the data section; ``data_end`` is where
     the last column ends, relative to the same.
     """
-    parsed = _FLAT_HEADERS.get(header_bytes)
-    if parsed is not None:
-        return parsed
     header = json.loads(header_bytes)
     columns: dict[str, dict[str, tuple[np.dtype, int, int]]] = {"do": {}, "tgt": {}}
     data_end = 0
@@ -219,12 +209,7 @@ def _parse_flat_header(header_bytes: bytes, source: str) -> tuple[dict, dict, in
             if entry is None or entry[1] != length:
                 raise ValueError(f"{source}: column {name!r} is missing or has wrong length")
         layouts[tag] = (length, columns[tag])
-    parsed = (header, layouts, data_end)
-    if header.get("data_op_variables") is None and header.get("target_names") is None:
-        if len(_FLAT_HEADERS) >= _FLAT_HEADERS_KEPT:
-            _FLAT_HEADERS.clear()
-        _FLAT_HEADERS[header_bytes] = parsed
-    return parsed
+    return header, layouts, data_end
 
 
 def _flat_view(
@@ -234,11 +219,6 @@ def _flat_view(
     the payload stored it as another dtype."""
     view = np.frombuffer(mv, dtype=dtype, count=count, offset=data_start + offset)
     return view if dtype == want else view.astype(want)
-
-
-#: The zero-length columns every new group starts from, per column spec.
-#: Shared: nothing writes into an empty column, growth allocates anew.
-_EMPTY_COLUMNS: dict[tuple, dict[str, np.ndarray]] = {}
 
 
 class _ColumnGroup:
@@ -254,13 +234,12 @@ class _ColumnGroup:
     """
 
     def __init__(self, columns: Sequence[tuple[str, type]]) -> None:
-        self._spec = spec = tuple(columns)
+        self._spec = tuple(columns)
         self.size = 0
         self._capacity = 0
-        empty = _EMPTY_COLUMNS.get(spec)
-        if empty is None:
-            empty = _EMPTY_COLUMNS[spec] = {name: np.empty(0, dtype=dtype) for name, dtype in spec}
-        self._columns: dict[str, np.ndarray] = dict(empty)
+        self._columns: dict[str, np.ndarray] = {
+            name: np.empty(0, dtype=dtype) for name, dtype in self._spec
+        }
         self._pending: list[tuple] = []
 
     @property
@@ -961,14 +940,14 @@ class ColumnarTrace:
             end = at + rows.size
             if rows.size and not 0 <= rows[0] <= rows[-1] < batch._data_ops.size:
                 raise IndexError("data-op row index out of range")
-            arrays = batch._data_ops._arrays
+            # No local but ``batch`` may refer to the batch's columns or
+            # strings, so deleting it releases the batch.
             for name, column in columns.items():
-                column[at:end] = arrays[name][rows]
+                column[at:end] = batch._data_ops.view(name)[rows]
             if batch._variables is not None:
                 if variables is None:
                     variables = [None] * size
-                source = batch._variables
-                variables[at:end] = [source[row] for row in rows.tolist()]
+                variables[at:end] = map(batch._variables.__getitem__, rows.tolist())
             at = end
             del batch  # before the next source is loaded
         if at != size:
@@ -1265,9 +1244,7 @@ class ColumnarTrace:
         the version, truncation, each column's length against the row
         counts, and the debug-string lists' lengths.  But a column's view
         is only built when it is first read, and all-``None`` debug
-        strings are carried as ``None``, not as lists.  A header is
-        parsed once per distinct header bytes (shards of one shape share
-        them).
+        strings are carried as ``None``, not as lists.
         """
         mv = memoryview(buf)
         if len(mv) < _FLAT_PREFIX.size:

@@ -128,10 +128,10 @@ class StreamingPass:
     def fold_group(
         self, batches: Sequence["ColumnarTrace"], batch: "ColumnarTrace", offset: int
     ) -> None:
-        """Fold consecutive ``batches``, whose concatenation is ``batch``
-        (how the scan folds a guard).  By default the concatenation is
-        folded like any batch; a guard that reports per shard overrides it."""
-        self.fold(batch, offset)
+        """Fold consecutive ``batches``, whose concatenation is ``batch``:
+        how the scan folds a guard, which may report per batch.  Every
+        guard implements it; the scan never calls it on other passes."""
+        raise NotImplementedError
 
     # Kept only because the benchmark harness (perfbench/layers.py) wraps it.
     def merge(self, other: "StreamingPass") -> None:

@@ -58,6 +58,9 @@ class _Recorder(StreamingPass):
         self.batches.append(batch)
         self.offsets.append(offset)
 
+    def fold_group(self, batches, batch, offset):
+        self.fold(batch, offset)
+
     def merge(self, other):
         raise AssertionError("not merged here")
 

@@ -134,8 +134,27 @@ def test_gather_equals_merged_select_rows(gather_stores, debug, source, data):
     assert got.data_op_events == want.data_op_events
 
 
-def test_gather_holds_one_loaded_shard_at_a_time(gather_stores, monkeypatch):
-    store = gather_stores[True]
+def _payload_refs(batch: ColumnarTrace) -> list[weakref.ref]:
+    """Weak references to a loaded batch, its shared payload (when it is
+    a view of one) and every data-op column it holds."""
+    keepalive = getattr(batch, "_shared_keepalive", ())
+    refs = [weakref.ref(batch)]
+    refs += [weakref.ref(part) for part in keepalive if not isinstance(part, bytes)]
+    refs += [weakref.ref(batch._data_ops._arrays[name]) for name, _ in _DATA_OP_COLUMNS]
+    return refs
+
+
+@pytest.mark.parametrize("layout", ["odpf-mapped", "odpf-bytes", "npz"])
+def test_gather_holds_one_loaded_shard_at_a_time(tmp_path, monkeypatch, layout):
+    """Nothing of a gathered shard (its columns, the payload they view)
+    is alive when the next shard loads, nor after the gather."""
+    store = shard_trace(
+        _debug_trace(True), tmp_path / "t.store", shard_events=7,
+        shard_format="npz" if layout == "npz" else "odpf",
+    )
+    if layout == "odpf-bytes":
+        # A transport that cannot map: the payload is the blob's bytes.
+        monkeypatch.setattr(type(store.transport), "map_blob", None, raising=False)
     refs: list[weakref.ref] = []
     alive_at_load: list[int] = []
     load_batch = ShardedTraceStore.load_batch
@@ -143,13 +162,18 @@ def test_gather_holds_one_loaded_shard_at_a_time(gather_stores, monkeypatch):
     def probing(self, index):
         alive_at_load.append(sum(ref() is not None for ref in refs))
         batch = load_batch(self, index)
-        refs.append(weakref.ref(batch))
+        refs.extend(_payload_refs(batch))
         return batch
 
     monkeypatch.setattr(ShardedTraceStore, "load_batch", probing)
     rows = gather_data_op_rows(store, np.arange(store.num_data_op_events))
-    assert len(refs) == sum(shard.num_data_op_events > 0 for shard in store.shards) > 5
-    assert alive_at_load == [0] * len(refs)
+    loaded = sum(shard.num_data_op_events > 0 for shard in store.shards)
+    assert len(alive_at_load) == loaded > 5
+    # the batch, its mapping and payload view (as far as they take weak
+    # references), and its columns
+    probed = {"odpf-mapped": 3, "odpf-bytes": 2, "npz": 1}[layout] + len(_DATA_OP_COLUMNS)
+    assert len(refs) == loaded * probed
+    assert alive_at_load == [0] * loaded
     assert all(ref() is None for ref in refs)
     assert rows.num_data_op_events == store.num_data_op_events
 
