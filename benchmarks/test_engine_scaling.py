@@ -27,7 +27,7 @@ overhead breakdown from ``ProcessEngine.stats`` (``spawn_count``,
 ``pool_reuse``, and spawn / open / decode / fold seconds), which must
 fall even on a single-core container.  A ``process_warm`` leg measures a
 ``keep_pool=True`` engine on its *second* run — workers already spawned,
-stores open, shards published to the shared cache — at the peak worker
+stores open — at the peak worker
 count always, and across the full sweep with ``OMPDATAPERF_BENCH_POOL=1``
 (the nightly setting).
 """

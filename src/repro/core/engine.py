@@ -45,6 +45,7 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Mapping, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.core.detectors._streaming import StreamingPass, check_guards, fold_batches
@@ -221,6 +222,30 @@ def _ticking(batches, tick):
         tick(batch.num_data_op_events + batch.num_target_events)
 
 
+def scan_counters(store, run):
+    """Call ``run()`` and return ``(result, counters)``.
+
+    ``counters`` is the store's load accounting over the call: decode and
+    map seconds and counts, plus ``fold_seconds``, the rest of the call's
+    wall time.  The pool workers and the process engine's serial fallback
+    both report these keys of :attr:`ProcessEngine.stats` this way.
+    """
+    decode0, count0 = store.decode_seconds, store.decode_count
+    map0, mapc0 = store.map_seconds, store.map_count
+    started = perf_counter()
+    result = run()
+    wall = perf_counter() - started
+    decode_seconds = store.decode_seconds - decode0
+    map_seconds = store.map_seconds - map0
+    return result, {
+        "decode_seconds": decode_seconds,
+        "decode_count": store.decode_count - count0,
+        "map_seconds": map_seconds,
+        "map_count": store.map_count - mapc0,
+        "fold_seconds": max(0.0, wall - decode_seconds - map_seconds),
+    }
+
+
 def _finalize_all(
     passes: Sequence[StreamingPass], stream: EventStream, jobs: int
 ) -> FindingTable:
@@ -371,16 +396,18 @@ class ProcessEngine:
 
     * workers come from a :class:`~repro.core.pool.WarmWorkerPool` — each
       process spawns once and serves every run of a kept pool;
-    * each worker opens the store once and keeps it across tasks;
-    * decoded shards are published to a
-      :class:`~repro.events.shardcache.SharedShardCache` so every shard
-      blob is parsed exactly once across the whole pool, everything else
-      reading zero-copy views (local ``.odpf`` shards are mapped in place
-      instead).
+    * each worker opens the store once and keeps it across tasks.
 
-    With ``keep_pool=True`` the pool, the per-worker stores and the shard
-    cache survive across ``run()`` calls (close with :meth:`close` or use
-    the engine as a context manager).  After every run :attr:`stats`
+    Each worker loads every shard of its scan itself: a local ``.odpf``
+    shard is mapped in place, an ``.odpf`` shard behind a zip archive or
+    an object store is read and viewed in place, and an ``.npz`` shard is
+    read and decoded.  So a run reports ``decode_count + map_count ==
+    tasks × shards``, and a kept pool decodes an ``.npz`` store again on
+    every run (``ompdataperf trace migrate`` rewrites it as ``.odpf``).
+
+    With ``keep_pool=True`` the pool and the per-worker stores survive
+    across ``run()`` calls (close with :meth:`close` or use the engine as
+    a context manager).  After every run :attr:`stats`
     holds the overhead breakdown the engine benchmarks record.
     """
 
@@ -393,9 +420,6 @@ class ProcessEngine:
     def __init__(self, *, keep_pool: bool = False) -> None:
         self.keep_pool = keep_pool
         self._pool = None
-        self._cache = None
-        self._cache_key = None
-        self._cache_shards = 0
         self._spawned_total = 0
         #: overhead breakdown of the most recent run (empty before any,
         #: or when the run degraded to the serial engine)
@@ -421,9 +445,8 @@ class ProcessEngine:
         groups = pass_groups(specs, jobs)
         try:
             pool, spawn_seconds_now = self._ensure_pool(len(groups))
-            cache_spec = self._ensure_cache(stream)
             job_ids = [
-                pool.submit_group(worker, spec, cache_spec, [specs[i] for i in group])
+                pool.submit_group(worker, spec, [specs[i] for i in group])
                 for worker, group in enumerate(groups)
             ]
             # Guard groups come first: their verdict is checked before the
@@ -443,9 +466,8 @@ class ProcessEngine:
             )
         except BaseException:
             # Any failure — a dead worker, a KeyboardInterrupt mid-gather —
-            # tears the pool down and unlinks every shared segment, even
-            # in keep-pool mode: leaked /dev/shm entries are never an
-            # acceptable failure mode.
+            # tears the pool down, even in keep-pool mode: a kept pool may
+            # hold a wedged worker or unread results of the failed run.
             self.close()
             raise
         finally:
@@ -460,19 +482,10 @@ class ProcessEngine:
         gets a real spawn/open/decode/map/fold block at one worker instead
         of an empty one.
         """
-        from time import perf_counter
-
-        decode0 = stream.decode_seconds
-        count0 = stream.decode_count
-        hits0 = stream.cache_hits
-        map0 = stream.map_seconds
-        mapc0 = stream.map_count
-        started = perf_counter()
-        findings = SerialEngine().run(specs, stream, jobs=jobs)
-        wall = perf_counter() - started
-        decode_seconds = stream.decode_seconds - decode0
-        map_seconds = stream.map_seconds - map0
-        overhead = decode_seconds + map_seconds
+        findings, counters = scan_counters(
+            stream, lambda: SerialEngine().run(specs, stream, jobs=jobs)
+        )
+        overhead = counters["decode_seconds"] + counters["map_seconds"]
         self.stats = {
             "spawn_count": self._spawned_total,
             "spawn_seconds": 0.0,
@@ -480,12 +493,7 @@ class ProcessEngine:
             "workers": 0,
             "pool_reuse": 0,
             "open_seconds": 0.0,
-            "decode_seconds": decode_seconds,
-            "decode_count": stream.decode_count - count0,
-            "cache_hits": stream.cache_hits - hits0,
-            "map_seconds": map_seconds,
-            "map_count": stream.map_count - mapc0,
-            "fold_seconds": max(0.0, wall - overhead),
+            **counters,
             "overhead_seconds": overhead,
             "overhead_per_task": overhead,
         }
@@ -496,26 +504,12 @@ class ProcessEngine:
         from repro.core.pool import WarmWorkerPool
 
         if self._pool is not None and self._pool.num_workers != workers:
-            self._close_pool()
+            self.close()
         if self._pool is None:
             self._pool = WarmWorkerPool(workers, mp_context=_process_context())
             self._spawned_total += self._pool.spawn_count
             return self._pool, self._pool.spawn_seconds
         return self._pool, 0.0
-
-    def _ensure_cache(self, stream) -> Optional[dict]:
-        from repro.core.pool import store_key
-        from repro.events.shardcache import SharedShardCache
-
-        key = store_key(stream.transport.spec())
-        if self._cache is not None and self._cache_key != key:
-            self._close_cache()
-        if self._cache is None:
-            self._cache = SharedShardCache()
-            self._cache_key = key
-            self._cache_shards = 0
-        self._cache_shards = max(self._cache_shards, stream.num_shards)
-        return self._cache.spec()
 
     def _build_stats(self, task_stats, workers: int, spawn_seconds: float) -> dict:
         open_seconds = sum(s["open_seconds"] for s in task_stats)
@@ -532,7 +526,6 @@ class ProcessEngine:
             "open_seconds": open_seconds,
             "decode_seconds": decode_seconds,
             "decode_count": sum(s["decode_count"] for s in task_stats),
-            "cache_hits": sum(s["cache_hits"] for s in task_stats),
             "map_seconds": map_seconds,
             "map_count": sum(s["map_count"] for s in task_stats),
             "fold_seconds": fold_seconds,
@@ -540,22 +533,11 @@ class ProcessEngine:
             "overhead_per_task": overhead / max(1, len(task_stats)),
         }
 
-    def _close_pool(self) -> None:
+    def close(self) -> None:
+        """Shut the pool down (idempotent)."""
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.close()
-
-    def _close_cache(self) -> None:
-        cache, self._cache = self._cache, None
-        self._cache_key = None
-        if cache is not None:
-            cache.cleanup(self._cache_shards)
-        self._cache_shards = 0
-
-    def close(self) -> None:
-        """Shut the pool down and unlink every shared segment (idempotent)."""
-        self._close_pool()
-        self._close_cache()
 
     def __enter__(self) -> "ProcessEngine":
         return self
@@ -640,11 +622,13 @@ def resolve_engine(engine, *, jobs: Optional[int] = None, degrade: bool = False)
     (``spawn/open/decode/map/fold_seconds``, ``overhead_seconds``) and
     the distributed engine's coordinator block (``requeued``,
     ``respawned``, ``speculative_launches``, ``debris_blobs``,
-    ``duplicate_results``, ``hints``).  One key is retired:
+    ``duplicate_results``, ``hints``).  Two keys are retired.
     ``peak_unmerged_chains`` counted the distributed coordinator's
     un-merged partition carries, and its tasks are pass groups now, whose
-    payloads are never merged.  The structured way to read them is
-    :attr:`repro.core.analysis.StreamAnalysisReport.engine_stats`.
+    payloads are never merged.  The process engine's shard-cache hit count
+    went with its shared decoded-shard cache: every worker now maps or
+    decodes each shard it scans itself.  The structured way to read the
+    stats is :attr:`repro.core.analysis.StreamAnalysisReport.engine_stats`.
     """
     if engine is None:
         return SerialEngine()

@@ -7,23 +7,23 @@ a run hands each worker one group:
 * each worker **spawns once** and then serves every run of a
   ``keep_pool=True`` engine;
 * each worker **opens each store once**, keyed by its transport spec, and
-  keeps it (plus its attached shared-shard cache) across tasks and across
-  runs;
+  keeps it across tasks and across runs;
+* each worker loads every shard it scans itself: a local ``.odpf`` shard
+  is mapped in place, any other shard is read (and, if ``.npz``, decoded)
+  by the worker;
 * a task folds its whole group in ONE scan from the stream head and
   finalizes each pass in place, so only finished finding parts cross the
   result queue (a guard pass — trace validation — crosses as itself, for
   the parent to check);
 * every task reports an overhead breakdown (open / decode / map / fold
-  seconds, cache hits, the worker's task number) so ``BENCH_engine.json`` can
-  show the constants falling even on machines where wall-clock speedup
-  cannot.
+  seconds, the worker's task number) so ``BENCH_engine.json`` can show
+  the constants falling even on machines where wall-clock speedup cannot.
 
 Crash behaviour is observable the same way the distributed worker's is:
 with ``OMPDATAPERF_WORKER_CRASH_AFTER_CLAIM=N`` in the environment a pool
-worker hard-exits (``os._exit``) after finishing its ``N``-th command —
-after any shared-memory publication, before reporting the result — which
-is exactly the window where a real crash would leak segments if cleanup
-were tied to worker exit instead of the pool owner.
+worker hard-exits (``os._exit``) after finishing its ``N``-th command and
+before reporting the result, so the parent has to notice the dead worker
+instead of waiting for its result forever.
 """
 
 from __future__ import annotations
@@ -35,8 +35,13 @@ from time import perf_counter
 from typing import Optional, Sequence
 
 from repro.core.detectors._streaming import check_guards, fold_batches
-from repro.core.engine import PassSpec, _open_store_from_spec, _process_context, _ticking
-from repro.events.shardcache import SharedShardCache, ensure_resource_tracker
+from repro.core.engine import (
+    PassSpec,
+    _open_store_from_spec,
+    _process_context,
+    _ticking,
+    scan_counters,
+)
 
 _CMD_GROUP = "group"
 _CMD_STOP = "stop"
@@ -90,21 +95,6 @@ def _crash_after_from_env() -> Optional[int]:
         return None
 
 
-def _attach_cache(store, cache_spec: Optional[dict], caches: dict) -> None:
-    cache = None
-    if cache_spec is not None:
-        cache = caches.get(cache_spec["run_id"])
-        if cache is None:
-            # One live cache per worker: drop handles of superseded runs
-            # so warm workers do not accumulate mappings forever.
-            for old in caches.values():
-                old.close()
-            caches.clear()
-            cache = SharedShardCache.from_spec(cache_spec)
-            caches[cache_spec["run_id"]] = cache
-    store.attach_shard_cache(cache)
-
-
 def _run_group(store, specs, tick) -> list:
     """Fold a pass group over ONE scan of ``store`` and finalize it.
 
@@ -136,7 +126,6 @@ def _pool_worker(task_queue, result_queue, crash_after, progress) -> None:
     from repro.core.distributed import CRASH_EXIT_CODE
 
     stores: dict = {}
-    caches: dict = {}
     completed = 0
 
     def tick_progress(events: int) -> None:
@@ -153,32 +142,13 @@ def _pool_worker(task_queue, result_queue, crash_after, progress) -> None:
         job_id = command[1]
         try:
             store, open_seconds = open_store_cached(command[2], stores)
-            _attach_cache(store, command[3], caches)
-            decode0 = store.decode_seconds
-            count0 = store.decode_count
-            hits0 = store.cache_hits
-            map0 = store.map_seconds
-            mapc0 = store.map_count
-            started = perf_counter()
-            payload = _run_group(store, command[4], tick_progress)
-            wall = perf_counter() - started
-            decode_seconds = store.decode_seconds - decode0
-            map_seconds = store.map_seconds - map0
-            stats = {
-                "task_no": completed + 1,
-                "open_seconds": open_seconds,
-                "decode_seconds": decode_seconds,
-                "decode_count": store.decode_count - count0,
-                "cache_hits": store.cache_hits - hits0,
-                "map_seconds": map_seconds,
-                "map_count": store.map_count - mapc0,
-                "fold_seconds": max(0.0, wall - decode_seconds - map_seconds),
-            }
+            payload, counters = scan_counters(
+                store, lambda: _run_group(store, command[3], tick_progress)
+            )
+            stats = {"task_no": completed + 1, "open_seconds": open_seconds, **counters}
             completed += 1
             if crash_after is not None and completed >= crash_after:
-                # The injected-crash window: work done (shared segments
-                # published), result unreported — exactly where a real
-                # crash would strand state.
+                # The injected-crash window: work done, result unreported.
                 os._exit(CRASH_EXIT_CODE)
             result_queue.put((_OK, job_id, payload, stats))
         except BaseException:
@@ -192,9 +162,6 @@ class WarmWorkerPool:
         if num_workers < 1:
             raise ValueError("a worker pool needs at least one worker")
         ctx = mp_context or _process_context()
-        # Workers must inherit the parent's resource tracker (not spawn
-        # private ones) for shared-memory accounting to balance.
-        ensure_resource_tracker()
         # One task queue per worker: a group task goes to the worker it is
         # addressed to, never to whichever worker asks first, so two
         # groups cannot end up scanned back to back on one worker.
@@ -242,11 +209,7 @@ class WarmWorkerPool:
 
     # ------------------------------------------------------------------ #
     def submit_group(
-        self,
-        worker: int,
-        store_spec: dict,
-        cache_spec: Optional[dict],
-        pass_specs: Sequence[PassSpec],
+        self, worker: int, store_spec: dict, pass_specs: Sequence[PassSpec]
     ) -> int:
         """Queue a pass group on worker ``worker``: one scan folds every
         pass, then each is finalized.  Returns the job id to collect on;
@@ -256,9 +219,7 @@ class WarmWorkerPool:
             raise RuntimeError("the worker pool is closed")
         job = self._next_job
         self._next_job += 1
-        self._task_queues[worker].put(
-            (_CMD_GROUP, job, store_spec, cache_spec, tuple(pass_specs))
-        )
+        self._task_queues[worker].put((_CMD_GROUP, job, store_spec, tuple(pass_specs)))
         return job
 
     def collect(self, job_ids) -> dict:

@@ -54,11 +54,11 @@ from repro.events.trace import Trace
 #: Version tag of the binary columnar format.
 COLUMNAR_FORMAT_VERSION = 1
 
-#: Version tag of the flat shared-memory payload format (the zero-copy
-#: sibling of the ``.npz`` archive: a JSON header plus raw 64-byte-aligned
-#: column buffers, laid out so :meth:`ColumnarTrace.from_shared` can build
-#: NumPy views straight into a ``multiprocessing.shared_memory`` segment
-#: or an ``mmap``-ed file without decoding anything).
+#: Version tag of the flat payload format (the zero-copy sibling of the
+#: ``.npz`` archive: a JSON header plus raw 64-byte-aligned column
+#: buffers, laid out so :meth:`ColumnarTrace.from_shared` can build NumPy
+#: views straight into an ``mmap``-ed ``.odpf`` file or any other buffer
+#: without decoding anything).
 FLAT_FORMAT_VERSION = 1
 FLAT_MAGIC = b"ODPF"
 
@@ -1130,7 +1130,7 @@ class ColumnarTrace:
         return out
 
     # ------------------------------------------------------------------ #
-    # Flat shared-memory payload (zero-copy views)
+    # Flat payload (zero-copy views)
     # ------------------------------------------------------------------ #
     def _flat_plan(self) -> tuple[bytes, int, int, list[tuple[str, str, str, int, int]]]:
         """Lay out the flat payload: header bytes, data start, total size.
@@ -1169,45 +1169,19 @@ class ColumnarTrace:
         data_start = _align_flat(_FLAT_PREFIX.size + len(header_bytes))
         return header_bytes, data_start, data_start + offset, columns
 
-    def flat_payload_size(self) -> int:
-        """Total byte size of the flat payload (to size a shared segment)."""
-        return self._flat_plan()[2]
-
-    def write_flat_payload(self, buf) -> int:
-        """Serialise the flat payload into a writable buffer; return its size.
-
-        ``buf`` is any writable buffer (a ``SharedMemory.buf``, an ``mmap``,
-        a ``bytearray``) at least :meth:`flat_payload_size` bytes long.
-
-        The magic prefix is written *last*: a concurrent reader of a
-        shared segment that sees a valid prefix is guaranteed the header
-        and column data before it are complete, so ``from_shared`` can
-        treat a bad magic as "publication in flight" rather than
-        corruption.
-        """
+    def to_flat_payload(self) -> bytes:
+        """The flat payload as one blob (an ``.odpf`` shard's file body)."""
         header_bytes, data_start, total, columns = self._flat_plan()
-        mv = memoryview(buf)
-        if len(mv) < total:
-            raise ValueError(
-                f"flat payload needs {total} bytes, buffer has {len(mv)}"
-            )
+        buf = bytearray(total)
+        _FLAT_PREFIX.pack_into(buf, 0, FLAT_MAGIC, FLAT_FORMAT_VERSION, 0, len(header_bytes))
+        buf[_FLAT_PREFIX.size : _FLAT_PREFIX.size + len(header_bytes)] = header_bytes
         groups = {"do": self._data_ops, "tgt": self._targets}
         for tag, name, dtype_str, offset, nbytes in columns:
             src = groups[tag].view(name)
             dst = np.frombuffer(
-                mv, dtype=np.dtype(dtype_str), count=src.size, offset=data_start + offset
+                buf, dtype=np.dtype(dtype_str), count=src.size, offset=data_start + offset
             )
             np.copyto(dst, src, casting="no")
-        mv[_FLAT_PREFIX.size : _FLAT_PREFIX.size + len(header_bytes)] = header_bytes
-        _FLAT_PREFIX.pack_into(
-            mv, 0, FLAT_MAGIC, FLAT_FORMAT_VERSION, 0, len(header_bytes)
-        )
-        return total
-
-    def to_flat_payload(self) -> bytes:
-        """The flat payload as one blob (an ``.odpf`` shard's file body)."""
-        buf = bytearray(self.flat_payload_size())
-        self.write_flat_payload(buf)
         return bytes(buf)
 
     def save_flat(self, path: str | Path) -> None:
@@ -1232,12 +1206,12 @@ class ColumnarTrace:
     def from_shared(cls, buf, *, keepalive=None, source: str = "<shared>") -> "ColumnarTrace":
         """Build a trace whose columns are zero-copy views into ``buf``.
 
-        ``buf`` holds a flat payload (see :meth:`write_flat_payload`) — a
-        shared-memory segment, an ``mmap``, or any buffer.  No column data
-        is copied; the returned trace keeps a reference to ``keepalive``
-        (e.g. the ``SharedMemory`` handle) so the mapping outlives the
+        ``buf`` holds a flat payload (see :meth:`to_flat_payload`) — an
+        ``mmap``, the bytes of a fetched blob, or any buffer.  No column
+        data is copied; the returned trace keeps a reference to
+        ``keepalive`` (e.g. the ``mmap``) so the mapping outlives the
         views.  Appending to the returned trace is safe: growth reallocates
-        into private memory, never mutating the shared buffer.
+        into private memory, never mutating ``buf``.
 
         Opening costs nearly nothing per shard.  Every check runs here,
         and a bad payload raises :class:`ValueError` at once: the magic,
@@ -1261,8 +1235,8 @@ class ColumnarTrace:
         )
         data_start = _align_flat(_FLAT_PREFIX.size + header_len)
         # A torn write can keep the magic-bearing prefix of the payload (an
-        # object-store put commits whatever bytes arrived), so the commit
-        # marker alone does not prove the column data is all there.
+        # object-store put commits whatever bytes arrived), so a valid
+        # magic alone does not prove the column data is all there.
         if len(mv) < data_start + data_end:
             raise ValueError(f"{source}: truncated flat trace payload")
         out = cls(

@@ -13,11 +13,9 @@ Each shard is in one of two formats, recorded per shard in the manifest:
 
 * ``odpf`` (the default) — the flat columnar payload of
   :meth:`ColumnarTrace.to_flat_payload`: struct prefix + JSON header +
-  64-byte-aligned raw column buffers, magic stamped last as the commit
-  marker.  On a transport that can memory-map its blobs (the local
+  64-byte-aligned raw column buffers.  On a transport that can memory-map its blobs (the local
   directory), opening a shard is O(1): the store builds zero-copy NumPy
-  views straight over the mapped file — no decompress, no copy, nothing
-  to publish to a shard cache.
+  views straight over the mapped file — no decompress, no copy.
 * ``npz`` — the legacy compressed-capable binary of
   :meth:`ColumnarTrace.save_binary`; every load pays a full decode.
   Still written for ``compress=True`` (archival) stores, and legacy
@@ -77,7 +75,6 @@ from repro.events.stream import (
     merge_stream,
     slice_bounds,
 )
-from repro.events.shardcache import direct_map_preferred
 from repro.events.transport import (
     LocalDirTransport,
     PrefixTransport,
@@ -264,13 +261,10 @@ class ShardedTraceStore:
             ShardInfo.from_dict(d) for d in manifest["shards"]
         ]
         self._stats = manifest["stats"]
-        #: optional decoded-shard cache (see :mod:`repro.events.shardcache`)
-        self._shard_cache = None
         #: decode accounting: how much of this process's time went into
-        #: re-parsing shard blobs, and how often the cache spared it.
+        #: re-parsing shard blobs.
         self.decode_seconds = 0.0
         self.decode_count = 0
-        self.cache_hits = 0
         #: zero-decode accounting: flat ``.odpf`` shards are attached as
         #: views (an mmap on capable transports), never parsed.
         self.map_seconds = 0.0
@@ -313,16 +307,6 @@ class ShardedTraceStore:
         batch.program_name = self.program_name
         return batch
 
-    def attach_shard_cache(self, cache) -> None:
-        """Serve shard loads through a decoded-shard cache (or ``None``).
-
-        With a :class:`~repro.events.shardcache.SharedShardCache` attached,
-        :meth:`load_batch` first tries a zero-copy view of an already
-        published shard and publishes what it had to decode — so across a
-        worker pool each shard blob is parsed exactly once.
-        """
-        self._shard_cache = cache
-
     def _load_shard(self, shard: ShardInfo) -> ColumnarTrace:
         if shard.format == SHARD_FORMAT_ODPF:
             return self._load_flat_shard(shard.file)
@@ -359,20 +343,7 @@ class ShardedTraceStore:
 
     def load_batch(self, index: int) -> ColumnarTrace:
         """Load one shard (random access for the targeted finding gather)."""
-        shard = self.shards[index]
-        cache = self._shard_cache
-        if cache is not None and not direct_map_preferred(self.transport, shard.format):
-            shared = cache.attach(index)
-            if shared is not None:
-                self.cache_hits += 1
-                return self._stamp(shared)
-            batch = self._load_shard(shard)
-            cache.publish(index, batch)
-            return batch
-        # Directly mappable shards bypass the cache entirely: the store
-        # file itself already provides the single-physical-copy property a
-        # publication would otherwise buy.
-        return self._load_shard(shard)
+        return self._load_shard(self.shards[index])
 
     def batch_row_counts(self) -> list[tuple[int, int]]:
         return [(s.num_data_op_events, s.num_target_events) for s in self.shards]

@@ -679,10 +679,10 @@ def try_read_blob(transport: ShardTransport, name: str) -> Optional[bytes]:
 def try_map_blob(transport: ShardTransport, name: str):
     """Memory-map a blob when the transport can, else ``None``.
 
-    The zero-copy probe the decoded-shard cache uses: a local-directory
+    The zero-copy probe of a flat ``.odpf`` shard load: a local-directory
     transport answers with an ``mmap`` (the caller keeps it alive for as
     long as any view into it); archives and object stores answer ``None``
-    and the caller falls back to :func:`try_read_blob`.
+    and the caller reads the blob and views its bytes in place.
     """
     mapper = getattr(transport, "map_blob", None)
     if mapper is None:

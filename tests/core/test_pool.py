@@ -1,20 +1,18 @@
-"""Warm worker pool and shared-shard-cache lifecycle tests.
+"""Warm worker pool lifecycle and load-accounting tests.
 
-The warm pool's contract has two halves.  Performance: a
-``keep_pool=True`` engine spawns each worker exactly once and keeps
-stores open and shards published across runs, which ``ProcessEngine.stats``
-makes observable (``spawn_count``, ``pool_reuse``, ``decode_count``,
-``cache_hits``).  Safety: shared-memory segments belong to the engine
-that owns the cache, never to the workers — so segments must be gone
-from ``/dev/shm`` after a clean shutdown, after an injected worker crash
+The warm pool's contract has three parts.  Reuse: a ``keep_pool=True``
+engine spawns each worker exactly once and keeps its stores open across
+runs, which ``ProcessEngine.stats`` makes observable (``spawn_count``,
+``pool_reuse``, ``open_seconds``).  Loads: every worker maps or decodes
+each shard of its scan itself, so ``decode_count + map_count`` is
+``tasks × shards`` on every run and every transport.  Shutdown: the
+engine's pool is closed and no worker process is left alive after a
+clean run, after an injected worker crash
 (``OMPDATAPERF_WORKER_CRASH_AFTER_CLAIM``), and after a
-``KeyboardInterrupt`` in the parent, with no help from the crashed
-party.
+``KeyboardInterrupt`` in the parent.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -22,7 +20,6 @@ from repro.core import engine as engine_mod
 from repro.core.analysis import analyze_stream, analyze_trace
 from repro.core.distributed import CRASH_ENV
 from repro.core.engine import ProcessEngine
-from repro.events.shardcache import SharedShardCache, residual_segments
 from repro.events.store import shard_trace
 from repro.events.synth import make_synthetic_columnar_trace
 
@@ -34,10 +31,9 @@ def trace():
 
 @pytest.fixture(scope="module")
 def store(trace, tmp_path_factory):
-    # Pinned to the legacy npz format: these tests observe the shared
-    # cache's decode-once contract, which only applies to shards that
-    # need decoding.  Flat .odpf shards bypass the cache by design (see
-    # test_odpf_store_folds_with_zero_decodes_and_no_cache).
+    # Pinned to the legacy npz format, whose shards every load decodes.
+    # Flat .odpf shards are mapped in place instead (see
+    # test_odpf_store_folds_with_zero_decodes).
     path = tmp_path_factory.mktemp("pool-store") / "trace.store"
     return shard_trace(trace, path, shard_events=256, shard_format="npz")
 
@@ -75,20 +71,19 @@ def test_warm_pool_reuses_workers_across_runs(trace, store):
     # One pass-group task per worker: the first run is all cold workers…
     assert first["tasks"] == first["workers"] == 2
     assert first["pool_reuse"] == 0
-    # …and the second run runs entirely on warm workers with every shard
-    # already published to the shared cache: no opens, no decodes.
+    # …and the second run runs entirely on warm workers with the store
+    # already open: its only overhead is loading the shards.
     assert second["tasks"] == second["workers"] == 2
     assert second["pool_reuse"] == second["tasks"]
     assert second["open_seconds"] == 0.0
-    assert second["decode_count"] == 0
-    assert second["cache_hits"] > 0
-    assert second["overhead_seconds"] == 0.0
+    assert second["overhead_seconds"] == pytest.approx(
+        second["decode_seconds"] + second["map_seconds"]
+    )
 
 
-def test_odpf_store_folds_with_zero_decodes_and_no_cache(trace, odpf_store):
+def test_odpf_store_folds_with_zero_decodes(trace, odpf_store):
     # Flat .odpf shards on a local store are mmapped in place: no decode
-    # ever happens (first run included), and nothing is published to the
-    # shared cache — the store file is its own shared payload.
+    # ever happens, first run included.
     expected = _findings(analyze_trace(trace))
     with ProcessEngine(keep_pool=True) as eng:
         assert _findings(analyze_stream(odpf_store, engine=eng, jobs=2)) == expected
@@ -98,10 +93,34 @@ def test_odpf_store_folds_with_zero_decodes_and_no_cache(trace, odpf_store):
     for stats in (first, second):
         assert stats["decode_count"] == 0
         assert stats["decode_seconds"] == 0.0
-        assert stats["cache_hits"] == 0
         # One scan per worker: each group maps every shard once.
         assert stats["map_count"] == stats["tasks"] * odpf_store.num_shards
-    assert residual_segments() == []
+
+
+@pytest.fixture(scope="module")
+def zip_store(trace, tmp_path_factory):
+    path = tmp_path_factory.mktemp("pool-store-zip") / "trace.zip"
+    return shard_trace(trace, path, shard_events=256)
+
+
+@pytest.mark.parametrize("layout", ["npz", "zip"])
+def test_every_worker_loads_each_shard_itself(layout, store, zip_store):
+    # Shards that cannot be mapped in place (npz blobs are decoded, zip
+    # members are read and viewed) are loaded by every worker that scans
+    # them, on every run of a kept pool: one load per task and shard.
+    stream = store if layout == "npz" else zip_store
+    expected = _findings(analyze_stream(stream))
+    with ProcessEngine(keep_pool=True) as eng:
+        for _ in range(2):
+            assert _findings(analyze_stream(stream, engine=eng, jobs=2)) == expected
+            stats = eng.stats
+            assert stats["tasks"] == 2
+            assert (
+                stats["decode_count"] + stats["map_count"]
+                == stats["tasks"] * stream.num_shards
+            )
+            if layout == "npz":
+                assert stats["map_count"] == 0
 
 
 def test_stats_shape_and_overhead_accounting(store):
@@ -117,7 +136,6 @@ def test_stats_shape_and_overhead_accounting(store):
         "open_seconds",
         "decode_seconds",
         "decode_count",
-        "cache_hits",
         "map_seconds",
         "map_count",
         "fold_seconds",
@@ -160,56 +178,58 @@ def test_jobs1_populates_the_same_overhead_breakdown(store, odpf_store):
     assert eng.stats["map_count"] > 0
 
 
-def test_no_segments_survive_clean_shutdown(store):
-    analyze_stream(store, engine="process", jobs=2)
-    assert residual_segments() == []
+def _track_pools(monkeypatch) -> list:
+    """Record every warm pool a process engine builds from now on."""
+    pools = []
+    ensure = ProcessEngine._ensure_pool
+
+    def tracked(self, workers):
+        pool, spawn_seconds = ensure(self, workers)
+        pools.append(pool)
+        return pool, spawn_seconds
+
+    monkeypatch.setattr(ProcessEngine, "_ensure_pool", tracked)
+    return pools
 
 
-def test_no_segments_survive_worker_crash(store, monkeypatch):
+def _assert_shut_down(eng, pools) -> None:
+    assert eng._pool is None
+    assert pools
+    for pool in pools:
+        assert pool._closed
+        assert not any(proc.is_alive() for proc in pool._workers)
+
+
+def test_no_worker_survives_clean_shutdown(store, monkeypatch):
+    pools = _track_pools(monkeypatch)
+    eng = ProcessEngine()
+    analyze_stream(store, engine=eng, jobs=2)
+    _assert_shut_down(eng, pools)
+
+
+def test_no_worker_survives_worker_crash(store, monkeypatch):
     # Workers read the crash hook at pool construction; each one
-    # hard-exits after finishing its first task, *after* publishing
-    # shared segments and before reporting the result — the window where
-    # cleanup tied to worker exit would leak.
+    # hard-exits after finishing its first task, before reporting the
+    # result.  The engine must notice and tear down the rest of the pool.
     monkeypatch.setenv(CRASH_ENV, "1")
+    pools = _track_pools(monkeypatch)
     eng = ProcessEngine()
     with pytest.raises(RuntimeError, match="worker"):
         analyze_stream(store, engine=eng, jobs=2)
-    assert residual_segments() == []
+    _assert_shut_down(eng, pools)
 
 
-def test_no_segments_survive_keyboard_interrupt(store, monkeypatch):
+def test_no_worker_survives_keyboard_interrupt(store, monkeypatch):
     def interrupt(parts, source):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(engine_mod.FindingTable, "gather", interrupt)
+    pools = _track_pools(monkeypatch)
     eng = ProcessEngine(keep_pool=True)
     with pytest.raises(KeyboardInterrupt):
         analyze_stream(store, engine=eng, jobs=2)
-    # The run tears the engine down on ANY exception, keep_pool or not:
-    # a stranded cache would leak /dev/shm for the process lifetime.
-    assert residual_segments() == []
-
-
-def test_mmap_backend_round_trip(trace, tmp_path):
-    owner = SharedShardCache(backend="mmap")
-    assert owner.attach(0) is None  # nothing published yet
-    owner.publish(0, trace)
-    worker = SharedShardCache.from_spec(owner.spec())
-    seen = worker.attach(0)
-    assert seen is not None
-    assert seen.num_data_op_events == trace.num_data_op_events
-    assert seen.num_target_events == trace.num_target_events
-    worker.close()
-    scratch = owner.scratch_dir
-    owner.cleanup(1)
-    assert not os.path.exists(scratch)
-
-
-def test_broken_cache_degrades_to_private_decode(trace):
-    cache = SharedShardCache(backend="off")
-    cache.publish(0, trace)
-    assert cache.attach(0) is None
-    assert cache.publishes == 0
+    # The run tears the engine down on ANY exception, keep_pool or not.
+    _assert_shut_down(eng, pools)
 
 
 def test_fold_positions_track_worker_progress(store):
@@ -230,7 +250,7 @@ def test_fold_positions_track_worker_progress(store):
     with WarmWorkerPool(2) as pool:
         assert pool.fold_positions() == [0, 0]
         jobs = [
-            pool.submit_group(worker, store.transport.spec(), None, group)
+            pool.submit_group(worker, store.transport.spec(), group)
             for worker, group in enumerate(groups)
         ]
         results = pool.collect(jobs)
