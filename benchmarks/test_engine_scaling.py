@@ -132,8 +132,8 @@ def test_engine_scaling_and_write_record(store, bench_dir):
             if engine == "process":
                 per_jobs[str(jobs)]["overhead"] = dict(runner.stats)
             elif engine == "distributed" and runner.stats:
-                # Coordination counters: requeues, speculation, debris,
-                # duplicate results, and the final hints snapshot.
+                # Coordination counters: requeues, respawns, speculation,
+                # debris and duplicate results.
                 per_jobs[str(jobs)]["coordination"] = dict(runner.stats)
         results[engine] = per_jobs
 

@@ -23,7 +23,7 @@ the CLI takes an application name plus options::
     ompdataperf bfs --stream --engine distributed --jobs 4   # loopback cluster
     ompdataperf worker --queue run.queue         # join a distributed run
     ompdataperf bfs --stream --engine distributed:queue=run.queue --jobs 4
-    ompdataperf bfs --stream --engine distributed:claim_batch=4,speculate=on
+    ompdataperf bfs --stream --engine distributed:lease_timeout=10,run_timeout=300
     ompdataperf queue status run.queue           # inspect a live run's queue
 
 ``--engine`` takes an engine spec string: a registry name optionally
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with --stream: execution engine for the detector passes — "
                              f"one of {', '.join(available_engines())}, optionally with "
                              "engine options as 'name:key=value,...' (e.g. "
-                             "'distributed:claim_batch=4,lease_timeout=10,speculate=on' "
+                             "'distributed:lease_timeout=10,run_timeout=300' "
                              "or 'distributed:queue=run.queue'); 'serial' scans once on "
                              "one thread, 'process' splits the five passes into up to "
                              "--jobs groups and folds each group in one scan on its own "
@@ -278,10 +278,6 @@ def build_worker_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS",
                         help="exit with an error if no run manifest appears within "
                              "SECONDS (default: wait forever)")
-    parser.add_argument("--claim-batch", type=positive_int, default=None, metavar="N",
-                        help="lease up to N tasks per sweep and publish their "
-                             "results as one blob (default: the run manifest's "
-                             "claim_batch)")
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="suppress per-task progress output")
     return parser
@@ -300,7 +296,6 @@ def _worker_main(argv: Sequence[str]) -> int:
             idle_timeout=args.idle_timeout,
             echo=None if args.quiet else print,
             crash_hook=True,
-            claim_batch=args.claim_batch,
         )
     except KeyboardInterrupt:  # pragma: no cover - interactive interrupt
         return 130
@@ -309,17 +304,14 @@ def _worker_main(argv: Sequence[str]) -> int:
 def build_queue_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ompdataperf queue",
-        description="Inspect a distributed run's task queue: pending depth, "
-                    "active claims, result batches, and the coordinator's "
-                    "periodically-rewritten autoscaling hints blob — what an "
-                    "external fleet manager polls to decide whether to grow "
-                    "or shrink the worker fleet mid-run.",
+        description="Inspect a distributed run's task queue: its state "
+                    "(running, done, aborted) and how many tasks are pending, "
+                    "claimed, resulted and errored.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     status = sub.add_parser(
         "status",
-        help="print the queue's state, per-kind blob counts, and the "
-             "latest autoscaling hints (hints.* lines)",
+        help="print the queue's state and per-kind blob counts",
     )
     status.add_argument("queue", metavar="PATH",
                         help="task queue location (the coordinator's queue)")
@@ -327,16 +319,13 @@ def build_queue_parser() -> argparse.ArgumentParser:
 
 
 def _queue_main(argv: Sequence[str]) -> int:
-    import json
-
     from repro.core.distributed import (
         CLAIM_PREFIX,
         ERROR_PREFIX,
-        HINTS_BLOB,
         RUN_MANIFEST,
         TaskQueue,
     )
-    from repro.events.transport import TransportError, open_transport, try_read_blob
+    from repro.events.transport import TransportError, open_transport
 
     parser = build_queue_parser()
     args = parser.parse_args(argv)
@@ -361,20 +350,11 @@ def _queue_main(argv: Sequence[str]) -> int:
     print(f"state: {state}")
     print(f"pending_tasks: {len(queue.pending_task_names())}")
     print(f"claimed_tasks: {len(claims)}")
-    print(f"result_batches: {len(queue.result_batch_names())}")
+    print(f"results: {len(queue.result_names())}")
     print(f"errors: {len([n for n in names if n.startswith(ERROR_PREFIX)])}")
     workers = sorted({name.rsplit(".", 1)[1] for name in claims})
     if workers:
         print(f"claim_workers: {', '.join(workers)}")
-    raw = try_read_blob(transport, HINTS_BLOB)
-    if raw is not None:
-        try:
-            hints = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            print("hints: <undecodable>")
-        else:
-            for key, value in sorted(hints.items()):
-                print(f"hints.{key}: {value}")
     return 0
 
 

@@ -238,7 +238,7 @@ def analyze_stream(
       --queue`` (requires a :class:`~repro.events.store.ShardedTraceStore`).
 
     ``engine`` may also be an engine spec string with options
-    (``"distributed:claim_batch=4,speculate=on"``), an
+    (``"distributed:lease_timeout=10,run_timeout=300"``), an
     :class:`~repro.core.engine.EngineConfig`, or an
     :class:`~repro.core.engine.ExecutionEngine` instance (what the CLI
     passes after resolving with degradation, or a configured

@@ -381,10 +381,6 @@ class StreamingAllocPairer:
         self._vectorized = True
         self._dtypes: dict[str, np.dtype] = {}
 
-    @property
-    def num_open(self) -> int:
-        return sum(len(stack) for stack in self._open.values())
-
     def _empty_batch(self) -> PairBatch:
         return PairBatch(
             alloc_gpos=np.empty(0, dtype=np.int64),

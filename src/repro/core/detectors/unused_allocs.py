@@ -249,8 +249,3 @@ def find_unused_allocations_streaming(
         num_devices = stream.num_devices
     part = run_streaming_pass(UnusedAllocationPass(num_devices, trace_end=trace_end), stream)
     return part_objects(part, materialize_data_op_events(stream, part.labels()))
-
-
-def count_unused_allocations(findings: Sequence[UnusedAllocation]) -> int:
-    """The "UA" count of Table 1."""
-    return len(findings)

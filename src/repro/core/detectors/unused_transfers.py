@@ -288,8 +288,3 @@ def find_unused_transfers_streaming(
         num_devices = stream.num_devices
     part = run_streaming_pass(UnusedTransferPass(num_devices), stream)
     return part_objects(part, materialize_data_op_events(stream, part.labels()))
-
-
-def count_unused_transfers(findings: Sequence[UnusedTransfer]) -> int:
-    """The "UT" count of Table 1."""
-    return len(findings)

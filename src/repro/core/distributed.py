@@ -19,8 +19,7 @@ the worker refuse one.)
 Queue layout (all names relative to the queue transport)::
 
     run.pkl                        pickled run manifest: store transport
-                                   spec, pass specs, lease timeout,
-                                   claim batch
+                                   spec, pass specs, lease timeout
     tasks/task-00002.a000          pending task, attempt 0 (the pickled
                                    spec indices of pass group 2);
                                    requeues bump the attempt tag, so a
@@ -30,14 +29,9 @@ Queue layout (all names relative to the queue transport)::
                                    under the claiming worker's id
     beats/task-00002.a000.<wid>    heartbeat counter, renewed on a timer
                                    while the worker folds
-    results/rb-<wid>-00001         one result *batch* blob per claim
-                                   sweep: ``ODPB``-framed carry-codec
-                                   payloads, one per task the sweep ran,
-                                   each the group's payload list (see
-                                   ``_encode_result_batch``)
+    results/task-00002.a000.<wid>  the claim's result: the group's
+                                   payload list, carry-codec encoded
     errors/task-00002.a000.<wid>   a worker-side failure report
-    hints                          periodically-rewritten autoscaling
-                                   hints (JSON; see ``queue status``)
     done | abort                   terminal markers (abort carries the
                                    reason)
 
@@ -64,8 +58,9 @@ publishes the ``abort`` marker (so every worker exits) and raises
 
 Speculative re-execution covers the gap between "slow" and "dead": when
 a *claimed* task's fold position stops advancing for much longer than
-the fleet's median progress interval (``speculation_factor`` times it,
-floored at ``min_stall``), the coordinator re-publishes the task under
+the fleet's median progress interval (:data:`SPECULATION_FACTOR` times
+it, floored at the lesser of 2 s and a quarter of the lease), the
+coordinator re-publishes the task under
 the next attempt tag *without* waiting for the lease to expire.  The
 original claim is left in place — whichever attempt publishes a durable
 result first wins, and the loser's eventual output is bit-identical
@@ -76,15 +71,16 @@ budget.
 
 Because folds are deterministic and results publish atomically, the
 protocol tolerates zombies: a worker presumed dead that later finishes
-simply publishes a batch holding bit-identical payloads for the same
-task indices (first decode wins, and all reads agree).
+simply publishes a bit-identical result for the same task index (first
+decode wins, and all reads agree).
 
-A task's result is its group's payload list — a finished
+A worker claims one task at a time.  The task's result is its group's
+payload list — a finished
 :class:`~repro.core.detectors.table.FindingPart` per detector, and the
 folded guard itself (trace validation) for the coordinator to check —
-encoded with :mod:`repro.core.carrycodec` and batched one blob per claim
-sweep (``--claim-batch`` tasks per sweep), so an object-store deployment
-pays one PUT per sweep instead of one per task.  No carry is shipped or
+encoded with :mod:`repro.core.carrycodec` into one result blob named
+after the claim.  A run has at most one task per pass, so it publishes
+at most six result blobs.  No carry is shipped or
 merged.  The coordinator checks the guard as soon as the guard's group
 lands, and holds back a detector group's exhausted retries until then, so
 a detector that failed on an invalid stream never hides the validation
@@ -92,17 +88,12 @@ error.  Once every group has landed it gathers the finding rows locally
 (:func:`~repro.core.engine.gather_groups`, shared with the process
 engine), which is what keeps the differential suite's legs bit-identical.
 Parallelism is capped at one task per pass, as on the process engine.
-
-While coordinating, the engine periodically rewrites a ``hints`` blob in
-the queue (atomic publish; see :func:`~repro.events.transport.try_write_blob`)
-with pending depth, claim latency, median fold-progress rate and a
-suggested worker delta, so an external fleet manager — or ``ompdataperf
-queue status`` — can grow or shrink the worker fleet mid-run.
+``ompdataperf queue status`` reads a live or finished queue's state and
+blob counts.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import re
@@ -127,7 +118,6 @@ from repro.core.detectors.table import FindingTable
 from repro.core.engine import (
     ENGINES,
     _check_jobs,
-    _opt_bool,
     _opt_float,
     _opt_int,
     _opt_str,
@@ -144,16 +134,16 @@ from repro.events.transport import (
     open_transport,
     try_claim_blob,
     try_read_blob,
-    try_write_blob,
 )
 from repro.events.validation import TraceValidationError
 
 #: Version tag of the queue protocol; workers refuse manifests they do
 #: not speak rather than mis-folding them.  Version 2 switched results
-#: from per-task pickles to batched carry-codec blobs and added the
-#: ``claim_batch`` manifest field; version 3 made a task a pass group (its
-#: spec indices) and a result the group's payload list.
-QUEUE_FORMAT_VERSION = 3
+#: from per-task pickles to batched carry-codec blobs; version 3 made a
+#: task a pass group (its spec indices) and a result the group's payload
+#: list; version 4 publishes one result blob per claim, named after it,
+#: and drops the manifest's ``claim_batch`` field.
+QUEUE_FORMAT_VERSION = 4
 
 RUN_MANIFEST = "run.pkl"
 DONE_MARKER = "done"
@@ -164,11 +154,10 @@ BEAT_PREFIX = "beats/"
 RESULT_PREFIX = "results/"
 ERROR_PREFIX = "errors/"
 
-#: Autoscaling hints blob, periodically rewritten by the coordinator.
-HINTS_BLOB = "hints"
-
-#: Schema version of the hints blob.
-HINTS_VERSION = 1
+#: A claimed task is speculated once its fold position has been frozen
+#: for this many fleet-median progress intervals (and at least
+#: ``min(2 s, lease_timeout / 4)``).
+SPECULATION_FACTOR = 4.0
 
 #: Test hook honoured only by the CLI ``worker`` entry point: the worker
 #: calls ``os._exit(3)`` immediately after its N-th successful claim,
@@ -184,61 +173,19 @@ CRASH_EXIT_CODE = 3
 #: progress), which is exactly the straggler speculation must rescue.
 STALL_ENV = "OMPDATAPERF_WORKER_STALL_AFTER_CLAIM"
 
-# All three patterns are end-anchored so that a transport's in-flight staging
+# Both patterns are end-anchored so that a transport's in-flight staging
 # files (LocalDirTransport publishes through `<name>.tmp-<pid>` +
 # os.replace) can never be mistaken for live queue blobs: a pending blob
-# ends with the bare task stem, a claim/beat/error blob with the stem
-# plus exactly one ".<worker-id>" segment (worker ids are sanitized to
-# [A-Za-z0-9_-], so they contain no further dots), and a result batch
-# with "rb-<worker-id>-<seq>".
+# ends with the bare task stem, a claim/beat/result/error blob with the
+# stem plus exactly one ".<worker-id>" segment (worker ids are sanitized
+# to [A-Za-z0-9_-], so they contain no further dots).
 _PENDING_NAME = re.compile(r"task-(\d{5})\.a(\d{3})$")
 _LEASED_NAME = re.compile(r"task-(\d{5})\.a(\d{3})\.[A-Za-z0-9_-]+$")
-_RESULT_BATCH_NAME = re.compile(r"results/rb-[A-Za-z0-9_-]+-\d{5,}")
 
 
 class DistributedExecutionError(RuntimeError):
     """A distributed run could not complete (task retries exhausted,
     every worker lost, or the run timed out)."""
-
-
-# --------------------------------------------------------------------- #
-# Result batches
-# --------------------------------------------------------------------- #
-#: Frame of one result-batch blob: magic, format version, entry count.
-_BATCH_MAGIC = b"ODPB"
-_BATCH_VERSION = 1
-_BATCH_PREFIX_STRUCT = struct.Struct("<4sHI")
-_BATCH_ENTRY_STRUCT = struct.Struct("<IQ")
-
-
-def _encode_result_batch(entries: Sequence[tuple[int, bytes]]) -> bytes:
-    """Frame ``(task_index, codec_payload)`` pairs as one blob."""
-    out = bytearray(_BATCH_PREFIX_STRUCT.pack(_BATCH_MAGIC, _BATCH_VERSION, len(entries)))
-    for index, payload in entries:
-        out += _BATCH_ENTRY_STRUCT.pack(index, len(payload))
-        out += payload
-    return bytes(out)
-
-
-def _decode_result_batch(data: bytes) -> list[tuple[int, bytes]]:
-    magic, version, count = _BATCH_PREFIX_STRUCT.unpack_from(data, 0)
-    if magic != _BATCH_MAGIC:
-        raise CarryCodecError(f"bad result-batch magic {magic!r}")
-    if version != _BATCH_VERSION:
-        raise CarryCodecError(f"unsupported result-batch version {version}")
-    offset = _BATCH_PREFIX_STRUCT.size
-    entries: list[tuple[int, bytes]] = []
-    for _ in range(count):
-        index, size = _BATCH_ENTRY_STRUCT.unpack_from(data, offset)
-        offset += _BATCH_ENTRY_STRUCT.size
-        payload = bytes(data[offset:offset + size])
-        if len(payload) != size:
-            raise CarryCodecError("truncated result batch")
-        offset += size
-        entries.append((index, payload))
-    if offset != len(data):
-        raise CarryCodecError("trailing bytes in result batch")
-    return entries
 
 
 def _task_stem(index: int, attempt: int) -> str:
@@ -250,10 +197,6 @@ def _parse_pending_name(name: str) -> Optional[tuple[int, int]]:
     if match is None:
         return None
     return int(match.group(1)), int(match.group(2))
-
-
-def _is_result_batch_name(name: str) -> bool:
-    return _RESULT_BATCH_NAME.fullmatch(name) is not None
 
 
 def _parse_leased_name(name: str) -> Optional[tuple[int, int]]:
@@ -388,23 +331,17 @@ class TaskQueue:
         self.transport.delete_blob(BEAT_PREFIX + suffix)
 
     # -- results and failures -------------------------------------------- #
-    def publish_result_batch(
-        self, worker: str, seq: int, entries: Sequence[tuple[int, bytes]]
-    ) -> None:
-        """Publish one sweep's ``(index, codec_payload)`` results atomically."""
-        self.transport.write_blob(
-            f"{RESULT_PREFIX}rb-{worker}-{seq:05d}", _encode_result_batch(entries)
-        )
+    def publish_result(self, claim: ClaimedTask, payload: bytes) -> None:
+        """Publish a claim's codec-encoded result atomically."""
+        suffix = claim.name[len(CLAIM_PREFIX):]
+        self.transport.write_blob(RESULT_PREFIX + suffix, payload)
 
-    def result_batch_names(self) -> list[str]:
+    def result_names(self) -> list[str]:
         return [
             name
             for name in list_blobs_under(self.transport, RESULT_PREFIX)
-            if _is_result_batch_name(name)
+            if _parse_leased_name(name) is not None
         ]
-
-    def read_result_batch(self, name: str) -> list[tuple[int, bytes]]:
-        return _decode_result_batch(self.transport.read_blob(name))
 
     def publish_error(self, claim: ClaimedTask, message: str) -> None:
         suffix = claim.name[len(CLAIM_PREFIX):]
@@ -438,7 +375,6 @@ def run_worker(
     idle_timeout: Optional[float] = None,
     echo=None,
     crash_hook: bool = False,
-    claim_batch: Optional[int] = None,
 ) -> int:
     """Claim, run and publish pass-group tasks until the run terminates.
 
@@ -451,10 +387,9 @@ def run_worker(
 
     The worker is warm across tasks: it opens each store once (keyed by
     transport spec) and keeps it for its whole lifetime, so only the
-    first task of a run pays the open cost.  Each sweep claims up to
-    ``claim_batch`` tasks (default: the manifest's ``claim_batch``),
-    renews every held lease on one timer, and publishes one result-batch
-    blob for the sweep.
+    first task of a run pays the open cost.  It claims one task at a
+    time, renews that lease on a timer while it folds, and publishes one
+    result blob for it.
 
     This function is the whole worker: the CLI ``worker`` subcommand calls
     it in a fresh process, the engine's thread mode calls it on a thread,
@@ -476,9 +411,8 @@ def run_worker(
     transport: Optional[ShardTransport] = None
     run: Optional[dict] = None
     done_tasks = 0
-    # successful claims (including ones that error), warm stores, and the
-    # per-worker result-batch sequence number
-    state = {"claims": 0, "stores": {}, "batches": 0}
+    # successful claims (including ones that error) and warm stores
+    state = {"claims": 0, "stores": {}}
     while True:
         if transport is None:
             try:
@@ -514,15 +448,8 @@ def run_worker(
                         )
                         return 1
                 if run is not None:
-                    remaining = (
-                        None if max_tasks is None else max(1, max_tasks - done_tasks)
-                    )
-                    swept = _drain_pending(
-                        tq, run, wid, say, crash_after, stall_after, state,
-                        claim_batch, remaining,
-                    )
-                    if swept:
-                        done_tasks += swept
+                    if _run_one_task(tq, run, wid, say, crash_after, stall_after, state):
+                        done_tasks += 1
                         if max_tasks is not None and done_tasks >= max_tasks:
                             say(f"info: worker {wid}: max tasks reached, exiting")
                             return 0
@@ -542,7 +469,7 @@ def run_worker(
         time.sleep(poll_interval)
 
 
-def _drain_pending(
+def _run_one_task(
     tq: TaskQueue,
     run: dict,
     wid: str,
@@ -550,50 +477,27 @@ def _drain_pending(
     crash_after: int,
     stall_after: int,
     state: dict,
-    claim_batch: Optional[int],
-    max_claims: Optional[int] = None,
-) -> int:
-    """One claim sweep: lease up to ``claim_batch`` tasks, run each pass
-    group on a warm store, publish one result batch.  Returns how many
-    completed."""
-    batch_size = claim_batch if claim_batch is not None else run.get("claim_batch")
-    try:
-        batch_size = max(1, int(batch_size or 1))
-    except (TypeError, ValueError):
-        batch_size = 1
-    if max_claims is not None:
-        # --max-tasks caps the sweep so a worker never folds past its quota.
-        batch_size = min(batch_size, max_claims)
-    claims: list[ClaimedTask] = []
-    stalled: set[str] = set()
+) -> bool:
+    """Lease one pending task, run its pass group on a warm store and
+    publish its result.  Returns whether a result was published."""
     for pending_name in tq.pending_task_names():
-        if len(claims) >= batch_size:
-            break
         claim = tq.claim(pending_name, wid)
-        if claim is None:
-            continue
-        state["claims"] += 1
-        if crash_after and state["claims"] >= crash_after:
-            # Simulated machine death: lease and heartbeat stay behind
-            # exactly as a real mid-fold crash would leave them.
-            os._exit(CRASH_EXIT_CODE)
-        if stall_after and state["claims"] >= stall_after:
-            # Simulated stuck worker: the claim is held and heartbeats
-            # keep renewing, but the fold below never starts.
-            stalled.add(claim.name)
-        say(
-            f"info: worker {wid}: claimed task {claim.index} "
-            f"(attempt {claim.attempt})"
-        )
-        claims.append(claim)
-    if not claims:
-        return 0
-    # Renew every held lease on one timer, not per unit of work: the
-    # heartbeat answers "is this worker alive?", so it must keep ticking
-    # however long one shard's fold runs (a batch-granularity heartbeat
-    # would let a single slow shard outlive the lease and get requeued
-    # under a healthy worker).  Fold *progress* rides the same blob but
-    # is republished promptly (at most every ``tick``) so the coordinator
+        if claim is not None:
+            break
+    else:
+        return False
+    state["claims"] += 1
+    if crash_after and state["claims"] >= crash_after:
+        # Simulated machine death: lease and heartbeat stay behind
+        # exactly as a real mid-fold crash would leave them.
+        os._exit(CRASH_EXIT_CODE)
+    say(f"info: worker {wid}: claimed task {claim.index} (attempt {claim.attempt})")
+    # Renew the lease on a timer, not per unit of work: the heartbeat
+    # answers "is this worker alive?", so it must keep ticking however
+    # long one shard's fold runs (a batch-granularity heartbeat would let
+    # a single slow shard outlive the lease and get requeued under a
+    # healthy worker).  Fold *progress* rides the same blob but is
+    # republished promptly (at most every ``tick``) so the coordinator
     # sees the fold position advance long before the liveness floor.
     lease = float(run.get("lease_timeout") or 30.0)
     interval = max(min(lease / 4.0, 5.0), 0.02)
@@ -601,60 +505,52 @@ def _drain_pending(
     stop = threading.Event()
 
     def renew() -> None:
-        published = {claim.name: claim.progress for claim in claims}
+        published = claim.progress
         last_full = time.monotonic()
         while not stop.wait(tick):
             refresh = time.monotonic() - last_full >= interval
-            for claim in claims:
-                if refresh or claim.progress != published[claim.name]:
-                    try:
-                        tq.heartbeat(claim)
-                    except OSError:
-                        return  # queue unreachable; the leases expire naturally
-                    published[claim.name] = claim.progress
+            if refresh or claim.progress != published:
+                try:
+                    tq.heartbeat(claim)
+                except OSError:
+                    return  # queue unreachable; the lease expires naturally
+                published = claim.progress
             if refresh:
                 last_full = time.monotonic()
 
     renewer = threading.Thread(target=renew, daemon=True)
     renewer.start()
-    completed: list[tuple[ClaimedTask, bytes]] = []
     try:
-        for claim in claims:
-            if claim.name in stalled:
-                say(f"info: worker {wid}: stalling on task {claim.index} (test hook)")
-                while True:  # heartbeats continue; progress never moves
-                    time.sleep(0.5)
-            try:
-                store, _ = open_store_cached(run["store_spec"], state["stores"])
-                specs = run["pass_specs"]
+        if stall_after and state["claims"] >= stall_after:
+            # Simulated stuck worker: the claim is held and heartbeats
+            # keep renewing, but the fold never starts.
+            say(f"info: worker {wid}: stalling on task {claim.index} (test hook)")
+            while True:
+                time.sleep(0.5)
+        try:
+            store, _ = open_store_cached(run["store_spec"], state["stores"])
+            specs = run["pass_specs"]
 
-                def tick_progress(events: int, claim: ClaimedTask = claim) -> None:
-                    claim.progress += events
+            def tick_progress(events: int) -> None:
+                claim.progress += events
 
-                payload = encode_carries(
-                    _run_group(store, [specs[i] for i in claim.task], tick_progress)
-                )
-            except Exception as exc:  # noqa: BLE001 — report, release, move on
-                say(f"error: worker {wid}: task {claim.index} failed: {exc}")
-                tq.publish_error(claim, f"{type(exc).__name__}: {exc}")
-                tq.release(claim)
-                continue
-            completed.append((claim, payload))
-        if completed:
-            state["batches"] += 1
-            tq.publish_result_batch(
-                wid, state["batches"], [(c.index, p) for c, p in completed]
+            payload = encode_carries(
+                _run_group(store, [specs[i] for i in claim.task], tick_progress)
             )
-            # Only release after the batch is durably published: a crash
-            # between fold and publish must leave the leases to expire.
-            for claim, _ in completed:
-                tq.release(claim)
+        except Exception as exc:  # noqa: BLE001 — report, release, move on
+            say(f"error: worker {wid}: task {claim.index} failed: {exc}")
+            tq.publish_error(claim, f"{type(exc).__name__}: {exc}")
+            tq.release(claim)
+            return False
+        tq.publish_result(claim, payload)
+        # Only release after the result is durably published: a crash
+        # between fold and publish must leave the lease to expire.
+        tq.release(claim)
     finally:
         stop.set()
         renewer.join(timeout=5.0)
-    for claim, _ in completed:
-        say(f"info: worker {wid}: published result for task {claim.index}")
-    return len(completed)
+    say(f"info: worker {wid}: published result for task {claim.index}")
+    return True
 
 
 # --------------------------------------------------------------------- #
@@ -723,20 +619,19 @@ class DistributedEngine:
     ``lease_timeout`` (dead worker) or that reports a worker-side error
     is requeued under the next attempt tag; after ``max_attempts``
     attempts the run aborts with :class:`DistributedExecutionError`.
-    A claimed task whose *fold position* stalls relative to the fleet
-    (``speculate=True``) is speculatively re-published early — see the
-    module docstring for the lifecycle.  Spawned workers that die are
-    replaced while the respawn budget lasts.  ``run_timeout`` bounds the
-    whole run when set.  :attr:`stats` records the last run's task,
-    requeue, respawn, speculation, debris and duplicate-result counts plus
-    the final autoscaling ``hints`` snapshot (a stable contract; see
-    :func:`~repro.core.engine.resolve_engine`).
+    A claimed task whose *fold position* stalls relative to the fleet is
+    speculatively re-published early — see the module docstring for the
+    lifecycle.  Spawned workers that die are replaced while the respawn
+    budget lasts.  ``run_timeout`` bounds the whole run when set.
+    :attr:`stats` records the last run's task, requeue, respawn,
+    speculation, debris and duplicate-result counts (a stable contract;
+    see :func:`~repro.core.engine.resolve_engine`).
     """
 
     name = "distributed"
 
     #: Options addressable from an ``EngineConfig`` spec string, e.g.
-    #: ``"distributed:claim_batch=4,lease_timeout=10,speculate=on"``.
+    #: ``"distributed:lease_timeout=10,run_timeout=300"``.
     config_options = {
         "queue": _opt_str,
         "workers": _opt_int,
@@ -745,11 +640,6 @@ class DistributedEngine:
         "poll_interval": _opt_float,
         "max_attempts": _opt_int,
         "run_timeout": _opt_float,
-        "claim_batch": _opt_int,
-        "speculate": _opt_bool,
-        "speculation_factor": _opt_float,
-        "min_stall": _opt_float,
-        "hints_interval": _opt_float,
     }
 
     def __init__(
@@ -762,12 +652,6 @@ class DistributedEngine:
         poll_interval: float = 0.2,
         max_attempts: int = 3,
         run_timeout: Optional[float] = None,
-        worker_env: Optional[dict] = None,
-        claim_batch: int = 1,
-        speculate: bool = True,
-        speculation_factor: float = 4.0,
-        min_stall: Optional[float] = None,
-        hints_interval: float = 1.0,
     ) -> None:
         if worker_mode not in ("process", "thread"):
             raise ValueError(f"unknown worker mode {worker_mode!r}")
@@ -775,14 +659,6 @@ class DistributedEngine:
             raise ValueError("lease_timeout must be positive")
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if claim_batch < 1:
-            raise ValueError("claim_batch must be at least 1")
-        if speculation_factor <= 0:
-            raise ValueError("speculation_factor must be positive")
-        if min_stall is not None and min_stall <= 0:
-            raise ValueError("min_stall must be positive")
-        if hints_interval <= 0:
-            raise ValueError("hints_interval must be positive")
         if poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
         if workers is not None and workers < 0:
@@ -799,17 +675,10 @@ class DistributedEngine:
         self.poll_interval = poll_interval
         self.max_attempts = max_attempts
         self.run_timeout = run_timeout
-        self.worker_env = dict(worker_env) if worker_env else None
-        self.claim_batch = claim_batch
-        self.speculate = speculate
-        self.speculation_factor = speculation_factor
-        #: Floor of the stall threshold; defaults to the lesser of 2s and
-        #: a quarter of the lease, so fast fleets speculate promptly while
-        #: noisy medians cannot trigger sub-second duplicates.
-        self.min_stall = (
-            min_stall if min_stall is not None else min(2.0, lease_timeout / 4.0)
-        )
-        self.hints_interval = hints_interval
+        #: Floor of the stall threshold: the lesser of 2s and a quarter of
+        #: the lease, so fast fleets speculate promptly while noisy
+        #: medians cannot trigger sub-second duplicates.
+        self.min_stall = min(2.0, lease_timeout / 4.0)
         #: Observability for the last completed/failed run.
         self.stats: dict = {}
 
@@ -855,7 +724,6 @@ class DistributedEngine:
                 "store_spec": stream.transport.spec(),
                 "pass_specs": specs,
                 "lease_timeout": self.lease_timeout,
-                "claim_batch": self.claim_batch,
             }
         )
         for index, group in enumerate(groups):
@@ -934,8 +802,6 @@ class DistributedEngine:
         # used from a source tree rather than an installed distribution.
         package_root = str(Path(__file__).resolve().parents[2])
         env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
-        if self.worker_env:
-            env.update(self.worker_env)
         proc = subprocess.Popen(
             [
                 sys.executable,
@@ -965,7 +831,7 @@ class DistributedEngine:
     ) -> dict:
         """Poll until every group's payloads land; requeue/speculate leases.
 
-        Result batches are drained incrementally (each blob read exactly
+        Result blobs are drained incrementally (each blob read exactly
         once; a task index already landed is a zombie's bit-identical
         duplicate and is dropped).  Returns ``{group position: payload
         list}``.  The guard groups are checked the moment they have all
@@ -984,19 +850,15 @@ class DistributedEngine:
         guards_checked = False
         # detector task -> its failure, held until the guards' verdict
         exhausted: dict[int, str] = {}
-        seen_batches: set[str] = set()
+        seen_results: set[str] = set()
         # Speculation state: per-task fold-position marks, the fleet-wide
-        # recent progress intervals, and which (index, attempt) pairs were
-        # published when (claim latency for the hints blob).
+        # recent progress intervals, and when each (index, attempt) pair
+        # was published (a landing's whole-task fallback interval).
         progress_marks: dict[int, tuple[tuple, float]] = {}
         liveness_marks: dict[int, tuple[tuple, float]] = {}
         progress_intervals: deque = deque(maxlen=64)
-        claim_latencies: deque = deque(maxlen=64)
         publish_times = {(index, 0): started for index in tasks}
-        claims_observed: set[tuple[int, int]] = set()
         speculated: set[int] = set()
-        hints_seq = 0
-        last_hints = started - self.hints_interval  # publish on first poll
 
         def fail_task(index: int, reason: str) -> None:
             attempt = current_attempt[index]
@@ -1057,65 +919,18 @@ class DistributedEngine:
                     stacklevel=3,
                 )
 
-        def publish_hints(
-            now: float, pending_count: int, active_claims: dict,
-            force: bool = False,
-        ) -> None:
-            nonlocal hints_seq, last_hints
-            if not force and now - last_hints < self.hints_interval:
-                return
-            last_hints = now
-            hints_seq += 1
-            claim_wids = {
-                name.rsplit(".", 1)[1] for name in active_claims.values()
-            }
-            live_spawned = sum(1 for handle in handles if handle.alive())
-            workers_seen = max(live_spawned, len(claim_wids))
-            idle = max(0, workers_seen - len(active_claims))
-            if pending_count > idle:
-                delta = pending_count - idle
-            elif pending_count == 0 and idle > 0:
-                delta = -idle
-            else:
-                delta = 0
-            hints = {
-                "version": HINTS_VERSION,
-                "seq": hints_seq,
-                "tasks": len(tasks),
-                "pending": pending_count,
-                "claimed": len(active_claims),
-                "completed": len(landed),
-                "requeued": self.stats["requeued"],
-                "speculative_launches": self.stats["speculative_launches"],
-                "debris_blobs": self.stats["debris_blobs"],
-                "workers_observed": workers_seen,
-                "claim_latency_seconds": (
-                    round(statistics.median(claim_latencies), 6)
-                    if claim_latencies else None
-                ),
-                "median_fold_interval_seconds": (
-                    round(statistics.median(progress_intervals), 6)
-                    if progress_intervals else None
-                ),
-                "suggested_worker_delta": delta,
-            }
-            self.stats["hints"] = hints
-            # Best effort: a failed publish costs one stale interval.
-            try_write_blob(
-                transport, HINTS_BLOB, json.dumps(hints, sort_keys=True).encode()
-            )
-
         while True:
             now = time.monotonic()
             names = transport.list_blobs()
             pending = set()
             claims: dict[tuple[int, int], str] = {}
             errors: dict[tuple[int, int], str] = {}
-            batch_names: list[str] = []
+            results: list[tuple[str, int]] = []
             for name in names:
                 if name.startswith(RESULT_PREFIX):
-                    if _is_result_batch_name(name):
-                        batch_names.append(name)
+                    parsed = _parse_leased_name(name)
+                    if parsed and name not in seen_results:
+                        results.append((name, parsed[0]))
                 elif name.startswith(TASK_PREFIX):
                     parsed = _parse_pending_name(name)
                     if parsed:
@@ -1129,52 +944,41 @@ class DistributedEngine:
                     if parsed:
                         errors[parsed] = name
 
-            for name in batch_names:
-                if name in seen_batches:
-                    continue
-                seen_batches.add(name)
+            for name, index in results:
+                seen_results.add(name)
                 data = try_read_blob(transport, name)
                 if data is None:
                     continue
-                try:
-                    entries = _decode_result_batch(data)
-                except (CarryCodecError, struct.error):
-                    # Undecodable batch blob: the tasks inside requeue,
-                    # but the drop itself must leave a trace.
+                if index not in current_attempt:
                     note_debris()
                     continue
-                for index, payload in entries:
-                    if index not in current_attempt:
-                        note_debris()
-                        continue
-                    try:
-                        payloads = decode_carries(payload)
-                    except (CarryCodecError, struct.error):
-                        note_debris()
-                        continue
-                    if len(payloads) != len(groups[index]):
-                        note_debris()
-                        continue
-                    # A zombie's bit-identical duplicate is dropped by
-                    # task index.
-                    if index not in landed:
-                        landed[index] = payloads
-                        # Every landing feeds the fleet-median window: the
-                        # interval since the claim's last observed progress
-                        # when we saw one, else since the task was
-                        # published (its whole wall time) — so the median
-                        # exists even when folds finish between polls.
-                        mark = progress_marks.pop(index, None)
-                        if mark is not None:
-                            progress_intervals.append(now - mark[1])
-                        else:
-                            published = publish_times.get(
-                                (index, current_attempt.get(index, 0))
-                            )
-                            if published is not None:
-                                progress_intervals.append(now - published)
-                    else:
-                        self.stats["duplicate_results"] += 1
+                try:
+                    payloads = decode_carries(data)
+                except (CarryCodecError, struct.error):
+                    # Undecodable result blob: the task requeues, but the
+                    # drop itself must leave a trace.
+                    note_debris()
+                    continue
+                if len(payloads) != len(groups[index]):
+                    note_debris()
+                    continue
+                # A zombie's bit-identical duplicate is dropped by task
+                # index.
+                if index in landed:
+                    self.stats["duplicate_results"] += 1
+                    continue
+                landed[index] = payloads
+                # Every landing feeds the fleet-median window: the interval
+                # since the claim's last observed progress when we saw one,
+                # else since the task was published (its whole wall time) —
+                # so the median exists even when folds finish between polls.
+                mark = progress_marks.pop(index, None)
+                if mark is not None:
+                    progress_intervals.append(now - mark[1])
+                else:
+                    published = publish_times.get((index, current_attempt[index]))
+                    if published is not None:
+                        progress_intervals.append(now - published)
 
             if not guards_checked and guard_tasks <= landed.keys():
                 guards_checked = True
@@ -1185,7 +989,6 @@ class DistributedEngine:
                     raise DistributedExecutionError(message)
 
             if len(landed) == len(groups):
-                publish_hints(now, 0, {}, force=True)
                 return landed
 
             for index in tasks:
@@ -1211,11 +1014,6 @@ class DistributedEngine:
                         beat_name = BEAT_PREFIX + claim_name[len(CLAIM_PREFIX):]
                         beat = try_read_blob(transport, beat_name)
                         token = ("claim", claim_name, beat)
-                        if key not in claims_observed:
-                            claims_observed.add(key)
-                            published = publish_times.get(key)
-                            if published is not None:
-                                claim_latencies.append(now - published)
                         self._track_progress(
                             index, attempt, claim_name, beat, now,
                             progress_marks, liveness_marks,
@@ -1232,19 +1030,6 @@ class DistributedEngine:
                 elif frozen_means_dead and now - last[1] > self.lease_timeout:
                     what = "lease expired" if token[0] == "claim" else "task blob lost"
                     fail_task(index, f"{what} after {self.lease_timeout:g}s")
-
-            publish_hints(
-                now,
-                sum(
-                    1 for key in pending
-                    if current_attempt.get(key[0]) == key[1]
-                    and key[0] not in landed
-                ),
-                {
-                    key: name for key, name in claims.items()
-                    if current_attempt.get(key[0]) == key[1]
-                },
-            )
 
             # Keep the spawned fleet alive while the budget lasts; a fleet
             # that died entirely can never finish the run, so fail fast.
@@ -1291,7 +1076,7 @@ class DistributedEngine:
         beat blob; its liveness token is the full beat bytes (counter
         included).  Every fold-position change feeds the fleet-wide
         interval window.  A task whose fold position freezes for longer
-        than ``speculation_factor`` times the fleet median (floored at
+        than :data:`SPECULATION_FACTOR` times the fleet median (floored at
         ``min_stall``) **while its liveness counter keeps ticking** is a
         straggler — alive but stuck — and is re-published under the next
         attempt tag.  A frozen liveness counter means a dead worker, and
@@ -1311,8 +1096,7 @@ class DistributedEngine:
             progress_marks[index] = (ptoken, now)
             return
         if (
-            not self.speculate
-            or index in speculated
+            index in speculated
             or attempt + 1 >= self.max_attempts
             or not progress_intervals
         ):
@@ -1322,7 +1106,7 @@ class DistributedEngine:
             return
         stalled_for = now - mark[1]
         threshold = max(
-            self.speculation_factor * statistics.median(progress_intervals),
+            SPECULATION_FACTOR * statistics.median(progress_intervals),
             self.min_stall,
         )
         if stalled_for > threshold and stalled_for <= self.lease_timeout:

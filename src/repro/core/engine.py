@@ -135,7 +135,7 @@ class EngineConfig:
     ``resolve_engine``: every per-engine constructor kwarg that used to
     need ad-hoc plumbing is addressable from one spec string::
 
-        EngineConfig.parse("distributed:claim_batch=4,lease_timeout=10,speculate=on")
+        EngineConfig.parse("distributed:lease_timeout=10,run_timeout=300")
         EngineConfig.parse("process:keep_pool=on")
         EngineConfig.parse("serial")
 
@@ -606,7 +606,7 @@ def resolve_engine(engine, *, jobs: Optional[int] = None, degrade: bool = False)
 
     Accepts a registry name (``"serial"``, ``"process"``,
     ``"distributed"``), a spec string with options
-    (``"distributed:claim_batch=4,lease_timeout=10,speculate=on"``), an
+    (``"distributed:lease_timeout=10,run_timeout=300"``), an
     :class:`EngineConfig`, an :class:`ExecutionEngine` instance, or
     ``None`` for the default serial engine.  With ``degrade=True`` a
     ``"process"`` request on a machine where it cannot help — a single
@@ -622,12 +622,14 @@ def resolve_engine(engine, *, jobs: Optional[int] = None, degrade: bool = False)
     (``spawn/open/decode/map/fold_seconds``, ``overhead_seconds``) and
     the distributed engine's coordinator block (``requeued``,
     ``respawned``, ``speculative_launches``, ``debris_blobs``,
-    ``duplicate_results``, ``hints``).  Two keys are retired.
+    ``duplicate_results``).  Three keys are retired.
     ``peak_unmerged_chains`` counted the distributed coordinator's
     un-merged partition carries, and its tasks are pass groups now, whose
     payloads are never merged.  The process engine's shard-cache hit count
     went with its shared decoded-shard cache: every worker now maps or
-    decodes each shard it scans itself.  The structured way to read the
+    decodes each shard it scans itself.  ``hints`` held the distributed
+    coordinator's autoscaling snapshot, which went because a run has at
+    most six tasks, too few for a fleet size to follow.  The structured way to read the
     stats is :attr:`repro.core.analysis.StreamAnalysisReport.engine_stats`.
     """
     if engine is None:

@@ -195,7 +195,7 @@ class OMPDataPerf:
         disjoint shard ranges on worker processes — see
         :mod:`repro.core.engine`).  ``engine`` accepts the same spec
         strings as :func:`repro.core.analysis.analyze_stream`
-        (``"distributed:claim_batch=4,speculate=on"``); the returned
+        (``"distributed:lease_timeout=10,run_timeout=300"``); the returned
         result's ``analysis`` is a
         :class:`~repro.core.analysis.StreamAnalysisReport` carrying the
         engine's name, stats block, and timings.

@@ -202,10 +202,6 @@ class RetentionPolicy:
             and self.keep_kinds is None
         )
 
-    def filters_events(self) -> bool:
-        """True when the policy drops individual events during the rewrite."""
-        return self.max_age is not None or self.keep_kinds is not None
-
     def filter_batch(self, batch: ColumnarTrace, cutoff: Optional[float]) -> ColumnarTrace:
         """Return ``batch`` with the dropped events removed (or unchanged)."""
         do_mask = np.ones(batch.num_data_op_events, dtype=bool)
@@ -744,10 +740,6 @@ class TraceWriter:
     @property
     def buffered_events(self) -> int:
         return len(self._buffer)
-
-    @property
-    def num_events_written(self) -> int:
-        return sum(s.num_events for s in self.shards)
 
     def _check_open(self) -> None:
         if self.closed:

@@ -693,23 +693,6 @@ def try_map_blob(transport: ShardTransport, name: str):
         return None
 
 
-def try_write_blob(transport: ShardTransport, name: str, data: bytes) -> bool:
-    """Atomically publish a blob, best effort; ``False`` when it failed.
-
-    Every transport's ``write_blob`` is an atomic publish (staged tmp +
-    rename locally, whole-object put on object stores), so readers never
-    observe a torn payload.  This wrapper is for *advisory* blobs that
-    are periodically rewritten — the distributed coordinator's
-    autoscaling ``hints`` — where a transient transport failure must cost
-    one stale interval, not the run.
-    """
-    try:
-        transport.write_blob(name, data)
-    except (TransportError, OSError):
-        return False
-    return True
-
-
 def try_claim_blob(transport: ShardTransport, src: str, dst: str) -> bool:
     """Claim ``src`` by renaming it to ``dst``; ``False`` if the race was lost.
 

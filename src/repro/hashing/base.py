@@ -16,9 +16,6 @@ import numpy as np
 
 BytesLike = Union[bytes, bytearray, memoryview, np.ndarray]
 
-_MASK64 = (1 << 64) - 1
-_MASK32 = (1 << 32) - 1
-
 
 def as_bytes(data: BytesLike) -> bytes:
     """Normalise a payload to ``bytes``.
@@ -139,11 +136,3 @@ def rotl(value: int, count: int, bits: int = 64) -> int:
     count %= bits
     value &= mask
     return ((value << count) | (value >> (bits - count))) & mask
-
-
-def mask64(value: int) -> int:
-    return value & _MASK64
-
-
-def mask32(value: int) -> int:
-    return value & _MASK32

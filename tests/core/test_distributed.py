@@ -17,8 +17,8 @@ Three layers:
 
 from __future__ import annotations
 
+import inspect
 import os
-import pickle
 import subprocess
 import sys
 import threading
@@ -112,6 +112,20 @@ def test_distributed_engine_registered():
     assert isinstance(engine, DistributedEngine)
     # The default (self-hosted) shape: scratch queue, loopback processes.
     assert engine.queue is None and engine.worker_mode == "process"
+    assert set(DistributedEngine.config_options) == {
+        "queue", "workers", "worker_mode", "lease_timeout", "poll_interval",
+        "max_attempts", "run_timeout",
+    }
+    # Claim batching, autoscaling hints and the speculation knobs are gone.
+    retired = (
+        "claim_batch", "speculate", "speculation_factor", "min_stall",
+        "hints_interval",
+    )
+    for option in retired:
+        with pytest.raises(ValueError, match="unknown option"):
+            resolve_engine(f"distributed:{option}=1")
+    params = inspect.signature(DistributedEngine).parameters
+    assert not set(params) & {*retired, "worker_env"}
 
 
 def test_engine_parameter_validation():
@@ -278,14 +292,10 @@ def test_queue_protocol_round_trip(queue_transport):
     queue.heartbeat(claim)
     assert queue_transport.read_blob(beat_name) == b"2:42"
 
-    # Results travel as one framed batch blob per claim sweep.
-    queue.publish_result_batch("worker-a", 1, [(0, b"carry-0"), (7, b"carry-7")])
-    batch_names = queue.result_batch_names()
-    assert batch_names == ["results/rb-worker-a-00001"]
-    assert queue.read_result_batch(batch_names[0]) == [
-        (0, b"carry-0"),
-        (7, b"carry-7"),
-    ]
+    # A claim's result is one blob named after the claim.
+    queue.publish_result(claim, b"carry-0")
+    assert queue.result_names() == ["results/task-00000.a000.worker-a"]
+    assert queue_transport.read_blob("results/task-00000.a000.worker-a") == b"carry-0"
     queue.release(claim)
     assert not queue_transport.blob_exists(claim.name)
     assert not queue_transport.blob_exists(beat_name)
@@ -310,15 +320,17 @@ def test_pending_listing_ignores_staging_and_debris(queue_transport):
     assert queue_transport.blob_exists("tasks/task-00001.a000.tmp-1234")
 
 
-def test_result_batch_listing_ignores_staging_files(queue_transport):
-    """A result batch half-written through its staging file is not a
-    result batch yet: only the published name is listed."""
+def test_result_listing_ignores_staging_files(queue_transport):
+    """A result half-written through its staging file is not a result yet:
+    only published per-claim names are listed."""
     queue = TaskQueue(queue_transport)
-    queue.publish_result_batch("w1", 1, [(0, b"carry")])
-    queue_transport.write_blob("results/rb-w1-00002.tmp-1234", b"ODPB\x01")
-    queue_transport.write_blob("results/rb-w1", b"no sequence number")
-    assert queue.result_batch_names() == ["results/rb-w1-00001"]
-    assert queue.read_result_batch("results/rb-w1-00001") == [(0, b"carry")]
+    queue.publish_task(0, [0])
+    claim = queue.claim("tasks/task-00000.a000", "w1")
+    queue.publish_result(claim, b"carry")
+    queue_transport.write_blob("results/task-00001.a000.w1.tmp-1234", b"ODPC\x01")
+    queue_transport.write_blob("results/task-00002.a000", b"no worker id")
+    queue_transport.write_blob("results/rb-w1-00001", b"old batch name")
+    assert queue.result_names() == ["results/task-00000.a000.w1"]
 
 
 def test_claim_with_corrupt_payload_left_to_lease_expiry(queue_transport):
@@ -402,8 +414,7 @@ def test_self_hosted_process_workers(store, expected):
     assert stats["speculative_launches"] == 0
     assert stats["debris_blobs"] == 0 and stats["duplicate_results"] == 0
     assert "peak_unmerged_chains" not in stats  # retired: nothing merges
-    assert stats["hints"]["completed"] == 2
-    assert stats["hints"]["suggested_worker_delta"] <= 0
+    assert "hints" not in stats  # retired: no autoscaling snapshot
 
 
 # --------------------------------------------------------------------- #
@@ -530,7 +541,7 @@ def test_worker_error_requeues_without_waiting_for_lease(trace, tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Debris accounting, hints, speculation
+# Debris accounting, duplicates, speculation
 # --------------------------------------------------------------------- #
 def test_undecodable_result_blobs_counted_and_warned(store, tmp_path, expected):
     """A garbage blob under results/ is dropped, but with a trace: one
@@ -554,7 +565,8 @@ def test_undecodable_result_blobs_counted_and_warned(store, tmp_path, expected):
                 if transport.blob_exists(RUN_MANIFEST):
                     break
             time.sleep(0.01)
-        transport.write_blob("results/rb-garbage-00001", b"not a result batch")
+        # A valid result name for task 0, attempt 0, holding garbage.
+        transport.write_blob("results/task-00000.a000.garbage", b"not a carry payload")
         run_worker(queue_dir, poll_interval=0.05, echo=None)
 
     worker = threading.Thread(target=inject_then_work, daemon=True)
@@ -568,8 +580,8 @@ def test_undecodable_result_blobs_counted_and_warned(store, tmp_path, expected):
     assert engine.stats["requeued"] == 0
 
 
-def test_result_batch_staging_file_is_not_debris(store, tmp_path, expected):
-    """A truncated staging file of a result batch (what a worker's publish
+def test_result_staging_file_is_not_debris(store, tmp_path, expected):
+    """A truncated staging file of a result (what a worker's publish
     holds until its atomic replace) is neither decoded nor dropped as
     debris: no warning, ``debris_blobs == 0``."""
     import warnings
@@ -591,7 +603,7 @@ def test_result_batch_staging_file_is_not_debris(store, tmp_path, expected):
                 if transport.blob_exists(RUN_MANIFEST):
                     break
             time.sleep(0.01)
-        transport.write_blob("results/rb-w1-00001.tmp-1234", b"ODPB\x01\x00")
+        transport.write_blob("results/task-00000.a000.w1.tmp-1234", b"ODPC\x01\x00")
         run_worker(queue_dir, poll_interval=0.05, echo=None)
 
     worker = threading.Thread(target=inject_then_work, daemon=True)
@@ -606,31 +618,54 @@ def test_result_batch_staging_file_is_not_debris(store, tmp_path, expected):
     assert engine.stats["requeued"] == 0
 
 
-def test_hints_blob_schema(store, tmp_path, expected):
-    """The hints blob is valid JSON with the documented schema and mirrors
-    stats["hints"] exactly (an external fleet manager's contract)."""
-    import json
+def test_zombie_results_are_dropped_as_duplicates(store, tmp_path, expected):
+    """Two attempts of one task both publish: a zombie of attempt 0 and a
+    late speculative attempt 1.  The first result to land wins, the other
+    counts in ``stats["duplicate_results"]``, and the findings equal the
+    serial run's."""
+    from repro.core.carrycodec import encode_carries
+    from repro.core.distributed import RUN_MANIFEST, run_worker
+    from repro.core.pool import _run_group, open_store_cached
+    from repro.events.transport import open_transport
 
-    queue_dir = tmp_path / "hints-queue"
+    queue_dir = tmp_path / "zombie-queue"
     engine = DistributedEngine(
-        queue=queue_dir, workers=2, worker_mode="thread",
-        poll_interval=0.02, hints_interval=0.05, run_timeout=120.0,
+        queue=queue_dir, workers=0, poll_interval=0.05,
+        lease_timeout=60.0, run_timeout=120.0,
     )
-    report = analyze_stream(store, engine=engine, jobs=4)
+
+    def zombies_then_work():
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            if queue_dir.exists():
+                transport = open_transport(queue_dir)
+                if transport.blob_exists(RUN_MANIFEST):
+                    break
+            time.sleep(0.01)
+        queue = TaskQueue(transport)
+        while not queue.pending_task_names():
+            time.sleep(0.01)
+        run = queue.read_run()
+        claim = queue.claim("tasks/task-00000.a000", "zombie-a")
+        specs = [run["pass_specs"][i] for i in claim.task]
+        zombie_store, _ = open_store_cached(run["store_spec"], {})
+        payload = encode_carries(_run_group(zombie_store, specs, lambda events: None))
+        queue.publish_result(claim, payload)
+        transport.write_blob("results/task-00000.a001.zombie-b", payload)
+        queue.release(claim)
+        run_worker(queue_dir, poll_interval=0.05, echo=None)
+
+    worker = threading.Thread(target=zombies_then_work, daemon=True)
+    worker.start()
+    report = analyze_stream(store, engine=engine, jobs=2)
+    worker.join(timeout=60)
     assert _findings(report) == expected
-    hints = json.loads((queue_dir / "hints").read_bytes())
-    assert hints == engine.stats["hints"]
-    assert set(hints) == {
-        "version", "seq", "tasks", "pending", "claimed", "completed",
-        "requeued", "speculative_launches", "debris_blobs",
-        "workers_observed", "claim_latency_seconds",
-        "median_fold_interval_seconds", "suggested_worker_delta",
-    }
-    assert hints["version"] == 1
-    assert hints["seq"] >= 1
-    assert hints["tasks"] == 4
-    # The final (forced) publish reflects the completed run.
-    assert hints["completed"] == 4 and hints["pending"] == 0
+    assert engine.stats["duplicate_results"] >= 1
+    assert engine.stats["debris_blobs"] == 0
+    assert engine.stats["requeued"] == 0
+    assert sorted(p.name for p in (queue_dir / "results").iterdir())[:2] == [
+        "task-00000.a000.zombie-a", "task-00000.a001.zombie-b",
+    ]
 
 
 def test_stalled_worker_finishes_via_speculation(store, tmp_path, expected):
@@ -645,7 +680,6 @@ def test_stalled_worker_finishes_via_speculation(store, tmp_path, expected):
     engine = DistributedEngine(
         queue=queue_dir, workers=0, poll_interval=0.05,
         lease_timeout=lease, max_attempts=3, run_timeout=120.0,
-        min_stall=0.3, speculation_factor=2.0,
     )
     thread, out = _coordinate_in_thread(store, engine, jobs=6)
     stalled = subprocess.Popen(

@@ -297,13 +297,15 @@ def test_engine_config_parse_round_trip():
     from repro.core.engine import EngineConfig
 
     config = EngineConfig.parse(
-        "distributed:claim_batch=4,lease_timeout=10,speculate=on"
+        "distributed:lease_timeout=10,max_attempts=4,run_timeout=300"
     )
     assert config.name == "distributed"
     assert config.options == {
-        "claim_batch": 4, "lease_timeout": 10.0, "speculate": True,
+        "lease_timeout": 10.0, "max_attempts": 4, "run_timeout": 300.0,
     }
-    assert config.spec() == "distributed:claim_batch=4,lease_timeout=10.0,speculate=True"
+    assert config.spec() == (
+        "distributed:lease_timeout=10.0,max_attempts=4,run_timeout=300.0"
+    )
     # A bare name has no options and round-trips to itself.
     assert EngineConfig.parse("serial") == EngineConfig("serial")
     assert EngineConfig.parse("serial").spec() == "serial"
@@ -316,10 +318,10 @@ def test_engine_config_bool_words():
         ("on", True), ("off", False), ("true", True), ("false", False),
         ("yes", True), ("no", False), ("1", True), ("0", False),
     ]:
-        config = EngineConfig.parse(f"distributed:speculate={word}")
-        assert config.options["speculate"] is value, word
+        config = EngineConfig.parse(f"process:keep_pool={word}")
+        assert config.options["keep_pool"] is value, word
     with pytest.raises(ValueError, match="bad value"):
-        EngineConfig.parse("distributed:speculate=maybe")
+        EngineConfig.parse("process:keep_pool=maybe")
 
 
 def test_engine_config_rejects_unknowns():
@@ -330,18 +332,20 @@ def test_engine_config_rejects_unknowns():
     with pytest.raises(ValueError, match="known options"):
         EngineConfig.parse("distributed:warp_factor=9")
     with pytest.raises(ValueError, match="key=value"):
-        EngineConfig.parse("distributed:claim_batch")
+        EngineConfig.parse("distributed:lease_timeout")
 
 
 def test_engine_config_build_and_resolve():
     from repro.core.distributed import DistributedEngine
     from repro.core.engine import EngineConfig
 
-    engine = resolve_engine("distributed:claim_batch=3,speculate=off,min_stall=0.5")
+    engine = resolve_engine("distributed:lease_timeout=4,run_timeout=0.5")
     assert isinstance(engine, DistributedEngine)
-    assert engine.claim_batch == 3
-    assert engine.speculate is False
-    assert engine.min_stall == 0.5
+    assert engine.lease_timeout == 4.0
+    assert engine.run_timeout == 0.5
+    # The speculation floor is derived from the lease, not an option.
+    assert engine.min_stall == 1.0
+    assert resolve_engine("distributed:lease_timeout=60").min_stall == 2.0
     # EngineConfig instances resolve too (what the CLI passes through).
     config = EngineConfig.parse("process:keep_pool=on")
     built = resolve_engine(config)

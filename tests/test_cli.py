@@ -330,6 +330,26 @@ def test_worker_exits_on_abort_marker(tmp_path, capsys):
     assert "boom" in capsys.readouterr().out
 
 
+def test_worker_refuses_an_older_protocol_version(tmp_path, capsys):
+    """A worker never folds a run whose manifest speaks another protocol:
+    a version 3 manifest (batched results) is refused with exit 1 and a
+    message naming both versions."""
+    from repro.core.distributed import QUEUE_FORMAT_VERSION, TaskQueue
+    from repro.events.transport import LocalDirTransport
+
+    assert QUEUE_FORMAT_VERSION == 4
+    queue_dir = tmp_path / "v3.queue"
+    queue = TaskQueue(LocalDirTransport(queue_dir, create=True))
+    queue.publish_run({"version": 3, "store_spec": {}, "pass_specs": ()})
+    queue.publish_task(0, [0])
+    assert main(["worker", "--queue", str(queue_dir),
+                 "--poll-interval", "0.05", "--idle-timeout", "30"]) == 1
+    out = capsys.readouterr().out
+    assert "queue speaks protocol version 3, this worker speaks 4" in out
+    # The task was left untouched for a worker that speaks the protocol.
+    assert queue.pending_task_names() == ["tasks/task-00000.a000"]
+
+
 def test_worker_idle_timeout(tmp_path, capsys):
     """With --idle-timeout a worker does not wait forever for a run."""
     assert main(["worker", "--queue", str(tmp_path / "never.queue"),
@@ -345,6 +365,12 @@ def test_worker_flag_validation(capsys):
         main(["worker", "--queue", "q", "--max-tasks", "0"])
     with pytest.raises(SystemExit):
         main(["worker"])  # --queue is required
+    capsys.readouterr()
+    # A worker claims one task at a time: there is no batch size to set.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["worker", "--queue", "q", "--claim-batch", "2"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --claim-batch" in capsys.readouterr().err
 
 
 def test_trace_compact_reshards_in_place(tmp_path, capsys):
@@ -544,14 +570,14 @@ def test_engine_spec_string_with_options(capsys):
     assert "warp_factor" in err and "known options" in err
     with pytest.raises(SystemExit):
         main(["hotspot", "--size", "small", "-q", "--stream",
-              "--engine", "distributed:claim_batch"])
+              "--engine", "distributed:lease_timeout"])
     assert "key=value" in capsys.readouterr().err
 
 
 def test_engine_spec_distributed_loopback(capsys):
     assert main(["hotspot", "--size", "small", "--stream",
                  "--shard-events", "8", "--jobs", "2",
-                 "--engine", "distributed:lease_timeout=60,claim_batch=2"]) == 0
+                 "--engine", "distributed:lease_timeout=60,max_attempts=2"]) == 0
     out = capsys.readouterr().out
     assert "info: distributed:" in out
     assert "speculative" in out
@@ -569,17 +595,30 @@ def test_queue_status_subcommand(tmp_path, capsys):
     assert "state: done" in capsys.readouterr().out
 
 
-def test_queue_status_reads_hints(tmp_path, capsys):
-    import json
-
-    queue = tmp_path / "hinted.queue"
-    queue.mkdir()
+def test_queue_status_counts_a_running_queue(tmp_path, capsys):
+    """A running queue prints its state and one count line per blob kind;
+    staging files and stray names are not counted."""
+    queue = tmp_path / "running.queue"
+    for sub in ("tasks", "claims", "results", "errors"):
+        (queue / sub).mkdir(parents=True)
     (queue / "run.pkl").write_bytes(b"stub")
-    (queue / "hints").write_bytes(json.dumps(
-        {"version": 1, "pending": 7, "suggested_worker_delta": 3}
-    ).encode())
+    (queue / "tasks" / "task-00002.a000").write_bytes(b"")
+    (queue / "tasks" / "task-00003.a001").write_bytes(b"")
+    (queue / "claims" / "task-00001.a000.w-1").write_bytes(b"")
+    (queue / "results" / "task-00000.a000.w-1").write_bytes(b"")
+    (queue / "results" / "task-00004.a001.w-2").write_bytes(b"")
+    (queue / "results" / "task-00005.a000.w-2.tmp-99").write_bytes(b"")
+    (queue / "errors" / "task-00004.a000.w-2").write_bytes(b"")
     assert main(["queue", "status", str(queue)]) == 0
-    out = capsys.readouterr().out
-    assert "state: running" in out
-    assert "hints.pending: 7" in out
-    assert "hints.suggested_worker_delta: 3" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "state: running",
+        "pending_tasks: 2",
+        "claimed_tasks: 1",
+        "results: 2",
+        "errors: 1",
+        "claim_workers: w-1",
+    ]
+    (queue / "abort").write_bytes(b"task 4 failed")
+    assert main(["queue", "status", str(queue)]) == 0
+    assert capsys.readouterr().out.startswith("state: aborted: task 4 failed\n")
