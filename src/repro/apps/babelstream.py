@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.base import AppVariant, BenchmarkApp, ProblemSize, Program, unsupported_variant
-from repro.omp.mapping import to, tofrom
+from repro.omp.mapping import tofrom
 from repro.omp.runtime import OffloadRuntime
 
 

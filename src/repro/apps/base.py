@@ -5,7 +5,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.omp.runtime import OffloadRuntime
 

@@ -25,7 +25,7 @@ nothing about performance, which is the paper's point in Section 7.7.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.events.records import DataOpKind

@@ -19,7 +19,7 @@ the CLI takes an application name plus options::
     ompdataperf trace migrate bfs.store          # rewrite legacy .npz shards as .odpf
     ompdataperf trace compact bfs.store --retain-max-age 5.0   # drop old events
     ompdataperf trace shard bfs.npz bfs.zip      # single-file zip-archived store
-    ompdataperf bfs --stream --engine process --jobs 4   # shard-parallel analysis
+    ompdataperf bfs --stream --engine process --jobs 4   # four pass groups on four workers
     ompdataperf bfs --stream --engine distributed --jobs 4   # loopback cluster
     ompdataperf worker --queue run.queue         # join a distributed run
     ompdataperf bfs --stream --engine distributed:queue=run.queue --jobs 4
@@ -131,9 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with --experiments: restrict sweeps to the small problem size")
     parser.add_argument("--jobs", type=positive_int, default=1, metavar="N",
                         help="with --experiments: run independent experiments on N worker "
-                             "threads; with --stream: number of analysis workers for the "
-                             "chosen --engine (default: 1; output is identical regardless "
-                             "of N)")
+                             "threads; with --stream: number of pass groups (one worker "
+                             "each) for the process and distributed engines, which serial "
+                             "ignores (default: 1; output is identical regardless of N)")
     parser.add_argument("--stream", action="store_true",
                         help="record into an on-disk sharded store (O(shard) ingest memory) "
                              "and analyze it with the incremental streaming detectors; "

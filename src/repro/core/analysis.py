@@ -214,12 +214,10 @@ def analyze_stream(
     tests enforce this).  ``engine`` picks how the folds execute (see
     :mod:`repro.core.engine`):
 
-    * ``"serial"`` (default) — ONE sequential scan; every shard is loaded
-      once and handed to all five folds.  With ``jobs > 1`` a prefetch
-      thread decodes the next shard while the folds consume the current
-      one, and the five finalizes run concurrently — the gain materialises
-      when shard decode dominates (compressed stores, cold storage), but
-      the folds themselves stay on the calling thread.
+    * ``"serial"`` (default) — every pass as one pass group in the
+      calling process: ONE sequential scan loads each shard once and
+      hands it to all five folds, on the calling thread.  It ignores
+      ``jobs``.
     * ``"process"`` — pass groups on process workers: the passes are
       split into ``min(jobs, passes)`` groups balanced by static per-pass
       weights, and each worker re-opens the store from its picklable

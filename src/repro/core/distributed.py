@@ -6,7 +6,8 @@ the first whose workers need not share a machine with the coordinator.
 Its tasks are the process engine's *pass groups*
 (:func:`~repro.core.engine.pass_groups`): each task folds one group of
 passes over ONE scan of the whole store and finalizes them, exactly as a
-warm-pool worker does (:func:`repro.core.pool._run_group`).  The tasks
+warm-pool worker and the serial engine do
+(:func:`repro.core.engine.run_pass_group`).  The tasks
 live as **leased blobs on a shard transport**
 (:mod:`repro.events.transport`) instead of on pool queues — a local
 directory for tests and loopback runs, an object store wherever a real
@@ -124,8 +125,9 @@ from repro.core.engine import (
     check_landed_guards,
     gather_groups,
     pass_groups,
+    run_pass_group,
 )
-from repro.core.pool import _run_group, open_store_cached
+from repro.core.pool import open_store_cached
 from repro.events.transport import (
     ShardTransport,
     TransportError,
@@ -535,7 +537,7 @@ def _run_one_task(
                 claim.progress += events
 
             payload = encode_carries(
-                _run_group(store, [specs[i] for i in claim.task], tick_progress)
+                run_pass_group(store, [specs[i] for i in claim.task], tick_progress)
             )
         except Exception as exc:  # noqa: BLE001 — report, release, move on
             say(f"error: worker {wid}: task {claim.index} failed: {exc}")

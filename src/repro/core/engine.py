@@ -6,9 +6,9 @@ stream, plus the trace-validation guard pass when validating.  How those
 folds execute is this module's job, behind one :class:`ExecutionEngine`
 protocol with three backends:
 
-* :class:`SerialEngine` — the sequential single-scan pipeline: every shard
-  is loaded once and handed to all five folds on the calling thread
-  (``jobs > 1`` adds the prefetch thread and concurrent finalizes).
+* :class:`SerialEngine` — every pass as ONE pass group, run in the
+  calling process: one scan loads each shard once and hands it to every
+  fold, on the calling thread.
 * :class:`ProcessEngine` — *pass groups* on process workers, which is
   what lets the fold work leave the GIL.  The five detectors are
   independent folds over one trace, so the passes are split into
@@ -28,13 +28,13 @@ protocol with three backends:
   may live on other machines.  It registers itself in :data:`ENGINES` on
   import (``repro.core`` imports it, so the registry is always complete).
 
-The pass group is the one unit of parallel work: both parallel engines
-run the warm pool's task function on it and finish through
-:func:`gather_groups`, so every engine folds each pass exactly as the
-serial scan does and findings are bit-identical.  Engines are resolved by
-name through :data:`ENGINES` / :func:`resolve_engine`, which is what the
-``--engine`` CLI flag and the ``engine=`` keyword of ``analyze_stream``
-speak.
+The pass group is the one unit of work: every engine runs each group
+through the one task function, :func:`run_pass_group`, and finishes
+through :func:`gather_groups`, so every engine folds and finalizes each
+pass with literally the same code and findings are bit-identical.
+Engines are resolved by name through :data:`ENGINES` /
+:func:`resolve_engine`, which is what the ``--engine`` CLI flag and the
+``engine=`` keyword of ``analyze_stream`` speak.
 """
 
 from __future__ import annotations
@@ -43,15 +43,12 @@ import multiprocessing
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Mapping, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.core.detectors._streaming import StreamingPass, check_guards, fold_batches
 from repro.core.detectors.table import FindingTable
 from repro.events.protocol import EventStream
-from repro.events.stream import prefetch_batches
 
 
 @dataclass(frozen=True)
@@ -213,84 +210,42 @@ def _ticking(batches, tick):
 
     ``fold_batches`` asks when a shard has been read; every pass folds it
     with its coalesced group, so the tick runs up to one group ahead of
-    the folds.  Both parallel
-    engines' workers tick this way: the warm pool's shared counters and
-    the distributed worker's beat blobs.
+    the folds.  The parallel engines' workers tick this way: the warm
+    pool's shared counters and the distributed worker's beat blobs.
     """
     for batch in batches:
         yield batch
         tick(batch.num_data_op_events + batch.num_target_events)
 
 
-def scan_counters(store, run):
-    """Call ``run()`` and return ``(result, counters)``.
+def run_pass_group(stream, specs: Sequence[PassSpec], tick=None) -> list:
+    """Fold a pass group over ONE scan of ``stream`` and finalize it.
 
-    ``counters`` is the store's load accounting over the call: decode and
-    map seconds and counts, plus ``fold_seconds``, the rest of the call's
-    wall time.  The pool workers and the process engine's serial fallback
-    both report these keys of :attr:`ProcessEngine.stats` this way.
+    The task function of every engine: the serial engine runs all specs as
+    one group in the calling process, the warm pool's workers and the
+    distributed engine's queue workers each run one group of
+    :func:`pass_groups`.  ``tick``, when given, is the fold-position hook
+    (see :func:`_ticking`).
+
+    Returns one payload per spec: a detector's finding part, or a guard
+    pass itself, for :func:`gather_groups` to check.  The guards are
+    checked here first: when one fails, the detectors beside it are not
+    finalized (their payload is ``None``) and the gather's check raises
+    the error.  Each pass is dropped as soon as it is finalized, so one
+    carry at a time turns into findings.
     """
-    decode0, count0 = store.decode_seconds, store.decode_count
-    map0, mapc0 = store.map_seconds, store.map_count
-    started = perf_counter()
-    result = run()
-    wall = perf_counter() - started
-    decode_seconds = store.decode_seconds - decode0
-    map_seconds = store.map_seconds - map0
-    return result, {
-        "decode_seconds": decode_seconds,
-        "decode_count": store.decode_count - count0,
-        "map_seconds": map_seconds,
-        "map_count": store.map_count - mapc0,
-        "fold_seconds": max(0.0, wall - decode_seconds - map_seconds),
-    }
-
-
-def _finalize_all(
-    passes: Sequence[StreamingPass], stream: EventStream, jobs: int
-) -> FindingTable:
-    """Check the guards, finalize every other pass (concurrently when jobs
-    allow), then read the rows their findings reference in one shared
-    gather.
-
-    Finalizes are independent and never read the stream; the gather
-    loads each shard holding a finding row exactly once.
-    """
-    passes = check_guards(passes)
-    if jobs <= 1 or len(passes) <= 1:
-        parts = [pass_.finalize() for pass_ in passes]
-    else:
-        with ThreadPoolExecutor(max_workers=min(jobs, len(passes))) as pool:
-            parts = list(pool.map(lambda pass_: pass_.finalize(), passes))
-    return FindingTable.gather(parts, stream)
-
-
-class SerialEngine:
-    """One sequential scan, all folds on the calling thread (the default).
-
-    Each shard is loaded once and handed to every pass.  With ``jobs > 1``
-    a prefetch thread decodes the next shard while the folds consume the
-    current one (decode releases the GIL), and the finalizes run
-    concurrently on a thread pool.
-    """
-
-    name = "serial"
-
-    def run(self, specs, stream, *, jobs: int = 1) -> FindingTable:
-        _check_jobs(jobs)
-        passes = [spec.build() for spec in specs]
-        if jobs == 1:
-            fold_batches(passes, stream.batches())
-        else:
-            fold_batches(passes, prefetch_batches(stream, depth=min(jobs, 4)))
-        return _finalize_all(passes, stream, jobs)
-
-
-def _open_store_from_spec(spec: dict):
-    from repro.events.store import ShardedTraceStore
-    from repro.events.transport import transport_from_spec
-
-    return ShardedTraceStore.open(transport_from_spec(spec))
+    passes = [spec.build() for spec in specs]
+    batches = stream.batches()
+    fold_batches(passes, batches if tick is None else _ticking(batches, tick))
+    try:
+        check_guards(passes)
+    except Exception:
+        return [pass_ if pass_.guard else None for pass_ in passes]
+    payloads = []
+    while passes:
+        pass_ = passes.pop(0)
+        payloads.append(pass_ if pass_.guard else pass_.finalize())
+    return payloads
 
 
 def pass_groups(specs: Sequence[PassSpec], n: int) -> list[list[int]]:
@@ -319,8 +274,7 @@ def pass_groups(specs: Sequence[PassSpec], n: int) -> list[list[int]]:
 
 def _group_payloads(groups, landed) -> dict:
     """Spec index -> payload, for every group in ``landed`` (group
-    position -> the group's payload list, see
-    :func:`repro.core.pool._run_group`)."""
+    position -> the group's payload list, see :func:`run_pass_group`)."""
     return {
         index: payload
         for position, payloads in landed.items()
@@ -344,13 +298,39 @@ def gather_groups(specs, groups, landed, stream) -> FindingTable:
 
     Checks the guards, puts the detectors' finding parts back in report
     (spec) order and reads their rows in one shared gather — the last step
-    of both the process and the distributed engine.
+    of every engine.
     """
     check_landed_guards(specs, groups, landed)
     payloads = _group_payloads(groups, landed)
     return FindingTable.gather(
         [payloads[i] for i, spec in enumerate(specs) if not spec.cls.guard], stream
     )
+
+
+class SerialEngine:
+    """Every pass as one pass group, run in the calling process (the
+    default).
+
+    :func:`run_pass_group` folds all the specs over one scan, so each
+    shard is loaded once and handed to every pass, then finalizes each
+    pass and drops it; :func:`gather_groups` finishes the single group.
+    Any stream works.  ``jobs`` is validated and otherwise ignored: the
+    folds and finalizes all run on the calling thread.
+    """
+
+    name = "serial"
+
+    def run(self, specs, stream, *, jobs: int = 1) -> FindingTable:
+        _check_jobs(jobs)
+        group = list(range(len(specs)))
+        return gather_groups(specs, [group], {0: run_pass_group(stream, specs)}, stream)
+
+
+def _open_store_from_spec(spec: dict):
+    from repro.events.store import ShardedTraceStore
+    from repro.events.transport import transport_from_spec
+
+    return ShardedTraceStore.open(transport_from_spec(spec))
 
 
 def _process_context():
@@ -376,11 +356,13 @@ class ProcessEngine:
     receive events.
 
     The pass specs are split into ``min(jobs, len(specs))`` groups by
-    :func:`pass_groups`, and each worker runs one group task: it folds
-    every pass of its group in ONE scan from the stream head with the
-    serial code path, finalizes them, and returns
-    only their finding parts; the parent puts the parts back in report
-    order and runs the one shared gather of the finding rows.  A guard
+    :func:`pass_groups`, and each worker runs one group through
+    :func:`run_pass_group`, the serial engine's task function: it folds
+    every pass of its group in ONE scan from the stream head, finalizes
+    them, and returns only their finding parts; the parent puts the parts
+    back in report order and runs the one shared gather of the finding
+    rows (:func:`gather_groups`).  ``jobs=1`` is no special case: its one
+    group runs on one pool worker, with the same stats.  A guard
     spec (trace validation) joins one of the groups, whose worker checks
     it before finalizing the detectors beside it and returns the folded
     guard itself.  That group is handed out first, and the parent collects
@@ -421,8 +403,7 @@ class ProcessEngine:
         self.keep_pool = keep_pool
         self._pool = None
         self._spawned_total = 0
-        #: overhead breakdown of the most recent run (empty before any,
-        #: or when the run degraded to the serial engine)
+        #: overhead breakdown of the most recent run (empty before any)
         self.stats: dict = {}
 
     # ------------------------------------------------------------------ #
@@ -437,10 +418,6 @@ class ProcessEngine:
                 "(shard_trace / `ompdataperf trace shard`) or use the "
                 "serial engine"
             )
-        if jobs == 1:
-            if not self.keep_pool:
-                self.close()
-            return self._run_degraded_serial(specs, stream, jobs)
         spec = stream.transport.spec()
         groups = pass_groups(specs, jobs)
         try:
@@ -473,31 +450,6 @@ class ProcessEngine:
         finally:
             if not self.keep_pool:
                 self.close()
-
-    def _run_degraded_serial(self, specs, stream, jobs: int) -> FindingTable:
-        """Serial fallback for ``jobs == 1``.
-
-        Reports the same overhead breakdown as the pooled path by diffing
-        the store's own counters around the run — so ``BENCH_engine.json``
-        gets a real spawn/open/decode/map/fold block at one worker instead
-        of an empty one.
-        """
-        findings, counters = scan_counters(
-            stream, lambda: SerialEngine().run(specs, stream, jobs=jobs)
-        )
-        overhead = counters["decode_seconds"] + counters["map_seconds"]
-        self.stats = {
-            "spawn_count": self._spawned_total,
-            "spawn_seconds": 0.0,
-            "tasks": 1,
-            "workers": 0,
-            "pool_reuse": 0,
-            "open_seconds": 0.0,
-            **counters,
-            "overhead_seconds": overhead,
-            "overhead_per_task": overhead,
-        }
-        return findings
 
     # ------------------------------------------------------------------ #
     def _ensure_pool(self, workers: int):

@@ -11,10 +11,11 @@ a run hands each worker one group:
 * each worker loads every shard it scans itself: a local ``.odpf`` shard
   is mapped in place, any other shard is read (and, if ``.npz``, decoded)
   by the worker;
-* a task folds its whole group in ONE scan from the stream head and
-  finalizes each pass in place, so only finished finding parts cross the
-  result queue (a guard pass — trace validation — crosses as itself, for
-  the parent to check);
+* a task runs :func:`~repro.core.engine.run_pass_group`, the task
+  function of every engine: it folds its whole group in ONE scan from the
+  stream head and finalizes each pass in place, so only finished finding
+  parts cross the result queue (a guard pass — trace validation —
+  crosses as itself, for the parent to check);
 * every task reports an overhead breakdown (open / decode / map / fold
   seconds, the worker's task number) so ``BENCH_engine.json`` can show
   the constants falling even on machines where wall-clock speedup cannot.
@@ -34,13 +35,11 @@ import traceback
 from time import perf_counter
 from typing import Optional, Sequence
 
-from repro.core.detectors._streaming import check_guards, fold_batches
 from repro.core.engine import (
     PassSpec,
     _open_store_from_spec,
     _process_context,
-    _ticking,
-    scan_counters,
+    run_pass_group,
 )
 
 _CMD_GROUP = "group"
@@ -95,31 +94,28 @@ def _crash_after_from_env() -> Optional[int]:
         return None
 
 
-def _run_group(store, specs, tick) -> list:
-    """Fold a pass group over ONE scan of ``store`` and finalize it.
+def scan_counters(store, run):
+    """Call ``run()`` and return ``(result, counters)``.
 
-    The task function of both parallel engines: the pool workers here and
-    the distributed engine's queue workers.  ``tick`` is the fold-position
-    hook (see :func:`repro.core.engine._ticking`).
-
-    Returns one payload per spec: a detector's finding part, or a guard
-    pass itself, for the parent to check.  The guards are checked here
-    first: when one fails, the detectors beside it are not finalized (their
-    payload is ``None``) and the parent's check raises the error.  Each
-    pass is dropped as soon as it is finalized, so one carry at a time
-    turns into findings.
+    ``counters`` is the store's load accounting over the call: decode and
+    map seconds and counts, plus ``fold_seconds``, the rest of the call's
+    wall time: the per-task keys of
+    :attr:`~repro.core.engine.ProcessEngine.stats`.
     """
-    passes = [spec.build() for spec in specs]
-    fold_batches(passes, _ticking(store.batches(), tick))
-    try:
-        check_guards(passes)
-    except Exception:
-        return [pass_ if pass_.guard else None for pass_ in passes]
-    payloads = []
-    while passes:
-        pass_ = passes.pop(0)
-        payloads.append(pass_ if pass_.guard else pass_.finalize())
-    return payloads
+    decode0, count0 = store.decode_seconds, store.decode_count
+    map0, mapc0 = store.map_seconds, store.map_count
+    started = perf_counter()
+    result = run()
+    wall = perf_counter() - started
+    decode_seconds = store.decode_seconds - decode0
+    map_seconds = store.map_seconds - map0
+    return result, {
+        "decode_seconds": decode_seconds,
+        "decode_count": store.decode_count - count0,
+        "map_seconds": map_seconds,
+        "map_count": store.map_count - mapc0,
+        "fold_seconds": max(0.0, wall - decode_seconds - map_seconds),
+    }
 
 
 def _pool_worker(task_queue, result_queue, crash_after, progress) -> None:
@@ -143,7 +139,7 @@ def _pool_worker(task_queue, result_queue, crash_after, progress) -> None:
         try:
             store, open_seconds = open_store_cached(command[2], stores)
             payload, counters = scan_counters(
-                store, lambda: _run_group(store, command[3], tick_progress)
+                store, lambda: run_pass_group(store, command[3], tick_progress)
             )
             stats = {"task_no": completed + 1, "open_seconds": open_seconds, **counters}
             completed += 1
@@ -214,7 +210,7 @@ class WarmWorkerPool:
         """Queue a pass group on worker ``worker``: one scan folds every
         pass, then each is finalized.  Returns the job id to collect on;
         the job's payload is a list with one entry per spec (see
-        :func:`_run_group`)."""
+        :func:`~repro.core.engine.run_pass_group`)."""
         if self._closed:
             raise RuntimeError("the worker pool is closed")
         job = self._next_job

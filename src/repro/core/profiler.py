@@ -191,9 +191,8 @@ class OMPDataPerf:
         Ingest memory stays O(``shard_events``) regardless of trace length;
         the analysis then runs the incremental detectors over the resulting
         :class:`~repro.events.store.ShardedTraceStore` on the chosen
-        execution engine (``engine="process"`` with ``jobs > 1`` folds
-        disjoint shard ranges on worker processes — see
-        :mod:`repro.core.engine`).  ``engine`` accepts the same spec
+        execution engine (``engine="process"`` folds ``jobs`` pass groups
+        on worker processes — see :mod:`repro.core.engine`).  ``engine`` accepts the same spec
         strings as :func:`repro.core.analysis.analyze_stream`
         (``"distributed:lease_timeout=10,run_timeout=300"``); the returned
         result's ``analysis`` is a

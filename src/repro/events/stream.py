@@ -9,7 +9,6 @@ This module provides the glue around that protocol —
   sharded store, used by the differential tests and ``shard_trace``),
 * :func:`as_event_stream` adapts any trace representation to a stream,
 * :func:`merge_stream` folds a stream back into one columnar trace,
-* :func:`prefetch_batches` scans a stream with a bounded read-ahead,
 * :class:`StreamStats` / :class:`StreamView` fold aggregate statistics out
   of a stream without materialising events (the ``TraceLike`` facade the
   analysis report holds when it was produced from a stream), and
@@ -153,72 +152,6 @@ def as_event_stream(
     if isinstance(trace, EventStream):
         return trace
     raise TypeError(f"cannot stream {type(trace).__name__}")
-
-
-def prefetch_batches(stream, depth: int = 2) -> Iterator[ColumnarTrace]:
-    """Iterate a stream's batches with a bounded background read-ahead.
-
-    While the consumer folds batch *k*, the loader thread is already
-    fetching batch *k+1* — shard reads (zip member reads, zlib for
-    compressed stores, an object store's latency) release the GIL or
-    block on I/O, so load and fold genuinely overlap.  For mmap-native
-    ``.odpf`` shards the "load" is an O(1) map, and the read-ahead's job
-    shifts to warming the page cache ahead of the fold.  ``depth`` bounds
-    the number of in-flight batches, keeping memory O(depth × shard).
-
-    An abort on the consumer side (an exception mid-fold, a closed
-    generator) never leaves the loader blocked: the bounded put gives up
-    as soon as the stop flag is set, and the drain loop joins the thread.
-    Loader-side exceptions propagate into the consumer.
-    """
-    import queue
-    import threading
-
-    if depth < 1:
-        raise ValueError("prefetch depth must be at least 1")
-    q: "queue.Queue" = queue.Queue(maxsize=depth)
-    stop = threading.Event()
-    _DONE = object()
-
-    def _put(item) -> None:
-        # Bounded put that gives up when the consumer has gone away, so an
-        # aborted scan never leaves the loader blocked (pinning a decoded
-        # shard) for the life of the process.
-        while not stop.is_set():
-            try:
-                q.put(item, timeout=0.1)
-                return
-            except queue.Full:
-                continue
-
-    def _loader() -> None:
-        try:
-            for batch in stream.batches():
-                _put(batch)
-                if stop.is_set():
-                    return
-            _put(_DONE)
-        except BaseException as exc:  # propagate into the consumer
-            _put(exc)
-
-    thread = threading.Thread(target=_loader, name="shard-prefetch", daemon=True)
-    thread.start()
-    try:
-        while True:
-            item = q.get()
-            if item is _DONE:
-                break
-            if isinstance(item, BaseException):
-                raise item
-            yield item
-    finally:
-        stop.set()
-        while thread.is_alive():
-            try:
-                q.get_nowait()
-            except queue.Empty:
-                pass
-            thread.join(timeout=0.05)
 
 
 def merge_stream(stream: EventStream) -> ColumnarTrace:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from repro.events.records import (
     DATA_OP_EVENT_BYTES,

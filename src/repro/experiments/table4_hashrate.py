@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.apps.base import AppVariant, ProblemSize
 from repro.apps.registry import EVALUATION_APP_NAMES, get_app
-from repro.core.collector import TraceCollector
 from repro.hashing.base import Hasher, available_hashers
 from repro.hashing.ratebench import measure_hash_rate
 from repro.omp.runtime import OffloadRuntime

@@ -10,7 +10,6 @@ tests and can be attached to the collector for paranoid runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.hashing.base import BytesLike, Hasher, as_bytes
 

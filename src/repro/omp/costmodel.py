@@ -15,7 +15,7 @@ be dominated by data movement depending on the application.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class TransferDirection(enum.Enum):

@@ -1,11 +1,10 @@
 """Tests for the Arbalest-Vec-style checker and the coarse profiler baseline."""
 
 import numpy as np
-import pytest
 
 from repro.baselines.arbalest import ArbalestVecChecker, IssueKind
 from repro.baselines.coarse_profiler import CoarseProfiler
-from repro.omp.mapping import alloc, from_, to, tofrom
+from repro.omp.mapping import alloc, from_, to
 from repro.omp.runtime import OffloadRuntime
 
 

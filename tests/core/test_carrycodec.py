@@ -29,8 +29,13 @@ from repro.core.detectors.repeated_allocs import RepeatedAllocationPass
 from repro.core.detectors.roundtrips import RoundTripPass
 from repro.core.detectors.unused_allocs import UnusedAllocationPass
 from repro.core.detectors.unused_transfers import UnusedTransferPass
-from repro.core.engine import PassSpec, SerialEngine, gather_groups, pass_groups
-from repro.core.pool import _run_group
+from repro.core.engine import (
+    PassSpec,
+    SerialEngine,
+    gather_groups,
+    pass_groups,
+    run_pass_group,
+)
 from repro.events.stream import as_event_stream
 from repro.events.synth import make_synthetic_columnar_trace
 from repro.events.validation import ValidationPass
@@ -66,7 +71,7 @@ def test_group_payloads_round_trip_and_gather_to_the_serial_table(shard_events, 
     groups = pass_groups(specs, jobs)
     landed = {}
     for position, group in enumerate(groups):
-        payloads = _run_group(stream, [specs[i] for i in group], lambda events: None)
+        payloads = run_pass_group(stream, [specs[i] for i in group])
         assert any(isinstance(p, ValidationPass) for p in payloads) == (position == 0)
         payload = encode_carries(payloads)
         # No hidden state leaks into the wire format.

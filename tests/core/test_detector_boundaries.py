@@ -47,8 +47,13 @@ from repro.core.detectors.unused_transfers import (
     find_unused_transfers,
     find_unused_transfers_streaming,
 )
-from repro.core.engine import PassSpec, SerialEngine, gather_groups, pass_groups
-from repro.core.pool import _run_group
+from repro.core.engine import (
+    PassSpec,
+    SerialEngine,
+    gather_groups,
+    pass_groups,
+    run_pass_group,
+)
 from repro.events.columnar import ColumnarTrace
 from repro.events.stream import as_event_stream
 
@@ -214,7 +219,7 @@ def test_findings_survive_every_shard_cut(scenario, shard_events):
         for jobs in range(1, len(specs) + 1):
             groups = pass_groups(specs, jobs)
             landed = {
-                position: _run_group(stream, [specs[i] for i in group], lambda events: None)
+                position: run_pass_group(stream, [specs[i] for i in group])
                 for position, group in enumerate(groups)
             }
             assert gather_groups(specs, groups, landed, stream) == serial, jobs

@@ -74,8 +74,8 @@ _FOLD_TARGETS = st.one_of(
     st.just(1), st.integers(min_value=2, max_value=64), st.just(FOLD_BATCH_EVENTS)
 )
 
-# Worker counts for the serial prefetch scan and the distributed engine:
-# one task up to four pass groups.
+# Worker counts for the serial engine (validated, then ignored) and the
+# distributed engine: one task up to four pass groups.
 _WORKERS = st.integers(min_value=1, max_value=4)
 
 # Process-engine jobs: one to six pass groups (five detectors plus the

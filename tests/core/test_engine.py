@@ -12,9 +12,11 @@ from repro.core.engine import (
     ProcessEngine,
     SerialEngine,
     available_engines,
+    gather_groups,
     pass_groups,
     process_engine_fallback_reason,
     resolve_engine,
+    run_pass_group,
 )
 from repro.events.columnar import ColumnarTrace
 from repro.events.store import shard_trace
@@ -197,24 +199,91 @@ def test_pass_groups_edge_cases():
 def test_gather_groups_is_independent_of_landing_order(store, order):
     """Groups land in whatever order their workers finish; the gathered
     table is the serial one for every order."""
-    from repro.core.engine import gather_groups
-    from repro.core.pool import _run_group
-
     specs = _all_specs(True)
     groups = pass_groups(specs, 6)
     landed = {}
     for position in order:
-        landed[position] = _run_group(
-            store, [specs[i] for i in groups[position]], lambda events: None
-        )
+        landed[position] = run_pass_group(store, [specs[i] for i in groups[position]])
     assert list(landed) == order
     assert gather_groups(specs, groups, landed, store) == SerialEngine().run(specs, store)
 
 
+def test_serial_engine_is_one_in_process_group(store, monkeypatch):
+    """The serial engine runs every spec as ONE pass group on the calling
+    thread, whatever ``jobs`` asks for, and drops each pass as soon as it
+    is finalized: no finalized pass is reachable when the next one is
+    finalized, nor when the finding gather starts."""
+    import threading
+    import weakref
+
+    from repro.core import engine as engine_mod
+    from repro.core.detectors.table import FindingTable
+
+    specs = _all_specs(True)
+    expected = SerialEngine().run(specs, store)
+
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+
+    calls = []
+    run_group = engine_mod.run_pass_group
+
+    def recording_group(stream, group_specs, tick=None):
+        calls.append(list(group_specs))
+        return run_group(stream, group_specs, tick)
+
+    monkeypatch.setattr(engine_mod, "run_pass_group", recording_group)
+
+    detectors = []  # weak references to every detector pass built
+    build = PassSpec.build
+
+    def recording_build(spec):
+        pass_ = build(spec)
+        if not pass_.guard:
+            detectors.append(weakref.ref(pass_))
+        return pass_
+
+    monkeypatch.setattr(PassSpec, "build", recording_build)
+
+    finalized = []  # weak references, in finalize order
+    alive_at_finalize = []  # finalized passes still reachable, per finalize
+    for cls in {spec.cls for spec in specs if not spec.cls.guard}:
+
+        def recording_finalize(self, finalize=cls.finalize):
+            alive_at_finalize.append(sum(ref() is not None for ref in finalized))
+            part = finalize(self)
+            finalized.append(weakref.ref(self))
+            return part
+
+        monkeypatch.setattr(cls, "finalize", recording_finalize)
+
+    alive_at_gather = []
+    gather = FindingTable.gather
+
+    def recording_gather(cls, parts, source):
+        alive_at_gather.append(sum(ref() is not None for ref in detectors))
+        return gather(parts, source)
+
+    monkeypatch.setattr(FindingTable, "gather", classmethod(recording_gather))
+
+    assert SerialEngine().run(specs, store, jobs=4) == expected
+    assert started == []
+    assert calls == [list(specs)]
+    assert len(detectors) == len(finalized) == len(specs) - 1
+    assert alive_at_finalize == [0] * len(finalized)
+    assert alive_at_gather == [0]
+
+
 def test_process_engine_scans_the_store_once_per_group(store):
     """On an .odpf store every scan maps each shard once, so the worker
-    map count is exactly one scan per worker."""
-    for jobs in (2, 3):
+    map count is exactly one scan per worker, one worker included."""
+    for jobs in (1, 2, 3):
         eng = ProcessEngine()
         analyze_stream(store, engine=eng, jobs=jobs, validate=True)
         assert eng.stats["tasks"] == eng.stats["workers"] == jobs

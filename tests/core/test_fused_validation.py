@@ -28,8 +28,13 @@ from repro.core.detectors._streaming import (
 )
 from repro.core.detectors.table import FindingTable
 from repro.core.distributed import DistributedEngine, DistributedExecutionError
-from repro.core.engine import PassSpec, ProcessEngine, check_landed_guards, pass_groups
-from repro.core.pool import _run_group
+from repro.core.engine import (
+    PassSpec,
+    ProcessEngine,
+    check_landed_guards,
+    pass_groups,
+    run_pass_group,
+)
 from repro.core.profiler import OMPDataPerf
 from repro.events.columnar import CODE_ALLOC, ColumnarTrace
 from repro.events.store import ShardedTraceStore, TraceWriter
@@ -168,7 +173,8 @@ def invalid(request, tmp_path):
 #: name -> (engine factory, jobs)
 ENGINE_LEGS = {
     "serial": (lambda: "serial", 1),
-    # jobs > 1: a prefetch thread decodes the next shard during the folds
+    # jobs > 1 on the serial engine is validated and otherwise ignored: the
+    # same single in-process group must raise the same message
     "serial-prefetch": (lambda: "serial", 2),
     "process": (lambda: "process", 2),
     "distributed": (lambda: DistributedEngine(worker_mode="thread", poll_interval=0.05), 2),
@@ -250,7 +256,7 @@ def test_guard_group_raises_as_soon_as_it_lands(case, tmp_path):
     for jobs in range(1, len(specs) + 1):
         groups = pass_groups(specs, jobs)
         guard_group = [specs[i] for i in groups[0]]
-        payloads = _run_group(store, guard_group, lambda events: None)
+        payloads = run_pass_group(store, guard_group)
         (guard,) = [p for p in payloads if isinstance(p, ValidationPass)]
         assert guard.errors() == expected, jobs
         assert [p for p in payloads if p is not guard] == [None] * (len(payloads) - 1)

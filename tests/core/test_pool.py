@@ -155,27 +155,22 @@ def test_stats_shape_and_overhead_accounting(store):
 
 
 def test_jobs1_populates_the_same_overhead_breakdown(store, odpf_store):
-    # jobs == 1 degrades to a serial run but must still report the full
-    # stats shape (the engine benchmark records it per worker count).
+    # jobs == 1 is one pass group on one pool worker, exactly like any
+    # other job count: the same stats shape, one task, one spawned worker,
+    # and one load per shard.
     eng2 = ProcessEngine()
     analyze_stream(store, engine=eng2, jobs=2)
     shape = set(eng2.stats)
 
-    eng = ProcessEngine()
-    analyze_stream(store, engine=eng, jobs=1)
-    stats = eng.stats
-    assert set(stats) == shape
-    assert stats["tasks"] == 1
-    assert stats["workers"] == 0
-    assert stats["spawn_seconds"] == 0.0
-    assert stats["decode_count"] > 0  # npz shards decode even serially
-
-    eng = ProcessEngine()
-    analyze_stream(odpf_store, engine=eng, jobs=1)
-    assert set(eng.stats) == shape
-    assert eng.stats["decode_seconds"] == 0.0
-    assert eng.stats["decode_count"] == 0
-    assert eng.stats["map_count"] > 0
+    for stream in (store, odpf_store):
+        eng = ProcessEngine()
+        analyze_stream(stream, engine=eng, jobs=1)
+        stats = eng.stats
+        assert set(stats) == shape
+        assert stats["tasks"] == stats["workers"] == stats["spawn_count"] == 1
+        assert stats["decode_count"] + stats["map_count"] == stream.num_shards
+        if stream is odpf_store:  # .odpf shards are mapped in place
+            assert stats["decode_count"] == 0
 
 
 def _track_pools(monkeypatch) -> list:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.events.records import DATA_OP_EVENT_BYTES, TARGET_EVENT_BYTES, DataOpKind
+from repro.events.records import DATA_OP_EVENT_BYTES, TARGET_EVENT_BYTES
 from repro.events.trace import Trace
 
 from tests.conftest import TraceBuilder

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.collector import TraceCollector
-from repro.events.records import DataOpKind, TargetKind
+from repro.events.records import DataOpKind
 from repro.omp.costmodel import CostModel, TransferDirection
 from repro.omp.errors import MappingError, OutOfDeviceMemoryError, UnmappedAccessError
 from repro.omp.mapping import release, to, tofrom
