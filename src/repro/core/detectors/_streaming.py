@@ -9,10 +9,12 @@ small carry state and never hold a whole trace.  The carries they share:
 * :class:`CompositeKeyCounter` — the streaming form of the oracles'
   ``dict`` from composite key to group: a
   key table tracking, per distinct composite key, the cumulative member
-  count, the smallest global position observed and that row's payload,
-  with a sorted packed-key index so each batch's keys are found by binary
-  search.  Folding a batch reports which rows belong to keys that
-  have reached the group threshold, which is all the
+  count, the smallest global position observed and that row's payload.
+  Each key is looked up by one ``uint64``, a mix of its key columns
+  (:func:`mix_keys`), in an index sorted by that mix, and confirmed on
+  the columns: a batch's keys are found by one binary search, and keys
+  that share a mix stay apart.  Folding a batch reports which rows belong
+  to keys that have reached the group threshold, which is all the
   duplicate/repeated-allocation detectors need to collect group members
   as positions (events are only read for findings, in one shared gather
   at the end).
@@ -162,26 +164,33 @@ class KeyFold:
     keys: tuple[np.ndarray, ...]
 
 
-_SIGN_BIT = np.uint64(1 << 63)
+#: Multiplier of :func:`mix_keys`: the 64-bit golden ratio, odd, so
+#: multiplying by it is a bijection modulo 2**64.
+_MIX_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+_MIX_SHIFT = np.uint64(32)
 
 
-def pack_keys(cols: Sequence[np.ndarray]) -> np.ndarray:
-    """Order-preserving packed composite keys, one ``V{8 * len(cols)}`` row each.
+def mix_keys(cols: Sequence[np.ndarray]) -> np.ndarray:
+    """One ``uint64`` per composite key: a 64-bit mix of its key columns.
 
-    Every key column becomes big-endian ``uint64`` bytes, with the sign bit
-    flipped on signed columns, so bytewise (``memcmp``) order of the packed
-    rows is exactly the lexicographic order of the columns (first column
-    most significant) — what a ``np.lexsort`` over them would give.
+    Each integer column is folded in as ``h = f(h ^ col)``, where ``f``
+    (a multiply by an odd constant, then a 32-bit xor-shift) is a bijection
+    of 64-bit words.  Equal keys always share a mix, and so do a few
+    distinct ones; keys that differ in exactly one column never do.
     """
-    packed = np.empty((len(cols[0]), len(cols)), dtype=">u8")
-    for j, col in enumerate(cols):
-        if col.dtype.kind == "i":
-            packed[:, j] = col.astype(np.int64, copy=False).view(np.uint64) ^ _SIGN_BIT
-        elif col.dtype.kind in "ub":
-            packed[:, j] = col
-        else:
+    mix = np.zeros(len(cols[0]), dtype=np.uint64)
+    for col in cols:
+        if col.dtype.kind not in "iub":
             raise TypeError(f"key columns must be integers, got {col.dtype}")
-    return packed.view(f"V{8 * len(cols)}").ravel()
+        mix ^= col.astype(np.uint64, copy=False)
+        mix *= _MIX_MULTIPLIER
+        mix ^= mix >> _MIX_SHIFT
+    return mix
+
+
+def _records(index: np.ndarray) -> np.ndarray:
+    """The rows of a ``(keys, 2)`` index as one 16-byte value each."""
+    return index.view("V16").reshape(-1)
 
 
 class CompositeKeyCounter:
@@ -189,12 +198,16 @@ class CompositeKeyCounter:
 
     A key's uid is its row in the per-key storage: key columns, member
     count, smallest gpos and that row's payload, appended when the key is
-    first seen and updated in place after that.  Lookups go through a
-    sorted index of packed keys (:func:`pack_keys`) and their uids: one
-    ``np.searchsorted`` per batch finds the batch's keys, and new keys are
-    spliced in with ``np.insert``.  The index is derived state — it is left
-    out of the carry (``__getstate__``) and rebuilt on first use after a
-    decode.
+    first seen and updated in place after that.  Every key comparison is
+    on one integer: the key's :func:`mix_keys` value.  A batch's rows are
+    grouped by an ``argsort`` of their mix, and its distinct keys are found
+    with one ``np.searchsorted`` over the index, ``(mix, uid)`` records
+    sorted by mix.  Each hit is confirmed on the key columns, and distinct
+    keys that share a mix are told apart there, in the batch and in the
+    index alike, so a shared mix never merges two keys.  New keys get the
+    next uids and are merged into the index as records.  The index is
+    derived state — it is left out of the carry (``__getstate__``) and
+    rebuilt on first use after a decode.
 
     Carry is O(distinct keys) at a few dozen bytes each — the same
     asymptotics as the object detectors' hash maps, but with no per-key
@@ -207,8 +220,9 @@ class CompositeKeyCounter:
         self._count = GrowArray(np.int64)
         self._first = GrowArray(np.int64)
         self._payload: Optional[GrowArray] = None
-        #: (sorted packed keys, uid of each) — derived, never carried
-        self._index: Optional[tuple[np.ndarray, np.ndarray]] = None
+        #: ``(mix, uid)`` records sorted by mix, shape (keys, 2) — derived,
+        #: never carried
+        self._index: Optional[np.ndarray] = None
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -223,11 +237,11 @@ class CompositeKeyCounter:
     def num_keys(self) -> int:
         return self._count.size
 
-    def _sorted_index(self) -> tuple[np.ndarray, np.ndarray]:
+    def _sorted_index(self) -> np.ndarray:
         if self._index is None:
-            cols = tuple(grow.view() for grow in self._keys)
-            order = np.lexsort(cols[::-1])
-            self._index = (pack_keys(cols)[order], order.astype(np.int64))
+            mix = mix_keys(tuple(grow.view() for grow in self._keys))
+            order = np.argsort(mix)
+            self._index = np.column_stack((mix[order], order.astype(np.uint64)))
         return self._index
 
     def _track_payload(self) -> None:
@@ -235,8 +249,33 @@ class CompositeKeyCounter:
             self._payload = GrowArray(np.int64)
             self._payload.extend(np.zeros(self.num_keys, dtype=np.int64))
 
-    def _absorb(self, cols, packed, count, first, payload):
-        """Fold distinct keys, sorted by ``packed``, into the table.
+    def _lookup(self, cols, mix, pos) -> np.ndarray:
+        """uid of each distinct key in the index, -1 where it has none.
+
+        ``pos`` is where each key's mix would start in the index.  A record
+        of the same mix whose key columns differ moves the key on to the
+        next record, until that mix runs out.
+        """
+        index = self._index
+        table = tuple(grow.view() for grow in self._keys)
+        uid = np.full(mix.size, -1, dtype=np.int64)
+        probe = pos.copy()
+        pending = np.arange(mix.size)
+        while True:
+            pending = pending[probe[pending] < len(index)]
+            pending = pending[index[probe[pending], 0] == mix[pending]]
+            if not pending.size:
+                return uid
+            held = index[probe[pending], 1].astype(np.int64)
+            same = np.ones(pending.size, dtype=bool)
+            for stored, col in zip(table, cols):
+                same &= stored[held] == col[pending]
+            uid[pending[same]] = held[same]
+            pending = pending[~same]
+            probe[pending] += 1
+
+    def _absorb(self, cols, mix, count, first, payload):
+        """Fold distinct keys, sorted by ``mix``, into the table.
 
         ``count``/``first``/``payload`` are the batch's statistics per
         key.  Returns each key's uid and the table's count, first and
@@ -246,30 +285,28 @@ class CompositeKeyCounter:
             self._keys = tuple(GrowArray(col.dtype) for col in cols)
         if not self.num_keys:
             # Every key is new, and the sorted batch keys are the index.
-            uid = np.arange(packed.size, dtype=np.int64)
+            uid = np.arange(mix.size, dtype=np.int64)
             for grow, col in zip(self._keys, cols):
                 grow.extend(col)
             self._count.extend(count)
             self._first.extend(first)
             if self._payload is not None:
                 self._payload.extend(payload)
-            self._index = (packed, uid)
-            return uid, np.zeros(packed.size, dtype=np.int64), first, payload
-        table, table_uid = self._sorted_index()
-        pos = np.searchsorted(table, packed)
-        found = pos < table.size
-        found[found] = table[pos[found]] == packed[found]
+            self._index = np.column_stack((mix, uid.astype(np.uint64)))
+            return uid, np.zeros(mix.size, dtype=np.int64), first, payload
+        index = self._sorted_index()
+        pos = np.searchsorted(index[:, 0], mix)
+        uid = self._lookup(cols, mix, pos)
+        found = uid >= 0
         new = ~found
 
-        uid = np.empty(packed.size, dtype=np.int64)
-        old = table_uid[pos[found]]
-        uid[found] = old
+        old = uid[found]
         fresh = np.arange(self.num_keys, self.num_keys + int(new.sum()), dtype=np.int64)
         uid[new] = fresh
 
         t_count = self._count.view()
         t_first = self._first.view()
-        prior_count = np.zeros(packed.size, dtype=np.int64)
+        prior_count = np.zeros(mix.size, dtype=np.int64)
         prior_count[found] = t_count[old]
         prior_first = first.copy()
         prior_first[found] = t_first[old]
@@ -289,8 +326,14 @@ class CompositeKeyCounter:
             grow.extend(col[new])
         self._count.extend(count[new])
         self._first.extend(first[new])
-        at = pos[new]
-        self._index = (np.insert(table, at, packed[new]), np.insert(table_uid, at, fresh))
+        if fresh.size:
+            # One merge moves each old record as a single 16-byte value.
+            added = np.column_stack((mix[new], fresh.astype(np.uint64)))
+            self._index = (
+                np.insert(_records(index), pos[new], _records(added))
+                .view(np.uint64)
+                .reshape(-1, 2)
+            )
         return uid, prior_count, prior_first, prior_payload
 
     def fold(
@@ -304,31 +347,45 @@ class CompositeKeyCounter:
         if n == 0:
             empty = np.empty(0, dtype=np.int64)
             return KeyFold(empty, empty, empty, empty, empty, empty, empty, empty, ())
-        if payload is None:
-            payload = np.zeros(n, dtype=np.int64)
-        else:
+        if payload is not None:
             self._track_payload()
 
-        # Batch-local uniques: sort by key columns, gpos as tiebreak, so the
-        # first row of each run carries the batch-minimal gpos.
-        order = np.lexsort((gpos, *reversed(cols)))
-        sorted_cols = [col[order] for col in cols]
+        # Batch-local uniques: rows grouped by mix, one run per key.
+        mix = mix_keys(cols)
+        order = np.argsort(mix)
+        sorted_mix = mix[order]
         boundary = np.empty(n, dtype=bool)
         boundary[0] = True
-        np.not_equal(sorted_cols[0][1:], sorted_cols[0][:-1], out=boundary[1:])
-        for col in sorted_cols[1:]:
-            boundary[1:] |= col[1:] != col[:-1]
+        np.not_equal(sorted_mix[1:], sorted_mix[:-1], out=boundary[1:])
+        tie = np.flatnonzero(~boundary[1:])
+        if any((col[order[tie]] != col[order[tie + 1]]).any() for col in cols):
+            # Distinct keys share a mix: order by the key columns after the
+            # mix, so each key's rows are one run.
+            order = np.lexsort((*reversed(cols), mix))
+            sorted_mix = mix[order]
+            np.not_equal(sorted_mix[1:], sorted_mix[:-1], out=boundary[1:])
+            for col in cols:
+                sorted_col = col[order]
+                boundary[1:] |= sorted_col[1:] != sorted_col[:-1]
         starts = np.flatnonzero(boundary)
+        run = np.cumsum(boundary) - 1
         inverse = np.empty(n, dtype=np.int64)
-        inverse[order] = np.cumsum(boundary) - 1
+        inverse[order] = run
 
+        sorted_gpos = gpos[order].astype(np.int64, copy=False)
+        u_first = np.minimum.reduceat(sorted_gpos, starts)
+        if payload is None:
+            u_payload = np.zeros(starts.size, dtype=np.int64)
+        else:
+            # The payload of the key's first row: the earliest batch row
+            # at the key's smallest gpos.
+            at_first = np.where(sorted_gpos == u_first[run], order, n)
+            u_payload = payload[np.minimum.reduceat(at_first, starts)].astype(np.int64)
         heads = order[starts]
-        keys = tuple(col[starts] for col in sorted_cols)
+        keys = tuple(col[heads] for col in cols)
         u_count = np.diff(np.append(starts, n))
-        u_first = gpos[heads].astype(np.int64)
-        u_payload = payload[heads].astype(np.int64)
         uid, prior_count, prior_first, prior_payload = self._absorb(
-            keys, pack_keys(keys), u_count, u_first, u_payload
+            keys, sorted_mix[starts], u_count, u_first, u_payload
         )
         return KeyFold(
             inverse,
@@ -543,7 +600,7 @@ class StreamingAllocPairer:
 
 #: The detector passes fold consecutive small batches as one batch of at
 #: least this many events (data-op plus target rows): a fold pays a fixed
-#: cost per batch (a sort, a key-index splice, a few dozen NumPy calls), so
+#: cost per batch (a sort, a key-index merge, a few dozen NumPy calls), so
 #: collector-sized shards are folded in groups.
 FOLD_BATCH_EVENTS = 1 << 16
 

@@ -30,6 +30,7 @@ existing JSON format; :func:`load_trace` sniffs the two apart.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import struct
@@ -181,6 +182,11 @@ def _header_strings(header: dict, n_do: int, n_tgt: int, where: str):
     return variables, names
 
 
+#: ``np.dtype`` of a header's dtype string, memoised: every shard of a
+#: store names the same few dtypes (a bad string raises on every call).
+_parse_dtype = functools.lru_cache(maxsize=64)(np.dtype)
+
+
 def _parse_flat_header(header_bytes: bytes, source: str) -> tuple[dict, dict, int]:
     """``(header, layouts, data_end)`` of a flat payload header, whose
     columns are checked against its row counts.
@@ -194,7 +200,7 @@ def _parse_flat_header(header_bytes: bytes, source: str) -> tuple[dict, dict, in
     columns: dict[str, dict[str, tuple[np.dtype, int, int]]] = {"do": {}, "tgt": {}}
     data_end = 0
     for tag, name, dtype_str, offset, nbytes in header["columns"]:
-        dtype = np.dtype(dtype_str)
+        dtype = _parse_dtype(dtype_str)
         columns[tag][name] = (dtype, nbytes // dtype.itemsize, offset)
         data_end = max(data_end, offset + nbytes)
     layouts = {}

@@ -52,6 +52,7 @@ either.
 
 from __future__ import annotations
 
+import functools
 import os
 import shutil
 import time
@@ -104,8 +105,17 @@ class ShardTransport(Protocol):
         ...
 
 
+#: Distinct blob names whose check (and local path) is remembered: a scan
+#: resolves the same shard names every time it runs.
+_NAME_CACHE = 4096
+
+
+@functools.lru_cache(maxsize=_NAME_CACHE)
 def _check_blob_name(name: str) -> str:
-    """Reject absolute or escaping names; normalise to POSIX separators."""
+    """Reject absolute or escaping names; normalise to POSIX separators.
+
+    Memoised: a rejected name raises on every call (a raise is never
+    cached)."""
     pure = PurePosixPath(name)
     if pure.is_absolute() or ".." in pure.parts or not pure.parts:
         raise ValueError(f"invalid blob name {name!r}")
@@ -118,6 +128,12 @@ def _check_blob_name(name: str) -> str:
 #: Attempts of a local write or rename whose parent directory a concurrent
 #: delete keeps pruning, before the error is reported.
 _PARENT_RETRIES = 8
+
+
+@functools.lru_cache(maxsize=_NAME_CACHE)
+def _blob_path(root: Path, name: str) -> Path:
+    """The file of blob ``name`` under ``root`` (memoised, checked name)."""
+    return root / _check_blob_name(name)
 
 
 class LocalDirTransport:
@@ -133,7 +149,7 @@ class LocalDirTransport:
             self.path.mkdir(parents=True, exist_ok=True)
 
     def _resolve(self, name: str) -> Path:
-        return self.path / _check_blob_name(name)
+        return _blob_path(self.path, name)
 
     def list_blobs(self) -> list[str]:
         if not self.path.is_dir():

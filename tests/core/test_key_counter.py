@@ -4,19 +4,23 @@ The counter is the streaming twin of a ``dict`` from composite key to
 (member count, smallest gpos, payload of that row, uid).  Every
 :class:`KeyFold` field is checked against that dict after each batch.
 Keys mix ``uint64`` values at and above 2^63 with negative ``int32``
-devices, and share their first column across keys, so the packed-key
-ordering is exercised where it differs from naive byte order.  Counters
-pass through the carry codec between folds, which drops the sorted lookup
-index and makes the next fold rebuild it.
+devices, and share their first column across keys.  Counters pass through
+the carry codec between folds, which drops the sorted lookup index and
+makes the next fold rebuild it.  The same oracle runs again with the key
+mix forced to collide, so distinct keys that share a mix meet both inside
+one batch and in the index.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.carrycodec import decode_carries, encode_carries
-from repro.core.detectors._streaming import CompositeKeyCounter, pack_keys
+from repro.core.detectors import _streaming
+from repro.core.detectors._streaming import CompositeKeyCounter, mix_keys
 
 _DTYPES = (np.uint64, np.int32, np.int64)
 _COLUMN_VALUES = (
@@ -135,14 +139,79 @@ def test_fold_matches_dict_oracle(stream):
     _fold_all(batches, ncols)
 
 
-def test_packed_keys_sort_like_lexsort():
+def _low_bits_mix(cols):
+    """A degenerate mix: four values in all, from the first column only."""
+    return cols[0].astype(np.uint64) & np.uint64(3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key_streams())
+def test_fold_matches_dict_oracle_when_mixes_collide(stream):
+    batches, ncols = stream
+    with mock.patch.object(_streaming, "mix_keys", _low_bits_mix):
+        _fold_all(batches, ncols)
+
+
+def test_forced_collisions_meet_in_batch_and_index():
+    """Distinct keys of one mix, in one batch and then against the index,
+    stay distinct keys."""
+    hashes = np.array([4, 8, 4, 12], dtype=np.uint64)  # all mix to 0
+    devices = np.array([0, 0, 0, 1], dtype=np.int32)
+    with mock.patch.object(_streaming, "mix_keys", _low_bits_mix):
+        counter = CompositeKeyCounter()
+        first = counter.fold((hashes, devices), np.arange(4, dtype=np.int64))
+        assert counter.num_keys == 3
+        assert first.total_count[first.inverse].tolist() == [2, 1, 2, 1]
+        again = counter.fold(
+            (hashes[::-1].copy(), devices[::-1].copy()), np.arange(4, 8, dtype=np.int64)
+        )
+    assert counter.num_keys == 3
+    assert again.prior_count[again.inverse].tolist() == [1, 2, 1, 2]
+    assert again.total_count[again.inverse].tolist() == [2, 4, 2, 4]
+    assert again.key_uid[again.inverse].tolist() == first.key_uid[first.inverse][::-1].tolist()
+
+
+def test_keys_sharing_a_mix_but_not_the_last_column_never_merge():
+    """Two keys whose mix ignores their only difference, the last column,
+    keep separate counts, first positions and uids across folds."""
+
+    def ignore_last(cols):
+        return mix_keys(cols[:-1])
+
+    hashes = np.array([7, 7], dtype=np.uint64)
+    sizes = np.array([8, 16], dtype=np.int64)
+    devices = np.zeros(2, dtype=np.int32)
+    with mock.patch.object(_streaming, "mix_keys", ignore_last):
+        counter = CompositeKeyCounter()
+        for batch, base in ((slice(0, 1), 0), (slice(1, 2), 1), (slice(0, 2), 2)):
+            fold = counter.fold(
+                (hashes[batch], devices[batch], sizes[batch]),
+                np.arange(base, base + len(hashes[batch]), dtype=np.int64),
+            )
+    assert counter.num_keys == 2
+    assert fold.keys[2][fold.inverse].tolist() == [8, 16]
+    assert fold.prior_count.tolist() == [1, 1]
+    assert fold.total_count.tolist() == [2, 2]
+    assert fold.prior_first_gpos[fold.inverse].tolist() == [0, 1]
+    assert fold.key_uid[fold.inverse].tolist() == [0, 1]
+
+
+def test_mix_separates_keys_that_differ_in_one_column():
     rng = np.random.default_rng(5)
-    n = 2000
-    cols = (
+    n = 4000
+    cols = [
         rng.choice(np.array(_COLUMN_VALUES[0], dtype=np.uint64), n),
         rng.integers(-(2**31), 2**31, n, dtype=np.int64).astype(np.int32),
         rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64),
-    )
-    packed = pack_keys(cols)
-    order = np.lexsort(cols[::-1])
-    assert (np.argsort(packed, kind="stable") == order).all()
+    ]
+    base = mix_keys(cols)
+    assert (mix_keys([col.copy() for col in cols]) == base).all()
+    for j in range(len(cols)):
+        changed = list(cols)
+        changed[j] = cols[j] + cols[j].dtype.type(1)
+        assert (mix_keys(changed) != base).all()
+
+
+def test_mix_rejects_float_columns():
+    with np.testing.assert_raises(TypeError):
+        mix_keys([np.zeros(3, dtype=np.float64)])

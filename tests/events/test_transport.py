@@ -178,6 +178,32 @@ def test_invalid_blob_names_rejected(transport):
             transport.read_blob(bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    ["/abs.bin", "../escape.bin", "shards/../../escape.bin", ""],
+    ids=["absolute", "parent", "inner-parent", "empty"],
+)
+def test_memoised_local_names_reject_every_call(tmp_path, bad):
+    """Name checks and local paths are memoised per name; a rejected name
+    is rejected again on every later call, through every local entry
+    point, and nothing is written outside the directory."""
+    transport = LocalDirTransport(tmp_path / "blobs", create=True)
+    transport.write_blob("ok.bin", b"ok")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="invalid blob name"):
+            transport.read_blob(bad)
+        with pytest.raises(ValueError, match="invalid blob name"):
+            transport.write_blob(bad, b"x")
+        with pytest.raises(ValueError, match="invalid blob name"):
+            transport.blob_exists(bad)
+        with pytest.raises(TransportError) as mapped:
+            transport.map_blob(bad)
+        assert isinstance(mapped.value.__cause__, ValueError)
+    assert transport.read_blob("ok.bin") == b"ok"
+    assert transport.list_blobs() == ["ok.bin"]
+    assert not (tmp_path / "escape.bin").exists()
+
+
 def test_spec_pickles_and_rebuilds(transport):
     transport.write_blob("shard.bin", b"data")
     spec = pickle.loads(pickle.dumps(transport.spec()))
