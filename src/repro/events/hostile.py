@@ -14,6 +14,8 @@ patterns that have historically broken streaming and parallel analysis:
   leg to survive shard cuts and coalesced folds;
 * **duplicate storms** — long transfer runs drawn from a tiny payload-hash
   pool, stressing duplicate grouping across boundaries;
+* **ping-pong** — a pool hash sent to every device and returned unmodified,
+  many times, so a few hashes carry many round trips in both directions;
 * **repeated-allocation churn** and **freed-address reuse** — the same
   mapping key or device address cycling through alloc/delete repeatedly;
 * **kernel bursts** — long data-op-free stretches that become shards with
@@ -272,6 +274,24 @@ def _motif_addr_reuse(b: _Builder, device: int, budget: int) -> None:
     b.delete(device, reused)
 
 
+def _motif_ping_pong(b: _Builder, device: int, budget: int) -> None:
+    # One pool hash mapped to every device and copied back unmodified,
+    # again and again: every return closes a round trip.  With the
+    # duplicate storms' sends of the same hashes this makes a few busy
+    # round-trip hashes, two-key on one device and with a key per device
+    # on more.
+    payload = b.pool_hash()
+    addrs = [b.simple_buffer(d) for d in range(b.num_devices)]
+    rounds = int(b.rng.integers(2, max(3, min(12, budget // (3 * b.num_devices)))))
+    for _ in range(rounds):
+        for d, addr in enumerate(addrs):
+            b.h2d(d, addr, payload)
+            b.kernel(d)
+            b.d2h(d, addr, payload)
+    for d, addr in enumerate(addrs):
+        b.delete(d, addr)
+
+
 _MOTIFS = (
     (_motif_deep_nest, 0.12),
     (_motif_duplicate_storm, 0.22),
@@ -279,6 +299,7 @@ _MOTIFS = (
     (_motif_kernel_burst, 0.10),
     (_motif_unused_chain, 0.22),
     (_motif_addr_reuse, 0.20),
+    (_motif_ping_pong, 0.08),
 )
 
 

@@ -56,8 +56,8 @@ GOLDEN = {
     "hostile-seed11": (
         lambda: make_hostile_trace(3000, seed=11),
         257,
-        "39c7bf73774b9b09fd324f99aa1108ba0825757328f8e3064dd6b8f7aa1b89fc",
-        "5e4968b12136d8328a4c102597af25d61e62656127a4e9aeadf92b868a4945ab",
+        "72943d60cf0f216d1567b619bcad30cc92c7f0e67497cbfa6dd1e2d0c2f4c9db",
+        "29c60b8966954a65e662c30e16ab8baaeb74e0865f9442ec662b17fd7b7fc528",
     ),
 }
 

@@ -5,8 +5,8 @@ three properties :mod:`repro.events.hostile` promises: the same seed
 always yields the same trace (failures reproduce), every trace is valid
 per :func:`validate_trace` (the differential oracle's contract), and the
 advertised hostile features — deep alloc nesting, split round-trip legs,
-duplicate storms, kernel-only stretches, empty shards, mixed formats —
-actually appear.
+duplicate storms, ping-pong hashes, kernel-only stretches, empty shards,
+mixed formats — actually appear.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.events.columnar import CODE_ALLOC, CODE_DELETE, CODE_TO_DEVICE
+from repro.events.columnar import CODE_ALLOC, CODE_DELETE, CODE_FROM_DEVICE, CODE_TO_DEVICE
 from repro.events.hostile import make_hostile_trace, write_hostile_store
 from repro.events.store import ShardedTraceStore, merge_shards
 from repro.events.validation import validate_trace
@@ -70,6 +70,30 @@ def test_hostile_features_present():
 
     # Kernel-only stretches exist (long runs with no data op between).
     assert trace.num_target_events > 0
+
+    # Ping-pong: a hash sent to every device and returned unmodified many
+    # times — a busy two-key round-trip hash on one device, a hash with a
+    # key per device (three or more keys) on more.
+    for ping_pong in (trace, make_hostile_trace(20_000, seed=42, num_devices=3)):
+        assert _ping_pong_hashes(ping_pong)
+
+
+def _ping_pong_hashes(trace) -> list[int]:
+    """Hashes with at least 20 device-to-host legs whose host-to-device
+    and device-to-host legs each reach every device."""
+    kind, hashes = trace.do_kind, trace.do_content_hash
+    devices = set(range(trace.num_devices))
+    found = []
+    for value in np.unique(hashes[kind == CODE_FROM_DEVICE]).tolist():
+        out = (kind == CODE_TO_DEVICE) & (hashes == value)
+        back = (kind == CODE_FROM_DEVICE) & (hashes == value)
+        if (
+            back.sum() >= 20
+            and set(trace.do_dest_device_num[out].tolist()) == devices
+            and set(trace.do_src_device_num[back].tolist()) == devices
+        ):
+            found.append(value)
+    return found
 
 
 def test_hostile_store_layout(tmp_path):
