@@ -22,14 +22,10 @@ false`` in the record, mirroring how the other benchmarks relax their
 bars through the environment.
 
 Wall-clock speedup is hardware-bound, but the per-task *constants* are
-not: every process-engine measurement additionally records the warm-pool
-overhead breakdown from ``ProcessEngine.stats`` (``spawn_count``,
-``pool_reuse``, and spawn / open / decode / fold seconds), which must
-fall even on a single-core container.  A ``process_warm`` leg measures a
-``keep_pool=True`` engine on its *second* run — workers already spawned,
-stores open — at the peak worker
-count always, and across the full sweep with ``OMPDATAPERF_BENCH_POOL=1``
-(the nightly setting).
+not: every process-engine measurement additionally records the overhead
+breakdown from ``ProcessEngine.stats`` (``spawn_count`` and spawn / open
+/ decode / map / fold seconds), which is observable even on a
+single-core container.
 """
 
 from __future__ import annotations
@@ -66,10 +62,6 @@ MIN_PROCESS_SPEEDUP = float(
 
 #: The speedup bar only binds where the hardware can deliver one.
 MIN_CORES_FOR_SPEEDUP = 4
-
-#: ``OMPDATAPERF_BENCH_POOL=1`` runs the warm-pool leg across the whole
-#: worker sweep instead of only the peak worker count.
-BENCH_POOL = os.environ.get("OMPDATAPERF_BENCH_POOL") == "1"
 
 
 def _available_cores() -> int:
@@ -137,27 +129,6 @@ def test_engine_scaling_and_write_record(store, bench_dir):
                 per_jobs[str(jobs)]["coordination"] = dict(runner.stats)
         results[engine] = per_jobs
 
-    # Warm-pool leg: same folds on a keep_pool engine's second run, when
-    # the spawn / open / decode constants have already been paid.
-    warm_counts = WORKER_COUNTS if BENCH_POOL else (max(WORKER_COUNTS),)
-    warm_jobs: dict[str, dict] = {}
-    for jobs in warm_counts:
-        with ProcessEngine(keep_pool=True) as warm:
-            analyze_stream(store, engine=warm, jobs=jobs)  # cold run: pay constants
-            t0 = time.perf_counter()
-            report = analyze_stream(store, engine=warm, jobs=jobs)
-            seconds = time.perf_counter() - t0
-            assert _findings(report) == expected, (
-                f"warm process engine at {jobs} workers diverged from the "
-                f"serial streaming findings"
-            )
-            warm_jobs[str(jobs)] = {
-                "seconds": seconds,
-                "events_per_sec": NUM_EVENTS / seconds,
-                "speedup_vs_serial": serial_seconds / seconds,
-                "overhead": dict(warm.stats),
-            }
-    results["process_warm"] = warm_jobs
     results["serial"] = {
         "1": {
             "seconds": serial_seconds,
@@ -177,7 +148,6 @@ def test_engine_scaling_and_write_record(store, bench_dir):
         "available_cores": cores,
         "min_process_speedup": MIN_PROCESS_SPEEDUP,
         "speedup_enforced": enforce,
-        "warm_pool_full_sweep": BENCH_POOL,
         "engines": results,
     }
     out_path = bench_dir / "BENCH_engine.json"

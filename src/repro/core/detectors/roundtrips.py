@@ -184,12 +184,14 @@ def _match_trips(
     if hashes.size == 0:
         return no_trips, no_trips, no_trips
     # Intern the (hash, device) keys: hashes are factorised once and
-    # devices are small, so ``hash_id * width + device`` is an exact key id.
+    # devices are small, so ``hash_id * width - low + device`` is an exact
+    # key id (``low`` shifts a negative device, e.g. ``omp_initial_device``).
     _, hash_id = np.unique(hashes, return_inverse=True)
     num_hashes = int(hash_id.max()) + 1
-    width = int(max(int(src.max()), int(dst.max()))) + 1
-    rx_id = hash_id * width + src  # the key a return leg of the transfer carries
-    tx_id = hash_id * width + dst  # the key the transfer itself is a receipt of
+    low = min(int(src.min()), int(dst.min()))
+    width = max(int(src.max()), int(dst.max())) - low + 1
+    rx_id = hash_id * width - low + src  # the key a return leg of the transfer carries
+    tx_id = hash_id * width - low + dst  # the key the transfer itself is a receipt of
     num_keys = num_hashes * width
 
     # A transfer is a candidate iff some receipt carries its (hash, src) key.

@@ -6,10 +6,10 @@ the first whose workers need not share a machine with the coordinator.
 Its tasks are the process engine's *pass groups*
 (:func:`~repro.core.engine.pass_groups`): each task folds one group of
 passes over ONE scan of the whole store and finalizes them, exactly as a
-warm-pool worker and the serial engine do
+process-engine worker and the serial engine do
 (:func:`repro.core.engine.run_pass_group`).  The tasks
 live as **leased blobs on a shard transport**
-(:mod:`repro.events.transport`) instead of on pool queues — a local
+(:mod:`repro.events.transport`) instead of in forked workers' arguments — a local
 directory for tests and loopback runs, an object store wherever a real
 deployment wants the queue to live.  (The *store* may
 additionally sit in a zip archive; the *queue* may not — a zip archive
@@ -119,6 +119,7 @@ from repro.core.detectors.table import FindingTable
 from repro.core.engine import (
     ENGINES,
     _check_jobs,
+    _open_store_from_spec,
     _opt_float,
     _opt_int,
     _opt_str,
@@ -127,7 +128,6 @@ from repro.core.engine import (
     pass_groups,
     run_pass_group,
 )
-from repro.core.pool import open_store_cached
 from repro.events.transport import (
     ShardTransport,
     TransportError,
@@ -161,9 +161,11 @@ ERROR_PREFIX = "errors/"
 #: ``min(2 s, lease_timeout / 4)``).
 SPECULATION_FACTOR = 4.0
 
-#: Test hook honoured only by the CLI ``worker`` entry point: the worker
-#: calls ``os._exit(3)`` immediately after its N-th successful claim,
-#: simulating a machine dying mid-fold with the lease left dangling.
+#: Test hook honoured by the CLI ``worker`` entry point: the worker calls
+#: ``os._exit(3)`` immediately after its N-th successful claim, simulating
+#: a machine dying mid-fold with the lease left dangling.  A process-engine
+#: worker runs one task, so it honours ``1``: it exits after its fold,
+#: before reporting the result.
 CRASH_ENV = "OMPDATAPERF_WORKER_CRASH_AFTER_CLAIM"
 
 #: Exit code of a crash-hook death (distinct from error exits).
@@ -387,9 +389,9 @@ def run_worker(
     ``max_tasks`` processed), ``1`` on ``abort`` or a protocol mismatch,
     and — only with ``idle_timeout`` — ``1`` when no run ever appeared.
 
-    The worker is warm across tasks: it opens each store once (keyed by
-    transport spec) and keeps it for its whole lifetime, so only the
-    first task of a run pays the open cost.  It claims one task at a
+    A worker serves one run, so it opens that run's store once, on its
+    first claim, and keeps it for the tasks after (a failed open is that
+    task's error).  It claims one task at a
     time, renews that lease on a timer while it folds, and publishes one
     result blob for it.
 
@@ -413,8 +415,8 @@ def run_worker(
     transport: Optional[ShardTransport] = None
     run: Optional[dict] = None
     done_tasks = 0
-    # successful claims (including ones that error) and warm stores
-    state = {"claims": 0, "stores": {}}
+    # successful claims (including ones that error) and the run's store
+    state = {"claims": 0, "store": None}
     while True:
         if transport is None:
             try:
@@ -480,7 +482,7 @@ def _run_one_task(
     stall_after: int,
     state: dict,
 ) -> bool:
-    """Lease one pending task, run its pass group on a warm store and
+    """Lease one pending task, run its pass group on the run's store and
     publish its result.  Returns whether a result was published."""
     for pending_name in tq.pending_task_names():
         claim = tq.claim(pending_name, wid)
@@ -530,7 +532,9 @@ def _run_one_task(
             while True:
                 time.sleep(0.5)
         try:
-            store, _ = open_store_cached(run["store_spec"], state["stores"])
+            if state["store"] is None:
+                state["store"] = _open_store_from_spec(run["store_spec"])
+            store = state["store"]
             specs = run["pass_specs"]
 
             def tick_progress(events: int) -> None:

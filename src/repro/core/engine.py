@@ -41,9 +41,12 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import queue as queue_mod
 import sys
+import traceback
 import warnings
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Mapping, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.core.detectors._streaming import StreamingPass, check_guards, fold_batches
@@ -91,21 +94,6 @@ def _check_jobs(jobs: int) -> None:
 # --------------------------------------------------------------------- #
 # Engine configuration (spec strings)
 # --------------------------------------------------------------------- #
-_BOOL_WORDS = {
-    "on": True, "true": True, "yes": True, "1": True,
-    "off": False, "false": False, "no": False, "0": False,
-}
-
-
-def _opt_bool(text: str) -> bool:
-    try:
-        return _BOOL_WORDS[text.strip().lower()]
-    except KeyError:
-        raise ValueError(
-            f"expected on/off (or true/false, yes/no), got {text!r}"
-        ) from None
-
-
 def _opt_int(text: str) -> int:
     try:
         return int(text)
@@ -133,7 +121,6 @@ class EngineConfig:
     need ad-hoc plumbing is addressable from one spec string::
 
         EngineConfig.parse("distributed:lease_timeout=10,run_timeout=300")
-        EngineConfig.parse("process:keep_pool=on")
         EngineConfig.parse("serial")
 
     Option names and types come from each engine class's
@@ -210,8 +197,8 @@ def _ticking(batches, tick):
 
     ``fold_batches`` asks when a shard has been read; every pass folds it
     with its coalesced group, so the tick runs up to one group ahead of
-    the folds.  The parallel engines' workers tick this way: the warm
-    pool's shared counters and the distributed worker's beat blobs.
+    the folds.  The distributed worker ticks this way: its beat blobs
+    carry the fold position.
     """
     for batch in batches:
         yield batch
@@ -222,7 +209,7 @@ def run_pass_group(stream, specs: Sequence[PassSpec], tick=None) -> list:
     """Fold a pass group over ONE scan of ``stream`` and finalize it.
 
     The task function of every engine: the serial engine runs all specs as
-    one group in the calling process, the warm pool's workers and the
+    one group in the calling process, the process engine's workers and the
     distributed engine's queue workers each run one group of
     :func:`pass_groups`.  ``tick``, when given, is the fold-position hook
     (see :func:`_ticking`).
@@ -346,8 +333,66 @@ def _process_context():
     return multiprocessing.get_context("spawn")
 
 
+def scan_counters(store, run):
+    """Call ``run()`` and return ``(result, counters)``.
+
+    ``counters`` is the store's load accounting over the call: decode and
+    map seconds and counts, plus ``fold_seconds``, the rest of the call's
+    wall time: the per-task keys of :attr:`ProcessEngine.stats`.
+    """
+    decode0, count0 = store.decode_seconds, store.decode_count
+    map0, mapc0 = store.map_seconds, store.map_count
+    started = perf_counter()
+    result = run()
+    wall = perf_counter() - started
+    decode_seconds = store.decode_seconds - decode0
+    map_seconds = store.map_seconds - map0
+    return result, {
+        "decode_seconds": decode_seconds,
+        "decode_count": store.decode_count - count0,
+        "map_seconds": map_seconds,
+        "map_count": store.map_count - mapc0,
+        "fold_seconds": max(0.0, wall - decode_seconds - map_seconds),
+    }
+
+
+#: How long the process engine waits for a result between liveness checks.
+_POLL_SECONDS = 0.1
+
+
+def _crash_after_task() -> bool:
+    """Whether ``OMPDATAPERF_WORKER_CRASH_AFTER_CLAIM`` asks a process
+    worker to die after its task: it counts tasks, and a process worker
+    runs exactly one."""
+    from repro.core.distributed import CRASH_ENV
+
+    try:
+        return int(os.environ.get(CRASH_ENV) or 0) == 1
+    except ValueError:
+        return False
+
+
+def _process_worker(position: int, store_spec: dict, specs, results, crash: bool) -> None:
+    """Run one pass group in a worker process and put its one message,
+    ``(position, ok, payload, stats)``, on ``results``: the group's
+    payload list and load accounting, or the traceback text on failure."""
+    try:
+        started = perf_counter()
+        store = _open_store_from_spec(store_spec)
+        open_seconds = perf_counter() - started
+        payload, counters = scan_counters(store, lambda: run_pass_group(store, specs))
+        if crash:
+            from repro.core.distributed import CRASH_EXIT_CODE
+
+            # The injected-crash window: work done, result unreported.
+            os._exit(CRASH_EXIT_CODE)
+        results.put((position, True, payload, {"open_seconds": open_seconds, **counters}))
+    except BaseException:
+        results.put((position, False, traceback.format_exc(), None))
+
+
 class ProcessEngine:
-    """Pass-group folds on a *warm* pool of worker processes.
+    """Pass-group folds on one-shot worker processes.
 
     The only backend whose fold work runs off the GIL — and the only one
     with a requirement on the stream: it must be a
@@ -356,57 +401,43 @@ class ProcessEngine:
     receive events.
 
     The pass specs are split into ``min(jobs, len(specs))`` groups by
-    :func:`pass_groups`, and each worker runs one group through
+    :func:`pass_groups`, and every run starts one worker process per
+    group, handed the transport spec and its group's specs as process
+    arguments.  The worker opens the store and runs
     :func:`run_pass_group`, the serial engine's task function: it folds
     every pass of its group in ONE scan from the stream head, finalizes
-    them, and returns only their finding parts; the parent puts the parts
-    back in report order and runs the one shared gather of the finding
-    rows (:func:`gather_groups`).  ``jobs=1`` is no special case: its one
-    group runs on one pool worker, with the same stats.  A guard
-    spec (trace validation) joins one of the groups, whose worker checks
-    it before finalizing the detectors beside it and returns the folded
-    guard itself.  That group is handed out first, and the parent collects
-    it and checks the guard before any other group, so a failed check
-    raises its own error ahead of any detector's.  No carry is shipped or
-    merged, and a one-shard store parallelises
-    as well as a large one.  The cost is the ceiling: at most one worker
-    per pass, and a run is bounded by its heaviest group (at one pass per
-    worker, the duplicates pass).  The distributed engine runs the same
-    group tasks on workers that may live on other machines.
-
-    The per-task constants are amortised:
-
-    * workers come from a :class:`~repro.core.pool.WarmWorkerPool` — each
-      process spawns once and serves every run of a kept pool;
-    * each worker opens the store once and keeps it across tasks.
+    them, and puts only their finding parts on the one result queue; the
+    parent puts the parts back in report order and runs the one shared
+    gather of the finding rows (:func:`gather_groups`).  ``jobs=1`` is no
+    special case: its one group runs on one worker, with the same stats.
+    A guard spec (trace validation) joins one of the groups, whose worker
+    checks it before finalizing the detectors beside it and returns the
+    folded guard itself.  The parent checks that group's guard as soon as
+    it lands, and holds back any other group's failure until then, so a
+    failed check raises its own error ahead of any detector's.  No carry
+    is shipped or merged, and a one-shard store parallelises as well as a
+    large one.  The cost is the ceiling: at most one worker per pass, and
+    a run is bounded by its heaviest group (at one pass per worker, the
+    duplicates pass).  The distributed engine runs the same group tasks
+    on workers that may live on other machines.
 
     Each worker loads every shard of its scan itself: a local ``.odpf``
     shard is mapped in place, an ``.odpf`` shard behind a zip archive or
     an object store is read and viewed in place, and an ``.npz`` shard is
     read and decoded.  So a run reports ``decode_count + map_count ==
-    tasks × shards``, and a kept pool decodes an ``.npz`` store again on
-    every run (``ompdataperf trace migrate`` rewrites it as ``.odpf``).
-
-    With ``keep_pool=True`` the pool and the per-worker stores survive
-    across ``run()`` calls (close with :meth:`close` or use the engine as
-    a context manager).  After every run :attr:`stats`
-    holds the overhead breakdown the engine benchmarks record.
+    tasks × shards`` (``ompdataperf trace migrate`` rewrites an ``.npz``
+    store as ``.odpf``).  A worker that dies before reporting raises
+    ``RuntimeError`` naming its exit code, and every worker is joined or
+    terminated before ``run`` returns or raises.  After every run
+    :attr:`stats` holds the overhead breakdown.
     """
 
     name = "process"
 
-    #: Options addressable from an ``EngineConfig`` spec string
-    #: (``"process:keep_pool=on"``).
-    config_options = {"keep_pool": _opt_bool}
-
-    def __init__(self, *, keep_pool: bool = False) -> None:
-        self.keep_pool = keep_pool
-        self._pool = None
-        self._spawned_total = 0
+    def __init__(self) -> None:
         #: overhead breakdown of the most recent run (empty before any)
         self.stats: dict = {}
 
-    # ------------------------------------------------------------------ #
     def run(self, specs, stream, *, jobs: int = 1) -> FindingTable:
         _check_jobs(jobs)
         from repro.events.store import ShardedTraceStore
@@ -418,63 +449,55 @@ class ProcessEngine:
                 "(shard_trace / `ompdataperf trace shard`) or use the "
                 "serial engine"
             )
-        spec = stream.transport.spec()
         groups = pass_groups(specs, jobs)
-        try:
-            pool, spawn_seconds_now = self._ensure_pool(len(groups))
-            job_ids = [
-                pool.submit_group(worker, spec, [specs[i] for i in group])
-                for worker, group in enumerate(groups)
-            ]
-            # Guard groups come first: their verdict is checked before the
-            # other groups are collected, so a detector that failed on an
-            # invalid stream there cannot hide the validation error.
-            guarded = sum(any(specs[i].cls.guard for i in group) for group in groups)
-            results = pool.collect(job_ids[:guarded])
-            check_landed_guards(
-                specs, groups, {k: results[job_ids[k]][0] for k in range(guarded)}
+        ctx = _process_context()
+        results = ctx.Queue()
+        store_spec = stream.transport.spec()
+        crash = _crash_after_task()
+        workers = [
+            ctx.Process(
+                target=_process_worker,
+                args=(position, store_spec, [specs[i] for i in group], results, crash),
+                daemon=True,
             )
-            results.update(pool.collect(job_ids[guarded:]))
+            for position, group in enumerate(groups)
+        ]
+        landed: dict = {}  # position -> (payload, stats)
+        failed: dict = {}  # position -> the worker's traceback text
+        started = perf_counter()
+        try:
+            for worker in workers:
+                worker.start()
+            spawn_seconds = perf_counter() - started
+            _collect(results, workers, specs, groups, landed, failed)
             self.stats = self._build_stats(
-                [results[job][1] for job in job_ids], pool.num_workers, spawn_seconds_now
+                [landed[k][1] for k in range(len(groups))], spawn_seconds
             )
             return gather_groups(
-                specs, groups, {k: results[job][0] for k, job in enumerate(job_ids)}, stream
+                specs, groups, {k: payload for k, (payload, _) in landed.items()}, stream
             )
-        except BaseException:
-            # Any failure — a dead worker, a KeyboardInterrupt mid-gather —
-            # tears the pool down, even in keep-pool mode: a kept pool may
-            # hold a wedged worker or unread results of the failed run.
-            self.close()
-            raise
         finally:
-            if not self.keep_pool:
-                self.close()
+            # A worker that reported is exiting; any other one is stopped.
+            for position, worker in enumerate(workers):
+                if worker.pid is None:
+                    continue
+                if position not in landed and position not in failed:
+                    worker.terminate()
+                worker.join()
+            results.close()
 
-    # ------------------------------------------------------------------ #
-    def _ensure_pool(self, workers: int):
-        from repro.core.pool import WarmWorkerPool
-
-        if self._pool is not None and self._pool.num_workers != workers:
-            self.close()
-        if self._pool is None:
-            self._pool = WarmWorkerPool(workers, mp_context=_process_context())
-            self._spawned_total += self._pool.spawn_count
-            return self._pool, self._pool.spawn_seconds
-        return self._pool, 0.0
-
-    def _build_stats(self, task_stats, workers: int, spawn_seconds: float) -> dict:
+    @staticmethod
+    def _build_stats(task_stats, spawn_seconds: float) -> dict:
         open_seconds = sum(s["open_seconds"] for s in task_stats)
         decode_seconds = sum(s["decode_seconds"] for s in task_stats)
         map_seconds = sum(s["map_seconds"] for s in task_stats)
         fold_seconds = sum(s["fold_seconds"] for s in task_stats)
         overhead = spawn_seconds + open_seconds + decode_seconds + map_seconds
         return {
-            "spawn_count": self._spawned_total,
+            "spawn_count": len(task_stats),
             "spawn_seconds": spawn_seconds,
             "tasks": len(task_stats),
-            "workers": workers,
-            "pool_reuse": sum(1 for s in task_stats if s["task_no"] > 1),
+            "workers": len(task_stats),
             "open_seconds": open_seconds,
             "decode_seconds": decode_seconds,
             "decode_count": sum(s["decode_count"] for s in task_stats),
@@ -485,17 +508,49 @@ class ProcessEngine:
             "overhead_per_task": overhead / max(1, len(task_stats)),
         }
 
-    def close(self) -> None:
-        """Shut the pool down (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
 
-    def __enter__(self) -> "ProcessEngine":
-        return self
+def _collect(results, workers, specs, groups, landed: dict, failed: dict) -> None:
+    """Read every worker's message into ``landed`` (position ->
+    ``(payload, stats)``) or ``failed`` (position -> traceback text).
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+    Guard groups come first (:func:`pass_groups`): their guards are
+    checked as soon as they have all landed, so a detector that failed on
+    an invalid stream in another group cannot hide the validation error,
+    and a failed group raises ``RuntimeError`` only from then on.  A
+    worker that exits without reporting raises it at once.
+    """
+    guarded = sum(any(specs[i].cls.guard for i in group) for group in groups)
+    checked = False
+    dead_before: set = set()
+    while len(landed) + len(failed) < len(groups):
+        try:
+            position, ok, payload, stats = results.get(timeout=_POLL_SECONDS)
+        except queue_mod.Empty:
+            # A worker flushes its message before it exits, so one still
+            # missing a full poll after its exit never sent it.
+            dead = {
+                k
+                for k, worker in enumerate(workers)
+                if k not in landed and k not in failed and not worker.is_alive()
+            }
+            if dead & dead_before:
+                codes = sorted({workers[k].exitcode for k in dead})
+                raise RuntimeError(
+                    f"{len(dead)} process engine worker(s) died (exit codes "
+                    f"{codes}) before reporting their pass group"
+                ) from None
+            dead_before = dead
+            continue
+        if ok:
+            landed[position] = (payload, stats)
+        else:
+            failed[position] = payload
+        if not checked and all(k in landed or k in failed for k in range(guarded)):
+            checked = True
+            if not any(k in failed for k in range(guarded)):
+                check_landed_guards(specs, groups, {k: landed[k][0] for k in range(guarded)})
+        if checked and failed:
+            raise RuntimeError(f"process engine worker failed:\n{failed[min(failed)]}")
 
 
 #: Engine registry, keyed by the names the CLI exposes.  The distributed
@@ -530,10 +585,9 @@ def process_engine_fallback_reason(jobs: Optional[int] = None) -> Optional[str]:
     """Why the process engine would not help here, or ``None`` if it can.
 
     The process engine exists to scale GIL-bound folds across cores; on a
-    single-core machine its workers only add fork/pickle overhead (the
-    BENCH_engine record shows process slower than serial at one core), and
-    on a platform where multiprocessing cannot start workers at all it
-    simply fails.  Callers that prefer degradation over
+    single-core machine its workers only add fork/pickle overhead, and on
+    a platform where multiprocessing cannot start workers at all it simply
+    fails.  Callers that prefer degradation over
     surprises (the CLI) check this before resolving ``"process"``.
     """
     if jobs is not None and jobs < 2:
@@ -574,14 +628,17 @@ def resolve_engine(engine, *, jobs: Optional[int] = None, degrade: bool = False)
     (``spawn/open/decode/map/fold_seconds``, ``overhead_seconds``) and
     the distributed engine's coordinator block (``requeued``,
     ``respawned``, ``speculative_launches``, ``debris_blobs``,
-    ``duplicate_results``).  Three keys are retired.
+    ``duplicate_results``).  Four keys are retired.
     ``peak_unmerged_chains`` counted the distributed coordinator's
     un-merged partition carries, and its tasks are pass groups now, whose
     payloads are never merged.  The process engine's shard-cache hit count
     went with its shared decoded-shard cache: every worker now maps or
     decodes each shard it scans itself.  ``hints`` held the distributed
     coordinator's autoscaling snapshot, which went because a run has at
-    most six tasks, too few for a fleet size to follow.  The structured way to read the
+    most six tasks, too few for a fleet size to follow.  ``pool_reuse``
+    (with the per-task ``task_no`` behind it) counted tasks that ran on an
+    already used pool worker, and every process worker now runs one task
+    and exits.  The structured way to read the
     stats is :attr:`repro.core.analysis.StreamAnalysisReport.engine_stats`.
     """
     if engine is None:

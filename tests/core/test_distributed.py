@@ -625,8 +625,7 @@ def test_zombie_results_are_dropped_as_duplicates(store, tmp_path, expected):
     serial run's."""
     from repro.core.carrycodec import encode_carries
     from repro.core.distributed import RUN_MANIFEST, run_worker
-    from repro.core.engine import run_pass_group
-    from repro.core.pool import open_store_cached
+    from repro.core.engine import _open_store_from_spec, run_pass_group
     from repro.events.transport import open_transport
 
     queue_dir = tmp_path / "zombie-queue"
@@ -649,7 +648,7 @@ def test_zombie_results_are_dropped_as_duplicates(store, tmp_path, expected):
         run = queue.read_run()
         claim = queue.claim("tasks/task-00000.a000", "zombie-a")
         specs = [run["pass_specs"][i] for i in claim.task]
-        zombie_store, _ = open_store_cached(run["store_spec"], {})
+        zombie_store = _open_store_from_spec(run["store_spec"])
         payload = encode_carries(run_pass_group(zombie_store, specs))
         queue.publish_result(claim, payload)
         transport.write_blob("results/task-00000.a001.zombie-b", payload)

@@ -380,17 +380,15 @@ def test_engine_config_parse_round_trip():
     assert EngineConfig.parse("serial").spec() == "serial"
 
 
-def test_engine_config_bool_words():
-    from repro.core.engine import EngineConfig
+def test_engine_config_process_has_no_options():
+    from repro.core.engine import EngineConfig, engine_config_options
 
-    for word, value in [
-        ("on", True), ("off", False), ("true", True), ("false", False),
-        ("yes", True), ("no", False), ("1", True), ("0", False),
-    ]:
-        config = EngineConfig.parse(f"process:keep_pool={word}")
-        assert config.options["keep_pool"] is value, word
-    with pytest.raises(ValueError, match="bad value"):
-        EngineConfig.parse("process:keep_pool=maybe")
+    assert engine_config_options("process") == {}
+    assert EngineConfig.parse("process") == EngineConfig("process")
+    # The warm pool and its keep_pool switch are gone: each run starts
+    # and stops its own workers.
+    with pytest.raises(ValueError, match="known options: none"):
+        EngineConfig.parse("process:keep_pool=on")
 
 
 def test_engine_config_rejects_unknowns():
@@ -416,13 +414,14 @@ def test_engine_config_build_and_resolve():
     assert engine.min_stall == 1.0
     assert resolve_engine("distributed:lease_timeout=60").min_stall == 2.0
     # EngineConfig instances resolve too (what the CLI passes through).
-    config = EngineConfig.parse("process:keep_pool=on")
+    config = EngineConfig.parse("distributed:max_attempts=2,worker_mode=thread")
     built = resolve_engine(config)
-    assert isinstance(built, ProcessEngine)
-    assert built.keep_pool is True
+    assert isinstance(built, DistributedEngine)
+    assert built.max_attempts == 2
+    assert isinstance(resolve_engine(EngineConfig.parse("process")), ProcessEngine)
     # The process engine shards by pass: there is no partition knob.
     with pytest.raises(ValueError, match="unknown option 'tasks_per_worker'"):
-        EngineConfig.parse("process:keep_pool=on,tasks_per_worker=2")
+        EngineConfig.parse("process:tasks_per_worker=2")
 
 
 def test_engine_config_option_tables_cover_constructors():

@@ -167,6 +167,23 @@ def test_lone_self_leg_is_its_own_return_leg(legs, chronological):
     assert [group.num_trips for group in trips] == [1]
 
 
+INITIAL_DEVICE = -1  # OpenMP 5.1's omp_initial_device
+
+
+@pytest.mark.parametrize("count", [1, 2 * _VECTOR_MIN])
+def test_negative_host_device_number(legs, paths, count):
+    # The host numbered -1: key ids must not go negative (np.bincount
+    # rejects them), and the trips equal the oracle's.
+    def renumber(device):
+        return INITIAL_DEVICE if device == HOST else device
+
+    spec = [(h, renumber(s), renumber(d)) for h, s, d in _small_trips(count)]
+    trips = _same_as_oracle(legs(spec))
+    assert [group.num_trips for group in trips] == [1] * count
+    assert all(group.src_device_num == INITIAL_DEVICE for group in trips)
+    assert paths == ({"_match_exact"} if count == 1 else {"_match_lockstep"})
+
+
 def test_self_leg_with_duration_needs_the_guard_off(legs):
     trace = legs([(7, 0, 0)], durations=[1e-6])
     assert _same_as_oracle(trace) == []

@@ -560,7 +560,7 @@ def test_parser_metadata():
 def test_engine_spec_string_with_options(capsys):
     assert main(["hotspot", "--size", "small", "-q", "--stream",
                  "--shard-events", "8", "--jobs", "2",
-                 "--engine", "process:keep_pool=off"]) == 0
+                 "--engine", "distributed:worker_mode=thread,max_attempts=2"]) == 0
     capsys.readouterr()
     # Options ride the spec string; a bad option fails at parse time.
     with pytest.raises(SystemExit):

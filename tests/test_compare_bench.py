@@ -132,16 +132,6 @@ def test_bad_tolerance_rejected(tmp_path):
         )
 
 
-def test_repo_bench_records_compare_clean_against_themselves(tmp_path):
-    """The real BENCH_*.json records in the repo root parse and self-compare."""
-    repo_root = Path(__file__).resolve().parent.parent
-    if not list(repo_root.glob("BENCH_*.json")):
-        pytest.skip("no benchmark records present")
-    assert compare_bench.main(
-        ["--baseline", str(repo_root), "--current", str(repo_root)]
-    ) == 0
-
-
 def test_new_stats_fields_are_neutral_against_old_baselines(tmp_path, capsys):
     """A baseline written before the distributed stats block grew
     (speculative_launches, debris_blobs, peak_unmerged_chains, hints)
