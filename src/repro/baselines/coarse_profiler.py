@@ -39,10 +39,6 @@ class CoarseProfile:
     def total_transfer_time(self) -> float:
         return self.h2d_time + self.d2h_time
 
-    @property
-    def total_transfer_bytes(self) -> int:
-        return self.h2d_bytes + self.d2h_bytes
-
     def as_dict(self) -> dict:
         return {
             "h2d_bytes": self.h2d_bytes,

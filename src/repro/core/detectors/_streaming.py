@@ -79,6 +79,16 @@ class GrowArray:
     def view(self) -> np.ndarray:
         return self._arr[: self.size]
 
+    def __getstate__(self) -> np.ndarray:
+        # Pickle the filled prefix only: the spare capacity is noise.
+        return self.view()
+
+    def __setstate__(self, arr: np.ndarray) -> None:
+        self._dtype = arr.dtype
+        self.size = arr.size
+        # extend()'s doubling loop never grows a zero capacity.
+        self._arr = arr if arr.size else np.empty(1, dtype=arr.dtype)
+
 
 class DeviceKernels:
     """Per-device kernel cursor base: start times and running-max end times.

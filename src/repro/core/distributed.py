@@ -31,7 +31,7 @@ Queue layout (all names relative to the queue transport)::
     beats/task-00002.a000.<wid>    heartbeat counter, renewed on a timer
                                    while the worker folds
     results/task-00002.a000.<wid>  the claim's result: the group's
-                                   payload list, carry-codec encoded
+                                   payload list, an allow-listed pickle
     errors/task-00002.a000.<wid>   a worker-side failure report
     done | abort                   terminal markers (abort carries the
                                    reason)
@@ -79,10 +79,13 @@ A worker claims one task at a time.  The task's result is its group's
 payload list — a finished
 :class:`~repro.core.detectors.table.FindingPart` per detector, and the
 folded guard itself (trace validation) for the coordinator to check —
-encoded with :mod:`repro.core.carrycodec` into one result blob named
+pickled by :mod:`repro.core.carrycodec` into one result blob named
 after the claim.  A run has at most one task per pass, so it publishes
-at most six result blobs.  No carry is shipped or
-merged.  The coordinator checks the guard as soon as the guard's group
+at most six result blobs.  No carry is shipped or merged.  Trust runs
+one way: workers unpickle the coordinator's ``run.pkl`` and task blobs
+as they are, while the coordinator rebuilds only the codec's
+allow-listed types from result blobs, and counts any other result blob
+as debris.  The coordinator checks the guard as soon as the guard's group
 lands, and holds back a detector group's exhausted retries until then, so
 a detector that failed on an invalid stream never hides the validation
 error.  Once every group has landed it gathers the finding rows locally
@@ -101,7 +104,6 @@ import re
 import shutil
 import socket
 import statistics
-import struct
 import subprocess
 import sys
 import tempfile
@@ -144,8 +146,10 @@ from repro.events.validation import TraceValidationError
 #: from per-task pickles to batched carry-codec blobs; version 3 made a
 #: task a pass group (its spec indices) and a result the group's payload
 #: list; version 4 publishes one result blob per claim, named after it,
-#: and drops the manifest's ``claim_batch`` field.
-QUEUE_FORMAT_VERSION = 4
+#: and drops the manifest's ``claim_batch`` field; version 5 pickles the
+#: result blobs, read back through the allow-listed unpickler of
+#: :mod:`repro.core.carrycodec`.
+QUEUE_FORMAT_VERSION = 5
 
 RUN_MANIFEST = "run.pkl"
 DONE_MARKER = "done"
@@ -336,7 +340,7 @@ class TaskQueue:
 
     # -- results and failures -------------------------------------------- #
     def publish_result(self, claim: ClaimedTask, payload: bytes) -> None:
-        """Publish a claim's codec-encoded result atomically."""
+        """Publish a claim's encoded result blob atomically."""
         suffix = claim.name[len(CLAIM_PREFIX):]
         self.transport.write_blob(RESULT_PREFIX + suffix, payload)
 
@@ -960,7 +964,7 @@ class DistributedEngine:
                     continue
                 try:
                     payloads = decode_carries(data)
-                except (CarryCodecError, struct.error):
+                except CarryCodecError:
                     # Undecodable result blob: the task requeues, but the
                     # drop itself must leave a trace.
                     note_debris()

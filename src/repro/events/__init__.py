@@ -28,7 +28,6 @@ from repro.events.columnar import (
     load_trace,
 )
 from repro.events.protocol import EventStream, TraceLike
-from repro.events.backends import TraceBackend, available_backends, register_trace_backend
 from repro.events.stream import (
     DEFAULT_SHARD_EVENTS,
     SlicedTraceStream,
@@ -60,19 +59,16 @@ __all__ = [
     "SlicedTraceStream",
     "TargetEvent",
     "TargetKind",
-    "TraceBackend",
     "TraceLike",
     "TraceWriter",
     "as_columnar",
     "as_event_stream",
     "as_object_trace",
-    "available_backends",
     "get_alloc_delete_pairs",
     "iter_trace_slices",
     "load_trace",
     "merge_shards",
     "merge_stream",
-    "register_trace_backend",
     "shard_trace",
     "Trace",
     "TraceValidationError",

@@ -1,9 +1,9 @@
-"""The storage-backend registry behind :func:`load_trace`.
+"""The storage backends behind :func:`load_trace`.
 
-Each on-disk trace format is one :class:`TraceBackend`: a sniffer deciding
-whether a path is in that format and a loader producing the corresponding
-in-memory representation.  The built-in backends are registered at import
-time —
+Each on-disk trace format is one ``(name, sniff, load)`` row of
+``_BACKENDS``: a sniffer deciding whether a path is in that format and a
+loader producing the corresponding in-memory representation.
+``load_trace`` tries the rows in order, most specific first —
 
 ====================  ==========================  ==========================
 backend               sniff                       loads as
@@ -17,44 +17,11 @@ backend               sniff                       loads as
                       (``PK`` magic)
 ``json``              anything else               ``Trace``
 ====================  ==========================  ==========================
-
-New formats (a database-backed store, a compressed archive of shards, …)
-plug in through :func:`register_trace_backend` without touching the
-sniffing logic of existing callers — ``load_trace`` tries backends in
-registration order, most specific first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List
-
-
-@dataclass(frozen=True)
-class TraceBackend:
-    """One pluggable storage format."""
-
-    name: str
-    sniff: Callable[[Path], bool]
-    load: Callable[[Path], object]
-
-
-_BACKENDS: List[TraceBackend] = []
-
-
-def register_trace_backend(backend: TraceBackend, *, front: bool = False) -> None:
-    """Register a storage backend (``front=True`` to sniff before others)."""
-    if any(existing.name == backend.name for existing in _BACKENDS):
-        raise ValueError(f"a trace backend named {backend.name!r} is already registered")
-    if front:
-        _BACKENDS.insert(0, backend)
-    else:
-        _BACKENDS.append(backend)
-
-
-def available_backends() -> list[str]:
-    return [backend.name for backend in _BACKENDS]
 
 
 def load_trace(path: str | Path):
@@ -69,14 +36,14 @@ def load_trace(path: str | Path):
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"{path}: no such trace")
-    for backend in _BACKENDS:
-        if backend.sniff(path):
-            return backend.load(path)
+    for _name, sniff, load in _BACKENDS:
+        if sniff(path):
+            return load(path)
     raise ValueError(f"{path}: no trace backend recognises this path")
 
 
 # --------------------------------------------------------------------- #
-# Built-in backends
+# Backends
 # --------------------------------------------------------------------- #
 def _sniff_sharded(path: Path) -> bool:
     from repro.events.store import ShardedTraceStore
@@ -143,14 +110,10 @@ def _load_json(path: Path):
     return Trace.load(path)
 
 
-register_trace_backend(TraceBackend("sharded", _sniff_sharded, _load_sharded))
-register_trace_backend(
-    TraceBackend("sharded-zip", _sniff_sharded_zip, _load_sharded_zip)
+_BACKENDS = (
+    ("sharded", _sniff_sharded, _load_sharded),
+    ("sharded-zip", _sniff_sharded_zip, _load_sharded_zip),
+    ("flat-columnar", _sniff_flat_columnar, _load_flat_columnar),
+    ("columnar-binary", _sniff_columnar_binary, _load_columnar_binary),
+    ("json", _sniff_json, _load_json),
 )
-register_trace_backend(
-    TraceBackend("flat-columnar", _sniff_flat_columnar, _load_flat_columnar)
-)
-register_trace_backend(
-    TraceBackend("columnar-binary", _sniff_columnar_binary, _load_columnar_binary)
-)
-register_trace_backend(TraceBackend("json", _sniff_json, _load_json))

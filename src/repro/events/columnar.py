@@ -1285,12 +1285,12 @@ def as_object_trace(trace: "Trace | ColumnarTrace") -> Trace:
 def load_trace(path: str | Path):
     """Load a trace from disk, sniffing the storage format.
 
-    Delegates to the storage-backend registry in
-    :mod:`repro.events.backends`: a directory is opened as a
-    :class:`~repro.events.store.ShardedTraceStore`, a zip archive
-    (``PK`` magic) as the binary columnar format, and everything else as
-    the JSON format (an object :class:`Trace`).
+    Delegates to the backend table in :mod:`repro.events.backends`: a
+    store directory or a zip-archived store is opened as a
+    :class:`~repro.events.store.ShardedTraceStore`, an ``ODPF`` file or
+    any other zip archive (``PK`` magic) as a columnar trace, and
+    everything else as the JSON format (an object :class:`Trace`).
     """
-    from repro.events.backends import load_trace as _registry_load_trace
+    from repro.events.backends import load_trace as _backend_load_trace
 
-    return _registry_load_trace(path)
+    return _backend_load_trace(path)

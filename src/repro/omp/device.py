@@ -112,10 +112,6 @@ class DeviceMemoryPool:
         return alloc
 
     @property
-    def live_allocations(self) -> int:
-        return len(self._live)
-
-    @property
     def available(self) -> int:
         return self.capacity - self.used
 

@@ -214,6 +214,3 @@ class DeviceDataEnvironment:
 
     def live_entries(self) -> list[PresentTableEntry]:
         return list(self._entries.values())
-
-    def mapped_bytes(self) -> int:
-        return sum(e.nbytes for e in self._entries.values())

@@ -121,9 +121,6 @@ class DeviceView:
             )
         return entry.device_buffer
 
-    def is_mapped(self, host_array: np.ndarray) -> bool:
-        return self._environment.find_array(host_array) is not None
-
 
 @dataclass
 class TargetRegionHandle:

@@ -60,12 +60,6 @@ class OmptInterface:
             raise TypeError("callback must be callable")
         self._callbacks.setdefault(callback_type, []).append(fn)
 
-    def clear_callback(self, callback_type: CallbackType) -> None:
-        self._callbacks.pop(callback_type, None)
-
-    def has_callback(self, callback_type: CallbackType) -> bool:
-        return bool(self._callbacks.get(callback_type))
-
     def connect_tool(self, tool: OmptTool) -> OmptTool:
         """Connect a tool (the ``ompt_start_tool`` analogue) and return it."""
         tool.initialize(self)
@@ -76,10 +70,6 @@ class OmptInterface:
         """Notify every connected tool that the program has finished."""
         for tool in self._tools:
             tool.finalize()
-
-    @property
-    def connected_tools(self) -> tuple[OmptTool, ...]:
-        return tuple(self._tools)
 
     # ------------------------------------------------------------------ #
     # Dispatch

@@ -111,6 +111,20 @@ def builder() -> TraceBuilder:
     return TraceBuilder()
 
 
+class FileTouch:
+    """Pickles as a call of ``open(path, "w")``: loading it creates a file.
+
+    A hostile result blob for the carry codec's negative paths: only an
+    unpickler that calls a global outside its allow-list creates the file.
+    """
+
+    def __init__(self, path) -> None:
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
 #: Fold targets a multi-batch test runs at: every shard its own detector
 #: batch, a few shards coalesced per batch, and the default target, which
 #: no test trace reaches (each folds as one batch).

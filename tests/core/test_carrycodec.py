@@ -1,29 +1,30 @@
-"""Property tests for the compact binary carry codec.
+"""Tests for the carry codec: allow-listed pickles of the distributed
+engine's result blobs.
 
-The codec carries the distributed engine's results: each task's payload
-list — one :class:`~repro.core.detectors.table.FindingPart` per detector
-in its pass group, plus the folded validation guard — crosses the queue
-as one ``encode_carries`` payload.  Correctness therefore means
-*bit-identical findings*: for any split of the passes into groups and
-any shard size, shipping every group's payloads through the codec and
-gathering them must produce exactly the serial table.  The benchmark
-harness's carry-size probe also encodes every detector pass, so every
-pass's carry must still encode mid-scan.
+Each distributed task's payload list — one
+:class:`~repro.core.detectors.table.FindingPart` per detector in its
+pass group, plus the folded validation guard — crosses the queue as one
+``encode_carries`` blob.  Correctness therefore means *bit-identical
+findings*: for any split of the passes into groups and any shard size,
+shipping every group's payloads through the codec and gathering them
+must produce exactly the serial table.  The benchmark harness's
+carry-size probe also encodes every detector pass, so every pass's carry
+must still round-trip mid-scan.  Safety means the decoder rebuilds
+nothing outside its allow-list: the negative paths below feed it foreign
+globals, truncated blobs, non-list top levels and trailing bytes.
 """
 
 from __future__ import annotations
+
+import os
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.carrycodec import (
-    CarryCodecError,
-    decode_carries,
-    decode_value,
-    encode_carries,
-    encode_value,
-)
+from repro.core.carrycodec import CarryCodecError, decode_carries, encode_carries
+from repro.core.detectors._streaming import mix_keys
 from repro.core.detectors.duplicates import DuplicateTransferPass
 from repro.core.detectors.repeated_allocs import RepeatedAllocationPass
 from repro.core.detectors.roundtrips import RoundTripPass
@@ -39,6 +40,7 @@ from repro.core.engine import (
 from repro.events.stream import as_event_stream
 from repro.events.synth import make_synthetic_columnar_trace
 from repro.events.validation import ValidationPass
+from tests.conftest import FileTouch
 
 TRACE = make_synthetic_columnar_trace(900)
 
@@ -104,59 +106,106 @@ def test_every_pass_carry_encodes_mid_scan(split):
         if spec.cls is ValidationPass:
             assert restored.errors() == original.errors() == []
         else:
-            assert encode_value(restored.finalize()) == encode_value(original.finalize())
+            assert encode_carries([restored.finalize()]) == encode_carries([original.finalize()])
 
 
-_SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(min_value=-(2**70), max_value=2**70),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.text(max_size=40),
-    st.binary(max_size=40),
-)
-_VALUES = st.recursive(
-    _SCALARS,
-    lambda children: st.one_of(
-        st.lists(children, max_size=5),
-        st.lists(children, max_size=5).map(tuple),
-        st.dictionaries(st.text(max_size=10), children, max_size=5),
-    ),
-    max_leaves=25,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_VALUES)
-def test_value_round_trip_is_stable(value):
-    """decode(encode(x)) re-encodes to the same bytes (NaN-safe equality)."""
-    payload = encode_value(value)
-    assert encode_value(decode_value(payload)) == payload
+def _round_trip(value):
+    (out,) = decode_carries(encode_carries([value]))
+    return out
 
 
 def test_numpy_values_round_trip_exactly():
     arr = np.arange(12, dtype=np.uint32).reshape(3, 4)
-    out = decode_value(encode_value(arr))
+    out = _round_trip(arr)
     assert out.dtype == arr.dtype and out.shape == arr.shape
     assert (out == arr).all()
     assert out.flags.writeable  # decoded carries may fold on
 
     empty = np.empty(0, dtype=np.float64)
-    out = decode_value(encode_value(empty))
+    out = _round_trip(empty)
     assert out.dtype == empty.dtype and out.shape == (0,)
 
     scalar = np.float32(1.5)
-    out = decode_value(encode_value(scalar))
+    out = _round_trip(scalar)
     assert isinstance(out, np.float32) and out == scalar
 
     dtype = np.dtype("<i8")
-    assert decode_value(encode_value(dtype)) == dtype
+    assert _round_trip(dtype) == dtype
+
+
+def test_grow_array_carries_its_filled_prefix_and_grows_after_decode():
+    """A GrowArray pickles only its ``size`` filled slots, and a decoded
+    one (empty included: zero capacity would never double) extends on."""
+    from repro.core.detectors._streaming import GrowArray
+
+    for size in (0, 3, 17):
+        grow = GrowArray(np.int64)
+        grow.extend(np.arange(size))
+        out = _round_trip(grow)
+        assert out._arr.size == max(size, 1)
+        out.extend(np.arange(40))
+        assert out.view().tolist() == list(range(size)) + list(range(40))
+
+
+# --------------------------------------------------------------------- #
+# Negative paths: the decoder rebuilds nothing outside its allow-list
+# --------------------------------------------------------------------- #
+def test_foreign_global_is_refused_before_it_is_called(tmp_path):
+    control, marker = tmp_path / "control", tmp_path / "marker"
+    # The payload is live: plain pickle would create its marker file.
+    pickle.loads(pickle.dumps([FileTouch(control)], protocol=5)).pop().close()
+    assert control.exists()
+    with pytest.raises(CarryCodecError, match="not allowed"):
+        decode_carries(encode_carries([FileTouch(marker)]))
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [os.getcwd, mix_keys, np.load, np.ndarray, pickle.loads, object()],
+    ids=["getcwd", "allowed-module-function", "numpy-function", "ndarray", "loads", "object"],
+)
+def test_every_global_outside_the_allow_list_is_refused(value):
+    """The allow-list is by (module, name): a function of an allowed module
+    or of NumPy is as foreign as any other global."""
+    blob = encode_carries([value])
+    with pytest.raises(CarryCodecError, match="not allowed"):
+        decode_carries(blob)
+
+
+def _small_payload() -> bytes:
+    stream = as_event_stream(TRACE, 300)
+    (payload,) = run_pass_group(stream, [PassSpec(DuplicateTransferPass)])
+    return encode_carries([payload, np.float64(2.5), np.dtype("<u8")])
+
+
+def test_every_truncation_is_refused():
+    blob = _small_payload()
+    assert len(decode_carries(blob)) == 3
+    for cut in range(len(blob)):
+        with pytest.raises(CarryCodecError):
+            decode_carries(blob[:cut])
+
+
+@pytest.mark.parametrize(
+    "top",
+    [(1, 2), {"a": 1}, None, 7, np.arange(3)],
+    ids=["tuple", "dict", "none", "int", "array"],
+)
+def test_non_list_top_level_is_refused(top):
+    with pytest.raises(CarryCodecError, match="one pickled list"):
+        decode_carries(pickle.dumps(top, protocol=5))
+
+
+@pytest.mark.parametrize(
+    "tail", [b"\x00", b".", encode_carries([])], ids=["zero-byte", "stop", "second-pickle"]
+)
+def test_trailing_bytes_are_refused(tail):
+    with pytest.raises(CarryCodecError, match="one pickled list"):
+        decode_carries(_small_payload() + tail)
 
 
 def test_codec_rejects_garbage():
-    with pytest.raises(CarryCodecError):
-        decode_carries(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(CarryCodecError):
-        decode_value(encode_value(1) + b"\x00")  # trailing bytes
-    with pytest.raises(CarryCodecError):
-        encode_value(object())  # unregistered type never silently pickles
+    for data in (b"", b"NOPE" + b"\x00" * 16, b"\x80\x05not a pickle"):
+        with pytest.raises(CarryCodecError):
+            decode_carries(data)

@@ -274,7 +274,7 @@ def test_distributed_engine_identical_over_stores(trace, shard_events, workers, 
     The trace goes to disk as a sharded store, a distributed coordinator
     publishes pass-group tasks into a scratch queue, thread-mode workers
     lease them over the full blob protocol (claim renames, heartbeats,
-    codec-encoded finding parts and the folded guard), and the gathered
+    pickled finding parts and the folded guard), and the gathered
     result must equal the object oracle bit for bit — for random shard
     sizes and group counts, with and without the validation guard.
     """

@@ -40,6 +40,7 @@ from repro.events.store import shard_trace
 from repro.events.stream import as_event_stream
 from repro.events.synth import make_synthetic_columnar_trace
 from repro.events.transport import FakeObjectStoreTransport, LocalDirTransport
+from tests.conftest import FileTouch
 
 WORKER_POLL = "0.05"
 
@@ -327,7 +328,7 @@ def test_result_listing_ignores_staging_files(queue_transport):
     queue.publish_task(0, [0])
     claim = queue.claim("tasks/task-00000.a000", "w1")
     queue.publish_result(claim, b"carry")
-    queue_transport.write_blob("results/task-00001.a000.w1.tmp-1234", b"ODPC\x01")
+    queue_transport.write_blob("results/task-00001.a000.w1.tmp-1234", b"\x80\x05\x95")
     queue_transport.write_blob("results/task-00002.a000", b"no worker id")
     queue_transport.write_blob("results/rb-w1-00001", b"old batch name")
     assert queue.result_names() == ["results/task-00000.a000.w1"]
@@ -543,21 +544,21 @@ def test_worker_error_requeues_without_waiting_for_lease(trace, tmp_path):
 # --------------------------------------------------------------------- #
 # Debris accounting, duplicates, speculation
 # --------------------------------------------------------------------- #
-def test_undecodable_result_blobs_counted_and_warned(store, tmp_path, expected):
-    """A garbage blob under results/ is dropped, but with a trace: one
-    RuntimeWarning per run and a stats["debris_blobs"] count."""
+def _run_with_debris_result(store, queue_dir, data):
+    """Analyze ``store`` on a queue where ``data`` sits under a valid
+    result name for task 0, attempt 0, in front of any real result; one
+    worker thread serves the run.  Returns the engine and the report."""
     from repro.core.distributed import RUN_MANIFEST, run_worker
     from repro.events.transport import open_transport
 
-    queue_dir = tmp_path / "debris-queue"
     engine = DistributedEngine(
         queue=queue_dir, workers=0, poll_interval=0.05,
         lease_timeout=60.0, run_timeout=120.0,
     )
 
     def inject_then_work():
-        # Wait for the coordinator to create the queue, drop garbage in
-        # front of any real result, then serve the run from this thread.
+        # Wait for the coordinator to create the queue, drop the blob,
+        # then serve the run from this thread.
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
             if queue_dir.exists():
@@ -565,8 +566,7 @@ def test_undecodable_result_blobs_counted_and_warned(store, tmp_path, expected):
                 if transport.blob_exists(RUN_MANIFEST):
                     break
             time.sleep(0.01)
-        # A valid result name for task 0, attempt 0, holding garbage.
-        transport.write_blob("results/task-00000.a000.garbage", b"not a carry payload")
+        transport.write_blob("results/task-00000.a000.garbage", data)
         run_worker(queue_dir, poll_interval=0.05, echo=None)
 
     worker = threading.Thread(target=inject_then_work, daemon=True)
@@ -574,10 +574,35 @@ def test_undecodable_result_blobs_counted_and_warned(store, tmp_path, expected):
     with pytest.warns(RuntimeWarning, match="debris"):
         report = analyze_stream(store, engine=engine, jobs=2)
     worker.join(timeout=60)
+    return engine, report
+
+
+def test_undecodable_result_blobs_counted_and_warned(store, tmp_path, expected):
+    """A garbage blob under results/ is dropped, but with a trace: one
+    RuntimeWarning per run and a stats["debris_blobs"] count."""
+    engine, report = _run_with_debris_result(
+        store, tmp_path / "debris-queue", b"not a carry payload"
+    )
     assert _findings(report) == expected
     assert engine.stats["debris_blobs"] == 1
     # The garbage blob did not consume any task: nothing was requeued.
     assert engine.stats["requeued"] == 0
+
+
+def test_foreign_global_result_blob_is_debris_and_never_called(store, tmp_path, expected):
+    """A result pickle naming a global outside the codec's allow-list is
+    debris like any garbage blob, and the global is never called: its
+    marker file never appears."""
+    import pickle
+
+    marker = tmp_path / "marker"
+    engine, report = _run_with_debris_result(
+        store, tmp_path / "foreign-queue", pickle.dumps([FileTouch(marker)], protocol=5)
+    )
+    assert _findings(report) == expected
+    assert engine.stats["debris_blobs"] == 1
+    assert engine.stats["requeued"] == 0
+    assert not marker.exists()
 
 
 def test_result_staging_file_is_not_debris(store, tmp_path, expected):
@@ -603,7 +628,7 @@ def test_result_staging_file_is_not_debris(store, tmp_path, expected):
                 if transport.blob_exists(RUN_MANIFEST):
                     break
             time.sleep(0.01)
-        transport.write_blob("results/task-00000.a000.w1.tmp-1234", b"ODPC\x01\x00")
+        transport.write_blob("results/task-00000.a000.w1.tmp-1234", b"\x80\x05\x95\x00")
         run_worker(queue_dir, poll_interval=0.05, echo=None)
 
     worker = threading.Thread(target=inject_then_work, daemon=True)

@@ -192,7 +192,7 @@ def test_invalid_store_raises_validate_stream_message(invalid, leg):
 
 def test_loopback_process_workers_raise_both_errors(tmp_path):
     """The distributed engine's default loopback worker processes ship the
-    folded validation pass through the codec; an early shard's missing
+    folded validation pass in their result pickles; an early shard's missing
     hash and a later boundary error both reach the message."""
     store = _store(tmp_path / "bad.store", _early_hash_late_boundary)
     message = "; ".join(validate_stream(store, strict=False))

@@ -28,7 +28,7 @@ from repro.events.stream import (
     merge_stream,
     trace_like_view,
 )
-from repro.events.backends import available_backends, load_trace
+from repro.events.backends import load_trace
 from repro.events.validation import TraceValidationError, validate_stream
 
 from tests.conftest import TraceBuilder
@@ -409,7 +409,6 @@ def test_store_is_sniffed_by_load_trace(tmp_path):
     shard_trace(ct, tmp_path / "t.store", shard_events=10)
     loaded = load_trace(tmp_path / "t.store")
     assert isinstance(loaded, ShardedTraceStore)
-    assert "sharded" in available_backends()
 
 
 def test_store_summary_needs_no_shard_reads(tmp_path, monkeypatch):

@@ -332,20 +332,20 @@ def test_worker_exits_on_abort_marker(tmp_path, capsys):
 
 def test_worker_refuses_an_older_protocol_version(tmp_path, capsys):
     """A worker never folds a run whose manifest speaks another protocol:
-    a version 3 manifest (batched results) is refused with exit 1 and a
-    message naming both versions."""
+    a version 4 manifest (codec-encoded results) is refused with exit 1
+    and a message naming both versions."""
     from repro.core.distributed import QUEUE_FORMAT_VERSION, TaskQueue
     from repro.events.transport import LocalDirTransport
 
-    assert QUEUE_FORMAT_VERSION == 4
-    queue_dir = tmp_path / "v3.queue"
+    assert QUEUE_FORMAT_VERSION == 5
+    queue_dir = tmp_path / "v4.queue"
     queue = TaskQueue(LocalDirTransport(queue_dir, create=True))
-    queue.publish_run({"version": 3, "store_spec": {}, "pass_specs": ()})
+    queue.publish_run({"version": 4, "store_spec": {}, "pass_specs": ()})
     queue.publish_task(0, [0])
     assert main(["worker", "--queue", str(queue_dir),
                  "--poll-interval", "0.05", "--idle-timeout", "30"]) == 1
     out = capsys.readouterr().out
-    assert "queue speaks protocol version 3, this worker speaks 4" in out
+    assert "queue speaks protocol version 4, this worker speaks 5" in out
     # The task was left untouched for a worker that speaks the protocol.
     assert queue.pending_task_names() == ["tasks/task-00000.a000"]
 
