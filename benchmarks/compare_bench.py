@@ -30,14 +30,13 @@ current run are new and pass by definition.
 
 Besides throughput, engine records carry a per-task overhead breakdown
 (``overhead_seconds`` inside each ``overhead`` block — spawn + store open
-+ shard decode + shard map).  These are compared with the *opposite*
++ shard map).  These are compared with the *opposite*
 direction (lower is better) under the same tolerance.  Baselines written
 before the overhead fields existed simply contribute no overhead
 metrics, so comparisons against old snapshots stay green.
 
 Streaming records additionally carry ``ratio_vs_in_memory`` leaves (how
-close reading from disk comes to the in-memory scan; the flat ``.odpf``
-format is expected to hold >= 1.0x).  These are gated higher-is-better
+close reading from disk comes to the in-memory scan).  These are gated higher-is-better
 like throughput.  Baselines recorded before the shard-format change have
 no ratio leaves and pass neutrally, same as the overhead metrics.
 """

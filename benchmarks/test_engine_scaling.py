@@ -24,7 +24,7 @@ bars through the environment.
 Wall-clock speedup is hardware-bound, but the per-task *constants* are
 not: every process-engine measurement additionally records the overhead
 breakdown from ``ProcessEngine.stats`` (``spawn_count`` and spawn / open
-/ decode / map / fold seconds), which is observable even on a
+/ map / fold seconds), which is observable even on a
 single-core container.
 """
 

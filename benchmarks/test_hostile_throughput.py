@@ -4,7 +4,7 @@ The nightly fuzz leg pushes multi-million-event adversarial traces through
 every engine, so the *generator* and the *hostile-layout* analysis path
 both need a tracked throughput record.  Measures events/sec for
 :func:`make_hostile_trace`, for writing the shard-boundary-hostile store
-layout (random cuts, mixed formats, spliced empty shards), and for
+layout (random cuts, spliced empty shards), and for
 analysing that layout serially — written to ``BENCH_hostile.json`` under
 ``$OMPDATAPERF_BENCH_DIR`` (default: a fresh temp dir) for the
 benchmark-regression gate.

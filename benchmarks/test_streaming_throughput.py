@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-import statistics
 import time
 import tracemalloc
 
@@ -50,16 +49,6 @@ SHARD_SIZES = (32_768, DEFAULT_SHARD_EVENTS, 524_288)
 #: Acceptance bar on dedicated hardware; shared CI runners can relax it via
 #: the environment, mirroring the detector-throughput benchmark.
 MIN_STREAMING_RATIO = float(os.environ.get("OMPDATAPERF_BENCH_MIN_STREAMING_RATIO", "0.5"))
-
-#: The flat format's whole point: streaming a local ``.odpf`` store must
-#: be at least as fast as streaming the legacy ``.npz`` store it replaces
-#: (>= 1.0x) — mmapped shards decode nothing, so the storage format
-#: contributes zero to the scan.  (Against the *in-memory* scan the
-#: incremental fold itself is the limit at the default shard size; that
-#: ratio is recorded per format and gated by ``MIN_STREAMING_RATIO``.)
-MIN_ODPF_STREAMING_RATIO = float(
-    os.environ.get("OMPDATAPERF_BENCH_MIN_ODPF_RATIO", "1.0")
-)
 
 _RECORD: dict = {}
 
@@ -170,95 +159,6 @@ def test_streaming_matches_columnar_and_measures_throughput(trace, stores):
     )
 
 
-#: Timed streaming analyses per format, alternating npz and odpf, whose
-#: medians the cross-format ratio compares: one sample each read 0.91x on
-#: a loaded 2-vCPU host, where the median holds.
-FORMAT_REPEATS = 5
-
-
-def test_shard_format_legs_open_latency_and_throughput(trace, tmp_path_factory):
-    """Legacy ``.npz`` vs flat ``.odpf`` shards, same trace, same size.
-
-    Three measurements per format: time to open the store and materialise
-    its first shard (the decode-vs-mmap difference in isolation), the
-    full streaming analysis throughput (the median of ``FORMAT_REPEATS``
-    analyses, the two formats alternating), and its ratio against the
-    same-format in-memory path (load the whole store, run the detectors
-    over it as one batch).  The gated claim compares across formats: streaming the
-    flat ``.odpf`` store must be at least as fast as streaming the legacy
-    ``.npz`` store it replaces (``ratio_vs_npz_streaming >= 1.0`` — the
-    decode cost is gone and nothing replaced it), and mmapping the first
-    flat shard must beat decoding the first npz shard.
-    """
-    from repro.events.store import ShardedTraceStore
-
-    base = tmp_path_factory.mktemp("format-bench")
-    legs: dict[str, dict] = {}
-    stores = {}
-    expected = None
-    for fmt in ("npz", "odpf"):
-        store = stores[fmt] = shard_trace(
-            trace,
-            base / f"fmt-{fmt}",
-            shard_events=DEFAULT_SHARD_EVENTS,
-            shard_format=fmt,
-        )
-
-        t0 = time.perf_counter()
-        fresh = ShardedTraceStore.open(store.path)
-        fresh.load_batch(0)
-        open_seconds = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        full = store.load()
-        findings = _run_columnar(full)
-        in_memory_seconds = time.perf_counter() - t0
-        if expected is None:
-            expected = findings
-        assert findings == expected
-        del full
-        legs[fmt] = {
-            "open_to_first_batch_seconds": open_seconds,
-            "in_memory_seconds": in_memory_seconds,
-            "streaming_samples": [],
-        }
-
-    for _ in range(FORMAT_REPEATS):
-        for fmt, store in stores.items():
-            t0 = time.perf_counter()
-            report = analyze_stream(store)
-            legs[fmt]["streaming_samples"].append(time.perf_counter() - t0)
-            assert _report_findings(report) == expected
-
-    for fmt, store in stores.items():
-        leg = legs[fmt]
-        seconds = statistics.median(leg["streaming_samples"])
-        leg.update(
-            seconds=seconds,
-            events_per_sec=NUM_EVENTS / seconds,
-            ratio_vs_in_memory=leg["in_memory_seconds"] / seconds,
-            decode_count=store.decode_count,
-            map_count=store.map_count,
-        )
-
-    legs["odpf"]["ratio_vs_npz_streaming"] = (
-        legs["npz"]["seconds"] / legs["odpf"]["seconds"]
-    )
-    _RECORD["formats"] = legs
-    assert legs["odpf"]["decode_count"] == 0
-    assert legs["odpf"]["map_count"] > 0
-    assert legs["npz"]["decode_count"] > 0
-    assert (
-        legs["odpf"]["open_to_first_batch_seconds"]
-        <= legs["npz"]["open_to_first_batch_seconds"]
-    ), "mmapping the first flat shard should beat decoding the first npz shard"
-    assert legs["odpf"]["ratio_vs_npz_streaming"] >= MIN_ODPF_STREAMING_RATIO, (
-        f"streaming a flat .odpf store reaches only "
-        f"{legs['odpf']['ratio_vs_npz_streaming']:.2f}x of the legacy .npz "
-        f"streaming leg, median of {FORMAT_REPEATS} (need >= {MIN_ODPF_STREAMING_RATIO})"
-    )
-
-
 def test_streaming_memory_below_in_memory_and_write_record(trace, stores, bench_dir):
     assert "streaming" in _RECORD, "throughput benchmark must run first"
     store = stores[DEFAULT_SHARD_EVENTS]
@@ -293,7 +193,6 @@ def test_streaming_memory_below_in_memory_and_write_record(trace, stores, bench_
         "shard_sizes": list(SHARD_SIZES),
         "default_shard_events": DEFAULT_SHARD_EVENTS,
         "min_streaming_ratio": MIN_STREAMING_RATIO,
-        "min_odpf_streaming_ratio": MIN_ODPF_STREAMING_RATIO,
         **_RECORD,
     }
     out_path = bench_dir / "BENCH_streaming.json"

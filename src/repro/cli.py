@@ -13,10 +13,9 @@ the CLI takes an application name plus options::
     ompdataperf bfs --stream --trace-out b.store # bounded-memory sharded run
     ompdataperf trace convert bfs.json bfs.npz   # JSON <-> binary columnar
     ompdataperf trace shard bfs.npz bfs.store    # cut into a sharded store
-    ompdataperf trace merge bfs.store bfs.npz    # merge a store back
+    ompdataperf trace merge bfs.store bfs.npz    # merge a store into one compressed file
     ompdataperf trace info bfs.store             # summarise without loading
     ompdataperf trace compact bfs.store          # re-shard a store in place
-    ompdataperf trace migrate bfs.store          # rewrite legacy .npz shards as .odpf
     ompdataperf trace compact bfs.store --retain-max-age 5.0   # drop old events
     ompdataperf trace shard bfs.npz bfs.zip      # single-file zip-archived store
     ompdataperf bfs --stream --engine process --jobs 4   # four pass groups on four workers
@@ -186,8 +185,6 @@ def build_trace_parser() -> argparse.ArgumentParser:
     shard.add_argument("--shard-events", type=positive_int, default=DEFAULT_SHARD_EVENTS,
                        metavar="N", help="events per shard "
                        f"(default: {DEFAULT_SHARD_EVENTS})")
-    shard.add_argument("--compress", action="store_true",
-                       help="compress the shards (smaller, slower to scan)")
 
     compact = sub.add_parser(
         "compact",
@@ -202,8 +199,6 @@ def build_trace_parser() -> argparse.ArgumentParser:
                          default=DEFAULT_SHARD_EVENTS, metavar="N",
                          help="target events per shard "
                          f"(default: {DEFAULT_SHARD_EVENTS})")
-    compact.add_argument("--compress", action="store_true",
-                         help="compress the rewritten shards")
     compact.add_argument("--retain-max-age", type=nonnegative_number,
                          metavar="SECONDS", default=None,
                          help="drop events whose end time is more than SECONDS "
@@ -219,20 +214,6 @@ def build_trace_parser() -> argparse.ArgumentParser:
                          default=None,
                          help="keep only events of these kinds; known kinds: "
                               f"{', '.join(RETAINABLE_KINDS)}")
-
-    migrate = sub.add_parser(
-        "migrate",
-        help="rewrite a store's shards to the mmap-native flat .odpf format "
-             "in place (crash-safe: staged under a scratch prefix, promoted "
-             "through one atomic manifest publish — same machinery as "
-             "compact); legacy .npz stores gain zero-decode opens on "
-             "mmap-capable storage",
-    )
-    migrate.add_argument("input", help="directory (or zip archive) of the store to migrate")
-    migrate.add_argument("--shard-events", type=positive_int, default=None,
-                         metavar="N",
-                         help="target events per shard (default: the store's "
-                              "current largest shard, preserving granularity)")
 
     merge = sub.add_parser(
         "merge",
@@ -457,11 +438,6 @@ def _print_trace_info(trace, path: Path) -> None:
     for kind, count in tgt_kinds.items():
         print(f"target_kind.{kind}: {count}")
     print(f"on_disk_bytes: {_on_disk_bytes(trace, path)}")
-    if isinstance(trace, ShardedTraceStore):
-        bytes_by_format = trace.on_disk_bytes_by_format()
-        for fmt, count in sorted(trace.shard_format_counts().items()):
-            print(f"shard_format.{fmt}: {count}")
-            print(f"on_disk_bytes.{fmt}: {bytes_by_format[fmt]}")
 
 
 def _trace_main(argv: Sequence[str]) -> int:
@@ -498,7 +474,6 @@ def _trace_main(argv: Sequence[str]) -> int:
             )
             store = trace.compact(
                 shard_events=args.shard_events,
-                compress=args.compress,
                 retention=retention,
             )
         except (OSError, ValueError) as exc:
@@ -514,37 +489,9 @@ def _trace_main(argv: Sequence[str]) -> int:
         )
         return 0
 
-    if args.command == "migrate":
-        if not isinstance(trace, ShardedTraceStore):
-            parser.error(f"{args.input} is not a sharded trace store")
-        before = trace.shard_format_counts()
-        # Without an explicit target, keep the store's shard granularity:
-        # re-sharding is compact's job, migration only changes the format.
-        shard_events = args.shard_events or max(
-            (s.num_events for s in trace.shards), default=DEFAULT_SHARD_EVENTS
-        )
-        try:
-            store = trace.compact(shard_events=shard_events, shard_format="odpf")
-        except (OSError, ValueError) as exc:
-            parser.error(f"cannot migrate {args.input}: {exc}")
-            return 2  # unreachable; parser.error raises SystemExit
-        after = store.shard_format_counts()
-        print(
-            f"info: migrated {args.input}: "
-            f"{before.get('npz', 0)} npz + {before.get('odpf', 0)} odpf "
-            f"shard(s) -> {after.get('odpf', 0)} odpf shard(s), "
-            f"{len(store)} events"
-        )
-        return 0
-
     if args.command == "shard":
         try:
-            store = shard_trace(
-                trace,
-                args.output,
-                shard_events=args.shard_events,
-                compress=args.compress,
-            )
+            store = shard_trace(trace, args.output, shard_events=args.shard_events)
         except (OSError, ValueError) as exc:
             parser.error(f"cannot shard into {args.output}: {exc}")
             return 2

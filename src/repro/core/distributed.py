@@ -84,11 +84,13 @@ after the claim.  A run has at most one task per pass, so it publishes
 at most six result blobs.  No carry is shipped or merged.  Trust runs
 one way: workers unpickle the coordinator's ``run.pkl`` and task blobs
 as they are, while the coordinator rebuilds only the codec's
-allow-listed types from result blobs, and counts any other result blob
-as debris.  The coordinator checks the guard as soon as the guard's group
-lands, and holds back a detector group's exhausted retries until then, so
-a detector that failed on an invalid stream never hides the validation
-error.  Once every group has landed it gathers the finding rows locally
+allow-listed types from result blobs.  A result blob it cannot decode
+fails its task at once when it answers the task's live attempt (the task
+requeues, or the run aborts after ``max_attempts`` with the decode
+error), and counts as debris otherwise.  The coordinator checks the
+guard as soon as the guard's group lands, and holds back a detector
+group's exhausted retries until then, so a detector that failed on an
+invalid stream never hides the validation error.  Once every group has landed it gathers the finding rows locally
 (:func:`~repro.core.engine.gather_groups`, shared with the process
 engine), which is what keeps the differential suite's legs bit-identical.
 Parallelism is capped at one task per pass, as on the process engine.
@@ -922,9 +924,8 @@ class DistributedEngine:
             self.stats["debris_blobs"] += 1
             if self.stats["debris_blobs"] == 1:
                 warnings.warn(
-                    "distributed run: dropped undecodable result debris "
-                    "from the queue (counted in stats['debris_blobs']); "
-                    "the affected tasks will requeue",
+                    "distributed run: dropped result debris from the "
+                    "queue (counted in stats['debris_blobs'])",
                     RuntimeWarning,
                     stacklevel=3,
                 )
@@ -935,12 +936,12 @@ class DistributedEngine:
             pending = set()
             claims: dict[tuple[int, int], str] = {}
             errors: dict[tuple[int, int], str] = {}
-            results: list[tuple[str, int]] = []
+            results: list[tuple[str, int, int]] = []
             for name in names:
                 if name.startswith(RESULT_PREFIX):
                     parsed = _parse_leased_name(name)
                     if parsed and name not in seen_results:
-                        results.append((name, parsed[0]))
+                        results.append((name, *parsed))
                 elif name.startswith(TASK_PREFIX):
                     parsed = _parse_pending_name(name)
                     if parsed:
@@ -954,7 +955,7 @@ class DistributedEngine:
                     if parsed:
                         errors[parsed] = name
 
-            for name, index in results:
+            for name, index, attempt in results:
                 seen_results.add(name)
                 data = try_read_blob(transport, name)
                 if data is None:
@@ -964,10 +965,13 @@ class DistributedEngine:
                     continue
                 try:
                     payloads = decode_carries(data)
-                except CarryCodecError:
-                    # Undecodable result blob: the task requeues, but the
-                    # drop itself must leave a trace.
-                    note_debris()
+                except CarryCodecError as exc:
+                    if attempt == current_attempt[index] and index not in landed:
+                        # The live attempt's result is unusable: fail it
+                        # now rather than wait out its lease.
+                        fail_task(index, f"result blob undecodable: {exc}")
+                    else:
+                        note_debris()
                     continue
                 if len(payloads) != len(groups[index]):
                     note_debris()

@@ -336,23 +336,19 @@ def _process_context():
 def scan_counters(store, run):
     """Call ``run()`` and return ``(result, counters)``.
 
-    ``counters`` is the store's load accounting over the call: decode and
-    map seconds and counts, plus ``fold_seconds``, the rest of the call's
-    wall time: the per-task keys of :attr:`ProcessEngine.stats`.
+    ``counters`` is the store's load accounting over the call: map
+    seconds and count, plus ``fold_seconds``, the rest of the call's wall
+    time: the per-task keys of :attr:`ProcessEngine.stats`.
     """
-    decode0, count0 = store.decode_seconds, store.decode_count
     map0, mapc0 = store.map_seconds, store.map_count
     started = perf_counter()
     result = run()
     wall = perf_counter() - started
-    decode_seconds = store.decode_seconds - decode0
     map_seconds = store.map_seconds - map0
     return result, {
-        "decode_seconds": decode_seconds,
-        "decode_count": store.decode_count - count0,
         "map_seconds": map_seconds,
         "map_count": store.map_count - mapc0,
-        "fold_seconds": max(0.0, wall - decode_seconds - map_seconds),
+        "fold_seconds": max(0.0, wall - map_seconds),
     }
 
 
@@ -421,14 +417,12 @@ class ProcessEngine:
     duplicates pass).  The distributed engine runs the same group tasks
     on workers that may live on other machines.
 
-    Each worker loads every shard of its scan itself: a local ``.odpf``
-    shard is mapped in place, an ``.odpf`` shard behind a zip archive or
-    an object store is read and viewed in place, and an ``.npz`` shard is
-    read and decoded.  So a run reports ``decode_count + map_count ==
-    tasks × shards`` (``ompdataperf trace migrate`` rewrites an ``.npz``
-    store as ``.odpf``).  A worker that dies before reporting raises
-    ``RuntimeError`` naming its exit code, and every worker is joined or
-    terminated before ``run`` returns or raises.  After every run
+    Each worker attaches every shard of its scan itself, as views and
+    without a decode: a local shard is mapped in place, a shard behind a
+    zip archive or an object store is read once and viewed in place.  So
+    a run reports ``map_count == tasks × shards``.  A worker that dies
+    before reporting raises ``RuntimeError`` naming its exit code, and
+    every worker is joined or terminated before ``run`` returns or raises.  After every run
     :attr:`stats` holds the overhead breakdown.
     """
 
@@ -489,18 +483,15 @@ class ProcessEngine:
     @staticmethod
     def _build_stats(task_stats, spawn_seconds: float) -> dict:
         open_seconds = sum(s["open_seconds"] for s in task_stats)
-        decode_seconds = sum(s["decode_seconds"] for s in task_stats)
         map_seconds = sum(s["map_seconds"] for s in task_stats)
         fold_seconds = sum(s["fold_seconds"] for s in task_stats)
-        overhead = spawn_seconds + open_seconds + decode_seconds + map_seconds
+        overhead = spawn_seconds + open_seconds + map_seconds
         return {
             "spawn_count": len(task_stats),
             "spawn_seconds": spawn_seconds,
             "tasks": len(task_stats),
             "workers": len(task_stats),
             "open_seconds": open_seconds,
-            "decode_seconds": decode_seconds,
-            "decode_count": sum(s["decode_count"] for s in task_stats),
             "map_seconds": map_seconds,
             "map_count": sum(s["map_count"] for s in task_stats),
             "fold_seconds": fold_seconds,
@@ -625,21 +616,23 @@ def resolve_engine(engine, *, jobs: Optional[int] = None, degrade: bool = False)
     ``stats`` dict (possibly empty).  Keys, once published in a release,
     are only ever *added*, never renamed or removed — callers may rely on
     ``stats.get("tasks")``, the process engine's overhead breakdown
-    (``spawn/open/decode/map/fold_seconds``, ``overhead_seconds``) and
-    the distributed engine's coordinator block (``requeued``,
-    ``respawned``, ``speculative_launches``, ``debris_blobs``,
-    ``duplicate_results``).  Four keys are retired.
+    (``spawn/open/map/fold_seconds``, ``overhead_seconds``) and the
+    distributed engine's coordinator block (``requeued``, ``respawned``,
+    ``speculative_launches``, ``debris_blobs``, ``duplicate_results``).
+    Six keys are retired.
     ``peak_unmerged_chains`` counted the distributed coordinator's
     un-merged partition carries, and its tasks are pass groups now, whose
     payloads are never merged.  The process engine's shard-cache hit count
-    went with its shared decoded-shard cache: every worker now maps or
-    decodes each shard it scans itself.  ``hints`` held the distributed
+    went with its shared decoded-shard cache: every worker now maps each
+    shard it scans itself.  ``hints`` held the distributed
     coordinator's autoscaling snapshot, which went because a run has at
     most six tasks, too few for a fleet size to follow.  ``pool_reuse``
     (with the per-task ``task_no`` behind it) counted tasks that ran on an
     already used pool worker, and every process worker now runs one task
-    and exits.  The structured way to read the
-    stats is :attr:`repro.core.analysis.StreamAnalysisReport.engine_stats`.
+    and exits.  The two ``decode_*`` keys (seconds and count) measured
+    the shards a worker decoded instead of mapping, and a store holds only
+    flat shards now, which are always mapped.  The structured way to read
+    the stats is :attr:`repro.core.analysis.StreamAnalysisReport.engine_stats`.
     """
     if engine is None:
         return SerialEngine()

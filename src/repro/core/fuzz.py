@@ -6,8 +6,8 @@ process-engine and distributed analysis must agree bit for bit.  The
 hypothesis suite holds that over *small* generated traces; this module
 drives the same oracle over :mod:`repro.events.hostile` adversarial
 traces, written out with
-shard-boundary-hostile layouts (random cut sizes, mixed shard formats,
-spliced empty shards), across every transport × engine combination:
+shard-boundary-hostile layouts (random cut sizes, spliced empty shards),
+across every transport × engine combination:
 
 ========================  ===================================================
 transport                 store layout analysed

@@ -23,9 +23,10 @@ Three contracts matter:
   field of the object representation (including optional fields and debug
   strings), so either representation can stand in for the other.
 
-On disk the columnar form has a versioned binary format (an ``.npz``
-archive, one entry per column plus a JSON metadata blob) next to the
-existing JSON format; :func:`load_trace` sniffs the two apart.
+On disk the columnar form has a versioned binary format (a compressed
+``.npz`` archive, one entry per column plus a JSON metadata blob) next to
+the existing JSON format, and the flat ``.odpf`` payload every store
+shard is written in; :func:`load_trace` sniffs them apart.
 """
 
 from __future__ import annotations
@@ -1061,18 +1062,12 @@ class ColumnarTrace:
     def load(cls, path: str | Path) -> "ColumnarTrace":
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
-    def save_binary(self, path: str | Path, *, compress: bool = True) -> None:
-        """Write the versioned binary columnar format (an ``.npz`` archive).
+    def save_binary(self, path: str | Path) -> None:
+        """Write the versioned binary columnar format (a compressed ``.npz``)."""
+        Path(path).write_bytes(self.to_binary_bytes())
 
-        ``compress=False`` writes a stored (uncompressed) archive: ~2-3x
-        larger on disk but much faster to write and to re-read, which is
-        what the sharded store uses — shards are scanned repeatedly by the
-        streaming detectors, so decode speed beats density there.
-        """
-        Path(path).write_bytes(self.to_binary_bytes(compress=compress))
-
-    def to_binary_bytes(self, *, compress: bool = True) -> bytes:
-        """The binary columnar format as one blob (what shard transports store)."""
+    def to_binary_bytes(self) -> bytes:
+        """The binary columnar format as one blob."""
         meta = {
             "format_version": COLUMNAR_FORMAT_VERSION,
             "program_name": self.program_name,
@@ -1091,23 +1086,14 @@ class ColumnarTrace:
             json.dumps(meta).encode("utf-8"), dtype=np.uint8
         )
         buffer = io.BytesIO()
-        if compress:
-            np.savez_compressed(buffer, **arrays)
-        else:
-            np.savez(buffer, **arrays)
+        np.savez_compressed(buffer, **arrays)
         return buffer.getvalue()
 
     @classmethod
     def load_binary(cls, path: str | Path) -> "ColumnarTrace":
         """Read the versioned binary columnar format."""
-        return cls.from_binary_bytes(Path(path).read_bytes(), source=str(path))
-
-    @classmethod
-    def from_binary_bytes(cls, data: bytes, *, source: str = "<bytes>") -> "ColumnarTrace":
-        """Decode one binary columnar blob (the transports' read path)."""
-        path = source  # keep the historical error-message wording
         try:
-            archive_file = np.load(io.BytesIO(data), allow_pickle=False)
+            archive_file = np.load(io.BytesIO(Path(path).read_bytes()), allow_pickle=False)
         except zipfile.BadZipFile as exc:
             raise ValueError(f"{path}: not a valid columnar trace archive ({exc})") from exc
         with archive_file as archive:

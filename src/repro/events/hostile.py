@@ -28,9 +28,8 @@ Everything is driven by one :func:`numpy.random.default_rng` seed: the same
 reproduces from its printed seed alone.
 
 :func:`write_hostile_store` extends the hostility to the *storage layout*:
-random shard cut sizes (shard-boundary-hostile orderings), per-shard format
-flips between ``npz`` and ``odpf``, and injected zero-event shards spliced
-into the manifest (empty-shard layouts).
+random shard cut sizes (shard-boundary-hostile orderings) and injected
+zero-event shards spliced into the manifest (empty-shard layouts).
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from repro.events.columnar import (
 )
 from repro.events.store import (
     MANIFEST_NAME,
-    SHARD_FORMAT_NPZ,
     SHARD_FORMAT_ODPF,
     ShardedTraceStore,
     TraceWriter,
@@ -400,15 +398,13 @@ def write_hostile_store(
     seed: int,
     min_shard_events: int = 64,
     max_shard_events: int = 4096,
-    mixed_formats: bool = True,
     empty_shards: bool = True,
 ) -> ShardedTraceStore:
     """Write ``trace`` out with a shard layout chosen to be maximally awkward.
 
     Shard cuts are random sizes in ``[min_shard_events, max_shard_events]``
-    (so motifs straddle boundaries in seed-dependent ways), shard formats
-    flip between ``npz`` and ``odpf`` per shard when ``mixed_formats``, and
-    with ``empty_shards`` one or two zero-event shards are spliced into the
+    (so motifs straddle boundaries in seed-dependent ways), and with
+    ``empty_shards`` one or two zero-event shards are spliced into the
     manifest at random positions.  The store's *content* is exactly
     ``trace`` — only the layout is hostile — so analysis results must match
     any other representation bit-for-bit.
@@ -419,15 +415,10 @@ def write_hostile_store(
         shard_events=2**62,  # never auto-cut: every flush below is one shard
         num_devices=trace.num_devices,
         program_name=trace.program_name,
-        shard_format=SHARD_FORMAT_ODPF,
     )
     for do_lo, do_hi, tgt_lo, tgt_hi in _hostile_bounds(
         trace, rng, min_shard_events, max_shard_events
     ):
-        if mixed_formats:
-            writer.shard_format = (
-                SHARD_FORMAT_NPZ if rng.random() < 0.4 else SHARD_FORMAT_ODPF
-            )
         writer.write_batch(trace.slice_rows(do_lo, do_hi, tgt_lo, tgt_hi))
         writer.flush()
     store = writer.close(total_runtime=trace.total_runtime)

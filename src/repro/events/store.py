@@ -9,18 +9,16 @@ JSON manifest describing the whole trace::
         shard-00001.odpf
         ...
 
-Each shard is in one of two formats, recorded per shard in the manifest:
-
-* ``odpf`` (the default) — the flat columnar payload of
-  :meth:`ColumnarTrace.to_flat_payload`: struct prefix + JSON header +
-  64-byte-aligned raw column buffers.  On a transport that can memory-map its blobs (the local
-  directory), opening a shard is O(1): the store builds zero-copy NumPy
-  views straight over the mapped file — no decompress, no copy.
-* ``npz`` — the legacy compressed-capable binary of
-  :meth:`ColumnarTrace.save_binary`; every load pays a full decode.
-  Still written for ``compress=True`` (archival) stores, and legacy
-  stores (whose manifests predate the ``format`` field) keep working
-  unchanged — formats may mix freely within one store.
+Every shard is a flat ``odpf`` blob, the columnar payload of
+:meth:`ColumnarTrace.to_flat_payload`: struct prefix + JSON header +
+64-byte-aligned raw column buffers.  On a transport that can memory-map
+its blobs (the local directory), opening a shard is O(1): the store builds
+zero-copy NumPy views straight over the mapped file — no decompress, no
+copy; elsewhere the blob is fetched once and viewed in place.  The
+manifest records ``"format": "odpf"`` per shard, and :meth:`ShardedTraceStore.open`
+refuses any other entry (such as a legacy compressed ``.npz`` shard).
+A compressed archive of a whole trace is the single-file ``.npz`` that
+``trace merge`` writes, not a store.
 
 *Where* the blobs live is pluggable: the same manifest + shards layout can
 sit in a local directory, inside a single zip archive (cold storage), or
@@ -46,10 +44,6 @@ applying a :class:`RetentionPolicy` (drop events older than a horizon,
 keep only some event kinds, cap the store's shard count or byte budget)
 with the same crash-safety as plain compaction: scratch staging, a single
 atomic manifest publish, superseded shards removed last.
-
-Shards are written as flat ``odpf`` payloads by default: the streaming
-detectors scan them repeatedly, so open cost matters more than density
-(pass ``compress=True``, or ``shard_format="npz"``, for archival stores).
 """
 
 from __future__ import annotations
@@ -91,10 +85,8 @@ STORE_KIND = "ompdataperf-sharded-trace"
 
 MANIFEST_NAME = "manifest.json"
 
-#: Shard format names (doubling as the shard files' extensions).
-SHARD_FORMAT_NPZ = "npz"
+#: The shard format (doubling as the shard files' extension).
 SHARD_FORMAT_ODPF = "odpf"
-SHARD_FORMATS = (SHARD_FORMAT_NPZ, SHARD_FORMAT_ODPF)
 
 #: Scratch namespace compaction stages rewritten shards under.
 COMPACT_SCRATCH_PREFIX = ".compact.tmp"
@@ -113,7 +105,6 @@ class ShardInfo:
     num_data_op_events: int
     num_target_events: int
     end_time: float
-    format: str = SHARD_FORMAT_NPZ
 
     @property
     def num_events(self) -> int:
@@ -125,26 +116,24 @@ class ShardInfo:
             "num_data_op_events": self.num_data_op_events,
             "num_target_events": self.num_target_events,
             "end_time": self.end_time,
-            "format": self.format,
+            "format": SHARD_FORMAT_ODPF,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ShardInfo":
-        # Legacy manifests predate the format field; their shards are the
-        # historical ``.npz`` blobs (inferred by extension for robustness).
-        fmt = d.get("format")
-        if fmt is None:
-            fmt = (
-                SHARD_FORMAT_ODPF
-                if str(d["file"]).endswith("." + SHARD_FORMAT_ODPF)
-                else SHARD_FORMAT_NPZ
+        file = str(d["file"])
+        # Manifests older than the format field name it by the extension.
+        fmt = d["format"] if "format" in d else Path(file).suffix[1:]
+        if fmt != SHARD_FORMAT_ODPF:
+            raise ValueError(
+                f"shard {file!r} is in format {fmt!r}; only flat "
+                f"{SHARD_FORMAT_ODPF!r} shards can be read"
             )
         return cls(
-            file=str(d["file"]),
+            file=file,
             num_data_op_events=int(d["num_data_op_events"]),
             num_target_events=int(d["num_target_events"]),
             end_time=float(d["end_time"]),
-            format=str(fmt),
         )
 
 
@@ -257,12 +246,8 @@ class ShardedTraceStore:
             ShardInfo.from_dict(d) for d in manifest["shards"]
         ]
         self._stats = manifest["stats"]
-        #: decode accounting: how much of this process's time went into
-        #: re-parsing shard blobs.
-        self.decode_seconds = 0.0
-        self.decode_count = 0
-        #: zero-decode accounting: flat ``.odpf`` shards are attached as
-        #: views (an mmap on capable transports), never parsed.
+        #: open accounting: every shard is attached as views (an mmap on
+        #: capable transports), never parsed.
         self.map_seconds = 0.0
         self.map_count = 0
 
@@ -296,34 +281,17 @@ class ShardedTraceStore:
     def num_shards(self) -> int:
         return len(self.shards)
 
-    def _stamp(self, batch: ColumnarTrace) -> ColumnarTrace:
-        # The manifest is authoritative for trace-level metadata: a shard
-        # written early in a run may predate later device initialisations.
-        batch.num_devices = self.num_devices
-        batch.program_name = self.program_name
-        return batch
+    def load_batch(self, index: int) -> ColumnarTrace:
+        """Attach one shard as zero-copy views — no decode.
 
-    def _load_shard(self, shard: ShardInfo) -> ColumnarTrace:
-        if shard.format == SHARD_FORMAT_ODPF:
-            return self._load_flat_shard(shard.file)
-        started = perf_counter()
-        batch = ColumnarTrace.from_binary_bytes(
-            self.transport.read_blob(shard.file),
-            source=f"{self.transport.describe()}:{shard.file}",
-        )
-        self.decode_seconds += perf_counter() - started
-        self.decode_count += 1
-        return self._stamp(batch)
-
-    def _load_flat_shard(self, file: str) -> ColumnarTrace:
-        """Attach a flat ``.odpf`` shard as zero-copy views — no decode.
-
-        On an mmap-capable transport the views sit directly over the
-        mapped store file (the mapping is the batch's keepalive, unmapped
-        when the last view drops); elsewhere the blob's bytes are fetched
-        once and viewed in place.
+        Random access (the targeted finding gather uses it directly).  On
+        an mmap-capable transport the views sit directly over the mapped
+        store file (the mapping is the batch's keepalive, unmapped when
+        the last view drops); elsewhere the blob's bytes are fetched once
+        and viewed in place.
         """
         started = perf_counter()
+        file = self.shards[index].file
         source = f"{self.transport.describe()}:{file}"
         mapped = try_map_blob(self.transport, file)
         if mapped is not None:
@@ -335,11 +303,11 @@ class ShardedTraceStore:
             )
         self.map_seconds += perf_counter() - started
         self.map_count += 1
-        return self._stamp(batch)
-
-    def load_batch(self, index: int) -> ColumnarTrace:
-        """Load one shard (random access for the targeted finding gather)."""
-        return self._load_shard(self.shards[index])
+        # The manifest is authoritative for trace-level metadata: a shard
+        # written early in a run may predate later device initialisations.
+        batch.num_devices = self.num_devices
+        batch.program_name = self.program_name
+        return batch
 
     def batch_row_counts(self) -> list[tuple[int, int]]:
         return [(s.num_data_op_events, s.num_target_events) for s in self.shards]
@@ -355,9 +323,7 @@ class ShardedTraceStore:
         self,
         *,
         shard_events: int = DEFAULT_SHARD_EVENTS,
-        compress: bool = False,
         retention: Optional[RetentionPolicy] = None,
-        shard_format: Optional[str] = None,
     ) -> "ShardedTraceStore":
         """Re-shard the store in place, optionally applying retention.
 
@@ -410,11 +376,9 @@ class ShardedTraceStore:
                 scratch,
                 old_files,
                 shard_events=shard_events,
-                compress=compress,
                 retention=retention,
                 cutoff=cutoff,
                 apply_batch=apply_batch,
-                shard_format=shard_format,
             )
         finally:
             if staging_dir is not None:
@@ -426,19 +390,15 @@ class ShardedTraceStore:
         old_files: list[str],
         *,
         shard_events: int,
-        compress: bool,
         retention: "RetentionPolicy",
         cutoff: Optional[float],
         apply_batch,
-        shard_format: Optional[str],
     ) -> "ShardedTraceStore":
         writer = TraceWriter(
             scratch,
             shard_events=shard_events,
             num_devices=self.num_devices,
             program_name=self.program_name,
-            compress=compress,
-            shard_format=shard_format,
         )
         for batch in self.batches():
             writer.write_batch(retention.filter_batch(batch, cutoff))
@@ -469,18 +429,17 @@ class ShardedTraceStore:
             stats = writer.stats
 
         # Promote the staged shards under names no live shard uses
-        # (repeated compactions bump the generation tag).  The extension
-        # follows each staged shard's format.
+        # (repeated compactions bump the generation tag).
         generation = 0
         while any(
-            self.transport.blob_exists(f"shard-g{generation}-{i:05d}.{shard.format}")
-            for i, shard in enumerate(kept)
+            self.transport.blob_exists(f"shard-g{generation}-{i:05d}.{SHARD_FORMAT_ODPF}")
+            for i in range(len(kept))
         ):
             generation += 1
         promotions: list[tuple[str, str]] = []  # (scratch file, live name)
         renamed: list[ShardInfo] = []
         for i, shard in enumerate(kept):
-            name = f"shard-g{generation}-{i:05d}.{shard.format}"
+            name = f"shard-g{generation}-{i:05d}.{SHARD_FORMAT_ODPF}"
             promotions.append((shard.file, name))
             renamed.append(
                 ShardInfo(
@@ -488,7 +447,6 @@ class ShardedTraceStore:
                     num_data_op_events=shard.num_data_op_events,
                     num_target_events=shard.num_target_events,
                     end_time=shard.end_time,
-                    format=shard.format,
                 )
             )
 
@@ -585,22 +543,6 @@ class ShardedTraceStore:
             total += self.transport.blob_size(shard.file)
         return total
 
-    def shard_format_counts(self) -> dict[str, int]:
-        """Shards per format, from the manifest alone."""
-        counts: dict[str, int] = {}
-        for shard in self.shards:
-            counts[shard.format] = counts.get(shard.format, 0) + 1
-        return counts
-
-    def on_disk_bytes_by_format(self) -> dict[str, int]:
-        """Stored shard bytes per format (the manifest is not attributed)."""
-        totals: dict[str, int] = {}
-        for shard in self.shards:
-            totals[shard.format] = totals.get(
-                shard.format, 0
-            ) + self.transport.blob_size(shard.file)
-        return totals
-
     def summary(self) -> dict:
         stats = self._stats
         return {
@@ -686,26 +628,9 @@ class TraceWriter:
         shard_events: int = DEFAULT_SHARD_EVENTS,
         num_devices: int = 1,
         program_name: Optional[str] = None,
-        compress: bool = False,
-        shard_format: Optional[str] = None,
     ) -> None:
         if shard_events < 1:
             raise ValueError("shard_events must be at least 1")
-        if shard_format is None:
-            # The flat format is uncompressed by construction, so an
-            # archival (compressed) store keeps the legacy binary shards.
-            shard_format = SHARD_FORMAT_NPZ if compress else SHARD_FORMAT_ODPF
-        if shard_format not in SHARD_FORMATS:
-            raise ValueError(
-                f"unknown shard format {shard_format!r}; "
-                f"known formats: {', '.join(SHARD_FORMATS)}"
-            )
-        if shard_format == SHARD_FORMAT_ODPF and compress:
-            raise ValueError(
-                "the flat 'odpf' shard format is uncompressed; "
-                "use shard_format='npz' for a compressed store"
-            )
-        self.shard_format = shard_format
         self.transport = open_transport(destination, create=True)
         if self.transport.list_blobs():
             raise ValueError(
@@ -717,7 +642,6 @@ class TraceWriter:
         self.shard_events = shard_events
         self.num_devices = num_devices
         self.program_name = program_name
-        self.compress = compress
         self.shards: list[ShardInfo] = []
         self.stats = StreamStats()
         #: per-shard folded statistics, aligned with ``shards`` (what lets
@@ -795,15 +719,11 @@ class TraceWriter:
         self._buffer = self._fresh_buffer()
 
     def _write_shard(self, shard: ColumnarTrace) -> None:
-        name = f"shard-{len(self.shards):05d}.{self.shard_format}"
+        name = f"shard-{len(self.shards):05d}.{SHARD_FORMAT_ODPF}"
         shard.num_devices = self.num_devices
         shard.program_name = self.program_name
         shard.total_runtime = None  # a shard has no runtime of its own
-        if self.shard_format == SHARD_FORMAT_ODPF:
-            payload = shard.to_flat_payload()
-        else:
-            payload = shard.to_binary_bytes(compress=self.compress)
-        self.transport.write_blob(name, payload)
+        self.transport.write_blob(name, shard.to_flat_payload())
         shard_stats = StreamStats()
         shard_stats.fold(shard)
         self.stats.merge(shard_stats)
@@ -814,7 +734,6 @@ class TraceWriter:
                 num_data_op_events=shard.num_data_op_events,
                 num_target_events=shard.num_target_events,
                 end_time=shard.end_time,
-                format=self.shard_format,
             )
         )
 
@@ -851,8 +770,6 @@ def shard_trace(
     destination,
     *,
     shard_events: int = DEFAULT_SHARD_EVENTS,
-    compress: bool = False,
-    shard_format: Optional[str] = None,
 ) -> ShardedTraceStore:
     """Write any trace representation (or stream) out as a sharded store.
 
@@ -867,8 +784,6 @@ def shard_trace(
         shard_events=shard_events,
         num_devices=stream.num_devices,
         program_name=stream.program_name,
-        compress=compress,
-        shard_format=shard_format,
     )
     for batch in stream.batches():
         writer.write_batch(batch)

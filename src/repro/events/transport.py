@@ -26,7 +26,7 @@ transport                             backing storage
 ====================================  =========================================
 
 Blob names are relative POSIX-style paths (``manifest.json``,
-``shard-00000.odpf``, ``.compact.tmp/shard-00001.npz``).  The contract every
+``shard-00000.odpf``, ``.compact.tmp/shard-00001.odpf``).  The contract every
 transport honours:
 
 * ``write_blob`` is an **atomic publish**: a concurrent (or post-crash)
@@ -294,8 +294,8 @@ class ZipArchiveTransport:
     (compaction) use :meth:`apply_batch` to fold any number of writes,
     renames and deletes into ONE streamed rewrite and one atomic swap.
     The right trade-offs for an archival format that is written once and
-    read many times.  Shard payloads are ``.npz`` archives or aligned
-    flat buffers, so members are stored uncompressed.
+    read many times.  Shard payloads are aligned flat buffers that are
+    viewed in place, so members are stored uncompressed.
     """
 
     kind = "zip"

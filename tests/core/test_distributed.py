@@ -544,10 +544,36 @@ def test_worker_error_requeues_without_waiting_for_lease(trace, tmp_path):
 # --------------------------------------------------------------------- #
 # Debris accounting, duplicates, speculation
 # --------------------------------------------------------------------- #
-def _run_with_debris_result(store, queue_dir, data):
-    """Analyze ``store`` on a queue where ``data`` sits under a valid
-    result name for task 0, attempt 0, in front of any real result; one
-    worker thread serves the run.  Returns the engine and the report."""
+def test_undecodable_current_result_fails_its_task_at_once(store, tmp_path, monkeypatch):
+    """A live attempt's result that the coordinator cannot decode fails
+    the task at once: it requeues, and after ``max_attempts`` the run
+    aborts with the decode error, long before the lease could expire."""
+    from repro.core import carrycodec
+
+    monkeypatch.delitem(
+        carrycodec._allowed(), ("repro.core.detectors.table", "FindingPart")
+    )
+    engine = DistributedEngine(
+        queue=tmp_path / "undecodable-queue", workers=1, worker_mode="thread",
+        poll_interval=0.02, lease_timeout=60.0, max_attempts=2,
+        run_timeout=60.0,
+    )
+    started = time.monotonic()
+    with pytest.raises(DistributedExecutionError) as excinfo:
+        analyze_stream(store, engine=engine, jobs=2)
+    assert time.monotonic() - started < 20.0
+    assert "result blob undecodable" in str(excinfo.value)
+    assert "is not allowed" in str(excinfo.value)
+    assert engine.stats["requeued"] >= 1
+    assert engine.stats["debris_blobs"] == 0
+
+
+def _run_with_result_blob(store, queue_dir, name, data):
+    """Analyze ``store`` on a queue where ``data`` sits under the result
+    name ``name``, in front of any real result; one worker thread serves
+    the run.  Returns the engine, the report and the warnings raised."""
+    import warnings
+
     from repro.core.distributed import RUN_MANIFEST, run_worker
     from repro.events.transport import open_transport
 
@@ -566,27 +592,50 @@ def _run_with_debris_result(store, queue_dir, data):
                 if transport.blob_exists(RUN_MANIFEST):
                     break
             time.sleep(0.01)
-        transport.write_blob("results/task-00000.a000.garbage", data)
+        transport.write_blob(name, data)
         run_worker(queue_dir, poll_interval=0.05, echo=None)
 
     worker = threading.Thread(target=inject_then_work, daemon=True)
     worker.start()
-    with pytest.warns(RuntimeWarning, match="debris"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         report = analyze_stream(store, engine=engine, jobs=2)
     worker.join(timeout=60)
-    return engine, report
+    return engine, report, [w for w in caught if "debris" in str(w.message)]
 
 
-def test_undecodable_result_blobs_counted_and_warned(store, tmp_path, expected):
-    """A garbage blob under results/ is dropped, but with a trace: one
-    RuntimeWarning per run and a stats["debris_blobs"] count."""
-    engine, report = _run_with_debris_result(
-        store, tmp_path / "debris-queue", b"not a carry payload"
+#: A result name for task 0 under an attempt the run never reaches.
+STALE_RESULT = "results/task-00000.a009.garbage"
+
+
+def test_undecodable_stale_result_blobs_counted_and_warned(store, tmp_path, expected):
+    """A garbage blob under results/ that answers no live attempt is
+    dropped, but with a trace: one RuntimeWarning per run and a
+    stats["debris_blobs"] count."""
+    engine, report, debris_warnings = _run_with_result_blob(
+        store, tmp_path / "debris-queue", STALE_RESULT, b"not a carry payload"
     )
     assert _findings(report) == expected
+    assert len(debris_warnings) == 1
     assert engine.stats["debris_blobs"] == 1
     # The garbage blob did not consume any task: nothing was requeued.
     assert engine.stats["requeued"] == 0
+
+
+def test_undecodable_current_result_blob_requeues(store, tmp_path, expected):
+    """A garbage blob under the live attempt's result name fails that
+    attempt: the task requeues at once (not at lease expiry), nothing
+    counts as debris, and the findings are unchanged."""
+    started = time.monotonic()
+    engine, report, debris_warnings = _run_with_result_blob(
+        store, tmp_path / "requeue-queue", "results/task-00000.a000.garbage",
+        b"not a carry payload",
+    )
+    assert time.monotonic() - started < 30.0
+    assert _findings(report) == expected
+    assert engine.stats["requeued"] == 1
+    assert engine.stats["debris_blobs"] == 0
+    assert not debris_warnings
 
 
 def test_foreign_global_result_blob_is_debris_and_never_called(store, tmp_path, expected):
@@ -596,10 +645,12 @@ def test_foreign_global_result_blob_is_debris_and_never_called(store, tmp_path, 
     import pickle
 
     marker = tmp_path / "marker"
-    engine, report = _run_with_debris_result(
-        store, tmp_path / "foreign-queue", pickle.dumps([FileTouch(marker)], protocol=5)
+    engine, report, debris_warnings = _run_with_result_blob(
+        store, tmp_path / "foreign-queue", STALE_RESULT,
+        pickle.dumps([FileTouch(marker)], protocol=5),
     )
     assert _findings(report) == expected
+    assert len(debris_warnings) == 1
     assert engine.stats["debris_blobs"] == 1
     assert engine.stats["requeued"] == 0
     assert not marker.exists()

@@ -288,7 +288,6 @@ def test_process_engine_scans_the_store_once_per_group(store):
         analyze_stream(store, engine=eng, jobs=jobs, validate=True)
         assert eng.stats["tasks"] == eng.stats["workers"] == jobs
         assert eng.stats["map_count"] == jobs * store.num_shards
-        assert eng.stats["decode_count"] == 0
 
 
 # --------------------------------------------------------------------- #

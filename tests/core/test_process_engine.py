@@ -2,8 +2,8 @@
 
 Every run of a :class:`~repro.core.engine.ProcessEngine` starts one
 worker process per pass group and is done with it when the run ends.
-Loads: every worker maps or decodes each shard of its scan itself, so
-``decode_count + map_count`` is ``tasks × shards`` on every transport.
+Loads: every worker attaches each shard of its scan itself, as views, so
+``map_count`` is ``tasks × shards`` on every transport.
 Shutdown: no worker process is left alive after a clean run, after a
 failed worker, after an injected worker crash
 (``OMPDATAPERF_WORKER_CRASH_AFTER_CLAIM``), and after a
@@ -31,8 +31,6 @@ STATS_KEYS = {
     "tasks",
     "workers",
     "open_seconds",
-    "decode_seconds",
-    "decode_count",
     "map_seconds",
     "map_count",
     "fold_seconds",
@@ -48,15 +46,7 @@ def trace():
 
 @pytest.fixture(scope="module")
 def store(trace, tmp_path_factory):
-    # Pinned to the legacy npz format, whose shards every load decodes.
-    # Flat .odpf shards are mapped in place instead.
     path = tmp_path_factory.mktemp("process-store") / "trace.store"
-    return shard_trace(trace, path, shard_events=256, shard_format="npz")
-
-
-@pytest.fixture(scope="module")
-def odpf_store(trace, tmp_path_factory):
-    path = tmp_path_factory.mktemp("process-store-odpf") / "trace.store"
     return shard_trace(trace, path, shard_events=256)
 
 
@@ -168,50 +158,33 @@ def test_clean_runs_leave_no_worker(store, trace, workers):
 # --------------------------------------------------------------------- #
 # Loads and stats
 # --------------------------------------------------------------------- #
-def test_odpf_store_folds_with_zero_decodes(trace, odpf_store):
-    # Flat .odpf shards on a local store are mmapped in place.
-    eng = ProcessEngine()
-    assert _findings(analyze_stream(odpf_store, engine=eng, jobs=2)) == _findings(
-        analyze_trace(trace)
-    )
-    assert eng.stats["decode_count"] == 0
-    assert eng.stats["decode_seconds"] == 0.0
-    # One scan per worker: each group maps every shard once.
-    assert eng.stats["map_count"] == eng.stats["tasks"] * odpf_store.num_shards
-
-
 @pytest.mark.parametrize("layout", ["directory", "zip", "object store"])
-def test_every_worker_loads_each_shard_itself(layout, stores):
-    # Shards that cannot be mapped in place (npz blobs are decoded, zip
-    # members and objects are read and viewed) are loaded by every worker
-    # that scans them: one load per task and shard.
+def test_every_worker_loads_each_shard_itself(layout, stores, trace):
+    # A local shard is mapped in place, a zip member or an object is read
+    # and viewed in place; either way every worker attaches each shard of
+    # its one scan itself: one load per task and shard.
     stream = stores[layout]
     assert isinstance(stream, ShardedTraceStore)
-    expected = _findings(analyze_stream(stream))
     eng = ProcessEngine()
-    assert _findings(analyze_stream(stream, engine=eng, jobs=2)) == expected
+    assert _findings(analyze_stream(stream, engine=eng, jobs=2)) == _findings(
+        analyze_trace(trace)
+    )
     stats = eng.stats
     assert stats["tasks"] == 2
-    assert stats["decode_count"] + stats["map_count"] == stats["tasks"] * stream.num_shards
-    if layout == "directory":  # the npz store
-        assert stats["map_count"] == 0
+    assert stats["map_count"] == stats["tasks"] * stream.num_shards
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_stats_shape_and_overhead_accounting(store, odpf_store, jobs):
+def test_stats_shape_and_overhead_accounting(store, jobs):
     # jobs == 1 is one pass group on one worker, like any other job count.
-    for stream in (store, odpf_store):
-        eng = ProcessEngine()
-        analyze_stream(stream, engine=eng, jobs=jobs)
-        stats = eng.stats
-        assert set(stats) == STATS_KEYS
-        assert stats["tasks"] == stats["workers"] == stats["spawn_count"] == jobs
-        assert stats["open_seconds"] > 0.0  # every worker opens the store
-        assert stats["decode_count"] + stats["map_count"] == jobs * stream.num_shards
-        assert stats["overhead_seconds"] == pytest.approx(
-            stats["spawn_seconds"]
-            + stats["open_seconds"]
-            + stats["decode_seconds"]
-            + stats["map_seconds"]
-        )
-        assert stats["overhead_per_task"] == pytest.approx(stats["overhead_seconds"] / jobs)
+    eng = ProcessEngine()
+    analyze_stream(store, engine=eng, jobs=jobs)
+    stats = eng.stats
+    assert set(stats) == STATS_KEYS
+    assert stats["tasks"] == stats["workers"] == stats["spawn_count"] == jobs
+    assert stats["open_seconds"] > 0.0  # every worker opens the store
+    assert stats["map_count"] == jobs * store.num_shards
+    assert stats["overhead_seconds"] == pytest.approx(
+        stats["spawn_seconds"] + stats["open_seconds"] + stats["map_seconds"]
+    )
+    assert stats["overhead_per_task"] == pytest.approx(stats["overhead_seconds"] / jobs)

@@ -104,8 +104,7 @@ def test_hostile_store_layout(tmp_path):
     # Random cuts: shard sizes genuinely vary.
     sizes = [s.num_events for s in store.shards if s.num_events]
     assert len(set(sizes)) > 1
-    # Mixed formats and at least one spliced empty shard.
-    assert {s.format for s in store.shards} == {"npz", "odpf"}
+    # At least one spliced empty shard.
     assert any(s.num_events == 0 for s in store.shards)
     # The layout is hostile; the content is not — bit-identical round trip.
     merged = merge_shards(store)

@@ -1,20 +1,20 @@
-"""Mixed-format store and flat-shard fault-injection tests.
+"""Shard-format contract and flat-shard fault-injection tests.
 
-A store manifest records the format of every shard individually, so a
-store migrated halfway (or extended by a newer writer) legitimately holds
-legacy ``.npz`` and flat ``.odpf`` shards side by side.  These tests pin
-the compatibility contract: a mixed-format store replays bit-identically
-through all five analysis legs (object oracle, columnar, serial
-streaming, process-partitioned, distributed) over all three transports
-(local directory, zip archive, object store), and a torn ``.odpf`` write
-can never reach the live manifest — the flat payload's extent check
-rejects any truncated buffer even though the commit-marker magic sits at
-offset zero and therefore survives a torn prefix.
+Every store shard is a flat ``.odpf`` payload, and the manifest records
+``"format": "odpf"`` for each.  These tests pin that contract over all
+three transports (local directory, zip archive, object store): a store
+replays bit-identically through all five analysis legs (object oracle,
+columnar, serial streaming, process, distributed); a manifest entry that
+is not an ``.odpf`` shard — ``"format": "npz"``, or a legacy entry with
+no format field naming an ``.npz`` file — is refused when the store is
+opened; and a torn ``.odpf`` write can never reach the live manifest —
+the flat payload's extent check rejects any truncated buffer even though
+the commit-marker magic sits at offset zero and therefore survives a
+torn prefix.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 
 import numpy as np
@@ -31,19 +31,17 @@ from repro.events.columnar import (
 )
 from repro.events.store import (
     COMPACT_SCRATCH_PREFIX,
-    SHARD_FORMAT_NPZ,
-    SHARD_FORMAT_ODPF,
+    MANIFEST_NAME,
     ShardedTraceStore,
-    TraceWriter,
     merge_shards,
     shard_trace,
 )
-from repro.events.stream import as_event_stream
 from repro.events.transport import FakeObjectStoreTransport, TransportError
 
 from tests.conftest import TraceBuilder
 
 SHARD_EVENTS = 7
+TRANSPORTS = ["local", "zip", "object"]
 
 
 def _sample_trace(cycles: int = 12, num_devices: int = 2):
@@ -59,29 +57,30 @@ def _sample_trace(cycles: int = 12, num_devices: int = 2):
     return b.build()
 
 
-def _mixed_store(trace, destination) -> ShardedTraceStore:
-    """Write ``trace`` as a store whose shards alternate npz / odpf."""
-    stream = as_event_stream(ColumnarTrace.from_trace(trace), SHARD_EVENTS)
-    writer = TraceWriter(
-        destination,
-        shard_events=SHARD_EVENTS,
-        num_devices=stream.num_devices,
-        program_name=stream.program_name,
-    )
-    formats = itertools.cycle((SHARD_FORMAT_NPZ, SHARD_FORMAT_ODPF))
-    for batch in stream.batches():
-        writer.shard_format = next(formats)
-        writer.write_batch(batch)
-        writer.flush()  # cut the shard here so the next format flip lands
-    return writer.close(total_runtime=stream.total_runtime)
-
-
 def _destination(kind: str, tmp_path):
     if kind == "local":
         return tmp_path / "t.store"
     if kind == "zip":
         return tmp_path / "t.zip"
     return FakeObjectStoreTransport()
+
+
+@pytest.fixture
+def make_store(tmp_path):
+    """Factory: the sample trace as a store on the named transport."""
+
+    def make(kind: str) -> ShardedTraceStore:
+        ct = ColumnarTrace.from_trace(_sample_trace())
+        return shard_trace(ct, _destination(kind, tmp_path), shard_events=SHARD_EVENTS)
+
+    return make
+
+
+def _rewrite_manifest(store: ShardedTraceStore, edit) -> None:
+    """Apply ``edit`` to the store's parsed manifest and publish it."""
+    manifest = json.loads(store.transport.read_blob(MANIFEST_NAME))
+    edit(manifest)
+    store.transport.write_blob(MANIFEST_NAME, json.dumps(manifest).encode("utf-8"))
 
 
 def _dicts_equal(a: ColumnarTrace, b: ColumnarTrace) -> bool:
@@ -99,30 +98,75 @@ def _assert_reports_equal(obj_report, report):
 
 
 # --------------------------------------------------------------------- #
-# Mixed-format compatibility
+# Refused manifest entries
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("kind", ["local", "zip", "object"])
-def test_mixed_format_store_round_trips_bit_identically(kind, tmp_path):
-    trace = _sample_trace()
-    ct = ColumnarTrace.from_trace(trace)
-    store = _mixed_store(trace, _destination(kind, tmp_path))
+def _npz_entry(manifest, *, with_field: bool) -> None:
+    entry = manifest["shards"][1]
+    entry["file"] = "shard-legacy.npz"
+    if with_field:
+        entry["format"] = "npz"
+    else:
+        del entry["format"]
 
-    counts = store.shard_format_counts()
-    assert counts.get(SHARD_FORMAT_NPZ, 0) > 0
-    assert counts.get(SHARD_FORMAT_ODPF, 0) > 0
+
+@pytest.mark.parametrize("kind", TRANSPORTS)
+@pytest.mark.parametrize("with_field", [True, False], ids=["format-npz", "legacy-no-field"])
+def test_npz_shard_entry_is_refused_at_open(kind, with_field, make_store):
+    store = make_store(kind)
+    # A real compressed blob under the entry's name: the refusal is about
+    # the manifest, so it must not depend on what the blob holds.
+    store.transport.write_blob("shard-legacy.npz", store.load_batch(1).to_binary_bytes())
+    _rewrite_manifest(store, lambda m: _npz_entry(m, with_field=with_field))
+    with pytest.raises(ValueError, match=r"shard 'shard-legacy\.npz' is in format 'npz'"):
+        ShardedTraceStore.open(store.transport)
+
+
+@pytest.mark.parametrize("kind", TRANSPORTS)
+def test_unknown_shard_format_is_refused_at_open(kind, make_store):
+    store = make_store(kind)
+    _rewrite_manifest(store, lambda m: m["shards"][0].update(format="zstd"))
+    with pytest.raises(ValueError, match=r"'zstd'"):
+        ShardedTraceStore.open(store.transport)
+
+
+@pytest.mark.parametrize("kind", TRANSPORTS)
+def test_odpf_entry_without_format_field_opens(kind, make_store):
+    """A field-less entry naming an ``.odpf`` file is an ``.odpf`` shard."""
+    store = make_store(kind)
+    expected = merge_shards(store)
+
+    def drop_fields(manifest):
+        for entry in manifest["shards"]:
+            del entry["format"]
+
+    _rewrite_manifest(store, drop_fields)
+    assert _dicts_equal(merge_shards(ShardedTraceStore.open(store.transport)), expected)
+
+
+# --------------------------------------------------------------------- #
+# Round trips on every transport
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("kind", TRANSPORTS)
+def test_store_round_trips_bit_identically(kind, make_store):
+    ct = ColumnarTrace.from_trace(_sample_trace())
+    store = make_store(kind)
+    assert store.num_shards > 1
+    assert all(s.file.endswith(".odpf") for s in store.shards)
+    manifest = json.loads(store.transport.read_blob(MANIFEST_NAME))
+    assert {entry["format"] for entry in manifest["shards"]} == {"odpf"}
     assert _dicts_equal(merge_shards(store), ct)
 
     # Reopening goes through manifest parsing (per-shard format field).
     reopened = ShardedTraceStore.open(store.transport)
-    assert [s.format for s in reopened.shards] == [s.format for s in store.shards]
+    assert reopened.shards == store.shards
     assert _dicts_equal(merge_shards(reopened), ct)
 
 
-@pytest.mark.parametrize("kind", ["local", "zip", "object"])
-def test_mixed_format_store_identical_across_five_legs(kind, tmp_path):
+@pytest.mark.parametrize("kind", TRANSPORTS)
+def test_store_identical_across_five_legs(kind, make_store):
     trace = _sample_trace()
     ct = ColumnarTrace.from_trace(trace)
-    store = _mixed_store(trace, _destination(kind, tmp_path))
+    store = make_store(kind)
 
     obj_report = analyze_trace(trace)
     _assert_reports_equal(obj_report, analyze_trace(ct))
@@ -136,31 +180,10 @@ def test_mixed_format_store_identical_across_five_legs(kind, tmp_path):
     _assert_reports_equal(obj_report, analyze_stream(store, engine=engine, jobs=2))
 
 
-def test_legacy_manifest_without_format_field_still_opens(tmp_path):
-    """Manifests written before the format field default by extension."""
-    import json
-
-    from repro.events.store import MANIFEST_NAME
-
-    trace = _sample_trace()
-    ct = ColumnarTrace.from_trace(trace)
-    store = shard_trace(ct, tmp_path / "t.store", shard_events=SHARD_EVENTS,
-                        shard_format="npz")
-    manifest_path = store.path / MANIFEST_NAME
-    manifest = json.loads(manifest_path.read_text())
-    for entry in manifest["shards"]:
-        del entry["format"]
-    manifest_path.write_text(json.dumps(manifest))
-
-    reopened = ShardedTraceStore.open(store.path)
-    assert all(s.format == SHARD_FORMAT_NPZ for s in reopened.shards)
-    assert _dicts_equal(merge_shards(reopened), ct)
-
-
 # --------------------------------------------------------------------- #
 # Torn flat-shard writes
 # --------------------------------------------------------------------- #
-def test_torn_odpf_shard_write_keeps_old_store():
+def test_torn_odpf_shard_write_keeps_old_store(make_store):
     """A torn ``.odpf`` staged write must never dangle from the manifest.
 
     The flat payload's magic doubles as the commit marker and lives at
@@ -169,20 +192,19 @@ def test_torn_odpf_shard_write_keeps_old_store():
     ``from_shared`` must reject that buffer, and compaction's staging
     discipline must leave the old store untouched.
     """
-    remote = FakeObjectStoreTransport()
-    trace = _sample_trace()
-    ct = ColumnarTrace.from_trace(trace)
-    store = shard_trace(ct, remote, shard_events=SHARD_EVENTS, shard_format="npz")
+    store = make_store("object")
+    remote = store.transport
+    ct = ColumnarTrace.from_trace(_sample_trace())
+    old_files = [shard.file for shard in store.shards]
 
     remote.tear_next_write(0.5)  # first staged .odpf shard write tears
     with pytest.raises(TransportError):
-        store.compact(shard_events=30, shard_format="odpf")
+        store.compact(shard_events=30)
 
     # Old manifest, old shards, same replay.
     reopened = ShardedTraceStore.open(remote)
-    for shard in reopened.shards:
-        assert shard.format == SHARD_FORMAT_NPZ
-        assert remote.blob_exists(shard.file)
+    assert [shard.file for shard in reopened.shards] == old_files
+    assert all(remote.blob_exists(file) for file in old_files)
     assert _dicts_equal(merge_shards(reopened), ct)
 
     # The torn scratch blob kept its magic but not its column data: the
@@ -199,10 +221,9 @@ def test_torn_odpf_shard_write_keeps_old_store():
         ColumnarTrace.from_shared(memoryview(torn_bytes), source="torn")
 
     # The next compaction clears the scratch leftovers and succeeds.
-    compacted = ShardedTraceStore.open(remote).compact(
-        shard_events=30, shard_format="odpf"
-    )
-    assert all(s.format == SHARD_FORMAT_ODPF for s in compacted.shards)
+    compacted = ShardedTraceStore.open(remote).compact(shard_events=30)
+    assert compacted.num_shards < len(old_files)
+    assert not set(s.file for s in compacted.shards) & set(old_files)
     assert _dicts_equal(merge_shards(compacted), ct)
 
 

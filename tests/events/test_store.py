@@ -144,14 +144,11 @@ def _payload_refs(batch: ColumnarTrace) -> list[weakref.ref]:
     return refs
 
 
-@pytest.mark.parametrize("layout", ["odpf-mapped", "odpf-bytes", "npz"])
+@pytest.mark.parametrize("layout", ["odpf-mapped", "odpf-bytes"])
 def test_gather_holds_one_loaded_shard_at_a_time(tmp_path, monkeypatch, layout):
     """Nothing of a gathered shard (its columns, the payload they view)
     is alive when the next shard loads, nor after the gather."""
-    store = shard_trace(
-        _debug_trace(True), tmp_path / "t.store", shard_events=7,
-        shard_format="npz" if layout == "npz" else "odpf",
-    )
+    store = shard_trace(_debug_trace(True), tmp_path / "t.store", shard_events=7)
     if layout == "odpf-bytes":
         # A transport that cannot map: the payload is the blob's bytes.
         monkeypatch.setattr(type(store.transport), "map_blob", None, raising=False)
@@ -171,7 +168,7 @@ def test_gather_holds_one_loaded_shard_at_a_time(tmp_path, monkeypatch, layout):
     assert len(alive_at_load) == loaded > 5
     # the batch, its mapping and payload view (as far as they take weak
     # references), and its columns
-    probed = {"odpf-mapped": 3, "odpf-bytes": 2, "npz": 1}[layout] + len(_DATA_OP_COLUMNS)
+    probed = {"odpf-mapped": 3, "odpf-bytes": 2}[layout] + len(_DATA_OP_COLUMNS)
     assert len(refs) == loaded * probed
     assert alive_at_load == [0] * loaded
     assert all(ref() is None for ref in refs)
@@ -231,14 +228,15 @@ def test_compact_drops_empty_shards(tmp_path):
     # Forge an empty shard in the middle of the manifest, as a damaged or
     # hand-built store might contain.
     empty = ColumnarTrace(num_devices=store.num_devices)
-    empty.save_binary(tmp_path / "t.store" / "shard-empty.npz")
+    empty.save_flat(tmp_path / "t.store" / "shard-empty.odpf")
     manifest_path = tmp_path / "t.store" / MANIFEST_NAME
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     manifest["shards"].insert(1, {
-        "file": "shard-empty.npz",
+        "file": "shard-empty.odpf",
         "num_data_op_events": 0,
         "num_target_events": 0,
         "end_time": 0.0,
+        "format": "odpf",
     })
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
 
@@ -537,13 +535,6 @@ def test_resharding_coalesces_small_shards(tmp_path):
     again = shard_trace(fine, tmp_path / "mid.store", shard_events=7)
     assert [s.num_events for s in again.shards][:-1] == [7] * (again.num_shards - 1)
     assert _dicts_equal(merge_shards(again), ct)
-
-
-def test_compressed_shards_round_trip(tmp_path):
-    ct = _sample_trace()
-    plain = shard_trace(ct, tmp_path / "plain.store", shard_events=10)
-    packed = shard_trace(ct, tmp_path / "packed.store", shard_events=10, compress=True)
-    assert _dicts_equal(merge_shards(packed), merge_shards(plain))
 
 
 def test_validate_stream_flags_boundary_disorder(tmp_path):

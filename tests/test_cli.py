@@ -117,6 +117,8 @@ def test_trace_shard_info_merge_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "num_shards:" in out
     assert "data_op_kind.alloc:" in out
+    assert "on_disk_bytes:" in out
+    assert "shard_format" not in out
 
     back_path = tmp_path / "back.npz"
     assert main(["trace", "merge", str(store_path), str(back_path)]) == 0
@@ -127,52 +129,41 @@ def test_trace_shard_info_merge_round_trip(tmp_path, capsys):
     assert restored.to_trace().to_dict() == original.to_trace().to_dict()
 
 
-def test_trace_migrate_rewrites_npz_store_to_odpf(tmp_path, capsys):
-    from repro.events.columnar import ColumnarTrace
-    from repro.events.store import ShardedTraceStore, shard_trace
-
-    npz_path = tmp_path / "trace.npz"
-    assert main(["hotspot", "--size", "small", "-q", "--trace-out", str(npz_path)]) == 0
-    capsys.readouterr()
-    original = ColumnarTrace.load_binary(npz_path)
-    store_path = tmp_path / "legacy.store"
-    legacy = shard_trace(original, store_path, shard_events=4, shard_format="npz")
-    assert legacy.shard_format_counts() == {"npz": legacy.num_shards}
-
-    # info reports the per-format shard counts and byte totals.
-    assert main(["trace", "info", str(store_path)]) == 0
-    out = capsys.readouterr().out
-    assert "shard_format.npz:" in out
-    assert "on_disk_bytes.npz:" in out
-
-    assert main(["trace", "migrate", str(store_path)]) == 0
-    out = capsys.readouterr().out
-    assert "migrated" in out and "odpf shard(s)" in out
-
-    migrated = ShardedTraceStore.open(store_path)
-    assert set(migrated.shard_format_counts()) == {"odpf"}
-    # Default target preserves the shard granularity of the source store.
-    assert migrated.num_shards == legacy.num_shards
-    assert migrated.load().to_trace().to_dict() == original.to_trace().to_dict()
-
-    assert main(["trace", "info", str(store_path)]) == 0
-    out = capsys.readouterr().out
-    assert "shard_format.odpf:" in out
-    assert "shard_format.npz:" not in out
-
-    # Migration is idempotent and the analysis stays byte-identical.
-    assert main(["trace", "migrate", str(store_path)]) == 0
-    capsys.readouterr()
-    again = ShardedTraceStore.open(store_path)
-    assert again.load().to_trace().to_dict() == original.to_trace().to_dict()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["migrate", "{store}"],
+        ["shard", "{npz}", "{out}", "--compress"],
+        ["compact", "{store}", "--compress"],
+    ],
+    ids=["migrate", "shard-compress", "compact-compress"],
+)
+def test_removed_shard_format_commands_exit_2(tmp_path, capsys, argv):
+    """Stores have one shard format: there is nothing to migrate and no
+    compressed shards to ask for.  The store is left as it was."""
+    store_path = _small_store(tmp_path, capsys)
+    manifest = (store_path / "manifest.json").read_bytes()
+    paths = {"store": store_path, "npz": tmp_path / "trace.npz", "out": tmp_path / "out.store"}
+    with pytest.raises(SystemExit) as excinfo:
+        main(["trace", *(arg.format(**paths) for arg in argv)])
+    assert excinfo.value.code == 2
+    assert (store_path / "manifest.json").read_bytes() == manifest
+    assert not (tmp_path / "out.store").exists()
 
 
-def test_trace_migrate_rejects_non_store(tmp_path, capsys):
-    json_path = tmp_path / "trace.json"
-    assert main(["rsbench", "--size", "small", "-q", "--trace-out", str(json_path)]) == 0
-    capsys.readouterr()
-    with pytest.raises(SystemExit):
-        main(["trace", "migrate", str(json_path)])
+def test_trace_info_refuses_a_store_with_an_npz_shard(tmp_path, capsys):
+    import json
+
+    store_path = _small_store(tmp_path, capsys)
+    manifest_path = store_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["shards"][0].update(file="shard-legacy.npz", format="npz")
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["trace", "info", str(store_path)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "shard-legacy.npz" in err and "'npz'" in err
 
 
 def test_trace_convert_flat_round_trip(tmp_path, capsys):
